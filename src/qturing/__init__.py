@@ -26,6 +26,7 @@ from .evolution import (
     estimate_norm,
     matrix_element,
     run,
+    step_operator,
 )
 from .frame import (
     MOVES,
@@ -62,15 +63,11 @@ from .oracle import (
     GramCheck,
     build_corpus,
     column_gram_check,
-    column_pairs,
-    gram_columns,
-    gram_rows,
     pair_unitary_machine,
     perturb,
     radius_window,
     random_unitary,
     row_gram_check,
-    row_pairs,
     simple_frame,
 )
 from .table import (

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -172,6 +173,54 @@ def _parse_basis_spec(frame: TuringFrame, text: str) -> Configuration:
     return Configuration(state, tapes, heads)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _parse_term(frame: TuringFrame, index: int, item) -> tuple[Configuration, complex]:
+    """One {state, heads, tapes, amp} term of a superposition file; a bad
+    term raises ValueError naming its index and its bad field."""
+    def bad(field: str, expected: str) -> ValueError:
+        got = json.dumps(item.get(field)) if field in item else "nothing"
+        return ValueError(f"start term {index}: field {field!r} must be {expected}, got {got}")
+
+    k = frame.tape_count
+    if not isinstance(item, dict):
+        raise ValueError(f"start term {index}: must be an object with state, heads, tapes "
+                         f"and amp, got {json.dumps(item)}")
+    state = item.get("state")
+    if not isinstance(state, str) or state not in frame.states:
+        raise bad("state", "one of the state names " + ", ".join(frame.states))
+    heads = item.get("heads")
+    if not isinstance(heads, list) or len(heads) != k or not all(_is_int(h) for h in heads):
+        raise bad("heads", f"a list of {k} integer positions")
+    cells_per_tape = item.get("tapes", [[]] * k)
+    if not isinstance(cells_per_tape, list) or len(cells_per_tape) != k:
+        raise bad("tapes", f"a list of {k} lists of [cell, symbol] pairs")
+    tapes = []
+    for i, cells in enumerate(cells_per_tape):
+        alphabet = frame.alphabets[i]
+        if not isinstance(cells, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0]) and pair[1] in alphabet
+            for pair in cells
+        ):
+            raise bad("tapes", f"a list of {k} lists of [cell, symbol] pairs over the "
+                               f"tape-{i + 1} symbols " + ", ".join(alphabet))
+        tape = Tape(frame.blanks[i])
+        for cell, symbol in cells:
+            tape = tape.write(cell, alphabet.index(symbol))
+        tapes.append(tape)
+    amp = item.get("amp")
+    if not isinstance(amp, list) or len(amp) != 2 or not all(_is_finite(x) for x in amp):
+        raise bad("amp", "a [re, im] pair of finite numbers")
+    config = Configuration(frame.states.index(state), tuple(tapes), tuple(heads))
+    return config, complex(amp[0], amp[1])
+
+
 def _parse_start(frame: TuringFrame, spec: str) -> Superposition:
     """Either a basis spec 'state=.. heads=.. tape=..' or '@file.json' with a
     list of {state, heads, tapes, amp} terms."""
@@ -179,21 +228,7 @@ def _parse_start(frame: TuringFrame, spec: str) -> Superposition:
         raw = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
         if not isinstance(raw, list):
             raise ValueError("superposition file must hold a list of terms")
-        terms = []
-        state_names = {name: i for i, name in enumerate(frame.states)}
-        for item in raw:
-            state = state_names[item["state"]]
-            heads = tuple(int(h) for h in item["heads"])
-            tapes = []
-            for i, cells in enumerate(item.get("tapes", [[]] * frame.tape_count)):
-                names = {name: j for j, name in enumerate(frame.alphabets[i])}
-                tape = Tape(frame.blanks[i])
-                for cell, symbol in cells:
-                    tape = tape.write(int(cell), names[symbol])
-                tapes.append(tape)
-            amp = complex(item["amp"][0], item["amp"][1])
-            terms.append((Configuration(state, tuple(tapes), heads), amp))
-        return Superposition(terms)
+        return Superposition([_parse_term(frame, i, item) for i, item in enumerate(raw)])
     return Superposition.basis(_parse_basis_spec(frame, spec))
 
 

