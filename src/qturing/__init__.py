@@ -12,10 +12,6 @@ from .conditions import (
     ConditionId,
     ConditionResidual,
     ValidationReport,
-    check_column,
-    check_hirvensalo,
-    check_row,
-    check_two_tape,
 )
 from .evolution import (
     PRUNE_THRESHOLD,
@@ -43,7 +39,11 @@ from .frame import (
 )
 from .ktape import (
     check_auto,
+    check_column,
+    check_hirvensalo,
     check_ktape,
+    check_row,
+    check_two_tape,
     condition_count,
     displacement_label,
     evaluate_ktape_condition,

@@ -12,19 +12,16 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .conditions import (
-    DEFAULT_TOLERANCE,
-    ValidationReport,
-    check_column,
-    check_hirvensalo,
-    check_row,
-    check_two_tape,
-)
+from .conditions import DEFAULT_TOLERANCE, ValidationReport
 from .evolution import Superposition, run as run_evolution, estimate_norm
 from .frame import Configuration, Tape, TuringFrame
 from .ktape import (
     check_auto,
+    check_column,
+    check_hirvensalo,
     check_ktape,
+    check_row,
+    check_two_tape,
     expand_condition_ids,
     generate_ktape_conditions,
 )
@@ -113,6 +110,17 @@ def _report_json(name: str, report: ValidationReport) -> dict:
             for r in report.residuals
         ],
     }
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tolerance: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
 
 
 def _emit(args, text_lines: list[str], payload: dict):
@@ -377,14 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run a unitarity condition checker")
     add_common(p)
     p.add_argument("--checker", choices=sorted(_CHECKERS), default="auto")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="apply the evolution operator to a start state")
     add_common(p)
     p.add_argument("--start", default="state=0", help="basis spec 'state=.. heads=.. tape=..' or @file.json")
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     p.add_argument("--unchecked", action="store_true", help="skip table and norm validation")
     p.set_defaults(func=cmd_run)
 
@@ -404,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--side", choices=("columns", "rows", "both"), default=None)
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_gram)
     return parser
 

@@ -57,6 +57,15 @@ def _all_strings(values):
     return all(isinstance(v, str) for v in values)
 
 
+def _finite(x) -> bool:
+    """True for a number that converts to a finite float; a JSON integer too
+    large for a float is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def parse_document(text: str) -> MachineDocument:
     try:
         doc = json.loads(text)
@@ -109,6 +118,7 @@ def parse_document(text: str) -> MachineDocument:
             _expect(key in rule, "schema", f"{where} is missing {key!r}")
 
         for key in ("q", "p"):
+            _expect(isinstance(rule[key], str), "schema", f"{where}: {key} must be a state name")
             if rule[key] not in state_index:
                 raise MachineParseError("unknown-name", f"{where}: unknown state {rule[key]!r}")
         q = state_index[rule["q"]]
@@ -142,7 +152,7 @@ def parse_document(text: str) -> MachineDocument:
         _expect(isinstance(amp, list) and len(amp) == 2
                 and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in amp),
                 "schema", f"{where}: amp must be a [real, imaginary] pair")
-        _expect(all(math.isfinite(x) for x in amp), "schema", f"{where}: amp must be finite")
+        _expect(all(_finite(x) for x in amp), "schema", f"{where}: amp must be finite")
 
         key = (q, read, p, write, move)
         if key in seen:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import DEFAULT_TOLERANCE, check_column
+from .conditions import DEFAULT_TOLERANCE
 from .evolution import step_operator
 from .frame import Configuration, TuringFrame, _as_vector
+from .ktape import check_column
 from .table import TransitionTable
 from .windows import ConfigurationWindow, radius_window
 

@@ -12,6 +12,7 @@ import qturing as qt
 from qturing.cli import bundled_machine_path, main
 
 from conftest import random_table
+import reference_conditions
 from reference_oracle import gram_rows
 
 
@@ -80,7 +81,7 @@ def test_criterion_03_checker_specialization():
                 frame, qt.random_unitary(frame.state_count * frame.symbol_block, rng), dirs)
         else:
             table = random_table(frame, rng, density=float(rng.uniform(0.2, 1.0)))
-        direct = qt.check_column(table)
+        direct = reference_conditions.check_column(table)
         generated = qt.check_ktape(table)
         if direct.passed != generated.passed:
             failures.append(f"k=1 table {i}: verdict mismatch")
@@ -101,7 +102,7 @@ def test_criterion_03_checker_specialization():
                 frame, qt.random_unitary(frame.state_count * frame.symbol_block, rng), dirs)
         else:
             table = random_table(frame, rng, density=float(rng.uniform(0.2, 0.8)))
-        direct = qt.check_two_tape(table)
+        direct = reference_conditions.check_two_tape(table)
         generated = qt.check_ktape(table)
         if direct.passed != generated.passed:
             failures.append(f"k=2 table {i}: verdict mismatch")

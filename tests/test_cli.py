@@ -264,6 +264,16 @@ class TestErrorsAndDeterminism:
         assert first == second
 
 
+@pytest.mark.parametrize("command", [["validate", "zero"], ["run", "zero", "--steps", "1"], ["gram", "zero"]],
+                         ids=["validate", "run", "gram"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, command, value):
+    code, out, err = invoke(capsys, *command, "--tolerance", value)
+    assert code == 2
+    assert out == ""
+    assert f"error: argument --tolerance: must be a finite number >= 0, got {value}" in err
+
+
 def test_scipy_stays_off_the_import_path():
     src = str(Path(qt.__file__).resolve().parents[1])
     script = (

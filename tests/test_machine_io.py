@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qturing as qt
 from qturing.cli import bundled_machine_path
@@ -104,3 +106,68 @@ class TestRoundTrip:
         table = qt.parse_machine(text)
         assert qt.amplitude(table, 0, 0, 0, 0, 0) == 0.5
         assert qt.amplitude(table, 1, 0, 1, 0, 0) == -0.5
+
+
+BUNDLED = ("counterexample", "identity", "zero", "two_tape_identity")
+# Names that occur in the bundled documents, so mutations reach past the
+# first schema checks.
+KNOWN_NAMES = ("0", "1", "B", "q0", "name", "states", "tapes", "symbols", "blank", "rules",
+               "q", "read", "p", "write", "move", "amp")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400) | st.floats()
+    | st.text(max_size=3) | st.sampled_from(KNOWN_NAMES),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(KNOWN_NAMES) | st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bundled document with one to three nodes replaced or deleted, and
+    sometimes its text cut short."""
+    doc = json.loads(read_bundled(draw(st.sampled_from(BUNDLED))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_parse_or_raise_parse_error(text):
+    try:
+        doc = qt.parse_document(text)
+    except qt.MachineParseError:
+        return
+    assert isinstance(doc, qt.MachineDocument)
+
+
+@pytest.mark.parametrize("field, value", [("q", ["0"]), ("p", {"0": 1}), ("amp", [10 ** 400, 0])])
+def test_malformed_rule_field_is_schema_error(field, value):
+    rules = json.loads(read_bundled("counterexample"))["rules"]
+    rules[0][field] = value
+    text = json.dumps({"name": "x", "states": ["0", "1"], "tapes": [{"symbols": ["B"], "blank": "B"}],
+                       "rules": rules})
+    with pytest.raises(qt.MachineParseError) as err:
+        qt.parse_document(text)
+    assert err.value.code == "schema"
