@@ -16,6 +16,7 @@ from .conditions import DEFAULT_TOLERANCE, ValidationReport
 from .evolution import Superposition, run as run_evolution, estimate_norm
 from .frame import Configuration, Tape, TuringFrame
 from .ktape import (
+    MAX_TAPES,
     check_auto,
     check_column,
     check_hirvensalo,
@@ -315,8 +316,8 @@ def cmd_norm(args) -> int:
 
 def cmd_conditions(args) -> int:
     k = args.k
-    if not 1 <= k <= 6:
-        raise ValueError("supported tape counts are 1..6")
+    if not 1 <= k <= MAX_TAPES:
+        raise ValueError(f"supported tape counts are 1..{MAX_TAPES}")
     ids = expand_condition_ids(generate_ktape_conditions(simple_frame(1, *(1,) * k)))
     kinds = {"norm": "normalization", "orth": "orthogonality"}
     lines = [f"conditions for k={k} ({len(ids)} total)", "label\tkind\tdisplacement"]

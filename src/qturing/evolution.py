@@ -2,15 +2,14 @@
 
 A superposition is a finite map from configurations to complex amplitudes;
 amplitudes below the pruning threshold are dropped after every accumulation.
-Application expands each basis term through the nonzero rules of the table
-in canonical index order, so repeated runs are bit-reproducible.
-`step_operator` is the one expansion kernel over a set of basis states: the
-Gram oracle and the windowed norm estimator assemble the operator from it,
-and `apply_adjoint` shares its cached adjoint rules.
+`_expand` is the one loop that expands basis states through the step
+operator or its adjoint, rule by rule in a fixed order, so repeated runs are
+bit-reproducible.  `step_operator` numbers its images for the Gram oracle and
+the windowed norm estimator; `apply` and `apply_adjoint` weight its
+coefficients by the amplitudes and sum them per image with `np.bincount`.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -119,9 +118,11 @@ def matrix_element(table: TransitionTable, c: Configuration, c_prime: Configurat
 
 class _Rules:
     """Decoded rule caches shared by every basis-state expansion of one call:
-    forward rules per read (q, sigma) in `rules_for` order (p, tau, d), and
-    adjoint hits per (p, written, move) in `np.nonzero` order (q, sigma).
-    With `prune`, rules below PRUNE_THRESHOLD are left out of both."""
+    forward rules per read (q, sigma) grouped by written vector tau, in the
+    order each tau first appears in `rules_for`, and in (p, tau, d) order
+    within a group; adjoint hits per (p, written, move) in `np.nonzero`
+    order (q, sigma).  With `prune`, rules below PRUNE_THRESHOLD are left out
+    of both."""
 
     __slots__ = ("table", "frame", "prune", "forward", "adjoint", "moves")
 
@@ -147,6 +148,7 @@ class _Rules:
                 for p, t, m, coef in self.table.rules_for(q, frame.symbol_flat(sigma))
                 if not self.prune or abs(coef) >= PRUNE_THRESHOLD
             ]
+            rules.sort(key=lambda rule: rule[1])  # stable: (p, tau, d) within a tau
             hit = self.forward[key] = (
                 [frame.symbol_vector(t) for t in taus],
                 [frame.move_vector(m) for m in moves],
@@ -200,20 +202,15 @@ def _written(tapes, cells, symbols):
     return new, tuple(t.cells for t in new)
 
 
-def step_operator(
-    table: TransitionTable, configs, adjoint: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[Configuration, ...]]:
-    """The step operator (or its adjoint) on the basis states `configs`, as
-    COO arrays (rows, cols, vals) plus the image configurations that `rows`
-    indexes.
+def _expand(rules: _Rules, configs, adjoint: bool):
+    """Expand each basis state through the step operator (or its adjoint).
 
-    Column i holds the expansion of configs[i]: forward entries in
-    `rules_for` order (p, tau, d), adjoint entries in `apply_adjoint` order.
-    Amplitudes below PRUNE_THRESHOLD are dropped, as `Superposition` does.
-    Images are numbered by the first column that reaches them, then by
-    `sort_key` within that column.
+    Returns (keys, images, first, rows, counts, vals): the sort key and the
+    configuration of each distinct image in first-reached order, the first
+    config index that reaches it, the image id of every entry, the entry
+    count per config and the coefficient of every entry.  Entries run config
+    by config in `_Rules` order, and an image appears at most once per config.
     """
-    rules = _Rules(table, prune=True)
     expand = rules.preimages if adjoint else rules.images
     # Images are keyed by their sort key (state, heads, supports), which
     # hashes in C; configurations are built once per distinct image.
@@ -233,82 +230,67 @@ def step_operator(
                 first.append(i)
             rows.append(row)
             vals.append(coef)
+    return (list(ids), images, first, np.asarray(rows, dtype=np.intp), counts,
+            np.asarray(vals, dtype=np.complex128))
+
+
+def step_operator(
+    table: TransitionTable, configs, adjoint: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[Configuration, ...]]:
+    """The step operator (or its adjoint) on the basis states `configs`, as
+    COO arrays (rows, cols, vals) plus the image configurations that `rows`
+    indexes.
+
+    Column i holds the expansion of configs[i] in `_Rules` order: forward
+    entries grouped by written vector in first-appearance order, then
+    (p, tau, d); adjoint entries move by move, then (q, sigma).
+    Amplitudes below PRUNE_THRESHOLD are dropped, as `Superposition` does.
+    Images are numbered by the first column that reaches them, then by
+    `sort_key` within that column.
+    """
+    keys, images, first, rows, counts, vals = _expand(_Rules(table, prune=True), configs, adjoint)
     # A Gram entry adds its terms in image-id order, so the numbering fixes
     # its rounding; (first column, sort key) keeps it independent of rule order.
-    keys = list(ids)
     order = sorted(range(len(keys)), key=lambda k: (first[k], keys[k]))
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order), dtype=np.intp)
     return (
-        rank[np.asarray(rows, dtype=np.intp)],
+        rank[rows],
         np.repeat(np.arange(len(counts), dtype=np.intp), counts),
-        np.asarray(vals, dtype=np.complex128),
+        vals,
         tuple(images[k] for k in order),
     )
 
 
-def _grouped_rules(table: TransitionTable, cache: dict, q: int, sflat: int):
-    """Rules for one read grouped by written symbol vector, preserving the
-    canonical (p, tau, d) order inside each group."""
-    key = (q, sflat)
-    groups = cache.get(key)
-    if groups is None:
-        frame = table.frame
-        by_tau: dict[tuple[int, ...], list] = {}
-        for p, t, m, amp in table.rules_for(q, sflat):
-            by_tau.setdefault(frame.symbol_vector(t), []).append(
-                (p, frame.move_vector(m), amp)
-            )
-        groups = list(by_tau.items())
-        cache[key] = groups
-    return groups
+def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> Superposition:
+    """M|psi> (or M^dagger|psi>): each product amp*coef is formed in real
+    arithmetic with one rounding per product, as a Python complex product
+    is, and summed per image in entry order; the result lists its images in
+    first-reached order."""
+    terms = psi.items()
+    if any(config.tape_count != table.frame.tape_count for config, _ in terms):
+        raise ValueError("superposition does not match the table's frame")
+    _, images, _, rows, counts, coefs = _expand(_Rules(table), [c for c, _ in terms], adjoint)
+    amps = np.repeat(np.array([a for _, a in terms], dtype=np.complex128), counts)
+    n = len(images)
+    re = np.bincount(rows, weights=amps.real * coefs.real - amps.imag * coefs.imag, minlength=n)
+    im = np.bincount(rows, weights=amps.real * coefs.imag + amps.imag * coefs.real, minlength=n)
+    return Superposition(zip(images, (re + 1j * im).tolist()))
 
 
 def apply(table: TransitionTable, psi: Superposition) -> Superposition:
     """One application of the evolution operator, linearly extended."""
-    frame = table.frame
-    cache: dict = {}
-    acc: dict[Configuration, complex] = defaultdict(complex)
-    single = frame.tape_count == 1
-    for config, amp in psi.items():
-        if config.tape_count != frame.tape_count:
-            raise ValueError("superposition does not match the table's frame")
-        if single:
-            tape = config.tapes[0]
-            head = config.heads[0]
-            for tau, group in _grouped_rules(table, cache, config.state, tape.read(head)):
-                written = (tape.write(head, tau[0]),)
-                for p, moves, coef in group:
-                    image = _config_unchecked(p, written, (head + moves[0],))
-                    acc[image] += amp * coef
-        else:
-            sflat = frame.symbol_flat(config.read())
-            for tau, group in _grouped_rules(table, cache, config.state, sflat):
-                written = tuple(t.write(h, w) for t, h, w in zip(config.tapes, config.heads, tau))
-                for p, moves, coef in group:
-                    heads = tuple(h + d for h, d in zip(config.heads, moves))
-                    image = _config_unchecked(p, written, heads)
-                    acc[image] += amp * coef
-    return Superposition(acc)
+    return _step(table, psi, adjoint=False)
 
 
 def apply_adjoint(table: TransitionTable, psi: Superposition, *, allow_multitape: bool = False) -> Superposition:
     """One application of the adjoint: each term |p,T,xi> pulls back to the
     configurations |q, T with sigma written at xi-d, xi-d> weighted by the
     conjugated rule amplitude delta(q, sigma, p, T(xi-d), d)*."""
-    frame = table.frame
-    if frame.tape_count != 1 and not allow_multitape:
+    if table.frame.tape_count != 1 and not allow_multitape:
         raise ValueError("adjoint application covers single-tape frames; "
                          "pass allow_multitape=True for the componentwise extension")
-    rules = _Rules(table)
-    acc: dict[Configuration, complex] = {}
-    for config, amp in psi.items():
-        if config.tape_count != frame.tape_count:
-            raise ValueError("superposition does not match the table's frame")
-        for q, (tapes, _), cells, coef in rules.preimages(config):
-            image = _config_unchecked(q, tapes, cells)
-            acc[image] = acc.get(image, 0j) + amp * coef
-    return Superposition(acc)
+    return _step(table, psi, adjoint=True)
 
 
 @dataclass(frozen=True)

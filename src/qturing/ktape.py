@@ -54,6 +54,10 @@ from .conditions import (
 from .frame import MOVES, TuringFrame
 from .table import TransitionTable
 
+# The generated set has 1 + (5^k + 1)/2 conditions, one einsum each, so its
+# cost grows more than fivefold per tape; past six tapes it is refused.
+MAX_TAPES = 6
+
 # Classic labels for the zero-displacement pair and, where a classic numbering
 # exists, for the displacement conditions: letters a-d for one tape, numbers
 # 1-14 for two tapes (displacement (D1, D2) carries number 5*D1 + D2 + 2).
@@ -93,8 +97,11 @@ def _valid_displacements(k: int) -> list[tuple[int, ...]]:
 def generate_ktape_conditions(frame: TuringFrame) -> list[ConditionId]:
     """All condition ids for the frame: the zero vector first (it expands to
     the normalization/orthogonality pair), then every valid displacement in
-    lexicographic order."""
+    lexicographic order.  Frames with more than MAX_TAPES tapes raise
+    ValueError."""
     k = frame.tape_count
+    if k > MAX_TAPES:
+        raise ValueError(f"supported tape counts are 1..{MAX_TAPES}")
     zero = (0,) * k
     ids = [ConditionId("ktape", displacement_label(zero), zero)]
     for vec in _valid_displacements(k):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .frame import Configuration, Tape, TuringFrame
+from .frame import Configuration, Tape, TuringFrame, _config_unchecked
 
 
 def _tapes_over(support: tuple[int, ...], alphabet_size: int, blank: int):
@@ -71,8 +71,9 @@ def radius_window(frame: TuringFrame, radius: int) -> tuple[Configuration, ...]:
     out = []
     for q in range(frame.state_count):
         for combo in itertools.product(*per_tape):
+            # the parts are canonical tuples already, so skip re-validation
             tapes = tuple(t for t, _ in combo)
             heads = tuple(h for _, h in combo)
-            out.append(Configuration(q, tapes, heads))
+            out.append(_config_unchecked(q, tapes, heads))
     out.sort(key=Configuration.sort_key)
     return tuple(out)

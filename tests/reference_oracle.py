@@ -7,14 +7,20 @@ tapes agreeing off the two head cells for columns; a single differing cell
 next to both heads for rows), so pair enumeration is restricted to that
 pattern.  The package itself forms the whole Gram matrix from
 `step_operator` instead (see `qturing.oracle`).
+
+`reference_apply` and `reference_adjoint` are the per-term dict loops that
+`apply` and `apply_adjoint` replaced; the tests hold the array steps to them
+bit for bit.
 """
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 import numpy as np
 
 from qturing import Configuration, Superposition, TransitionTable, TuringFrame, apply, apply_adjoint
+from qturing.frame import _config_unchecked
 
 
 def column_pairs(
@@ -118,6 +124,53 @@ def gram_rows(
     """For each pair (C, C'): <M† C, M† C'>, by full adjoint expansion."""
     image = _image_cache(lambda psi: apply_adjoint(table, psi))
     return np.array([_sparse_inner(image(c), image(c2)) for c, c2 in pairs], dtype=np.complex128)
+
+
+def _grouped_rules(table: TransitionTable, cache: dict, q: int, sflat: int):
+    """Rules for one read grouped by written symbol vector, preserving the
+    canonical (p, tau, d) order inside each group."""
+    key = (q, sflat)
+    groups = cache.get(key)
+    if groups is None:
+        frame = table.frame
+        by_tau: dict[tuple[int, ...], list] = {}
+        for p, t, m, amp in table.rules_for(q, sflat):
+            by_tau.setdefault(frame.symbol_vector(t), []).append(
+                (p, frame.move_vector(m), amp)
+            )
+        groups = list(by_tau.items())
+        cache[key] = groups
+    return groups
+
+
+def reference_apply(table: TransitionTable, psi: Superposition) -> Superposition:
+    """One application of the evolution operator, expanding each term through
+    its read's rules grouped by written symbol vector, with a separate
+    single-tape branch."""
+    frame = table.frame
+    cache: dict = {}
+    acc: dict[Configuration, complex] = defaultdict(complex)
+    single = frame.tape_count == 1
+    for config, amp in psi.items():
+        if config.tape_count != frame.tape_count:
+            raise ValueError("superposition does not match the table's frame")
+        if single:
+            tape = config.tapes[0]
+            head = config.heads[0]
+            for tau, group in _grouped_rules(table, cache, config.state, tape.read(head)):
+                written = (tape.write(head, tau[0]),)
+                for p, moves, coef in group:
+                    image = _config_unchecked(p, written, (head + moves[0],))
+                    acc[image] += amp * coef
+        else:
+            sflat = frame.symbol_flat(config.read())
+            for tau, group in _grouped_rules(table, cache, config.state, sflat):
+                written = tuple(t.write(h, w) for t, h, w in zip(config.tapes, config.heads, tau))
+                for p, moves, coef in group:
+                    heads = tuple(h + d for h, d in zip(config.heads, moves))
+                    image = _config_unchecked(p, written, heads)
+                    acc[image] += amp * coef
+    return Superposition(acc)
 
 
 def reference_adjoint(table: TransitionTable, psi: Superposition) -> Superposition:

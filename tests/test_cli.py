@@ -205,6 +205,33 @@ class TestConditions:
         assert code == 2
 
 
+class TestTapeCap:
+    """A 7-tape document is refused by the condition engine before any
+    einsum runs; only `run --unchecked` evolves it."""
+
+    @pytest.fixture
+    def seven_tapes(self, tmp_path):
+        path = tmp_path / "seven.qtm"
+        path.write_text(json.dumps({
+            "name": "seven",
+            "states": ["q0"],
+            "tapes": [{"symbols": ["B"], "blank": "B"}] * 7,
+            "rules": [{"q": "q0", "read": ["B"] * 7, "p": "q0", "write": ["B"] * 7,
+                       "move": [0] * 7, "amp": [1.0, 0.0]}],
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_checked_commands_exit_two(self, capsys, seven_tapes, command):
+        code, out, err = invoke(capsys, command, seven_tapes)
+        assert (code, out, err) == (2, "", "error: supported tape counts are 1..6\n")
+
+    def test_unchecked_run_evolves(self, capsys, seven_tapes):
+        code, out, err = invoke(capsys, "run", seven_tapes, "--steps", "2", "--unchecked")
+        assert code == 0 and err == ""
+        assert "norm[2]=1.000000000000e+00" in out
+
+
 class TestGram:
     def test_counterexample_both_sides(self, capsys):
         code, out, _ = invoke(capsys, "gram", "counterexample")

@@ -1,41 +1,88 @@
-"""`validate` output pinned byte for byte on the bundled machines.
+"""`validate` and `run` output pinned byte for byte.
 
 Every checker runs on every bundled machine in both formats; a checker
 that does not fit the machine's tape count pins its exit-2 stderr.  The
-goldens hold the output of the hand-written loop checkers (now
+`validate` goldens hold the output of the hand-written loop checkers (now
 `reference_conditions`), which the condition engine reproduces byte for
-byte.  To capture them again (only when an output change is intended and
-recorded), run::
+byte.  The `run` goldens cover five steps of every bundled machine in both
+formats, checked and `--unchecked`, ten steps of a two-symbol corpus
+machine read from a `.qtm` file, and a superposition start file.  To
+capture them again (only when an output change is intended and recorded),
+run::
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
+import functools
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from qturing import build_corpus, serialize_machine
 from qturing.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "validate.json"
+RUN_GOLDEN = Path(__file__).parent / "golden" / "run.json"
 MACHINES = ("counterexample", "identity", "zero", "two_tape_identity")
 CHECKERS = ("auto", "column", "hirvensalo", "ktape", "row", "two-tape")
 FORMATS = ("text", "json")
 CASES = [f"{m} {c} {f}" for m in MACHINES for c in CHECKERS for f in FORMATS]
+RUN_CASES = [f"{m} {f} {mode}" for m in MACHINES for f in FORMATS for mode in ("checked", "unchecked")] + [
+    "corpus-valid-7 json steps10",
+    "counterexample text start-file",
+    "counterexample json start-file",
+]
+# Two terms with unequal phases, so the start file exercises complex amplitudes.
+START_TERMS = [
+    {"state": "0", "heads": [0], "tapes": [[]], "amp": [0.6, 0.0]},
+    {"state": "1", "heads": [1], "tapes": [[]], "amp": [0.0, 0.8]},
+]
+
+
+def _invoke(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def capture(case: str) -> dict:
     machine, checker, fmt = case.split()
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["validate", machine, "--checker", checker, "--format", fmt])
-    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return _invoke(["validate", machine, "--checker", checker, "--format", fmt])
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_document() -> str:
+    return serialize_machine(build_corpus(50, 50, seed=7)[7].table, name="valid-7")
+
+
+def capture_run(case: str) -> dict:
+    machine, fmt, mode = case.split()
+    with tempfile.TemporaryDirectory() as tmp:
+        if mode == "steps10":
+            path = Path(tmp) / "valid-7.qtm"
+            path.write_text(_corpus_document(), encoding="utf-8")
+            argv = ["run", str(path), "--steps", "10"]
+        elif mode == "start-file":
+            path = Path(tmp) / "start.json"
+            path.write_text(json.dumps(START_TERMS), encoding="utf-8")
+            argv = ["run", machine, "--steps", "5", "--start", f"@{path}"]
+        else:
+            argv = ["run", machine, "--steps", "5"] + (["--unchecked"] if mode == "unchecked" else [])
+        return _invoke(argv + ["--format", fmt])
 
 
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def run_golden() -> dict:
+    return json.loads(RUN_GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_golden_covers_every_case(golden):
@@ -47,7 +94,20 @@ def test_validate_bytes_match_golden(golden, case):
     assert capture(case) == golden[case]
 
 
+def test_run_golden_covers_every_case(run_golden):
+    assert sorted(run_golden) == sorted(RUN_CASES)
+
+
+@pytest.mark.parametrize("case", RUN_CASES)
+def test_run_bytes_match_golden(run_golden, case):
+    assert capture_run(case) == run_golden[case]
+
+
+def _write(path: Path, golden: dict):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({case: capture(case) for case in CASES}, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
+    _write(GOLDEN, {case: capture(case) for case in CASES})
+    _write(RUN_GOLDEN, {case: capture_run(case) for case in RUN_CASES})

@@ -5,7 +5,7 @@ import pytest
 
 import qturing as qt
 import reference_conditions
-from qturing.ktape import displacement_label
+from qturing.ktape import MAX_TAPES, displacement_label
 
 from conftest import random_table
 
@@ -46,6 +46,16 @@ class TestGeneration:
                     itertools.product([1, 2], [-2, -1, 0, 1, 2]),
                 )
             )
+
+    def test_tape_count_capped(self):
+        assert MAX_TAPES == 6
+        frame = qt.simple_frame(1, *(1,) * 7)
+        with pytest.raises(ValueError, match=r"^supported tape counts are 1\.\.6$"):
+            qt.generate_ktape_conditions(frame)
+        identity = qt.TransitionTable.from_rules(frame, [(0, (0,) * 7, 0, (0,) * 7, (0,) * 7, 1.0)])
+        for check in (qt.check_ktape, qt.check_auto):
+            with pytest.raises(ValueError, match="supported tape counts are 1..6"):
+                check(identity)
 
     def test_higher_k_labels(self):
         assert displacement_label((0, 1, -2)) == "D=(0,1,-2)"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,33 @@ class TestWindows:
         assert all(abs(c.heads[0]) <= 2 for c in window)
         keys = [c.sort_key() for c in window]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("shape,radius", [((2, 2), 3), ((1, 2, 2), 1)])
+    def test_radius_window_matches_validated_construction(self, shape, radius):
+        frame = qt.simple_frame(*shape)
+        cells = range(-radius, radius + 1)
+        per_tape = [
+            [
+                (qt.Tape(blank, tuple((m, s) for m, s in zip(cells, symbols) if s != blank)), h)
+                for symbols in itertools.product(range(size), repeat=len(cells))
+                for h in cells
+            ]
+            for size, blank in zip(frame.symbol_counts, frame.blanks)
+        ]
+        expected = sorted(
+            (
+                qt.Configuration(q, tuple(t for t, _ in combo), tuple(h for _, h in combo))
+                for q in range(frame.state_count)
+                for combo in itertools.product(*per_tape)
+            ),
+            key=qt.Configuration.sort_key,
+        )
+        window = qt.radius_window(frame, radius)
+        assert len(window) == len(expected)
+        for got, want in zip(window, expected):
+            assert got == want and hash(got) == hash(want)
+            assert (type(got.tapes), type(got.heads)) == (tuple, tuple)
+            assert all(type(h) is int for h in got.heads)
 
 
 class TestGramColumns:

@@ -1,14 +1,15 @@
 """The step-operator kernel against a dense matrix built from `matrix_element`,
-and the numpy Gram product against dense A^H A."""
+the numpy Gram product against dense A^H A, and `apply`/`apply_adjoint`
+against the per-term dict loops they replaced."""
 import numpy as np
 import pytest
 
 import qturing as qt
-from qturing.cli import main
+from qturing.cli import bundled_machine_path, main
 from qturing.oracle import _gram_product
 
 from conftest import random_table
-from reference_oracle import reference_adjoint
+from reference_oracle import reference_adjoint, reference_apply
 
 
 def _frame_window(shape, radius, stride, seed):
@@ -130,7 +131,11 @@ def test_step_operator_entry_order():
     window = qt.radius_window(frame, 1)
     rows, cols, vals, images = qt.step_operator(table, window)
     for i, config in enumerate(window):
-        expected = [amp for _, _, _, amp in table.rules_for(config.state, frame.symbol_flat(config.read()))]
+        # grouped by written vector in first-appearance order, then (p, tau, d)
+        rules = table.rules_for(config.state, frame.symbol_flat(config.read()))
+        taus = list(dict.fromkeys(t for _, t, _, _ in rules))
+        expected = [amp for tau in taus for _, t, _, amp in rules if t == tau]
+        assert len(taus) == frame.symbol_block and len(expected) == len(rules)
         assert vals[cols == i].tolist() == expected
     # images are numbered by first column, then sort key
     firsts = [int(cols[rows == r].min()) for r in range(len(images))]
@@ -162,3 +167,72 @@ def test_apply_adjoint_pullback_unchanged(counterexample):
         ref = reference_adjoint(counterexample, ref)
         assert psi.items() == ref.items()
     assert len(psi) == 80
+
+
+def _bits(psi):
+    """Dict order and the exact bits of every amplitude."""
+    return [(c, a.real.hex(), a.imag.hex()) for c, a in psi._terms.items()]
+
+
+def _right_mover():
+    frame = qt.simple_frame(2, 2)
+    return qt.pair_unitary_machine(frame, qt.random_unitary(4, np.random.default_rng(3)), [1, 1])
+
+
+def _two_tape_identity():
+    return qt.parse_document(bundled_machine_path("two_tape_identity").read_text(encoding="utf-8")).table
+
+
+# (table, start amplitude per head vector on blank tapes in state 0, steps).
+# The right-mover doubles its terms every step, so it runs 10 steps (up to
+# 2,048 terms) where the others run 20.  Starting at amplitude 100, the
+# 1e-16 rule's products clear the prune threshold, so a step that dropped
+# rules below it would differ from the reference.
+STEP_CASES = {
+    "counterexample": (lambda c, corpus: c, {(0,): 1.0}, 20),
+    "corpus valid-7": (lambda c, corpus: corpus[7].table, {(0,): 1.0}, 20),
+    "Q2S2 right-mover": (lambda c, corpus: _right_mover(), {(0,): 1.0}, 10),
+    "two-tape identity": (lambda c, corpus: _two_tape_identity(), {(0, 0): 0.6, (2, -1): 0.8j}, 20),
+    "counterexample + 1e-16": (lambda c, corpus: qt.perturb(c, (0, 0, 1, 0, 1), 1e-16), {(0,): 100.0}, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+@pytest.mark.parametrize("adjoint", [False, True], ids=["apply", "apply_adjoint"])
+def test_step_matches_reference_bit_for_bit(counterexample, corpus, name, adjoint):
+    build, amps, steps = STEP_CASES[name]
+    table = build(counterexample, corpus)
+    start = qt.Superposition({qt.Configuration(0, table.frame.blank_tapes(), h): a for h, a in amps.items()})
+    if adjoint:
+        step = lambda psi: qt.apply_adjoint(table, psi, allow_multitape=True)
+        ref_step = lambda psi: reference_adjoint(table, psi)
+    else:
+        step = lambda psi: qt.apply(table, psi)
+        ref_step = lambda psi: reference_apply(table, psi)
+    psi = ref = start
+    for _ in range(steps):
+        psi, ref = step(psi), ref_step(ref)
+        assert psi.items() == ref.items()
+        assert _bits(psi) == _bits(ref)
+        assert psi.norm().hex() == ref.norm().hex()
+    assert len(psi) > 0
+
+
+def test_step_on_empty_superposition(counterexample):
+    empty = qt.Superposition()
+    assert qt.apply(counterexample, empty) == empty
+    assert qt.apply_adjoint(counterexample, empty) == empty
+
+
+def test_step_rejects_tape_count_mismatch(counterexample):
+    two = qt.Superposition.basis(qt.Configuration(0, (qt.Tape(0), qt.Tape(0)), (0, 0)))
+    one = qt.Superposition.basis(qt.blank_configuration(counterexample.frame))
+    two_tape = _two_tape_identity()
+    for call in (
+        lambda: qt.apply(counterexample, two),
+        lambda: qt.apply_adjoint(counterexample, two),
+        lambda: qt.apply(two_tape, one),
+        lambda: qt.apply_adjoint(two_tape, one, allow_multitape=True),
+    ):
+        with pytest.raises(ValueError, match="superposition does not match the table's frame"):
+            call()
