@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .conditions import DEFAULT_TOLERANCE, ValidationReport
-from .evolution import Superposition, run as run_evolution, estimate_norm
+from .evolution import MAX_POSITION, Superposition, run as run_evolution, estimate_norm
 from .frame import Configuration, Tape, TuringFrame
 from .ktape import (
     MAX_TAPES,
@@ -186,6 +186,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_position(value) -> bool:
+    return _is_int(value) and -MAX_POSITION <= value <= MAX_POSITION
+
+
 def _is_finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
@@ -205,8 +209,8 @@ def _parse_term(frame: TuringFrame, index: int, item) -> tuple[Configuration, co
     if not isinstance(state, str) or state not in frame.states:
         raise bad("state", "one of the state names " + ", ".join(frame.states))
     heads = item.get("heads")
-    if not isinstance(heads, list) or len(heads) != k or not all(_is_int(h) for h in heads):
-        raise bad("heads", f"a list of {k} integer positions")
+    if not isinstance(heads, list) or len(heads) != k or not all(_is_position(h) for h in heads):
+        raise bad("heads", f"a list of {k} integer positions in -2**62..2**62")
     cells_per_tape = item.get("tapes", [[]] * k)
     if not isinstance(cells_per_tape, list) or len(cells_per_tape) != k:
         raise bad("tapes", f"a list of {k} lists of [cell, symbol] pairs")
@@ -214,11 +218,11 @@ def _parse_term(frame: TuringFrame, index: int, item) -> tuple[Configuration, co
     for i, cells in enumerate(cells_per_tape):
         alphabet = frame.alphabets[i]
         if not isinstance(cells, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0]) and pair[1] in alphabet
+            isinstance(pair, list) and len(pair) == 2 and _is_position(pair[0]) and pair[1] in alphabet
             for pair in cells
         ):
-            raise bad("tapes", f"a list of {k} lists of [cell, symbol] pairs over the "
-                               f"tape-{i + 1} symbols " + ", ".join(alphabet))
+            raise bad("tapes", f"a list of {k} lists of [cell, symbol] pairs, cells in "
+                               f"-2**62..2**62, over the tape-{i + 1} symbols " + ", ".join(alphabet))
         tape = Tape(frame.blanks[i])
         for cell, symbol in cells:
             tape = tape.write(cell, alphabet.index(symbol))

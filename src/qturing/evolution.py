@@ -2,26 +2,49 @@
 
 A superposition is a finite map from configurations to complex amplitudes;
 amplitudes below the pruning threshold are dropped after every accumulation.
-`_expand` is the one loop that expands basis states through the step
-operator or its adjoint, rule by rule in a fixed order, so repeated runs are
-bit-reproducible.  `step_operator` numbers its images for the Gram oracle and
-the windowed norm estimator; `apply` and `apply_adjoint` weight its
-coefficients by the amplitudes and sum them per image with `np.bincount`.
+
+One packed kernel expands basis states through the step operator or its
+adjoint.  Terms are packed as arrays: `state (n,)`, `heads (n, k)` and
+`cells (n, k, W)`, where `heads` index a sorted array of W cell positions
+shared by all terms and `cells` holds symbols in the smallest unsigned
+dtype that fits the alphabets.  The columns are the cells that are
+non-blank in some term or within a few cells of some head, so W is bounded
+by the data, never by the coordinates: heads at 0 and 10**12 take a few
+dozen columns.  Positions must lie within +-2**62 (`MAX_POSITION`).  The
+rules are CSR arrays read off the table's nonzero amplitudes once per
+table.  A step repeats every term once per matching rule, scatters the
+written symbols, numbers the distinct images in first-reached order with a
+stable sort of compact byte rows and sums amp * coef per image with
+`np.bincount`.
+
+Every order matches the per-configuration loop the kernel replaced, so
+results are bit-reproducible: terms are taken in `Superposition.items()`
+order, forward rules run grouped by written vector in first-appearance order,
+then (p, tau, d), and adjoint hits run move by move, then (q, sigma).
+`step_operator` numbers its images for the Gram oracle and the windowed norm
+estimator; `apply`, `apply_adjoint` and `run` weight its coefficients by the
+amplitudes, and `run` keeps the packed terms from step to step.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE
-from .frame import Configuration, _config_unchecked, precedes
+from .frame import Configuration, _config_unchecked, _tape_unchecked, precedes
 from .ktape import check_auto
 from .table import TransitionTable
 from .windows import radius_window
 
 PRUNE_THRESHOLD = 1e-15
+MAX_POSITION = 2 ** 62  # head and cell positions must lie in [-MAX_POSITION, MAX_POSITION]
+# `run` frames its columns this many cells around every head, so it needs
+# to re-frame only every RUN_MARGIN steps (a head moves one cell a step).
+RUN_MARGIN = 8
 
 
 class Superposition:
@@ -44,6 +67,13 @@ class Superposition:
     @classmethod
     def basis(cls, config: Configuration, amplitude: complex = 1.0) -> "Superposition":
         return cls({config: amplitude})
+
+    @classmethod
+    def _distinct(cls, configs: list[Configuration], amps: list[complex]) -> "Superposition":
+        """From distinct configurations whose amplitudes are already pruned."""
+        psi = object.__new__(cls)
+        psi._terms = dict(zip(configs, amps))
+        return psi
 
     def amplitude(self, config: Configuration) -> complex:
         return self._terms.get(config, 0j)
@@ -116,122 +146,270 @@ def matrix_element(table: TransitionTable, c: Configuration, c_prime: Configurat
     return complex(table.amplitudes[c.state, s, c_prime.state, t, m])
 
 
-class _Rules:
-    """Decoded rule caches shared by every basis-state expansion of one call:
-    forward rules per read (q, sigma) grouped by written vector tau, in the
-    order each tau first appears in `rules_for`, and in (p, tau, d) order
-    within a group; adjoint hits per (p, written, move) in `np.nonzero`
-    order (q, sigma).  With `prune`, rules below PRUNE_THRESHOLD are left out
-    of both."""
+# Every sort here is a stable one: it keeps first occurrences first, and
+# one sort kernel keeps the pages of numpy code a process touches (its
+# RSS) small.  A bare `np.unique` would also import `numpy.ma`.
 
-    __slots__ = ("table", "frame", "prune", "forward", "adjoint", "moves")
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array."""
+    a = np.sort(a, kind="stable")
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    new[1:] = a[1:] != a[:-1]
+    return a[new]
+
+
+def _first_seen(keys: np.ndarray) -> np.ndarray:
+    """For every element of a 1-D array, the index of the first element
+    equal to it."""
+    perm = keys.argsort(kind="stable")
+    ordered = keys[perm]
+    new = np.empty(len(perm), dtype=bool)
+    new[:1] = True
+    new[1:] = ordered[1:] != ordered[:-1]
+    first = np.empty(len(perm), dtype=np.intp)
+    first[perm] = perm[new][new.cumsum() - 1]
+    return first
+
+
+def _csr(keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First index and length of each key's run in sorted `keys`, for keys
+    0..count-1."""
+    ptr = np.searchsorted(keys, np.arange(count + 1))
+    return ptr[:-1], np.diff(ptr)
+
+
+class _Terms(NamedTuple):
+    """Packed basis states: `heads[j, i]` indexes `cols`, the sorted cell
+    positions shared by every term, and `cells[j, i, w]` is tape i's symbol
+    at `cols[w]`.  `amps` is None for bare basis states."""
+
+    state: np.ndarray  # (n,) intp
+    heads: np.ndarray  # (n, k) intp
+    cells: np.ndarray  # (n, k, W) unsigned symbols
+    cols: np.ndarray  # (W,) int64
+    amps: np.ndarray | None = None  # (n,) complex128
+
+    def take(self, index: np.ndarray) -> "_Terms":
+        return _Terms(self.state[index], self.heads[index], self.cells[index], self.cols,
+                      None if self.amps is None else self.amps[index])
+
+
+_STATE = operator.attrgetter("state")
+_HEADS = operator.attrgetter("heads")
+
+
+class _Kernel:
+    """The table's rules as CSR arrays, read from its nonzero amplitudes,
+    and the packed step built on them.
+
+    `forward` indexes the rules by read (q, sigma): grouped by written
+    vector in the order each first appears, then in (p, tau, d) order.
+    `adjoint` indexes the hits by (p, written, move) in (q, sigma) order,
+    conjugated.  Each is (first rule, rule count) per key, then the state,
+    written symbols, moves (forward only) and coefficient per rule.  With
+    `prune`, rules below PRUNE_THRESHOLD are left out of both."""
 
     def __init__(self, table: TransitionTable, prune: bool = False):
-        self.table = table
-        self.frame = table.frame
-        self.prune = prune
-        self.forward: dict = {}
-        self.adjoint: dict = {}
-        self.moves = [(d, self.frame.move_flat(d)) for d in self.frame.move_vectors()]
+        frame = self.frame = table.frame
+        self.k, self.S, self.M = frame.tape_count, frame.symbol_block, frame.move_block
+        self.sizes = np.array(frame.symbol_counts, dtype=np.intp)
+        self.dtype = np.min_scalar_type(int(self.sizes.max()) - 1)
+        self.blanks = np.array(frame.blanks, dtype=self.dtype)
+        self.tapes = np.arange(self.k)
+        self.state_ids = frozenset(range(frame.state_count))
+        self.key_top = max(frame.state_count, int(self.sizes.max()))
+        # symbol and move vectors are flattened with tape 1 most significant
+        self.strides = np.append(np.cumprod(self.sizes[:0:-1])[::-1], 1).astype(np.intp)
+        self.moves = np.array(list(frame.move_vectors()), dtype=np.intp).reshape(self.M, self.k)
+        amps = table.amplitudes.ravel()
+        flat = np.flatnonzero(amps)
+        coef = amps[flat]
+        if prune:
+            keep = np.hypot(coef.real, coef.imag) >= PRUNE_THRESHOLD
+            flat, coef = flat[keep], coef[keep]
+        S, M, reads = self.S, self.M, frame.state_count * self.S
+        read, target = np.divmod(flat, reads * M)  # (q, sigma) and (p, tau, d), flat
+        p, t = np.divmod(target // M, S)
+        # forward: each (read, tau) group sorts by its first rule, stably
+        order = np.argsort(_first_seen(read * S + t), kind="stable")
+        self.forward = (*_csr(read[order], reads), p[order], self._symbols(t[order]),
+                        self.moves[target[order] % M], coef[order])
+        order = np.argsort(target, kind="stable")
+        q, s = np.divmod(read[order], S)
+        self.adjoint = (*_csr(target[order], reads * M), q, self._symbols(s), None, coef[order].conj())
 
-    def _forward_rules(self, q: int, sigma: tuple[int, ...]):
-        # (distinct written vectors, distinct move vectors, rules as
-        # (p, written index, move index, amplitude))
-        key = (q, sigma)
-        hit = self.forward.get(key)
-        if hit is None:
-            frame = self.frame
-            taus: dict = {}
-            moves: dict = {}
-            rules = [
-                (p, taus.setdefault(t, len(taus)), moves.setdefault(m, len(moves)), coef)
-                for p, t, m, coef in self.table.rules_for(q, frame.symbol_flat(sigma))
-                if not self.prune or abs(coef) >= PRUNE_THRESHOLD
-            ]
-            rules.sort(key=lambda rule: rule[1])  # stable: (p, tau, d) within a tau
-            hit = self.forward[key] = (
-                [frame.symbol_vector(t) for t in taus],
-                [frame.move_vector(m) for m in moves],
-                rules,
-            )
-        return hit
+    @classmethod
+    def of(cls, table: TransitionTable, prune: bool = False) -> "_Kernel":
+        """The table's kernel, built on first use and kept on the table."""
+        kernel = table._kernels.get(prune)
+        if kernel is None:
+            kernel = table._kernels[prune] = cls(table, prune)
+        return kernel
 
-    def _adjoint_hits(self, p: int, written: tuple[int, ...], mflat: int):
-        # (distinct read vectors, hits as (q, read index, conjugated amplitude))
-        key = (p, written, mflat)
-        hit = self.adjoint.get(key)
-        if hit is None:
-            frame = self.frame
-            block = self.table.amplitudes[:, :, p, frame.symbol_flat(written), mflat]
-            sigmas: dict = {}
-            hits = [
-                (int(q), sigmas.setdefault(int(s), len(sigmas)), complex(block[q, s]).conjugate())
-                for q, s in zip(*np.nonzero(block))
-                if not self.prune or abs(block[q, s]) >= PRUNE_THRESHOLD
-            ]
-            hit = self.adjoint[key] = ([frame.symbol_vector(s) for s in sigmas], hits)
-        return hit
+    def _symbols(self, flat: np.ndarray) -> np.ndarray:
+        """Flat symbol vectors as (rules, k) symbols."""
+        return (flat[:, None] // self.strides % self.sizes).astype(self.dtype)
 
-    def images(self, config: Configuration) -> list:
-        """Terms (state, (tapes, supports), heads, amplitude) of M|config>, in
-        rule order; `supports` holds the tapes' cell tuples."""
-        tapes, heads = config.tapes, config.heads
-        taus, moves, rules = self._forward_rules(
-            config.state, tuple(t.read(h) for t, h in zip(tapes, heads))
-        )
-        written = [_written(tapes, heads, tau) for tau in taus]
-        shifted = [tuple(h + d for h, d in zip(heads, m)) for m in moves]
-        return [(p, written[a], shifted[b], coef) for p, a, b, coef in rules]
+    def pack(self, configs, amps=None, margin: int = 1) -> _Terms:
+        """Pack configurations (and their amplitudes) in the given order, on
+        the columns that are non-blank or within `margin` cells of a head."""
+        frame, k, n = self.frame, self.k, len(configs)
+        states = list(map(_STATE, configs))
+        if not ({k}.issuperset(map(len, map(_HEADS, configs))) and self.state_ids.issuperset(states)):
+            raise ValueError("superposition does not match the table's frame")
+        ints = list(itertools.chain.from_iterable(map(_HEADS, configs)))
+        per_tape = []
+        for i, blank in enumerate(frame.blanks):
+            # each distinct tape is read once
+            ids: dict = {}
+            index = [ids.setdefault(c.tapes[i], len(ids)) for c in configs]
+            if any(tape.blank != blank for tape in ids):
+                raise ValueError("superposition does not match the table's frame")
+            counts = [len(tape.cells) for tape in ids]
+            per_tape.append((index, len(ints), counts))
+            ints += itertools.chain.from_iterable(itertools.chain.from_iterable(tape.cells for tape in ids))
+        if ints and (min(ints) < -MAX_POSITION or max(ints) > MAX_POSITION):
+            raise ValueError("configuration positions must lie within -2**62..2**62")
+        values = np.array(ints, dtype=np.int64)
+        heads = values[:n * k].reshape(n, k)
+        cells_at = [values[start:start + 2 * sum(counts)] for _, start, counts in per_tape]
+        near = (heads.reshape(-1, 1) + np.arange(-margin, margin + 1)).ravel()
+        cols = _sorted_unique(np.concatenate([near] + [flat[0::2] for flat in cells_at]))
+        cells = np.empty((n, k, len(cols)), dtype=self.dtype)
+        for i, ((index, _, counts), flat) in enumerate(zip(per_tape, cells_at)):
+            sym = flat[1::2]
+            if sym.size and (sym.min() < 0 or sym.max() >= frame.symbol_counts[i]):
+                raise ValueError(f"tape-{i + 1} symbol out of range 0..{frame.symbol_counts[i] - 1}")
+            rows = np.full((len(counts), len(cols)), self.blanks[i], dtype=self.dtype)
+            rows[np.repeat(np.arange(len(counts)), counts), np.searchsorted(cols, flat[0::2])] = sym
+            cells[:, i, :] = rows[index]
+        return _Terms(np.array(states, dtype=np.intp), np.searchsorted(cols, heads), cells, cols,
+                      None if amps is None else np.array(amps, dtype=np.complex128))
 
-    def preimages(self, config: Configuration) -> list:
-        """Terms of M^dagger|config> in the same form, move by move."""
-        tapes, heads = config.tapes, config.heads
-        out = []
-        for moves, mflat in self.moves:
-            cells = tuple(h - d for h, d in zip(heads, moves))
-            sigmas, hits = self._adjoint_hits(
-                config.state, tuple(t.read(c) for t, c in zip(tapes, cells)), mflat
-            )
-            written = [_written(tapes, cells, sigma) for sigma in sigmas]
-            out += [(q, written[a], cells, coef) for q, a, coef in hits]
-        return out
+    def expand(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
+        """Every entry of M (or M^dagger) on the packed basis states, term by
+        term in rule order: (parent term, images, coefficients)."""
+        starts, counts, to_state, to_write, to_move, to_coef = self.adjoint if adjoint else self.forward
+        state, heads, cells = terms.state, terms.heads, terms.cells
+        n, k, M, tapes = len(state), self.k, self.M, self.tapes
+        if adjoint:
+            source = heads[:, None, :] - self.moves  # (n, M, k)
+            read = cells[np.arange(n)[:, None, None], tapes, source] @ self.strides
+            key = ((state[:, None] * self.S + read) * M + np.arange(M)).ravel()
+        else:
+            key = state * self.S + cells[np.arange(n)[:, None], tapes, heads] @ self.strides
+        start, count = starts[key], counts[key]
+        slot = np.arange(len(key)).repeat(count)
+        rule = np.arange(len(slot)) + (start - count.cumsum() + count)[slot]
+        if adjoint:
+            parent = slot // M
+            at = moved = source.reshape(-1, k)[slot]
+        else:
+            parent = slot
+            at = heads[parent]
+            moved = at + to_move[rule]
+        images = cells[parent]
+        images[np.arange(len(slot))[:, None], tapes, at] = to_write[rule]
+        return parent, _Terms(to_state[rule], moved, images, terms.cols), to_coef[rule]
 
+    def step(self, terms: _Terms, adjoint: bool) -> tuple[_Terms, float]:
+        """M|psi> (or M^dagger|psi>) on packed terms with amplitudes, and the
+        squared amplitude the prune dropped.  Each product amp*coef is formed
+        in real arithmetic with one rounding per product, as a Python complex
+        product is, and summed per image in entry order; the images come out
+        in first-reached order."""
+        parent, entries, coef = self.expand(terms, adjoint)
+        first, ids = self.number(entries)
+        amps = terms.amps[parent]
+        n = len(first)
+        ar, ai, cr, ci = amps.real, amps.imag, coef.real, coef.imag
+        re = np.bincount(ids, weights=ar * cr - ai * ci, minlength=n)
+        im = np.bincount(ids, weights=ar * ci + ai * cr, minlength=n)
+        vals = re + 1j * im
+        keep = np.hypot(vals.real, vals.imag) >= PRUNE_THRESHOLD
+        dropped = 0.0
+        if not keep.all():
+            lost = vals[~keep]
+            dropped = float(np.sum(lost.real * lost.real + lost.imag * lost.imag))
+            first, vals = first[keep], vals[keep]
+        return entries.take(first)._replace(amps=vals), dropped
 
-def _written(tapes, cells, symbols):
-    new = tuple(t.write(c, w) for t, c, w in zip(tapes, cells, symbols))
-    return new, tuple(t.cells for t in new)
+    def number(self, entries: _Terms) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct images in first-reached order: (first entry of each image,
+        image id of every entry).  Images are told apart by compact byte rows
+        of state, heads and the cell columns that vary between entries."""
+        cells = entries.cells
+        vary = np.logical_or.reduce(cells != cells[:1], axis=0)
+        rows = np.concatenate([entries.state[:, None], entries.heads, cells[:, vary]], axis=1,
+                              dtype=np.min_scalar_type(max(self.key_top, len(entries.cols)) - 1),
+                              casting="unsafe")
+        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+        first = _first_seen(keys)
+        new = first == np.arange(len(first))
+        return np.flatnonzero(new), (new.cumsum() - 1)[first]
 
+    def reframe(self, terms: _Terms, margin: int) -> _Terms:
+        """The same terms on the columns that are non-blank in some term or
+        within `margin` cells of some head."""
+        cols = terms.cols
+        used = (terms.cells != self.blanks[:, None]).any(axis=(0, 1))
+        near = (cols[_sorted_unique(terms.heads.ravel())][:, None] + np.arange(-margin, margin + 1)).ravel()
+        wanted = _sorted_unique(np.concatenate([cols[used], near]))
+        cells = np.empty((len(terms.state), self.k, len(wanted)), dtype=self.dtype)
+        cells[...] = self.blanks[:, None]
+        cells[:, :, np.searchsorted(wanted, cols[used])] = terms.cells[:, :, used]
+        return terms._replace(heads=np.searchsorted(wanted, cols[terms.heads]), cells=cells, cols=wanted)
 
-def _expand(rules: _Rules, configs, adjoint: bool):
-    """Expand each basis state through the step operator (or its adjoint).
+    def sort_order(self, terms: _Terms, first: np.ndarray | None = None) -> np.ndarray:
+        """The permutation that sorts the terms by `Configuration.sort_key`
+        (after `first`, when given): state, heads, then per tape the
+        (cell, symbol) pairs of its non-blank cells, a missing pair sorting
+        below any cell."""
+        n = len(terms.state)
+        keys = [terms.state, *terms.heads.T]
+        for i in range(self.k):
+            cells = terms.cells[:, i, :]
+            rows, cols = np.nonzero(cells != self.blanks[i])
+            if not len(rows):
+                continue
+            count = np.bincount(rows, minlength=n)
+            slot = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
+            pos = np.full((n, int(count.max())), -1, dtype=np.intp)
+            pos[rows, slot] = cols
+            sym = np.zeros(pos.shape, dtype=self.dtype)
+            sym[rows, slot] = cells[rows, cols]
+            keys += [a for pair in zip(pos.T, sym.T) for a in pair]
+        if first is not None:
+            keys.insert(0, first)
+        return np.lexsort(keys[::-1])
 
-    Returns (keys, images, first, rows, counts, vals): the sort key and the
-    configuration of each distinct image in first-reached order, the first
-    config index that reaches it, the image id of every entry, the entry
-    count per config and the coefficient of every entry.  Entries run config
-    by config in `_Rules` order, and an image appears at most once per config.
-    """
-    expand = rules.preimages if adjoint else rules.images
-    # Images are keyed by their sort key (state, heads, supports), which
-    # hashes in C; configurations are built once per distinct image.
-    ids: dict = {}
-    images: list[Configuration] = []
-    first: list[int] = []
-    rows, counts, vals = [], [], []
-    for i, config in enumerate(configs):
-        terms = expand(config)
-        counts.append(len(terms))
-        for state, (tapes, supports), heads, coef in terms:
-            key = (state, heads, supports)
-            row = ids.get(key)
-            if row is None:
-                row = ids[key] = len(images)
-                images.append(_config_unchecked(state, tapes, heads))
-                first.append(i)
-            rows.append(row)
-            vals.append(coef)
-    return (list(ids), images, first, np.asarray(rows, dtype=np.intp), counts,
-            np.asarray(vals, dtype=np.complex128))
+    def configurations(self, terms: _Terms) -> list[Configuration]:
+        """Decode packed terms, reading only non-blank cells and building one
+        Tape per distinct tape."""
+        n, cols = len(terms.state), terms.cols
+        per_tape = []
+        for i, (blank, size) in enumerate(zip(self.frame.blanks, self.frame.symbol_counts)):
+            rows = np.ascontiguousarray(terms.cells[:, i, :])
+            data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+            ids: dict = {}
+            index = [ids.setdefault(data[j * width:(j + 1) * width], len(ids)) for j in range(n)]
+            distinct = np.frombuffer(b"".join(ids), dtype=rows.dtype).reshape(len(ids), rows.shape[1])
+            filled = distinct != blank
+            at, col = np.nonzero(filled)
+            # one (cell, symbol) tuple per distinct pair, shared by the tapes
+            code = col * size + distinct[at, col]
+            codes = _sorted_unique(code)
+            shared = list(zip(cols[codes // size].tolist(), (codes % size).tolist()))
+            pairs = list(map(shared.__getitem__, np.searchsorted(codes, code).tolist()))
+            ends = np.cumsum(filled.sum(axis=1)).tolist()
+            tapes = [_tape_unchecked(blank, tuple(pairs[a:b])) for a, b in zip([0] + ends, ends)]
+            per_tape.append([tapes[j] for j in index])
+        return [_config_unchecked(q, t, tuple(h)) for q, t, h in
+                zip(terms.state.tolist(), zip(*per_tape), cols[terms.heads].tolist())]
+
+    def superposition(self, terms: _Terms) -> Superposition:
+        return Superposition._distinct(self.configurations(terms), terms.amps.tolist())
 
 
 def step_operator(
@@ -241,41 +419,32 @@ def step_operator(
     COO arrays (rows, cols, vals) plus the image configurations that `rows`
     indexes.
 
-    Column i holds the expansion of configs[i] in `_Rules` order: forward
+    Column i holds the expansion of configs[i] in rule order: forward
     entries grouped by written vector in first-appearance order, then
     (p, tau, d); adjoint entries move by move, then (q, sigma).
     Amplitudes below PRUNE_THRESHOLD are dropped, as `Superposition` does.
     Images are numbered by the first column that reaches them, then by
-    `sort_key` within that column.
+    `sort_key` within that column (one `np.lexsort` over the packed images);
+    only their non-blank cells are decoded, and identical tapes share one
+    Tape.
     """
-    keys, images, first, rows, counts, vals = _expand(_Rules(table, prune=True), configs, adjoint)
+    kernel = _Kernel.of(table, prune=True)
+    parent, entries, vals = kernel.expand(kernel.pack(list(configs)), adjoint)
+    first, ids = kernel.number(entries)
+    images = entries.take(first)
     # A Gram entry adds its terms in image-id order, so the numbering fixes
     # its rounding; (first column, sort key) keeps it independent of rule order.
-    order = sorted(range(len(keys)), key=lambda k: (first[k], keys[k]))
+    order = kernel.sort_order(images, parent[first])
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order), dtype=np.intp)
-    return (
-        rank[rows],
-        np.repeat(np.arange(len(counts), dtype=np.intp), counts),
-        vals,
-        tuple(images[k] for k in order),
-    )
+    return rank[ids], parent, vals, tuple(kernel.configurations(images.take(order)))
 
 
 def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> Superposition:
-    """M|psi> (or M^dagger|psi>): each product amp*coef is formed in real
-    arithmetic with one rounding per product, as a Python complex product
-    is, and summed per image in entry order; the result lists its images in
-    first-reached order."""
+    kernel = _Kernel.of(table)
     terms = psi.items()
-    if any(config.tape_count != table.frame.tape_count for config, _ in terms):
-        raise ValueError("superposition does not match the table's frame")
-    _, images, _, rows, counts, coefs = _expand(_Rules(table), [c for c, _ in terms], adjoint)
-    amps = np.repeat(np.array([a for _, a in terms], dtype=np.complex128), counts)
-    n = len(images)
-    re = np.bincount(rows, weights=amps.real * coefs.real - amps.imag * coefs.imag, minlength=n)
-    im = np.bincount(rows, weights=amps.real * coefs.imag + amps.imag * coefs.real, minlength=n)
-    return Superposition(zip(images, (re + 1j * im).tolist()))
+    packed = kernel.pack([c for c, _ in terms], [a for _, a in terms])
+    return kernel.superposition(kernel.step(packed, adjoint)[0])
 
 
 def apply(table: TransitionTable, psi: Superposition) -> Superposition:
@@ -297,6 +466,13 @@ def apply_adjoint(table: TransitionTable, psi: Superposition, *, allow_multitape
 class RunResult:
     final: Superposition
     norms: tuple[float, ...]  # norms[t] = norm after t steps; norms[0] is the input
+    # pruned_mass[t] = sum of |a|^2 the prune dropped at step t; pruned_mass[0] = 0
+    pruned_mass: tuple[float, ...]
+
+
+def _norm(amps: np.ndarray) -> float:
+    """`Superposition.norm` of amplitudes in dict order: a Python float sum."""
+    return float(np.sqrt(sum((amps.real * amps.real + amps.imag * amps.imag).tolist())))
 
 
 def run(
@@ -307,10 +483,21 @@ def run(
     unchecked: bool = False,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> RunResult:
-    """Apply the evolution operator `steps` times, logging per-step norms.
+    """Apply the evolution operator `steps` times, logging per-step norms
+    and the squared amplitude each step's prune drops.
 
     The table is validated first unless `unchecked`; norm drift is reported,
-    never corrected.
+    never corrected.  The terms stay packed from step to step and become a
+    `Superposition` only at the end.  Before each step they are put in
+    `Superposition.items()` order by one `np.lexsort` over their sort keys
+    (state, heads, then per tape the (cell, symbol) pairs of the non-blank
+    cells, a missing pair sorting first), so every step adds and numbers
+    exactly as `apply` does.  Every RUN_MARGIN steps the columns are framed
+    anew to the non-blank cells and those within RUN_MARGIN of a head.
+    norms[t] sums |a|^2 in first-reached order with a Python float sum, as
+    `Superposition.norm` does; pruned_mass[t] is the sum of |a|^2 the prune
+    dropped at step t.  The final superposition lists its terms in the last
+    step's first-reached order.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -321,12 +508,22 @@ def run(
                 f"table fails the {report.checker} conditions "
                 f"(max residual {report.max_residual:.3e}); pass unchecked=True to run anyway"
             )
-    psi = initial
     norms = [initial.norm()]
-    for _ in range(steps):
-        psi = apply(table, psi)
-        norms.append(psi.norm())
-    return RunResult(final=psi, norms=tuple(norms))
+    pruned = [0.0]
+    if not steps:
+        return RunResult(final=initial, norms=tuple(norms), pruned_mass=tuple(pruned))
+    kernel = _Kernel.of(table)
+    terms = initial.items()
+    packed = kernel.pack([c for c, _ in terms], [a for _, a in terms], RUN_MARGIN)
+    for t in range(steps):
+        if t:
+            if t % RUN_MARGIN == 0:
+                packed = kernel.reframe(packed, RUN_MARGIN)
+            packed = packed.take(kernel.sort_order(packed))
+        packed, dropped = kernel.step(packed, adjoint=False)
+        norms.append(_norm(packed.amps))
+        pruned.append(dropped)
+    return RunResult(final=kernel.superposition(packed), norms=tuple(norms), pruned_mass=tuple(pruned))
 
 
 def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, seed: int = 0) -> float:

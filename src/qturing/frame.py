@@ -186,8 +186,7 @@ class Tape:
 def _tape_unchecked(blank: int, cells: tuple[tuple[int, int], ...]) -> Tape:
     """Construct a tape from already-canonical cells, skipping validation."""
     tape = object.__new__(Tape)
-    object.__setattr__(tape, "blank", blank)
-    object.__setattr__(tape, "cells", cells)
+    object.__setattr__(tape, "__dict__", {"blank": blank, "cells": cells})
     return tape
 
 
@@ -237,9 +236,7 @@ class Configuration:
 def _config_unchecked(state: int, tapes: tuple[Tape, ...], heads: tuple[int, ...]) -> Configuration:
     """Construct a configuration from already-normalized parts."""
     config = object.__new__(Configuration)
-    object.__setattr__(config, "state", state)
-    object.__setattr__(config, "tapes", tapes)
-    object.__setattr__(config, "heads", heads)
+    object.__setattr__(config, "__dict__", {"state": state, "tapes": tapes, "heads": heads})
     return config
 
 

@@ -8,7 +8,7 @@ flattened with tape 1 most significant (see TuringFrame helpers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +20,9 @@ from .frame import TuringFrame, _as_vector
 class TransitionTable:
     frame: TuringFrame
     amplitudes: np.ndarray  # (|Q|, S, |Q|, S, 3^k) complex128
+    # step kernels that `evolution` derives from the (immutable) amplitudes,
+    # built on first use and kept as long as the table lives
+    _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         frame = self.frame

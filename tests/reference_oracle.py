@@ -9,8 +9,9 @@ pattern.  The package itself forms the whole Gram matrix from
 `step_operator` instead (see `qturing.oracle`).
 
 `reference_apply` and `reference_adjoint` are the per-term dict loops that
-`apply` and `apply_adjoint` replaced; the tests hold the array steps to them
-bit for bit.
+`apply` and `apply_adjoint` replaced, and `reference_step_operator` is the
+per-configuration expansion loop (`_Rules` and `_expand`) that the packed
+step kernel replaced; the tests hold the packed kernel to them bit for bit.
 """
 from __future__ import annotations
 
@@ -19,7 +20,15 @@ from collections import defaultdict
 
 import numpy as np
 
-from qturing import Configuration, Superposition, TransitionTable, TuringFrame, apply, apply_adjoint
+from qturing import (
+    PRUNE_THRESHOLD,
+    Configuration,
+    Superposition,
+    TransitionTable,
+    TuringFrame,
+    apply,
+    apply_adjoint,
+)
 from qturing.frame import _config_unchecked
 
 
@@ -190,3 +199,149 @@ def reference_adjoint(table: TransitionTable, psi: Superposition) -> Superpositi
                 image = Configuration(int(q), tapes, cells)
                 acc[image] = acc.get(image, 0j) + amp * complex(block[q, sflat]).conjugate()
     return Superposition(acc)
+
+
+class _Rules:
+    """Decoded rule caches shared by every basis-state expansion of one call:
+    forward rules per read (q, sigma) grouped by written vector tau, in the
+    order each tau first appears in `rules_for`, and in (p, tau, d) order
+    within a group; adjoint hits per (p, written, move) in `np.nonzero`
+    order (q, sigma).  With `prune`, rules below PRUNE_THRESHOLD are left out
+    of both."""
+
+    __slots__ = ("table", "frame", "prune", "forward", "adjoint", "moves")
+
+    def __init__(self, table: TransitionTable, prune: bool = False):
+        self.table = table
+        self.frame = table.frame
+        self.prune = prune
+        self.forward: dict = {}
+        self.adjoint: dict = {}
+        self.moves = [(d, self.frame.move_flat(d)) for d in self.frame.move_vectors()]
+
+    def _forward_rules(self, q: int, sigma: tuple[int, ...]):
+        # (distinct written vectors, distinct move vectors, rules as
+        # (p, written index, move index, amplitude))
+        key = (q, sigma)
+        hit = self.forward.get(key)
+        if hit is None:
+            frame = self.frame
+            taus: dict = {}
+            moves: dict = {}
+            rules = [
+                (p, taus.setdefault(t, len(taus)), moves.setdefault(m, len(moves)), coef)
+                for p, t, m, coef in self.table.rules_for(q, frame.symbol_flat(sigma))
+                if not self.prune or abs(coef) >= PRUNE_THRESHOLD
+            ]
+            rules.sort(key=lambda rule: rule[1])  # stable: (p, tau, d) within a tau
+            hit = self.forward[key] = (
+                [frame.symbol_vector(t) for t in taus],
+                [frame.move_vector(m) for m in moves],
+                rules,
+            )
+        return hit
+
+    def _adjoint_hits(self, p: int, written: tuple[int, ...], mflat: int):
+        # (distinct read vectors, hits as (q, read index, conjugated amplitude))
+        key = (p, written, mflat)
+        hit = self.adjoint.get(key)
+        if hit is None:
+            frame = self.frame
+            block = self.table.amplitudes[:, :, p, frame.symbol_flat(written), mflat]
+            sigmas: dict = {}
+            hits = [
+                (int(q), sigmas.setdefault(int(s), len(sigmas)), complex(block[q, s]).conjugate())
+                for q, s in zip(*np.nonzero(block))
+                if not self.prune or abs(block[q, s]) >= PRUNE_THRESHOLD
+            ]
+            hit = self.adjoint[key] = ([frame.symbol_vector(s) for s in sigmas], hits)
+        return hit
+
+    def images(self, config: Configuration) -> list:
+        """Terms (state, (tapes, supports), heads, amplitude) of M|config>, in
+        rule order; `supports` holds the tapes' cell tuples."""
+        tapes, heads = config.tapes, config.heads
+        taus, moves, rules = self._forward_rules(
+            config.state, tuple(t.read(h) for t, h in zip(tapes, heads))
+        )
+        written = [_written(tapes, heads, tau) for tau in taus]
+        shifted = [tuple(h + d for h, d in zip(heads, m)) for m in moves]
+        return [(p, written[a], shifted[b], coef) for p, a, b, coef in rules]
+
+    def preimages(self, config: Configuration) -> list:
+        """Terms of M^dagger|config> in the same form, move by move."""
+        tapes, heads = config.tapes, config.heads
+        out = []
+        for moves, mflat in self.moves:
+            cells = tuple(h - d for h, d in zip(heads, moves))
+            sigmas, hits = self._adjoint_hits(
+                config.state, tuple(t.read(c) for t, c in zip(tapes, cells)), mflat
+            )
+            written = [_written(tapes, cells, sigma) for sigma in sigmas]
+            out += [(q, written[a], cells, coef) for q, a, coef in hits]
+        return out
+
+
+def _written(tapes, cells, symbols):
+    new = tuple(t.write(c, w) for t, c, w in zip(tapes, cells, symbols))
+    return new, tuple(t.cells for t in new)
+
+
+def _expand(rules: _Rules, configs, adjoint: bool):
+    """Expand each basis state through the step operator (or its adjoint).
+
+    Returns (keys, images, first, rows, counts, vals): the sort key and the
+    configuration of each distinct image in first-reached order, the first
+    config index that reaches it, the image id of every entry, the entry
+    count per config and the coefficient of every entry.  Entries run config
+    by config in `_Rules` order, and an image appears at most once per config.
+    """
+    expand = rules.preimages if adjoint else rules.images
+    # Images are keyed by their sort key (state, heads, supports), which
+    # hashes in C; configurations are built once per distinct image.
+    ids: dict = {}
+    images: list[Configuration] = []
+    first: list[int] = []
+    rows, counts, vals = [], [], []
+    for i, config in enumerate(configs):
+        terms = expand(config)
+        counts.append(len(terms))
+        for state, (tapes, supports), heads, coef in terms:
+            key = (state, heads, supports)
+            row = ids.get(key)
+            if row is None:
+                row = ids[key] = len(images)
+                images.append(_config_unchecked(state, tapes, heads))
+                first.append(i)
+            rows.append(row)
+            vals.append(coef)
+    return (list(ids), images, first, np.asarray(rows, dtype=np.intp), counts,
+            np.asarray(vals, dtype=np.complex128))
+
+
+def reference_step_operator(
+    table: TransitionTable, configs, adjoint: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[Configuration, ...]]:
+    """The step operator (or its adjoint) on the basis states `configs`, as
+    COO arrays (rows, cols, vals) plus the image configurations that `rows`
+    indexes.
+
+    Column i holds the expansion of configs[i] in `_Rules` order: forward
+    entries grouped by written vector in first-appearance order, then
+    (p, tau, d); adjoint entries move by move, then (q, sigma).
+    Amplitudes below PRUNE_THRESHOLD are dropped, as `Superposition` does.
+    Images are numbered by the first column that reaches them, then by
+    `sort_key` within that column.
+    """
+    keys, images, first, rows, counts, vals = _expand(_Rules(table, prune=True), configs, adjoint)
+    # A Gram entry adds its terms in image-id order, so the numbering fixes
+    # its rounding; (first column, sort key) keeps it independent of rule order.
+    order = sorted(range(len(keys)), key=lambda k: (first[k], keys[k]))
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order), dtype=np.intp)
+    return (
+        rank[rows],
+        np.repeat(np.arange(len(counts), dtype=np.intp), counts),
+        vals,
+        tuple(images[k] for k in order),
+    )
