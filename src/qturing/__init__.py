@@ -58,7 +58,6 @@ from .machine_io import (
     serialize_machine,
 )
 from .oracle import (
-    ConfigurationWindow,
     CorpusEntry,
     GramCheck,
     build_corpus,

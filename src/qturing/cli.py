@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     except MachineParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing, unreadable or directory path
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ValueError, json.JSONDecodeError, KeyError) as err:

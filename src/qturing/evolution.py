@@ -21,9 +21,11 @@ Every order matches the per-configuration loop the kernel replaced, so
 results are bit-reproducible: terms are taken in `Superposition.items()`
 order, forward rules run grouped by written vector in first-appearance order,
 then (p, tau, d), and adjoint hits run move by move, then (q, sigma).
-`step_operator` numbers its images for the Gram oracle and the windowed norm
-estimator; `apply`, `apply_adjoint` and `run` weight its coefficients by the
-amplitudes, and `run` keeps the packed terms from step to step.
+`_Kernel.operator` numbers the images of packed basis states for the Gram
+oracle, and `step_operator` decodes them; the windowed norm estimator
+locates each entry in the packed window (`windows.PackedWindow`) without
+decoding.  `apply`, `apply_adjoint` and `run` weight the coefficients by
+the amplitudes, and `run` keeps the packed terms from step to step.
 """
 from __future__ import annotations
 
@@ -35,10 +37,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE
-from .frame import Configuration, _config_unchecked, _tape_unchecked, precedes
+from .frame import Configuration, TuringFrame, _config_unchecked, _tape_unchecked, precedes
 from .ktape import check_auto
 from .table import TransitionTable
-from .windows import radius_window
 
 PRUNE_THRESHOLD = 1e-15
 MAX_POSITION = 2 ** 62  # head and cell positions must lie in [-MAX_POSITION, MAX_POSITION]
@@ -199,7 +200,66 @@ _STATE = operator.attrgetter("state")
 _HEADS = operator.attrgetter("heads")
 
 
-class _Kernel:
+class _Layout:
+    """The packed layout of one frame's terms: their symbol dtype and
+    blanks, their `sort_key` order and their decoding."""
+
+    def __init__(self, frame: TuringFrame):
+        self.frame = frame
+        self.k = frame.tape_count
+        self.sizes = np.array(frame.symbol_counts, dtype=np.intp)
+        self.dtype = np.min_scalar_type(int(self.sizes.max()) - 1)
+        self.blanks = np.array(frame.blanks, dtype=self.dtype)
+
+    def sort_order(self, terms: _Terms, first: np.ndarray | None = None) -> np.ndarray:
+        """The permutation that sorts the terms by `Configuration.sort_key`
+        (after `first`, when given): state, heads, then per tape the
+        (cell, symbol) pairs of its non-blank cells, a missing pair sorting
+        below any cell."""
+        n = len(terms.state)
+        keys = [terms.state, *terms.heads.T]
+        for i in range(self.k):
+            cells = terms.cells[:, i, :]
+            rows, cols = np.nonzero(cells != self.blanks[i])
+            if not len(rows):
+                continue
+            count = np.bincount(rows, minlength=n)
+            slot = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
+            pos = np.full((n, int(count.max())), -1, dtype=np.intp)
+            pos[rows, slot] = cols
+            sym = np.zeros(pos.shape, dtype=self.dtype)
+            sym[rows, slot] = cells[rows, cols]
+            keys += [a for pair in zip(pos.T, sym.T) for a in pair]
+        if first is not None:
+            keys.insert(0, first)
+        return np.lexsort(keys[::-1])
+
+    def configurations(self, terms: _Terms) -> list[Configuration]:
+        """Decode packed terms, reading only non-blank cells and building one
+        Tape per distinct tape."""
+        n, cols = len(terms.state), terms.cols
+        per_tape = []
+        for i, (blank, size) in enumerate(zip(self.frame.blanks, self.frame.symbol_counts)):
+            rows = np.ascontiguousarray(terms.cells[:, i, :])
+            data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+            ids: dict = {}
+            index = [ids.setdefault(data[j * width:(j + 1) * width], len(ids)) for j in range(n)]
+            distinct = np.frombuffer(b"".join(ids), dtype=rows.dtype).reshape(len(ids), rows.shape[1])
+            filled = distinct != blank
+            at, col = np.nonzero(filled)
+            # one (cell, symbol) tuple per distinct pair, shared by the tapes
+            code = col * size + distinct[at, col]
+            codes = _sorted_unique(code)
+            shared = list(zip(cols[codes // size].tolist(), (codes % size).tolist()))
+            pairs = list(map(shared.__getitem__, np.searchsorted(codes, code).tolist()))
+            ends = np.cumsum(filled.sum(axis=1)).tolist()
+            tapes = [_tape_unchecked(blank, tuple(pairs[a:b])) for a, b in zip([0] + ends, ends)]
+            per_tape.append([tapes[j] for j in index])
+        return [_config_unchecked(q, t, tuple(h)) for q, t, h in
+                zip(terms.state.tolist(), zip(*per_tape), cols[terms.heads].tolist())]
+
+
+class _Kernel(_Layout):
     """The table's rules as CSR arrays, read from its nonzero amplitudes,
     and the packed step built on them.
 
@@ -211,11 +271,9 @@ class _Kernel:
     `prune`, rules below PRUNE_THRESHOLD are left out of both."""
 
     def __init__(self, table: TransitionTable, prune: bool = False):
-        frame = self.frame = table.frame
-        self.k, self.S, self.M = frame.tape_count, frame.symbol_block, frame.move_block
-        self.sizes = np.array(frame.symbol_counts, dtype=np.intp)
-        self.dtype = np.min_scalar_type(int(self.sizes.max()) - 1)
-        self.blanks = np.array(frame.blanks, dtype=self.dtype)
+        super().__init__(table.frame)
+        frame = self.frame
+        self.S, self.M = frame.symbol_block, frame.move_block
         self.tapes = np.arange(self.k)
         self.state_ids = frozenset(range(frame.state_count))
         self.key_top = max(frame.state_count, int(self.sizes.max()))
@@ -335,6 +393,20 @@ class _Kernel:
             first, vals = first[keep], vals[keep]
         return entries.take(first)._replace(amps=vals), dropped
 
+    def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms]:
+        """The packed core of `step_operator`: (rows, cols, vals) on the
+        basis states `terms`, and the packed images that `rows` indexes,
+        numbered by first column, then `sort_key`."""
+        parent, entries, vals = self.expand(terms, adjoint)
+        first, ids = self.number(entries)
+        images = entries.take(first)
+        # A Gram entry adds its terms in image-id order, so the numbering fixes
+        # its rounding; (first column, sort key) keeps it independent of rule order.
+        order = self.sort_order(images, parent[first])
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order), dtype=np.intp)
+        return rank[ids], parent, vals, images.take(order)
+
     def number(self, entries: _Terms) -> tuple[np.ndarray, np.ndarray]:
         """Distinct images in first-reached order: (first entry of each image,
         image id of every entry).  Images are told apart by compact byte rows
@@ -361,53 +433,6 @@ class _Kernel:
         cells[:, :, np.searchsorted(wanted, cols[used])] = terms.cells[:, :, used]
         return terms._replace(heads=np.searchsorted(wanted, cols[terms.heads]), cells=cells, cols=wanted)
 
-    def sort_order(self, terms: _Terms, first: np.ndarray | None = None) -> np.ndarray:
-        """The permutation that sorts the terms by `Configuration.sort_key`
-        (after `first`, when given): state, heads, then per tape the
-        (cell, symbol) pairs of its non-blank cells, a missing pair sorting
-        below any cell."""
-        n = len(terms.state)
-        keys = [terms.state, *terms.heads.T]
-        for i in range(self.k):
-            cells = terms.cells[:, i, :]
-            rows, cols = np.nonzero(cells != self.blanks[i])
-            if not len(rows):
-                continue
-            count = np.bincount(rows, minlength=n)
-            slot = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
-            pos = np.full((n, int(count.max())), -1, dtype=np.intp)
-            pos[rows, slot] = cols
-            sym = np.zeros(pos.shape, dtype=self.dtype)
-            sym[rows, slot] = cells[rows, cols]
-            keys += [a for pair in zip(pos.T, sym.T) for a in pair]
-        if first is not None:
-            keys.insert(0, first)
-        return np.lexsort(keys[::-1])
-
-    def configurations(self, terms: _Terms) -> list[Configuration]:
-        """Decode packed terms, reading only non-blank cells and building one
-        Tape per distinct tape."""
-        n, cols = len(terms.state), terms.cols
-        per_tape = []
-        for i, (blank, size) in enumerate(zip(self.frame.blanks, self.frame.symbol_counts)):
-            rows = np.ascontiguousarray(terms.cells[:, i, :])
-            data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
-            ids: dict = {}
-            index = [ids.setdefault(data[j * width:(j + 1) * width], len(ids)) for j in range(n)]
-            distinct = np.frombuffer(b"".join(ids), dtype=rows.dtype).reshape(len(ids), rows.shape[1])
-            filled = distinct != blank
-            at, col = np.nonzero(filled)
-            # one (cell, symbol) tuple per distinct pair, shared by the tapes
-            code = col * size + distinct[at, col]
-            codes = _sorted_unique(code)
-            shared = list(zip(cols[codes // size].tolist(), (codes % size).tolist()))
-            pairs = list(map(shared.__getitem__, np.searchsorted(codes, code).tolist()))
-            ends = np.cumsum(filled.sum(axis=1)).tolist()
-            tapes = [_tape_unchecked(blank, tuple(pairs[a:b])) for a, b in zip([0] + ends, ends)]
-            per_tape.append([tapes[j] for j in index])
-        return [_config_unchecked(q, t, tuple(h)) for q, t, h in
-                zip(terms.state.tolist(), zip(*per_tape), cols[terms.heads].tolist())]
-
     def superposition(self, terms: _Terms) -> Superposition:
         return Superposition._distinct(self.configurations(terms), terms.amps.tolist())
 
@@ -429,15 +454,8 @@ def step_operator(
     Tape.
     """
     kernel = _Kernel.of(table, prune=True)
-    parent, entries, vals = kernel.expand(kernel.pack(list(configs)), adjoint)
-    first, ids = kernel.number(entries)
-    images = entries.take(first)
-    # A Gram entry adds its terms in image-id order, so the numbering fixes
-    # its rounding; (first column, sort key) keeps it independent of rule order.
-    order = kernel.sort_order(images, parent[first])
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order), dtype=np.intp)
-    return rank[ids], parent, vals, tuple(kernel.configurations(images.take(order)))
+    rows, cols, vals, images = kernel.operator(kernel.pack(list(configs)), adjoint)
+    return rows, cols, vals, tuple(kernel.configurations(images))
 
 
 def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> Superposition:
@@ -533,19 +551,23 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     The estimate is a Rayleigh quotient of the compressed operator, hence
     never exceeds the true norm; it is exact (=1) for tables that pass the
     unitarity conditions, because interior window states are fixed points of
-    the compressed normal operator.
+    the compressed normal operator.  A window of more than
+    `windows.MAX_WINDOW_CONFIGS` configurations is refused with ValueError.
     """
     frame = table.frame
     if frame.tape_count != 1:
         raise ValueError("norm estimation covers single-tape frames")
     if window_radius < 1 or iterations < 1:
         raise ValueError("window_radius and iterations must be positive")
-    window = radius_window(frame, window_radius)
-    index = {c: i for i, c in enumerate(window)}
-    n = len(window)
+    from .windows import PackedWindow  # windows builds on this module's layout
 
-    rows, cols, vals, images = step_operator(table, window)
-    inside = np.array([index.get(c, -1) for c in images], dtype=np.intp)[rows]
+    kernel = _Kernel.of(table, prune=True)
+    window = PackedWindow(kernel, window_radius)
+    n = window.size
+
+    # the step operator compressed to the window, entries in step_operator order
+    cols, entries, vals = kernel.expand(window.terms, adjoint=False)
+    inside = window.index(entries)
     keep = inside >= 0
     rows, cols, vals = inside[keep], cols[keep], vals[keep]
 
@@ -563,17 +585,8 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
             + 1j * np.bincount(cols, weights=prod.imag, minlength=n)
         )
 
-    interior = np.array(
-        [
-            i
-            for i, c in enumerate(window)
-            if abs(c.heads[0]) <= window_radius - 1
-            and all(abs(m) <= window_radius - 1 for m in c.tapes[0].support)
-        ],
-        dtype=np.intp,
-    )
     v = np.zeros(n, dtype=np.complex128)
-    v[interior] = 1.0
+    v[window.interior()] = 1.0
     norm_v = np.linalg.norm(v)
     if norm_v > 0:
         v /= norm_v

@@ -5,7 +5,9 @@ configuration of a window through the step operator (or its adjoint) and
 forms the whole Gram matrix A^H A, so a checker bug and an oracle bug would
 have to coincide to hide a wrong verdict.  Two columns of A overlap only
 where they share an image configuration, so the product is a self-join of
-A's entries on image id; every other Gram entry is a structural zero.
+A's entries on image id; every other Gram entry is a structural zero.  The
+window and its images stay packed arrays (`windows.PackedWindow`); only
+the witness configurations are decoded.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -18,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE
-from .evolution import step_operator
+from .evolution import _Kernel
 from .frame import Configuration, TuringFrame, _as_vector
 from .ktape import check_column
 from .table import TransitionTable
-from .windows import ConfigurationWindow, radius_window
+from .windows import PackedWindow, radius_window
 
 __all__ = [
-    "ConfigurationWindow",
     "radius_window",
     "GramCheck",
     "column_gram_check",
@@ -108,9 +109,10 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     # columns of A are the step-operator expansions of the window basis
     # states.  Every key the self-join produces is a structural overlap, so
     # the off-diagonal keys count the pairs even where values cancel exactly.
-    window = radius_window(table.frame, radius)
-    n = len(window)
-    rows, cols, vals, _ = step_operator(table, window, adjoint=side == "rows")
+    kernel = _Kernel.of(table, prune=True)
+    window = PackedWindow(kernel, radius)
+    n = window.size
+    rows, cols, vals, _ = kernel.operator(window.terms, adjoint=side == "rows")
     keys, sums = _gram_product(rows, cols, vals, n)
     i, j = np.divmod(keys, n)
     on_diag = i == j
@@ -121,13 +123,14 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     off_i, off_j, off_abs = i[~on_diag], j[~on_diag], np.abs(sums[~on_diag])
     off = float(off_abs.max()) if off_abs.size else 0.0
 
+    # only the witnesses are decoded into configurations
     if diag >= off:
-        k = int(np.argmax(diag_resid))
-        witness = (window[k], window[k])
+        (config,) = kernel.configurations(window.terms.take([np.argmax(diag_resid)]))
+        witness = (config, config)
     else:
         # keys are sorted, so the first tie has the smallest (i, j)
         first = np.flatnonzero(off_abs == off)[0]
-        witness = (window[off_i[first]], window[off_j[first]])
+        witness = tuple(kernel.configurations(window.terms.take([off_i[first], off_j[first]])))
 
     return GramCheck(
         side=side,

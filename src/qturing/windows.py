@@ -1,79 +1,111 @@
-"""Finite configuration windows used by the brute-force oracle and the
-windowed norm estimator.
+"""The radius window of the brute-force oracle and the windowed norm
+estimator: one packed window plus its decoding.
 
-Two flavors:
+The radius-r window holds every configuration with, per tape, support and
+head inside [-r, r]; it works for any number of tapes.  It is the product
+of the states with, per tape, a tape code (the 2r+1 symbols over [-r, r],
+leftmost most significant) and a head, so it has
+|Q| * prod_i (2r+1) * |Sigma_i|^(2r+1) configurations.  Above
+MAX_WINDOW_CONFIGS a window is refused before anything is allocated.
 
-* `ConfigurationWindow(frame, n, d)` is the single-tape exhaustion window
-  with tape support inside {1..n} and head in {1-d..n+d}; its cardinality is
-  (n+2d) * |Q| * |Sigma|^n.
-* `radius_window(frame, r)` is the symmetric window with, per tape, support
-  and head inside [-r, r]; it works for any number of tapes.
+`PackedWindow` enumerates that product straight into packed arrays on the
+columns [-r-1, r+1], where every one-step image of a window configuration
+still fits, and puts it in `Configuration.sort_key` order.  The mixed-radix
+code (state, then per tape tape code and head) of a packed term gives its
+window position by one lookup, so images are located without decoding.
+`radius_window` decodes the whole window into configurations.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import numpy as np
 
-from .frame import Configuration, Tape, TuringFrame, _config_unchecked
+from .evolution import _Layout, _Terms
+from .frame import Configuration, TuringFrame
 
-
-def _tapes_over(support: tuple[int, ...], alphabet_size: int, blank: int):
-    """All canonical tapes whose non-blank cells lie inside `support`."""
-    for symbols in itertools.product(range(alphabet_size), repeat=len(support)):
-        yield Tape(blank, tuple((m, s) for m, s in zip(support, symbols) if s != blank))
+# The largest window built: Q2S2 at r=4 has 9,216 configurations, and a
+# window of 2**20 packs into tens of MiB.
+MAX_WINDOW_CONFIGS = 2 ** 20
 
 
-@dataclass(frozen=True)
-class ConfigurationWindow:
-    """Single-tape window: support in {1..n}, head in {1-d..n+d}."""
+def window_size(frame: TuringFrame, radius: int) -> int:
+    """|Q| * prod_i (2r+1) * |Sigma_i|^(2r+1), the number of configurations
+    in the radius window; ValueError for r < 1 or above MAX_WINDOW_CONFIGS.
+    Only small powers are ever formed, so no radius allocates much."""
+    if radius < 1:
+        raise ValueError("radius must be a positive integer")
+    width = 2 * radius + 1
+    size = frame.state_count
+    for symbols in frame.symbol_counts:
+        # symbols**width >= 2**width, so a long window of two or more symbols
+        # is refused before the power is formed
+        if symbols > 1 and width > MAX_WINDOW_CONFIGS.bit_length():
+            size = MAX_WINDOW_CONFIGS + 1
+            break
+        size *= width * symbols ** width
+        if size > MAX_WINDOW_CONFIGS:
+            break
+    if size > MAX_WINDOW_CONFIGS:
+        raise ValueError(f"the radius-{radius} window holds more than {MAX_WINDOW_CONFIGS} "
+                         "configurations (|Q| * prod (2r+1)|Sigma_i|^(2r+1)); use a smaller radius")
+    return size
 
-    frame: TuringFrame
-    n: int
-    d: int
 
-    def __post_init__(self):
-        if self.frame.tape_count != 1:
-            raise ValueError("ConfigurationWindow is a single-tape construction")
-        if self.d not in (-1, 0, 1):
-            raise ValueError("window extension d must be in {-1,0,1}")
-        if self.n + 2 * self.d <= 0:
-            raise ValueError("window head range is empty")
+class PackedWindow:
+    """The radius window as packed terms in `sort_key` order.
 
-    @property
-    def head_range(self) -> range:
-        return range(1 - self.d, self.n + self.d + 1)
+    `terms` lies on the columns [-r-1, r+1], so tape cells sit in columns
+    1..2r+1 and heads index 1..2r+1 too; `position[code]` is the window
+    position of the term with mixed-radix code `code`."""
 
-    def expected_cardinality(self) -> int:
-        frame = self.frame
-        return (self.n + 2 * self.d) * frame.state_count * frame.symbol_counts[0] ** self.n
+    def __init__(self, layout: _Layout, radius: int):
+        self.size = window_size(layout.frame, radius)
+        self.layout = layout
+        width = self.width = 2 * radius + 1
+        symbol_counts = layout.frame.symbol_counts
+        # per tape: the place value of each cell in the tape code
+        self.powers = [symbols ** np.arange(width - 1, -1, -1) for symbols in symbol_counts]
+        # code 0..size-1 splits into the state, then per tape (tape code, head)
+        code = np.arange(self.size)
+        heads, tapes = [], []
+        for symbols in reversed(symbol_counts):
+            code, head = np.divmod(code, width)
+            code, tape = np.divmod(code, symbols ** width)
+            heads.insert(0, head + 1)
+            tapes.insert(0, tape)
+        cells = np.empty((self.size, layout.k, width + 2), dtype=layout.dtype)
+        cells[...] = layout.blanks[:, None]
+        for i, (tape, powers, symbols) in enumerate(zip(tapes, self.powers, symbol_counts)):
+            cells[:, i, 1:-1] = tape[:, None] // powers % symbols
+        packed = _Terms(code, np.stack(heads, axis=1), cells,
+                        np.arange(-radius - 1, radius + 2, dtype=np.int64))
+        order = layout.sort_order(packed)
+        self.terms = packed.take(order)
+        self.position = np.empty(self.size, dtype=np.intp)
+        self.position[order] = np.arange(self.size, dtype=np.intp)
 
-    def configurations(self) -> tuple[Configuration, ...]:
-        frame = self.frame
-        support = tuple(range(1, self.n + 1))
-        out = []
-        for q in range(frame.state_count):
-            for tape in _tapes_over(support, frame.symbol_counts[0], frame.blanks[0]):
-                for head in self.head_range:
-                    out.append(Configuration(q, (tape,), (head,)))
-        out.sort(key=Configuration.sort_key)
-        return tuple(out)
+    def index(self, terms: _Terms) -> np.ndarray:
+        """The window position of every term on the window's columns, or -1
+        for a term outside it: one with a head or a non-blank cell on an
+        edge column."""
+        heads, cells, blanks, width = terms.heads, terms.cells, self.layout.blanks, self.width
+        inside = ((heads > 0) & (heads <= width) & (cells[:, :, 0] == blanks)
+                  & (cells[:, :, -1] == blanks)).all(axis=1)
+        code = terms.state
+        for i, (symbols, powers) in enumerate(zip(self.layout.frame.symbol_counts, self.powers)):
+            code = (code * symbols ** width + cells[:, i, 1:-1] @ powers) * width + heads[:, i] - 1
+        return np.where(inside, self.position[np.where(inside, code, 0)], -1)
+
+    def interior(self) -> np.ndarray:
+        """Window positions of the configurations whose heads and non-blank
+        cells all lie inside [-r+1, r-1]."""
+        heads, cells, blanks = self.terms.heads, self.terms.cells, self.layout.blanks
+        inner = ((heads > 1) & (heads < self.width) & (cells[:, :, 1] == blanks)
+                 & (cells[:, :, -2] == blanks)).all(axis=1)
+        return np.flatnonzero(inner)
 
 
 def radius_window(frame: TuringFrame, radius: int) -> tuple[Configuration, ...]:
-    """All configurations with, per tape, support and head inside [-radius, radius]."""
-    if radius < 1:
-        raise ValueError("radius must be a positive integer")
-    support = tuple(range(-radius, radius + 1))
-    per_tape = []
-    for size, blank in zip(frame.symbol_counts, frame.blanks):
-        tapes = tuple(_tapes_over(support, size, blank))
-        per_tape.append([(t, h) for t in tapes for h in support])
-    out = []
-    for q in range(frame.state_count):
-        for combo in itertools.product(*per_tape):
-            # the parts are canonical tuples already, so skip re-validation
-            tapes = tuple(t for t, _ in combo)
-            heads = tuple(h for _, h in combo)
-            out.append(_config_unchecked(q, tapes, heads))
-    out.sort(key=Configuration.sort_key)
-    return tuple(out)
+    """All configurations with, per tape, support and head inside
+    [-radius, radius], in `sort_key` order: the decoded `PackedWindow`."""
+    layout = _Layout(frame)
+    return tuple(layout.configurations(PackedWindow(layout, radius).terms))

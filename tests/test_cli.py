@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qturing as qt
-from qturing.cli import bundled_machine_path, main
+from qturing.cli import _parse_basis_spec, _parse_start, bundled_machine_path, main
 
 
 def invoke(capsys, *argv):
@@ -272,6 +276,26 @@ class TestErrorsAndDeterminism:
         code, _, err = invoke(capsys, "validate", "/tmp/definitely_missing.qtm")
         assert code == 2
 
+    @pytest.mark.parametrize("start", ["@", "@{tmp}"])
+    def test_directory_start_exit_two(self, capsys, tmp_path, start):
+        code, out, err = invoke(capsys, "run", "counterexample", "--start", start.format(tmp=tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno 21] Is a directory")
+
+    def test_unreadable_machine_file_exit_two(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "locked.qtm"
+        path.write_text(bundled_machine_path("identity").read_text())
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code, out, err = invoke(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+
     def test_real_file_wins_over_bundled_name(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "identity"
         path.write_text(bundled_machine_path("zero").read_text())
@@ -312,3 +336,77 @@ def test_scipy_stays_off_the_import_path():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+# ---------------------------------------------------------------------------
+# fuzzed --start specs: exit 0, 1 or 2 and never a traceback
+# ---------------------------------------------------------------------------
+
+SPEC_WORDS = st.sampled_from(["state", "heads", "tape", "tapes", "0", "1", "2", "B", "s1", "-1",
+                              "blank", "=", ",", ":", ";", " ", "4611686018427387905", "٣", "²"])
+BASIS_SPECS = st.one_of(st.text(max_size=30), st.lists(SPEC_WORDS, max_size=12).map("".join))
+
+
+@pytest.fixture(scope="module")
+def start_dir(tmp_path_factory) -> Path:
+    """Start files: a valid one-term superposition, a valid term with a bad
+    norm, a non-list, junk, and a subdirectory."""
+    base = tmp_path_factory.mktemp("starts")
+    term = {"state": "0", "heads": [0], "tapes": [[]], "amp": [1, 0]}
+    (base / "ok.json").write_text(json.dumps([term]))
+    (base / "unnormalized.json").write_text(json.dumps([dict(term, amp=[2, 0])]))
+    (base / "object.json").write_text(json.dumps(term))
+    (base / "junk.json").write_bytes(b"\xff\xfe[{")
+    (base / "sub").mkdir()
+    return base
+
+
+def _start_specs(base: Path):
+    names = st.one_of(
+        st.sampled_from(["ok.json", "unnormalized.json", "object.json", "junk.json", "sub", "missing.json", ""]),
+        st.text(st.characters(blacklist_characters="/"), max_size=12),
+    )
+    at_paths = st.one_of(st.sampled_from(["@", "@.", "@/", "@..", "@@"]), names.map(lambda n: f"@{base / n}"))
+    return st.one_of(BASIS_SPECS, at_paths)
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_start_exits_cleanly(start_dir, data):
+    spec = data.draw(_start_specs(start_dir))
+    code, err = _run_quietly(["run", "counterexample", "--start", spec])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith(("error: ", "usage: "))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_parse_start_returns_or_raises_value_error(start_dir, data):
+    frame = qt.TuringFrame(("0", "1"), (("B",),))
+    spec = data.draw(_start_specs(start_dir))
+    try:
+        psi = _parse_start(frame, spec)
+    except (ValueError, OSError):
+        return
+    assert isinstance(psi, qt.Superposition)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spec=BASIS_SPECS, two_tape=st.booleans())
+def test_fuzzed_basis_spec_returns_or_raises_value_error(spec, two_tape):
+    frame = qt.simple_frame(2, 2, 3) if two_tape else qt.simple_frame(2, 2)
+    try:
+        config = _parse_basis_spec(frame, spec)
+    except ValueError:
+        return
+    assert isinstance(config, qt.Configuration)
+    assert len(config.heads) == frame.tape_count

