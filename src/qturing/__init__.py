@@ -20,7 +20,6 @@ from .evolution import (
     apply,
     apply_adjoint,
     estimate_norm,
-    matrix_element,
     run,
     step_operator,
 )
@@ -29,13 +28,7 @@ from .frame import (
     Configuration,
     Tape,
     TuringFrame,
-    alpha,
-    beta,
     blank_configuration,
-    locally_like,
-    precedes,
-    sorted_configurations,
-    write_at,
 )
 from .ktape import (
     check_auto,

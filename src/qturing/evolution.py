@@ -18,14 +18,22 @@ stable sort of compact byte rows and sums amp * coef per image with
 `np.bincount`.
 
 Every order matches the per-configuration loop the kernel replaced, so
-results are bit-reproducible: terms are taken in `Superposition.items()`
-order, forward rules run grouped by written vector in first-appearance order,
+results are bit-reproducible: terms are taken in `Configuration.sort_key`
+order (`_Layout.sort_order`, one `np.lexsort` over the packed terms),
+forward rules run grouped by written vector in first-appearance order,
 then (p, tau, d), and adjoint hits run move by move, then (q, sigma).
 `_Kernel.operator` numbers the images of packed basis states for the Gram
 oracle, and `step_operator` decodes them; the windowed norm estimator
 locates each entry in the packed window (`windows.PackedWindow`) without
-decoding.  `apply`, `apply_adjoint` and `run` weight the coefficients by
-the amplitudes, and `run` keeps the packed terms from step to step.
+decoding.
+
+`apply`, `apply_adjoint` and `run` weight the coefficients by the
+amplitudes and share one step, `_step`.  Their results stay packed: a
+`Superposition` holds the packed terms, in first-reached order, and the next
+step takes them back without decoding.  Configurations are decoded only
+when asked for: `items()` and `configurations()` decode in `sort_key` order,
+and `amplitude`, `in`, `==`, `inner`, `scaled`, `plus` and `distance` build
+the dict once; `len`, `norm` and `repr` read the arrays.
 """
 from __future__ import annotations
 
@@ -37,21 +45,30 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE
-from .frame import Configuration, TuringFrame, _config_unchecked, _tape_unchecked, precedes
+from .frame import Configuration, TuringFrame, _config_unchecked, _tape_unchecked
 from .ktape import check_auto
 from .table import TransitionTable
 
 PRUNE_THRESHOLD = 1e-15
 MAX_POSITION = 2 ** 62  # head and cell positions must lie in [-MAX_POSITION, MAX_POSITION]
-# `run` frames its columns this many cells around every head, so it needs
-# to re-frame only every RUN_MARGIN steps (a head moves one cell a step).
+# A step frames its columns this many cells around every head, so a chain
+# of steps re-frames about once every RUN_MARGIN steps (a head moves one
+# cell a step).
 RUN_MARGIN = 8
 
 
 class Superposition:
-    """Finite map Configuration -> complex amplitude, pruned and immutable."""
+    """Finite map Configuration -> complex amplitude, pruned and immutable.
 
-    __slots__ = ("_terms",)
+    A superposition holds one of two forms: its dict (built by the
+    constructor), or, as the output of `apply`, `apply_adjoint` and `run`,
+    the frame's `_Layout` plus packed `_Terms` with amplitudes in
+    first-reached order.  The packed form is decoded only when
+    configurations are asked for: `items()` decodes the terms in `sort_key`
+    order, and the methods that look terms up build the dict (`_terms`)
+    once, in first-reached order, and keep it."""
+
+    __slots__ = ("_dict", "_packed")
 
     def __init__(self, terms: dict[Configuration, complex] | Iterable | None = None):
         acc: dict[Configuration, complex] = {}
@@ -63,30 +80,43 @@ class Superposition:
                     acc[config] += amp
                 else:
                     acc[config] = amp
-        self._terms = {c: a for c, a in acc.items() if abs(a) >= PRUNE_THRESHOLD}
+        self._dict = {c: a for c, a in acc.items() if abs(a) >= PRUNE_THRESHOLD}
+        self._packed = None
 
     @classmethod
     def basis(cls, config: Configuration, amplitude: complex = 1.0) -> "Superposition":
         return cls({config: amplitude})
 
     @classmethod
-    def _distinct(cls, configs: list[Configuration], amps: list[complex]) -> "Superposition":
-        """From distinct configurations whose amplitudes are already pruned."""
+    def _from_packed(cls, layout: "_Layout", terms: "_Terms") -> "Superposition":
+        """From distinct packed terms whose amplitudes are already pruned."""
         psi = object.__new__(cls)
-        psi._terms = dict(zip(configs, amps))
+        psi._dict = None
+        psi._packed = (layout, terms)
         return psi
+
+    @property
+    def _terms(self) -> dict[Configuration, complex]:
+        if self._dict is None:
+            layout, terms = self._packed
+            self._dict = dict(zip(layout.configurations(terms), terms.amps.tolist()))
+        return self._dict
 
     def amplitude(self, config: Configuration) -> complex:
         return self._terms.get(config, 0j)
 
     def items(self) -> list[tuple[Configuration, complex]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        if self._packed is None:
+            return sorted(self._dict.items(), key=lambda kv: kv[0].sort_key())
+        layout, terms = self._packed
+        terms = terms.take(layout.sort_order(terms))
+        return list(zip(layout.configurations(terms), terms.amps.tolist()))
 
     def configurations(self) -> list[Configuration]:
         return [c for c, _ in self.items()]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._dict) if self._packed is None else len(self._packed[1].state)
 
     def __contains__(self, config: Configuration) -> bool:
         return config in self._terms
@@ -95,10 +125,12 @@ class Superposition:
         return isinstance(other, Superposition) and self._terms == other._terms
 
     def __repr__(self) -> str:
-        return f"Superposition({len(self._terms)} terms, norm={self.norm():.6g})"
+        return f"Superposition({len(self)} terms, norm={self.norm():.6g})"
 
     def norm(self) -> float:
-        return float(np.sqrt(sum((a * a.conjugate()).real for a in self._terms.values())))
+        if self._packed is not None:
+            return _norm(self._packed[1].amps)
+        return float(np.sqrt(sum((a * a.conjugate()).real for a in self._dict.values())))
 
     def inner(self, other: "Superposition") -> complex:
         """<self|other>, conjugating self's amplitudes."""
@@ -128,23 +160,6 @@ class Superposition:
         """Max termwise amplitude difference."""
         keys = set(self._terms) | set(other._terms)
         return max((abs(self.amplitude(c) - other.amplitude(c)) for c in keys), default=0.0)
-
-
-def matrix_element(table: TransitionTable, c: Configuration, c_prime: Configuration) -> complex:
-    """<c'|M|c>: the rule amplitude read off the two configurations when c
-    can reach c' in one step, else 0."""
-    frame = table.frame
-    if c.tape_count != frame.tape_count or c_prime.tape_count != frame.tape_count:
-        raise ValueError("configurations do not match the table's frame")
-    if not precedes(c, c_prime):
-        return 0j
-    sigma = c.read()
-    tau = tuple(t.read(h) for t, h in zip(c_prime.tapes, c.heads))
-    moves = tuple(h2 - h for h, h2 in zip(c.heads, c_prime.heads))
-    s = frame.symbol_flat(sigma)
-    t = frame.symbol_flat(tau)
-    m = frame.move_flat(moves)
-    return complex(table.amplitudes[c.state, s, c_prime.state, t, m])
 
 
 # Every sort here is a stable one: it keeps first occurrences first, and
@@ -433,8 +448,26 @@ class _Kernel(_Layout):
         cells[:, :, np.searchsorted(wanted, cols[used])] = terms.cells[:, :, used]
         return terms._replace(heads=np.searchsorted(wanted, cols[terms.heads]), cells=cells, cols=wanted)
 
-    def superposition(self, terms: _Terms) -> Superposition:
-        return Superposition._distinct(self.configurations(terms), terms.amps.tolist())
+    def ready(self, psi: Superposition) -> _Terms:
+        """psi's terms packed with amplitudes, in `sort_key` order, every head
+        one cell from the next column on either side, as a step needs.
+
+        A packed psi on this frame is reframed with RUN_MARGIN only when some
+        head lacks such a neighbour (it drifted to the edge of a run of
+        adjacent columns), then sorted by `sort_order`.  Any other psi is
+        packed from `items()` with RUN_MARGIN, which checks it against the
+        frame."""
+        packed = psi._packed
+        if packed is None or packed[0].frame != self.frame:
+            terms = psi.items()
+            return self.pack([c for c, _ in terms], [a for _, a in terms], RUN_MARGIN)
+        terms = packed[1]
+        adjacent = np.diff(terms.cols) == 1
+        inner = np.zeros(len(terms.cols), dtype=bool)
+        inner[1:-1] = adjacent[:-1] & adjacent[1:]
+        if not inner[terms.heads].all():
+            terms = self.reframe(terms, RUN_MARGIN)
+        return terms.take(self.sort_order(terms))
 
 
 def step_operator(
@@ -458,16 +491,18 @@ def step_operator(
     return rows, cols, vals, tuple(kernel.configurations(images))
 
 
-def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> Superposition:
+def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> tuple[Superposition, _Terms, float]:
+    """M|psi> (or M^dagger|psi>) in packed form, its packed terms and the
+    squared amplitude the prune dropped: the one step of `apply`,
+    `apply_adjoint` and `run`."""
     kernel = _Kernel.of(table)
-    terms = psi.items()
-    packed = kernel.pack([c for c, _ in terms], [a for _, a in terms])
-    return kernel.superposition(kernel.step(packed, adjoint)[0])
+    images, dropped = kernel.step(kernel.ready(psi), adjoint)
+    return Superposition._from_packed(kernel, images), images, dropped
 
 
 def apply(table: TransitionTable, psi: Superposition) -> Superposition:
     """One application of the evolution operator, linearly extended."""
-    return _step(table, psi, adjoint=False)
+    return _step(table, psi, adjoint=False)[0]
 
 
 def apply_adjoint(table: TransitionTable, psi: Superposition, *, allow_multitape: bool = False) -> Superposition:
@@ -477,15 +512,22 @@ def apply_adjoint(table: TransitionTable, psi: Superposition, *, allow_multitape
     if table.frame.tape_count != 1 and not allow_multitape:
         raise ValueError("adjoint application covers single-tape frames; "
                          "pass allow_multitape=True for the componentwise extension")
-    return _step(table, psi, adjoint=True)
+    return _step(table, psi, adjoint=True)[0]
 
 
 @dataclass(frozen=True)
 class RunResult:
+    """What `run` logs, one entry per step, entry 0 for the input:
+    norms[t] is the norm after t steps; pruned_mass[t] the sum of |a|^2 the
+    prune dropped at step t (pruned_mass[0] = 0); terms[t] the number of
+    terms after t steps; width[t] the column count W of the packed arrays
+    step t ran on (width[0] = 0)."""
+
     final: Superposition
-    norms: tuple[float, ...]  # norms[t] = norm after t steps; norms[0] is the input
-    # pruned_mass[t] = sum of |a|^2 the prune dropped at step t; pruned_mass[0] = 0
+    norms: tuple[float, ...]
     pruned_mass: tuple[float, ...]
+    terms: tuple[int, ...]
+    width: tuple[int, ...]
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -501,21 +543,15 @@ def run(
     unchecked: bool = False,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> RunResult:
-    """Apply the evolution operator `steps` times, logging per-step norms
-    and the squared amplitude each step's prune drops.
+    """Apply the evolution operator `steps` times, logging per step the
+    norm, the squared amplitude the prune dropped, the term count and the
+    column count.
 
     The table is validated first unless `unchecked`; norm drift is reported,
-    never corrected.  The terms stay packed from step to step and become a
-    `Superposition` only at the end.  Before each step they are put in
-    `Superposition.items()` order by one `np.lexsort` over their sort keys
-    (state, heads, then per tape the (cell, symbol) pairs of the non-blank
-    cells, a missing pair sorting first), so every step adds and numbers
-    exactly as `apply` does.  Every RUN_MARGIN steps the columns are framed
-    anew to the non-blank cells and those within RUN_MARGIN of a head.
-    norms[t] sums |a|^2 in first-reached order with a Python float sum, as
-    `Superposition.norm` does; pruned_mass[t] is the sum of |a|^2 the prune
-    dropped at step t.  The final superposition lists its terms in the last
-    step's first-reached order.
+    never corrected.  Each step is the packed step of `apply`, so the terms
+    stay packed from step to step and the final superposition is packed too,
+    its terms in the last step's first-reached order.  norms[t] sums |a|^2
+    in that order with a Python float sum, as `Superposition.norm` does.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -526,22 +562,16 @@ def run(
                 f"table fails the {report.checker} conditions "
                 f"(max residual {report.max_residual:.3e}); pass unchecked=True to run anyway"
             )
-    norms = [initial.norm()]
-    pruned = [0.0]
-    if not steps:
-        return RunResult(final=initial, norms=tuple(norms), pruned_mass=tuple(pruned))
-    kernel = _Kernel.of(table)
-    terms = initial.items()
-    packed = kernel.pack([c for c, _ in terms], [a for _, a in terms], RUN_MARGIN)
-    for t in range(steps):
-        if t:
-            if t % RUN_MARGIN == 0:
-                packed = kernel.reframe(packed, RUN_MARGIN)
-            packed = packed.take(kernel.sort_order(packed))
-        packed, dropped = kernel.step(packed, adjoint=False)
-        norms.append(_norm(packed.amps))
+    psi = initial
+    norms, pruned, terms, width = [initial.norm()], [0.0], [len(initial)], [0]
+    for _ in range(steps):
+        psi, images, dropped = _step(table, psi, adjoint=False)
+        norms.append(_norm(images.amps))
         pruned.append(dropped)
-    return RunResult(final=kernel.superposition(packed), norms=tuple(norms), pruned_mass=tuple(pruned))
+        terms.append(len(images.state))
+        width.append(len(images.cols))
+    return RunResult(final=psi, norms=tuple(norms), pruned_mass=tuple(pruned),
+                     terms=tuple(terms), width=tuple(width))
 
 
 def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, seed: int = 0) -> float:

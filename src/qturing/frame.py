@@ -1,4 +1,4 @@
-"""Frames, tapes, configurations, and the combinatorial relations between them.
+"""Frames, tapes and configurations.
 
 A frame fixes the finite ingredients of a machine: processor states and one
 alphabet (with a designated blank) per tape.  Configurations are immutable
@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 MOVES = (-1, 0, 1)
 
@@ -190,13 +190,6 @@ def _tape_unchecked(blank: int, cells: tuple[tuple[int, int], ...]) -> Tape:
     return tape
 
 
-def write_at(tape: Tape, cell: int, symbol: int, alphabet_size: int | None = None) -> Tape:
-    """Overwrite one cell, restoring canonical form (writing blank deletes)."""
-    if symbol < 0 or (alphabet_size is not None and symbol >= alphabet_size):
-        raise IndexError(f"symbol index {symbol} out of alphabet range")
-    return tape.write(cell, symbol)
-
-
 @dataclass(frozen=True)
 class Configuration:
     """Processor state, one finite-support tape per track, one head per track."""
@@ -242,81 +235,3 @@ def _config_unchecked(state: int, tapes: tuple[Tape, ...], heads: tuple[int, ...
 
 def blank_configuration(frame: TuringFrame, state: int = 0) -> Configuration:
     return Configuration(state, frame.blank_tapes(), (0,) * frame.tape_count)
-
-
-def _check_same_shape(c: Configuration, c_prime: Configuration):
-    if c.tape_count != c_prime.tape_count:
-        raise ValueError("configurations have different tape counts")
-    for t, t2 in zip(c.tapes, c_prime.tapes):
-        if t.blank != t2.blank:
-            raise ValueError("configurations have different blanks")
-
-
-def alpha(frame: TuringFrame, p: int, tau, d, c: Configuration) -> Configuration:
-    """Write-then-move successor: state p, write tau[i] at head i, move by d[i]."""
-    k = frame.tape_count
-    tau = _as_vector(tau, k, "tau")
-    d = _as_vector(d, k, "d")
-    if c.tape_count != k:
-        raise ValueError("configuration does not match frame tape count")
-    if not 0 <= p < frame.state_count:
-        raise IndexError(f"state index {p} out of range")
-    for di in d:
-        if di not in MOVES:
-            raise ValueError(f"move component {di} not in {{-1,0,1}}")
-    tapes = tuple(
-        write_at(t, h, s, size)
-        for t, h, s, size in zip(c.tapes, c.heads, tau, frame.symbol_counts)
-    )
-    heads = tuple(h + di for h, di in zip(c.heads, d))
-    return Configuration(p, tapes, heads)
-
-
-def beta(frame: TuringFrame, p: int, sigma, d, c: Configuration) -> Configuration:
-    """Move-back-then-write inverse: state p, write sigma[i] at head i - d[i]."""
-    k = frame.tape_count
-    sigma = _as_vector(sigma, k, "sigma")
-    d = _as_vector(d, k, "d")
-    if c.tape_count != k:
-        raise ValueError("configuration does not match frame tape count")
-    if not 0 <= p < frame.state_count:
-        raise IndexError(f"state index {p} out of range")
-    for di in d:
-        if di not in MOVES:
-            raise ValueError(f"move component {di} not in {{-1,0,1}}")
-    tapes = tuple(
-        write_at(t, h - di, s, size)
-        for t, h, s, di, size in zip(c.tapes, c.heads, sigma, d, frame.symbol_counts)
-    )
-    heads = tuple(h - di for h, di in zip(c.heads, d))
-    return Configuration(p, tapes, heads)
-
-
-def precedes(c: Configuration, c_prime: Configuration) -> bool:
-    """One-step reachability: per tape, contents equal off the head cell and
-    the head moved by at most one."""
-    _check_same_shape(c, c_prime)
-    for t, t2, h, h2 in zip(c.tapes, c_prime.tapes, c.heads, c_prime.heads):
-        if abs(h2 - h) > 1:
-            return False
-        cells = {m for m, _ in t.cells} | {m for m, _ in t2.cells}
-        for m in cells:
-            if m != h and t.read(m) != t2.read(m):
-                return False
-    return True
-
-
-def locally_like(c: Configuration, c_prime: Configuration) -> bool:
-    """Same state and the same three symbols around the head (single tape)."""
-    _check_same_shape(c, c_prime)
-    if c.tape_count != 1:
-        raise ValueError("locally_like is defined for single-tape configurations")
-    if c.state != c_prime.state:
-        return False
-    t, t2 = c.tapes[0], c_prime.tapes[0]
-    h, h2 = c.heads[0], c_prime.heads[0]
-    return all(t.read(h + d) == t2.read(h2 + d) for d in MOVES)
-
-
-def sorted_configurations(configs: Iterable[Configuration]) -> list[Configuration]:
-    return sorted(configs, key=Configuration.sort_key)

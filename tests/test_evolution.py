@@ -6,6 +6,7 @@ import pytest
 import qturing as qt
 
 from conftest import naive_step, random_configuration, random_table
+from reference_frame import matrix_element
 
 
 def blank(table, state=0):
@@ -135,13 +136,13 @@ class TestMatrixElement:
         tape = qt.Tape(0)
         c = qt.Configuration(0, (tape,), (0,))
         c2 = qt.Configuration(1, (tape,), (-1,))
-        assert qt.matrix_element(counterexample, c, c2) == 0.5
+        assert matrix_element(counterexample, c, c2) == 0.5
 
     def test_distant_heads_give_zero(self, counterexample):
         tape = qt.Tape(0)
         c = qt.Configuration(0, (tape,), (0,))
         c2 = qt.Configuration(0, (tape,), (2,))
-        assert qt.matrix_element(counterexample, c, c2) == 0j
+        assert matrix_element(counterexample, c, c2) == 0j
 
     def test_matches_apply_coefficient(self):
         rng = np.random.default_rng(29)
@@ -155,7 +156,7 @@ class TestMatrixElement:
                 hits += 1
             else:
                 c2 = random_configuration(table.frame, rng, span=2)
-            assert abs(qt.matrix_element(table, c, c2) - image.amplitude(c2)) <= 1e-15
+            assert abs(matrix_element(table, c, c2) - image.amplitude(c2)) <= 1e-15
         assert hits > 200
 
     def test_matches_apply_coefficient_two_tapes(self):
@@ -168,7 +169,7 @@ class TestMatrixElement:
                 c2 = image.configurations()[int(rng.integers(len(image)))]
             else:
                 c2 = random_configuration(table.frame, rng, span=1)
-            assert abs(qt.matrix_element(table, c, c2) - image.amplitude(c2)) <= 1e-15
+            assert abs(matrix_element(table, c, c2) - image.amplitude(c2)) <= 1e-15
 
 
 class TestRun:

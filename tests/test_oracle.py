@@ -7,7 +7,7 @@ import pytest
 import qturing as qt
 
 from conftest import random_configuration, random_table
-from reference_frame import ConfigurationWindow
+from reference_frame import ConfigurationWindow, locally_like
 from reference_oracle import column_pairs, gram_columns, gram_rows, row_pairs
 
 
@@ -138,7 +138,7 @@ class TestGramRows:
             for d in (-1, 0, 1):
                 tape = tape.write(c2.heads[0] + d, c.tapes[0].read(c.heads[0] + d))
             c2 = qt.Configuration(c.state, (tape,), c2.heads)
-            assert qt.locally_like(c, c2)
+            assert locally_like(c, c2)
             d1 = gram_rows(table, [(c, c)])[0]
             d2 = gram_rows(table, [(c2, c2)])[0]
             assert abs(d1 - d2) < 1e-12

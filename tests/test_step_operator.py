@@ -9,6 +9,7 @@ from qturing.cli import bundled_machine_path, main
 from qturing.oracle import _gram_product
 
 from conftest import random_table
+from reference_frame import alpha, beta, matrix_element
 from reference_oracle import reference_adjoint, reference_apply
 
 
@@ -38,7 +39,7 @@ def case(request):
 def _successors(frame, config):
     """Every configuration one (p, tau, d) step away, found without the table."""
     return {
-        qt.alpha(frame, p, tau, d, config)
+        alpha(frame, p, tau, d, config)
         for p in range(frame.state_count)
         for tau in frame.symbol_vectors()
         for d in frame.move_vectors()
@@ -47,7 +48,7 @@ def _successors(frame, config):
 
 def _predecessors(frame, config):
     return {
-        qt.beta(frame, q, sigma, d, config)
+        beta(frame, q, sigma, d, config)
         for q in range(frame.state_count)
         for sigma in frame.symbol_vectors()
         for d in frame.move_vectors()
@@ -64,7 +65,7 @@ def _dense(table, sources, targets):
         for d in table.frame.move_vectors():
             heads = tuple(h + x for h, x in zip(s.heads, d))
             for k in by_heads.get(heads, ()):
-                out[k, j] = qt.matrix_element(table, s, targets[k])
+                out[k, j] = matrix_element(table, s, targets[k])
     return out
 
 
