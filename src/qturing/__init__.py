@@ -57,7 +57,6 @@ from .oracle import (
     column_gram_check,
     pair_unitary_machine,
     perturb,
-    radius_window,
     random_unitary,
     row_gram_check,
     simple_frame,
@@ -70,5 +69,6 @@ from .table import (
     is_unidirectional,
     norm_bound,
 )
+from .windows import radius_window
 
 __version__ = "0.1.0"

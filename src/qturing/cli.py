@@ -294,24 +294,21 @@ def cmd_run(args) -> int:
 
 def cmd_norm(args) -> int:
     doc = _load_document(args.machine)
-    if doc.frame.tape_count != 1:
-        raise ValueError("the norm bound covers single-tape machines")
     stats = compute_statistics(doc.table)
     bound = norm_bound(stats, doc.frame)
-    radius = args.radius if args.radius is not None else 3
-    estimate = estimate_norm(doc.table, radius, args.iterations, seed=args.seed)
+    estimate = estimate_norm(doc.table, args.radius, args.iterations, seed=args.seed)
     lines = [
         f"machine: {doc.name}",
         f"K: {_fmt(stats.K)}",
         f"bound: {_fmt(bound)}",
-        f"estimate[radius={radius}, iterations={args.iterations}]: {_fmt(estimate)}",
+        f"estimate[radius={args.radius}, iterations={args.iterations}]: {_fmt(estimate)}",
     ]
     payload = {
         "machine": doc.name,
         "K": stats.K,
         "bound": bound,
         "estimate": estimate,
-        "radius": radius,
+        "radius": args.radius,
         "iterations": args.iterations,
     }
     _emit(args, lines, payload)
@@ -338,17 +335,11 @@ def cmd_conditions(args) -> int:
 
 def cmd_gram(args) -> int:
     doc = _load_document(args.machine)
-    k = doc.frame.tape_count
-    side = args.side
-    if side is None:
-        side = "both" if k == 1 else "columns"
-    if side in ("rows", "both") and k != 1:
-        raise ValueError("the row-side oracle covers single-tape machines")
-    radius = args.radius if args.radius is not None else (3 if k == 1 else 2)
+    radius = args.radius if args.radius is not None else (3 if doc.frame.tape_count == 1 else 2)
     checks = []
-    if side in ("columns", "both"):
+    if args.side in ("columns", "both"):
         checks.append(column_gram_check(doc.table, radius, args.tolerance))
-    if side in ("rows", "both"):
+    if args.side in ("rows", "both"):
         checks.append(row_gram_check(doc.table, radius, args.tolerance))
     lines = [f"machine: {doc.name}", f"radius: {radius}"]
     payload_checks = []
@@ -403,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="print K, the norm bound and a windowed estimate")
     add_common(p)
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=int, default=3)
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_norm)
@@ -415,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="brute-force Gram oracle over a configuration window")
     add_common(p)
-    p.add_argument("--side", choices=("columns", "rows", "both"), default=None)
+    p.add_argument("--side", choices=("columns", "rows", "both"), default="both")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_gram)

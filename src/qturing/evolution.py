@@ -505,13 +505,13 @@ def apply(table: TransitionTable, psi: Superposition) -> Superposition:
     return _step(table, psi, adjoint=False)[0]
 
 
-def apply_adjoint(table: TransitionTable, psi: Superposition, *, allow_multitape: bool = False) -> Superposition:
-    """One application of the adjoint: each term |p,T,xi> pulls back to the
-    configurations |q, T with sigma written at xi-d, xi-d> weighted by the
-    conjugated rule amplitude delta(q, sigma, p, T(xi-d), d)*."""
-    if table.frame.tape_count != 1 and not allow_multitape:
-        raise ValueError("adjoint application covers single-tape frames; "
-                         "pass allow_multitape=True for the componentwise extension")
+def apply_adjoint(table: TransitionTable, psi: Superposition) -> Superposition:
+    """One application of the adjoint, on any number of tapes: each term
+    |p, T, xi> with head vector xi pulls back, for every move vector d and
+    read vector sigma, to |q, T with sigma_i written at xi_i - d_i on each
+    tape i, xi - d> weighted by the conjugated rule amplitude
+    delta(q, sigma, p, T(xi - d), d)*, where T(xi - d) reads tape i at
+    xi_i - d_i."""
     return _step(table, psi, adjoint=True)[0]
 
 
@@ -576,7 +576,8 @@ def run(
 
 def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, seed: int = 0) -> float:
     """Power-iteration lower bound on the operator norm, computed on the
-    window of configurations with support and head inside [-w, w].
+    window of configurations whose support and head lie inside [-w, w] on
+    every tape.
 
     The estimate is a Rayleigh quotient of the compressed operator, hence
     never exceeds the true norm; it is exact (=1) for tables that pass the
@@ -584,9 +585,6 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     the compressed normal operator.  A window of more than
     `windows.MAX_WINDOW_CONFIGS` configurations is refused with ValueError.
     """
-    frame = table.frame
-    if frame.tape_count != 1:
-        raise ValueError("norm estimation covers single-tape frames")
     if window_radius < 1 or iterations < 1:
         raise ValueError("window_radius and iterations must be positive")
     from .windows import PackedWindow  # windows builds on this module's layout

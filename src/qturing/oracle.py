@@ -21,13 +21,12 @@ import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE
 from .evolution import _Kernel
-from .frame import Configuration, TuringFrame, _as_vector
+from .frame import MOVES, Configuration, TuringFrame, _as_vector
 from .ktape import check_column
 from .table import TransitionTable
-from .windows import PackedWindow, radius_window
+from .windows import PackedWindow
 
 __all__ = [
-    "radius_window",
     "GramCheck",
     "column_gram_check",
     "row_gram_check",
@@ -155,9 +154,9 @@ def column_gram_check(
 def row_gram_check(
     table: TransitionTable, radius: int = 3, tolerance: float = DEFAULT_TOLERANCE
 ) -> GramCheck:
-    """Co-isometry verdict by brute force over adjoint expansions (single tape)."""
-    if table.frame.tape_count != 1:
-        raise ValueError("row gram check covers single-tape frames")
+    """Co-isometry verdict by brute force: the row Gram matrix, formed from
+    the adjoint expansions over the radius window, must be the identity
+    within tolerance."""
     return _gram_check(table, radius, tolerance, "rows")
 
 
@@ -176,15 +175,15 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def pair_unitary_machine(
     frame: TuringFrame, unitary: np.ndarray, directions
 ) -> TransitionTable:
-    """Build a table from a unitary on the (state, symbol) pairs plus a
-    per-state move: rule (q,s) -> (p,t) carries unitary[(p,t),(q,s)] on the
-    move assigned to p, and 0 on the other moves.  The result always passes
-    the column conditions, with the cross-shift conditions structurally zero.
+    """Build a table from a unitary on the (state, read vector) pairs plus a
+    per-state move vector: rule (q,sigma) -> (p,tau) carries
+    unitary[(p,tau),(q,sigma)] on the move vector assigned to p, and 0 on
+    the other moves.  `directions` lists (or maps state index to) one move
+    vector in {-1,0,1}^k per state; on one tape a move may be a scalar.
+    The result always passes the column conditions, with the cross-shift
+    conditions structurally zero.
     """
-    if frame.tape_count != 1:
-        raise ValueError("pair_unitary_machine covers single-tape frames")
-    Q = frame.state_count
-    S = frame.symbol_counts[0]
+    Q, S, k = frame.state_count, frame.symbol_block, frame.tape_count
     dim = Q * S
     unitary = np.asarray(unitary, dtype=np.complex128)
     if unitary.shape != (dim, dim):
@@ -198,15 +197,15 @@ def pair_unitary_machine(
     for p in range(Q):
         if p not in directions:
             raise ValueError(f"directions must be total: state {frame.states[p]!r} has no move")
-        d = directions[p]
-        if d not in (-1, 0, 1):
-            raise ValueError("directions must map every state to a move in {-1,0,1}")
-        moves.append(d)
+        d = np.atleast_1d(directions[p])
+        if d.shape != (k,) or d.dtype.kind not in "iu" or not set(d.tolist()) <= set(MOVES):
+            raise ValueError(f"directions must map every state to a move vector in {{-1,0,1}}^{k}")
+        moves.append(frame.move_flat(d.tolist()))
 
-    amps = np.zeros((Q, S, Q, S, 3), dtype=np.complex128)
+    amps = np.zeros((Q, S, Q, S, frame.move_block), dtype=np.complex128)
     for p in range(Q):
         block = unitary[p * S:(p + 1) * S, :].reshape(S, Q, S)
-        amps[:, :, p, :, moves[p] + 1] = np.transpose(block, (1, 2, 0))
+        amps[:, :, p, :, moves[p]] = np.transpose(block, (1, 2, 0))
     return TransitionTable(frame, amps)
 
 

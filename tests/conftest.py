@@ -32,6 +32,49 @@ def corpus() -> list[qt.CorpusEntry]:
     return qt.build_corpus(50, 50, seed=7)
 
 
+# (states, symbols on tape 1, symbols on tape 2); at r=1 the largest window,
+# (1, 3, 2), holds 1,944 configurations.
+TWO_TAPE_FRAMES = [(1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 2, 1), (2, 2, 2), (1, 3, 2)]
+
+
+def build_two_tape_corpus(n_valid: int = 24, n_invalid: int = 24, seed: int = 11) -> list[qt.CorpusEntry]:
+    """Seeded two-tape corpus in the manner of `qt.build_corpus`: unitary-pair
+    machines with a random move vector per state, then single-entry
+    perturbations of them that `check_auto` rejects."""
+    rng = np.random.default_rng(seed)
+    valid = []
+    for i in range(n_valid):
+        frame = qt.simple_frame(*TWO_TAPE_FRAMES[i % len(TWO_TAPE_FRAMES)])
+        unitary = qt.random_unitary(frame.state_count * frame.symbol_block, rng)
+        moves = [tuple(int(d) for d in rng.integers(-1, 2, size=2)) for _ in range(frame.state_count)]
+        table = qt.pair_unitary_machine(frame, unitary, moves)
+        valid.append(qt.CorpusEntry(table, True, f"valid-{i} Q={frame.state_count} S={frame.symbol_counts}"))
+    invalid = []
+    for i in range(n_invalid):
+        base = valid[i % n_valid].table
+        frame = base.frame
+        while True:
+            entry = (
+                int(rng.integers(frame.state_count)),
+                tuple(int(rng.integers(n)) for n in frame.symbol_counts),
+                int(rng.integers(frame.state_count)),
+                tuple(int(rng.integers(n)) for n in frame.symbol_counts),
+                tuple(int(d) for d in rng.integers(-1, 2, size=2)),
+            )
+            epsilon = float(rng.uniform(0.05, 0.5)) * (1 if rng.integers(2) else -1)
+            table = qt.perturb(base, entry, epsilon)
+            if not qt.check_auto(table).passed:
+                break
+        invalid.append(qt.CorpusEntry(table, False,
+                                      f"invalid-{i} Q={frame.state_count} S={frame.symbol_counts}"))
+    return valid + invalid
+
+
+@pytest.fixture(scope="session")
+def two_tape_corpus() -> list[qt.CorpusEntry]:
+    return build_two_tape_corpus()
+
+
 def random_table(frame: qt.TuringFrame, rng: np.random.Generator, density: float = 0.6) -> qt.TransitionTable:
     shape = (
         frame.state_count,

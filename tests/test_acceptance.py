@@ -10,6 +10,7 @@ import pytest
 
 import qturing as qt
 from qturing.cli import bundled_machine_path, main
+from qturing.windows import window_size
 
 from conftest import random_table
 import reference_conditions
@@ -58,17 +59,6 @@ def test_criterion_02_condition_count_law():
     _report(2, "generated condition totals are 4/14/64/314 for k=1..4", failures)
 
 
-def _pair_machine_two_tape(frame, unitary, directions):
-    """Unidirectional two-tape machine from a unitary on (state, symbol pair)s."""
-    Q, S = frame.state_count, frame.symbol_block
-    amps = np.zeros((Q, S, Q, S, 9), dtype=complex)
-    for p in range(Q):
-        m = frame.move_flat(directions[p])
-        block = unitary[p * S:(p + 1) * S, :].reshape(S, Q, S)
-        amps[:, :, p, :, m] = np.transpose(block, (1, 2, 0))
-    return qt.TransitionTable(frame, amps)
-
-
 def test_criterion_03_checker_specialization():
     failures = []
     rng = np.random.default_rng(101)
@@ -99,7 +89,7 @@ def test_criterion_03_checker_specialization():
                 for a, b in zip(rng.integers(-1, 2, size=frame.state_count),
                                 rng.integers(-1, 2, size=frame.state_count))
             ]
-            table = _pair_machine_two_tape(
+            table = qt.pair_unitary_machine(
                 frame, qt.random_unitary(frame.state_count * frame.symbol_block, rng), dirs)
         else:
             table = random_table(frame, rng, density=float(rng.uniform(0.2, 0.8)))
@@ -128,14 +118,29 @@ def test_criterion_04_oracle_equivalence(corpus):
     _report(4, "checker verdicts equal brute-force Gram verdicts on the 100-table corpus", failures)
 
 
-def test_criterion_05_column_row_agreement(corpus):
+def test_criterion_05_column_row_agreement(corpus, two_tape_corpus):
     failures = []
     for entry in corpus:
         column = qt.check_column(entry.table).passed
         row = qt.check_row(entry.table).passed
         if column != row:
             failures.append(f"{entry.label}: column {column} vs row {row}")
-    _report(5, "column and row verdicts agree on the full corpus", failures)
+    # two tapes have no row condition set: the row side is the brute-force
+    # row Gram check, at r=1 and at r=2 where that window stays small
+    for entry in two_tape_corpus:
+        checker = qt.check_auto(entry.table).passed
+        if checker != entry.expect_valid:
+            failures.append(f"two-tape {entry.label}: check_auto {checker}")
+        for radius in (1, 2):
+            if radius == 2 and window_size(entry.table.frame, radius) > 2000:
+                continue
+            column = qt.column_gram_check(entry.table, radius).passed
+            row = qt.row_gram_check(entry.table, radius).passed
+            if not column == row == checker:
+                failures.append(f"two-tape {entry.label} r={radius}: "
+                                f"column gram {column}, row gram {row}, check_auto {checker}")
+    _report(5, "column and row verdicts agree on the one-tape corpus; column Gram, row Gram "
+               "and check_auto agree on the 48-table two-tape corpus", failures)
 
 
 def test_criterion_06_unidirectional_exactness(corpus):

@@ -183,6 +183,7 @@ class TestNorm:
     def test_two_tape_rejected(self, capsys):
         code, _, err = invoke(capsys, "norm", "two_tape_identity")
         assert code == 2
+        assert err == "error: the norm bound is proven for single-tape frames only\n"
 
 
 class TestConditions:
@@ -243,16 +244,20 @@ class TestGram:
         assert "columns: residual=0.000000000000e+00" in out
         assert "rows: residual=0.000000000000e+00" in out
 
-    def test_two_tape_defaults_to_columns_radius_two(self, capsys):
+    def test_two_tape_defaults_to_both_sides_radius_two(self, capsys):
         code, out, _ = invoke(capsys, "gram", "two_tape_identity")
         assert code == 0
-        assert "radius: 2" in out
-        assert "rows" not in out.replace("rows:", "ROWS") or True
-        assert "columns:" in out
+        lines = out.splitlines()
+        assert "radius: 2" in lines
+        assert "columns: residual=0.000000000000e+00 configs=25 pairs=0 PASS" in lines
+        assert "rows: residual=0.000000000000e+00 configs=25 pairs=0 PASS" in lines
 
-    def test_two_tape_rows_rejected(self, capsys):
-        code, _, err = invoke(capsys, "gram", "two_tape_identity", "--side", "rows")
-        assert code == 2
+    def test_two_tape_rows_pass(self, capsys):
+        code, out, err = invoke(capsys, "gram", "two_tape_identity", "--side", "rows")
+        assert (code, err) == (0, "")
+        assert "rows: residual=0.000000000000e+00 configs=25 pairs=0 PASS" in out.splitlines()
+        assert "columns:" not in out
+        assert out.endswith("verdict: PASS\n")
 
     def test_invalid_machine_fails(self, capsys, tmp_path):
         table = qt.parse_machine(bundled_machine_path("counterexample").read_text())

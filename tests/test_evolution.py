@@ -112,13 +112,11 @@ class TestAdjoint:
         rhs = qt.apply_adjoint(table, phi).inner(psi)
         assert abs(lhs - rhs) < 1e-12
 
-    def test_multitape_requires_flag(self):
+    def test_multitape_identity_adjoint_fixes_basis_state(self):
         frame = qt.simple_frame(1, 1, 1)
         table = qt.TransitionTable.from_rules(frame, [(0, (0, 0), 0, (0, 0), (0, 0), 1.0)])
         psi = qt.Superposition.basis(qt.blank_configuration(frame))
-        with pytest.raises(ValueError):
-            qt.apply_adjoint(table, psi)
-        assert qt.apply_adjoint(table, psi, allow_multitape=True) == psi
+        assert qt.apply_adjoint(table, psi) == psi
 
     def test_multitape_adjointness(self):
         rng = np.random.default_rng(28)
@@ -127,8 +125,20 @@ class TestAdjoint:
         psi = random_superposition(frame, rng, span=1)
         phi = random_superposition(frame, rng, span=1)
         lhs = phi.inner(qt.apply(table, psi))
-        rhs = qt.apply_adjoint(table, phi, allow_multitape=True).inner(psi)
+        rhs = qt.apply_adjoint(table, phi).inner(psi)
         assert abs(lhs - rhs) < 1e-12
+
+    def test_two_tape_round_trips(self, two_tape_corpus):
+        # M^dagger M = M M^dagger = I for every valid table, on any tape count
+        rng = np.random.default_rng(36)
+        for entry in two_tape_corpus:
+            if not entry.expect_valid:
+                continue
+            psi = random_superposition(entry.table.frame, rng, terms=4, span=1)
+            there = qt.apply(entry.table, psi)
+            assert qt.apply_adjoint(entry.table, there).distance(psi) < 1e-12, entry.label
+            back = qt.apply_adjoint(entry.table, psi)
+            assert qt.apply(entry.table, back).distance(psi) < 1e-12, entry.label
 
 
 class TestMatrixElement:
@@ -234,11 +244,12 @@ class TestEstimateNorm:
         estimates = [qt.estimate_norm(table, r, 150) for r in (1, 2, 3)]
         assert estimates[0] <= estimates[1] + 1e-9 <= estimates[2] + 2e-9
 
-    def test_multitape_rejected(self):
-        frame = qt.simple_frame(1, 1, 1)
-        table = qt.TransitionTable.from_rules(frame, [(0, (0, 0), 0, (0, 0), (0, 0), 1.0)])
-        with pytest.raises(ValueError):
-            qt.estimate_norm(table, 2, 10)
+    def test_valid_two_tape_table_estimates_one(self):
+        rng = np.random.default_rng(35)
+        frame = qt.simple_frame(2, 2, 1)
+        table = qt.pair_unitary_machine(frame, qt.random_unitary(4, rng), [(1, 0), (-1, 1)])
+        assert qt.check_auto(table).passed
+        assert abs(qt.estimate_norm(table, 2, 50) - 1.0) < 1e-9
 
 
 class TestSuperposition:

@@ -10,7 +10,9 @@ machine read from a `.qtm` file, and a superposition start file.  The
 `norm` and `gram` goldens cover `--radius 2` on every two-symbol table of
 `build_corpus(50, 50, seed=7)`, read from `.qtm` files: the last bits of a
 norm estimate and a Gram residual follow the step operator's entry order,
-so these pin that order.  To capture them again (only when an output
+so these pin that order.  The multi-tape goldens cover `gram` (each
+`--side`, and the default) and `norm` on `two_tape_identity` in both
+formats; `norm` pins its exit-2 stderr.  To capture them again (only when an output
 change is intended and recorded), run::
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -30,6 +32,7 @@ from qturing.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "validate.json"
 RUN_GOLDEN = Path(__file__).parent / "golden" / "run.json"
 NORM_GOLDEN = Path(__file__).parent / "golden" / "norm.json"
+MULTITAPE_GOLDEN = Path(__file__).parent / "golden" / "multitape.json"
 MACHINES = ("counterexample", "identity", "zero", "two_tape_identity")
 CHECKERS = ("auto", "column", "hirvensalo", "ktape", "row", "two-tape")
 FORMATS = ("text", "json")
@@ -55,6 +58,13 @@ def _two_symbol_indices() -> list[int]:
 
 
 NORM_CASES = [f"corpus-{i} {command}" for i in _two_symbol_indices() for command in NORM_COMMANDS]
+MULTITAPE_COMMANDS = {
+    "gram-rows": ["gram", "--side", "rows"],
+    "gram-both": ["gram", "--side", "both"],
+    "gram": ["gram"],
+    "norm": ["norm"],
+}
+MULTITAPE_CASES = [f"two_tape_identity {command} {f}" for command in MULTITAPE_COMMANDS for f in FORMATS]
 # Two terms with unequal phases, so the start file exercises complex amplitudes.
 START_TERMS = [
     {"state": "0", "heads": [0], "tapes": [[]], "amp": [0.6, 0.0]},
@@ -104,6 +114,12 @@ def capture_norm(case: str) -> dict:
         return _invoke(argv[:1] + [str(path)] + argv[1:])
 
 
+def capture_multitape(case: str) -> dict:
+    machine, command, fmt = case.split()
+    argv = MULTITAPE_COMMANDS[command]
+    return _invoke(argv[:1] + [machine] + argv[1:] + ["--format", fmt])
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -147,6 +163,21 @@ def test_norm_gram_bytes_match_golden(norm_golden, case):
     assert capture_norm(case) == norm_golden[case]
 
 
+@pytest.fixture(scope="module")
+def multitape_golden() -> dict:
+    return json.loads(MULTITAPE_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_multitape_golden_covers_every_case(multitape_golden):
+    assert len(MULTITAPE_CASES) == 8
+    assert sorted(multitape_golden) == sorted(MULTITAPE_CASES)
+
+
+@pytest.mark.parametrize("case", MULTITAPE_CASES)
+def test_multitape_bytes_match_golden(multitape_golden, case):
+    assert capture_multitape(case) == multitape_golden[case]
+
+
 def _write(path: Path, golden: dict):
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -156,3 +187,4 @@ if __name__ == "__main__":
     _write(GOLDEN, {case: capture(case) for case in CASES})
     _write(RUN_GOLDEN, {case: capture_run(case) for case in RUN_CASES})
     _write(NORM_GOLDEN, {case: capture_norm(case) for case in NORM_CASES})
+    _write(MULTITAPE_GOLDEN, {case: capture_multitape(case) for case in MULTITAPE_CASES})

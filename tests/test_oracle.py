@@ -178,6 +178,29 @@ class TestPairUnitaryMachine:
         with pytest.raises(ValueError):
             qt.pair_unitary_machine(frame, np.eye(2), [0, 2])
 
+    def test_scalar_moves_equal_length_one_vectors(self):
+        frame = qt.simple_frame(2, 2)
+        unitary = qt.random_unitary(4, np.random.default_rng(33))
+        scalar = qt.pair_unitary_machine(frame, unitary, [1, -1])
+        assert np.array_equal(scalar.amplitudes, qt.pair_unitary_machine(frame, unitary, [(1,), (-1,)]).amplitudes)
+        assert np.array_equal(scalar.amplitudes, qt.pair_unitary_machine(frame, unitary, {1: -1, 0: 1}).amplitudes)
+
+    def test_two_tape_move_vectors(self):
+        frame = qt.simple_frame(2, 2, 1)
+        table = qt.pair_unitary_machine(frame, qt.random_unitary(4, np.random.default_rng(34)), [(1, 0), (-1, 1)])
+        entered = np.abs(table.amplitudes).sum(axis=(0, 1, 3))
+        assert set(zip(*np.nonzero(entered))) == {(0, frame.move_flat((1, 0))), (1, frame.move_flat((-1, 1)))}
+        assert qt.check_auto(table).passed and qt.is_unidirectional(table)
+        assert qt.column_gram_check(table, radius=2).passed and qt.row_gram_check(table, radius=2).passed
+
+    @pytest.mark.parametrize("directions", [
+        [1, 0], [(1, 0), (0,)], [(1, 0), (0, 0, 0)], [(1, 0), (2, 0)], [(1, 0), (0.5, 0)], [(1, 0), "ab"],
+        {0: (1, 0)},
+    ])
+    def test_rejects_bad_move_vectors(self, directions):
+        with pytest.raises(ValueError):
+            qt.pair_unitary_machine(qt.simple_frame(2, 2, 1), np.eye(4), directions)
+
 
 class TestPerturb:
     def test_identity_perturbation_residual(self, identity_machine):

@@ -144,7 +144,7 @@ def test_run_and_adjoint_match_reference_bit_for_bit(name):
     assert len(result.pruned_mass) == steps + 1
     psi = ref_back = result.final
     for _ in range(back_steps):
-        psi = qt.apply_adjoint(table, psi, allow_multitape=True)
+        psi = qt.apply_adjoint(table, psi)
         ref_back = reference_adjoint(table, ref_back)
         assert _bits(psi) == _bits(ref_back)
     assert (len(psi) == 0) == (name == "empty")

@@ -129,7 +129,7 @@ def test_every_method_matches_a_dict_built_copy(name):
 # chains against the per-term dict loops
 # ---------------------------------------------------------------------------
 
-def _chain(tables, start, ops, multitape=False):
+def _chain(tables, start, ops):
     """Run `ops` ("apply", "adjoint" or ("run", n), with the table index
     cycling through `tables`) on the packed route and on the reference
     loops, comparing dict order and amplitude bits after every op."""
@@ -139,7 +139,7 @@ def _chain(tables, start, ops, multitape=False):
         if op == "apply":
             psi, ref = qt.apply(table, psi), reference_apply(table, ref)
         elif op == "adjoint":
-            psi = qt.apply_adjoint(table, psi, allow_multitape=multitape)
+            psi = qt.apply_adjoint(table, psi)
             ref = reference_adjoint(table, ref)
         else:
             steps = op[1]
@@ -174,7 +174,7 @@ def test_mixed_chains_on_the_corpus(corpus, indices):
 def test_two_tape_mixed_chain():
     table = _machine("two_tape_identity")
     start = _start(table, [(0, (0, 0), ({}, {}), 0.6), (0, (2, -1), ({}, {}), 0.8j)])
-    _chain([table], start, MIXED, multitape=True)
+    _chain([table], start, MIXED)
 
 
 def test_long_chain_reframes_as_heads_drift(calls):
@@ -233,7 +233,7 @@ def test_packed_state_on_another_frame_raises_as_a_dict_state(source, target):
     psi = qt.apply(built, qt.Superposition.basis(qt.blank_configuration(built.frame)))
     copy = qt.Superposition(dict(psi._terms))
     for call in (lambda p: qt.apply(table, p),
-                 lambda p: qt.apply_adjoint(table, p, allow_multitape=True),
+                 lambda p: qt.apply_adjoint(table, p),
                  lambda p: qt.run(table, p, 2, unchecked=True).final):
         outcome = _outcome(lambda: call(_fresh(psi)))
         assert outcome == _outcome(lambda: call(copy))

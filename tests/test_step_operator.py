@@ -205,7 +205,7 @@ def test_step_matches_reference_bit_for_bit(counterexample, corpus, name, adjoin
     table = build(counterexample, corpus)
     start = qt.Superposition({qt.Configuration(0, table.frame.blank_tapes(), h): a for h, a in amps.items()})
     if adjoint:
-        step = lambda psi: qt.apply_adjoint(table, psi, allow_multitape=True)
+        step = lambda psi: qt.apply_adjoint(table, psi)
         ref_step = lambda psi: reference_adjoint(table, psi)
     else:
         step = lambda psi: qt.apply(table, psi)
@@ -233,7 +233,7 @@ def test_step_rejects_tape_count_mismatch(counterexample):
         lambda: qt.apply(counterexample, two),
         lambda: qt.apply_adjoint(counterexample, two),
         lambda: qt.apply(two_tape, one),
-        lambda: qt.apply_adjoint(two_tape, one, allow_multitape=True),
+        lambda: qt.apply_adjoint(two_tape, one),
     ):
         with pytest.raises(ValueError, match="superposition does not match the table's frame"):
             call()
