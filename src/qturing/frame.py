@@ -16,12 +16,19 @@ MOVES = (-1, 0, 1)
 
 
 def _as_vector(value, k: int, what: str) -> tuple[int, ...]:
-    """Normalize a scalar (k=1 convenience) or a sequence to a length-k tuple."""
+    """Normalize an integer scalar (k=1 convenience) or a sequence of integers
+    to a length-k tuple; ValueError for any non-integer component."""
     if isinstance(value, numbers.Integral):
         if k != 1:
             raise ValueError(f"{what} must be a length-{k} vector, got a scalar")
         return (int(value),)
-    vec = tuple(int(v) for v in value)
+    try:
+        vec = tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer or a sequence of integers, got {value!r}") from None
+    if not all(isinstance(v, numbers.Integral) for v in vec):
+        raise ValueError(f"{what} components must be integers, got {vec!r}")
+    vec = tuple(int(v) for v in vec)
     if len(vec) != k:
         raise ValueError(f"{what} must have length {k}, got {len(vec)}")
     return vec

@@ -18,7 +18,10 @@ Every rule references declared names; read/write/move lists have one entry
 per tape; moves are -1, 0 or 1; amplitudes are [real, imaginary] pairs.
 Unlisted rules have amplitude 0.  Parse failures raise MachineParseError
 with a distinct `code`: syntax (with line/column), schema, unknown-name,
-dimension, range, duplicate.
+dimension, range, duplicate.  Of several invalid rules the first in document
+order is reported, with its first failing check.  A frame whose table would
+hold more than MAX_TABLE_ENTRIES amplitudes is refused with `range` before
+the table is allocated.
 """
 from __future__ import annotations
 
@@ -66,6 +69,63 @@ def _finite(x) -> bool:
         return False
 
 
+MAX_TABLE_ENTRIES = 2 ** 24
+_AMP_TYPES = {(a, b) for a in (int, float) for b in (int, float)}
+
+
+def table_entries(frame: TuringFrame) -> int:
+    """|Q|^2 * S^2 * 3^k, the number of amplitude entries in the frame's rule
+    table; `range` above MAX_TABLE_ENTRIES, found tape by tape before any
+    large power is formed."""
+    size = frame.state_count ** 2
+    for symbols in frame.symbol_counts:
+        size *= 3 * symbols * symbols
+        _expect(size <= MAX_TABLE_ENTRIES, "range", f"the rule table would hold more than "
+                f"{MAX_TABLE_ENTRIES} amplitude entries (|Q|^2 * S^2 * 3^k)")
+    return size
+
+
+class _Codes(dict):
+    """Flat code (tape 1 most significant) of each name or move vector met so
+    far, computed on first sight; None for an invalid vector."""
+
+    def __init__(self, digits, sizes):
+        self.digits, self.sizes = digits, sizes
+
+    def __missing__(self, key):
+        digits = [lookup.get(x) for lookup, x in zip(self.digits, key)]
+        valid = len(key) == len(self.sizes) and None not in digits
+        self[key] = flat = int(np.ravel_multi_index(digits, self.sizes)) if valid else None
+        return flat
+
+
+def _rule_error(where: str, rule, k: int, state_index: dict, symbol_index: list):
+    """Raise the error of the first failing check of a refused rule, checking
+    in the order: object, keys, states, list lengths, symbols, moves, amp."""
+    _expect(isinstance(rule, dict), "schema", f"{where} must be an object")
+    for key in ("q", "read", "p", "write", "move", "amp"):
+        _expect(key in rule, "schema", f"{where} is missing {key!r}")
+    for key in ("q", "p"):
+        _expect(isinstance(rule[key], str), "schema", f"{where}: {key} must be a state name")
+        _expect(rule[key] in state_index, "unknown-name", f"{where}: unknown state {rule[key]!r}")
+    for key in ("read", "write", "move"):
+        _expect(isinstance(rule[key], list), "schema", f"{where}: {key} must be a list")
+        _expect(len(rule[key]) == k, "dimension",
+                f"{where}: {key} must have one entry per tape ({k}), got {len(rule[key])}")
+    for key in ("read", "write"):
+        for t, sym in enumerate(rule[key]):
+            _expect(isinstance(sym, str) and sym in symbol_index[t],
+                    "unknown-name", f"{where}: unknown tape-{t + 1} symbol {sym!r} in {key}")
+    for m in rule["move"]:
+        _expect(type(m) is int and m in (-1, 0, 1),
+                "range", f"{where}: move components must be -1, 0 or 1, got {m!r}")
+    amp = rule["amp"]
+    _expect(isinstance(amp, list) and tuple(map(type, amp)) in _AMP_TYPES,
+            "schema", f"{where}: amp must be a [real, imaginary] pair")
+    _expect(all(_finite(x) for x in amp), "schema", f"{where}: amp must be finite")
+    raise MachineParseError("duplicate", f"{where}: duplicate rule key (q, read, p, write, move)")
+
+
 def parse_document(text: str) -> MachineDocument:
     try:
         doc = json.loads(text)
@@ -99,6 +159,7 @@ def parse_document(text: str) -> MachineDocument:
         alphabets.append(tuple(symbols))
         blanks.append(symbols.index(blank))
     frame = TuringFrame(tuple(states), tuple(alphabets), tuple(blanks))
+    table_entries(frame)
     k = frame.tape_count
 
     rules = doc.get("rules", [])
@@ -106,61 +167,31 @@ def parse_document(text: str) -> MachineDocument:
     state_index = {s: i for i, s in enumerate(states)}
     symbol_index = [{s: i for i, s in enumerate(a)} for a in alphabets]
 
-    amps = np.zeros(
-        (frame.state_count, frame.symbol_block, frame.state_count, frame.symbol_block, frame.move_block),
-        dtype=np.complex128,
-    )
-    seen = set()
+    # Cheap checks (exact types: True and 1.0 hash like 1); a rule that fails
+    # one or raises goes to _rule_error, which finds its first failing check.
+    symbol_codes = _Codes(symbol_index, frame.symbol_counts)
+    move_codes = _Codes([{-1: 0, 0: 1, 1: 2}] * k, [3] * k)
+    ints = (int,) * k
+    Q, S, M = frame.state_count, frame.symbol_block, frame.move_block
+    entries = {}  # flat index of (q, s, p, t, m) -> amp, in document order
     for i, rule in enumerate(rules):
-        where = f"rule {i + 1}"
-        _expect(isinstance(rule, dict), "schema", f"{where} must be an object")
-        for key in ("q", "read", "p", "write", "move", "amp"):
-            _expect(key in rule, "schema", f"{where} is missing {key!r}")
+        try:
+            read, write, move, amp = rule["read"], rule["write"], rule["move"], rule["amp"]
+            q, s, p = state_index[rule["q"]], symbol_codes[tuple(read)], state_index[rule["p"]]
+            key = (((q * S + s) * Q + p) * S + symbol_codes[tuple(write)]) * M + move_codes[tuple(move)]
+            valid = (type(read) is type(write) is type(move) is type(amp) is list
+                     and tuple(map(type, move)) == ints and tuple(map(type, amp)) in _AMP_TYPES
+                     and math.isfinite(amp[0]) and math.isfinite(amp[1]))
+        except (KeyError, TypeError, OverflowError):
+            valid = False
+        if not valid or key in entries:
+            _rule_error(f"rule {i + 1}", rule, k, state_index, symbol_index)
+        entries[key] = amp
 
-        for key in ("q", "p"):
-            _expect(isinstance(rule[key], str), "schema", f"{where}: {key} must be a state name")
-            if rule[key] not in state_index:
-                raise MachineParseError("unknown-name", f"{where}: unknown state {rule[key]!r}")
-        q = state_index[rule["q"]]
-        p = state_index[rule["p"]]
-
-        for key in ("read", "write", "move"):
-            _expect(isinstance(rule[key], list), "schema", f"{where}: {key} must be a list")
-            if len(rule[key]) != k:
-                raise MachineParseError(
-                    "dimension", f"{where}: {key} must have one entry per tape ({k}), got {len(rule[key])}")
-
-        def symbol_vec(key):
-            vec = []
-            for t, sym in enumerate(rule[key]):
-                if not isinstance(sym, str) or sym not in symbol_index[t]:
-                    raise MachineParseError(
-                        "unknown-name", f"{where}: unknown tape-{t + 1} symbol {sym!r} in {key}")
-                vec.append(symbol_index[t][sym])
-            return tuple(vec)
-
-        read = symbol_vec("read")
-        write = symbol_vec("write")
-        move = []
-        for t, m in enumerate(rule["move"]):
-            if not isinstance(m, int) or isinstance(m, bool) or m not in (-1, 0, 1):
-                raise MachineParseError("range", f"{where}: move components must be -1, 0 or 1, got {m!r}")
-            move.append(m)
-        move = tuple(move)
-
-        amp = rule["amp"]
-        _expect(isinstance(amp, list) and len(amp) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in amp),
-                "schema", f"{where}: amp must be a [real, imaginary] pair")
-        _expect(all(_finite(x) for x in amp), "schema", f"{where}: amp must be finite")
-
-        key = (q, read, p, write, move)
-        if key in seen:
-            raise MachineParseError("duplicate", f"{where}: duplicate rule key (q, read, p, write, move)")
-        seen.add(key)
-        amps[q, frame.symbol_flat(read), p, frame.symbol_flat(write), frame.move_flat(move)] = complex(
-            amp[0], amp[1])
-
+    amps = np.zeros((Q, S, Q, S, M), dtype=np.complex128)
+    # (re, im) float pairs viewed as complex keep the sign of a -0.0 part
+    values = np.array(list(entries.values()), dtype=np.float64).reshape(-1, 2).view(np.complex128)
+    amps.reshape(-1)[np.fromiter(entries, dtype=np.intp, count=len(entries))] = values[:, 0]
     return MachineDocument(name=name, frame=frame, table=TransitionTable(frame, amps))
 
 

@@ -12,7 +12,9 @@ machine read from a `.qtm` file, and a superposition start file.  The
 norm estimate and a Gram residual follow the step operator's entry order,
 so these pin that order.  The multi-tape goldens cover `gram` (each
 `--side`, and the default) and `norm` on `two_tape_identity` in both
-formats; `norm` pins its exit-2 stderr.  To capture them again (only when an output
+formats; `norm` pins its exit-2 stderr.  The parse-error goldens cover
+`validate` on malformed documents, one or more per parse error code, in
+both formats.  To capture them again (only when an output
 change is intended and recorded), run::
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -33,6 +35,7 @@ GOLDEN = Path(__file__).parent / "golden" / "validate.json"
 RUN_GOLDEN = Path(__file__).parent / "golden" / "run.json"
 NORM_GOLDEN = Path(__file__).parent / "golden" / "norm.json"
 MULTITAPE_GOLDEN = Path(__file__).parent / "golden" / "multitape.json"
+PARSE_ERROR_GOLDEN = Path(__file__).parent / "golden" / "parse_errors.json"
 MACHINES = ("counterexample", "identity", "zero", "two_tape_identity")
 CHECKERS = ("auto", "column", "hirvensalo", "ktape", "row", "two-tape")
 FORMATS = ("text", "json")
@@ -65,6 +68,63 @@ MULTITAPE_COMMANDS = {
     "norm": ["norm"],
 }
 MULTITAPE_CASES = [f"two_tape_identity {command} {f}" for command in MULTITAPE_COMMANDS for f in FORMATS]
+
+
+def _rule(**fields) -> dict:
+    rule = {"q": "0", "read": ["B"], "p": "0", "write": ["B"], "move": [0], "amp": [0.5, 0.0]}
+    rule.update(fields)
+    return rule
+
+
+def _malformed(*rules, states=("0", "1"), tapes=None, **fields) -> str:
+    """A two-state, one-tape {B, x} document whose rule list (or any top-level
+    field) is replaced."""
+    doc = {"name": "malformed", "states": list(states),
+           "tapes": tapes or [{"symbols": ["B", "x"], "blank": "B"}], "rules": list(rules)}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+# `validate` on documents that fail to parse: one or more per error code, two
+# frames too large to allocate, and three cases pinning which failure is
+# reported (the first failing check of the first invalid rule in document
+# order).
+PARSE_ERROR_DOCUMENTS = {
+    "syntax bad-token": "{not json",
+    "syntax truncated": _malformed(_rule())[:60],
+    "schema not-an-object": "[1, 2]",
+    "schema name": _malformed(name=5),
+    "schema states-empty": _malformed(states=[]),
+    "schema states-duplicate": _malformed(states=["0", "0"]),
+    "schema symbols-duplicate": _malformed(tapes=[{"symbols": ["B", "B"], "blank": "B"}]),
+    "unknown-name blank": _malformed(tapes=[{"symbols": ["B", "x"], "blank": "y"}]),
+    "schema rules-not-a-list": _malformed(rules={"q": "0"}),
+    "schema rule-not-an-object": _malformed(_rule(), ["0"]),
+    "schema rule-missing-key": _malformed({k: v for k, v in _rule().items() if k != "amp"}),
+    "schema state-not-a-string": _malformed(_rule(q=["0"])),
+    "unknown-name state": _malformed(_rule(), _rule(p="7")),
+    "schema read-not-a-list": _malformed(_rule(read="B")),
+    "dimension read": _malformed(_rule(read=["B", "B"])),
+    "dimension move": _malformed(_rule(move=[0, 0])),
+    "unknown-name read-symbol": _malformed(_rule(read=["Z"])),
+    "unknown-name write-unhashable": _malformed(_rule(write=[["B"]])),
+    "range move-two": _malformed(_rule(move=[2])),
+    "range move-true": _malformed(_rule(move=[True])),
+    "range move-float": _malformed(_rule(move=[1.0])),
+    "schema amp-single": _malformed(_rule(amp=[1.0])),
+    "schema amp-bool": _malformed(_rule(amp=[True, 0])),
+    "schema amp-infinite": _malformed(_rule(amp=[1e400, 0.0])),
+    "schema amp-huge-int": _malformed(_rule(amp=[10 ** 400, 0])),
+    "range oversized-three-tapes": _malformed(
+        tapes=[{"symbols": ["B"] + [f"s{i}" for i in range(1, 60)], "blank": "B"}] * 3),
+    "range oversized-seven-tapes": _malformed(
+        states=["0"], tapes=[{"symbols": ["B", "x", "y"], "blank": "B"}] * 7),
+    "duplicate rule": _malformed(_rule(), _rule(amp=[0.0, 0.5])),
+    "order first-bad-rule": _malformed(_rule(), _rule(q="9", move=[5]), {"q": "0"}),
+    "order missing-key-before-state": _malformed({"q": "9", "read": ["B"]}),
+    "order first-failing-check": _malformed(_rule(read=["Z"], move=[2], amp=["a", 0])),
+}
+PARSE_ERROR_CASES = [f"{name} {f}" for name in PARSE_ERROR_DOCUMENTS for f in FORMATS]
 # Two terms with unequal phases, so the start file exercises complex amplitudes.
 START_TERMS = [
     {"state": "0", "heads": [0], "tapes": [[]], "amp": [0.6, 0.0]},
@@ -118,6 +178,14 @@ def capture_multitape(case: str) -> dict:
     machine, command, fmt = case.split()
     argv = MULTITAPE_COMMANDS[command]
     return _invoke(argv[:1] + [machine] + argv[1:] + ["--format", fmt])
+
+
+def capture_parse_error(case: str) -> dict:
+    name, fmt = case.rsplit(" ", 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "malformed.qtm"
+        path.write_text(PARSE_ERROR_DOCUMENTS[name], encoding="utf-8")
+        return _invoke(["validate", str(path), "--format", fmt])
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +246,20 @@ def test_multitape_bytes_match_golden(multitape_golden, case):
     assert capture_multitape(case) == multitape_golden[case]
 
 
+@pytest.fixture(scope="module")
+def parse_error_golden() -> dict:
+    return json.loads(PARSE_ERROR_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_parse_error_golden_covers_every_case(parse_error_golden):
+    assert sorted(parse_error_golden) == sorted(PARSE_ERROR_CASES)
+
+
+@pytest.mark.parametrize("case", PARSE_ERROR_CASES)
+def test_parse_error_bytes_match_golden(parse_error_golden, case):
+    assert capture_parse_error(case) == parse_error_golden[case]
+
+
 def _write(path: Path, golden: dict):
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -188,3 +270,4 @@ if __name__ == "__main__":
     _write(RUN_GOLDEN, {case: capture_run(case) for case in RUN_CASES})
     _write(NORM_GOLDEN, {case: capture_norm(case) for case in NORM_CASES})
     _write(MULTITAPE_GOLDEN, {case: capture_multitape(case) for case in MULTITAPE_CASES})
+    _write(PARSE_ERROR_GOLDEN, {case: capture_parse_error(case) for case in PARSE_ERROR_CASES})

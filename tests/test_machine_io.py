@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import qturing as qt
 from qturing.cli import bundled_machine_path
+from qturing.machine_io import MAX_TABLE_ENTRIES, table_entries
 
 
 def read_bundled(name):
@@ -82,6 +84,56 @@ class TestErrors:
 
     def test_duplicate_rule(self):
         self.expect_code(document([rule(), rule(amp=(0.5, 0.0))]), "duplicate")
+
+
+def frame_document(states: int, *symbol_counts: int) -> str:
+    """A one-rule document on `simple_frame(states, *symbol_counts)`'s names."""
+    frame = qt.simple_frame(states, *symbol_counts)
+    blanks = [symbols[0] for symbols in frame.alphabets]
+    return json.dumps({
+        "name": "sized", "states": list(frame.states),
+        "tapes": [{"symbols": list(symbols), "blank": symbols[0]} for symbols in frame.alphabets],
+        "rules": [rule("q0", blanks, "q0", blanks, [0] * len(blanks))],
+    })
+
+
+class TestFrameSize:
+    """|Q|^2 * S^2 * 3^k amplitude entries are counted in Python integers and
+    refused above MAX_TABLE_ENTRIES before the table is allocated."""
+
+    # 2 states and 3 tapes of 60 symbols would ask np.zeros for 73.3 TiB; 7
+    # tapes of 3 symbols for 167 GB; 1,000 tapes of 2 symbols is refused
+    # without forming 12**1000.
+    @pytest.mark.parametrize("dims", [(2, 60, 60, 60), (1,) + (3,) * 7, (1,) + (2,) * 1000,
+                                      (1, 2365), (2365, 1)])
+    def test_oversized_frames_refused_before_allocating(self, dims):
+        text = frame_document(*dims)
+        tracemalloc.start()
+        try:
+            with pytest.raises(qt.MachineParseError) as err:
+                qt.parse_document(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.code == "range"
+        assert str(err.value) == (f"range: the rule table would hold more than {MAX_TABLE_ENTRIES} "
+                                  "amplitude entries (|Q|^2 * S^2 * 3^k)")
+        assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("dims", [(1, 2364), (2364, 1), (1,) * 16, (2, 2, 2, 2, 2), (8, 4)])
+    def test_entry_count_is_exact_up_to_the_bound(self, dims):
+        frame = qt.simple_frame(*dims)
+        entries = frame.state_count ** 2 * frame.symbol_block ** 2 * frame.move_block
+        assert table_entries(frame) == entries <= MAX_TABLE_ENTRIES
+
+    @pytest.mark.parametrize("dims", [(1, 2365), (2365, 1), (1,) * 17, (2, 60, 60, 60)])
+    def test_entry_count_past_the_bound_raises(self, dims):
+        with pytest.raises(qt.MachineParseError, match="range"):
+            table_entries(qt.simple_frame(*dims))
+
+    def test_largest_test_frames_parse(self):
+        for dims in ((2, 2, 2, 2, 2), (1, 200), (8, 4)):
+            assert qt.parse_document(frame_document(*dims)).frame == qt.simple_frame(*dims)
 
 
 class TestRoundTrip:

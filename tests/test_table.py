@@ -43,6 +43,38 @@ class TestAmplitudeLookup:
             counterexample.amplitudes[0, 0, 0, 0, 0] = 9
 
 
+# Vectors with a non-integer component, in sequence and scalar form; each used
+# to truncate to a valid index (or, as a scalar float, raise TypeError).
+NON_INTEGRAL = [((0.9,), (0.2,), (0.7,)), ((1.6,), (1.2,), (-0.5,)), (0.9, 0, 0), (0, 1.0, 0), (0, 0, 0.5)]
+
+
+class TestIntegerComponents:
+    @pytest.fixture
+    def table(self):
+        return qt.TransitionTable.from_rules(qt.simple_frame(1, 2), [(0, 0, 0, 0, 0, 0.25), (0, 1, 0, 1, 0, 0.5)])
+
+    @pytest.mark.parametrize("sigma, tau, moves", NON_INTEGRAL)
+    def test_amplitude_rejects_non_integers(self, table, sigma, tau, moves):
+        with pytest.raises(ValueError, match="integer"):
+            qt.amplitude(table, 0, sigma, 0, tau, moves)
+
+    @pytest.mark.parametrize("sigma, tau, moves", NON_INTEGRAL)
+    def test_with_entry_rejects_non_integers(self, table, sigma, tau, moves):
+        with pytest.raises(ValueError, match="integer"):
+            table.with_entry(0, sigma, 0, tau, moves, 0.3)
+
+    @pytest.mark.parametrize("sigma, tau, moves", NON_INTEGRAL)
+    def test_perturb_rejects_non_integers(self, table, sigma, tau, moves):
+        with pytest.raises(ValueError, match="integer"):
+            qt.perturb(table, (0, sigma, 0, tau, moves), 0.1)
+
+    def test_python_and_numpy_integers_still_index(self, table):
+        for index in (1, (1,), [1], np.int64(1), (np.int32(1),), np.array([1])):
+            assert qt.amplitude(table, 0, index, 0, index, 0) == 0.5
+        assert qt.amplitude(table.with_entry(0, np.int64(1), 0, (0,), (np.int8(-1),), 0.3), 0, 1, 0, 0, -1) == 0.3
+        assert qt.amplitude(qt.perturb(table, (0, (np.int64(0),), 0, 0, 0), 0.5), 0, 0, 0, 0, 0) == 0.75
+
+
 class TestStatistics:
     def test_unit_rows_give_unit_k(self, counterexample):
         stats = qt.compute_statistics(counterexample)
