@@ -421,13 +421,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MachineParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:  # a missing, unreadable or directory path
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError, KeyError) as err:
+    except (MachineParseError, OSError, ValueError, KeyError) as err:
+        # OSError is a missing, unreadable or directory path;
+        # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
 

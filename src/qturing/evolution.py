@@ -282,10 +282,10 @@ class _Kernel(_Layout):
     vector in the order each first appears, then in (p, tau, d) order.
     `adjoint` indexes the hits by (p, written, move) in (q, sigma) order,
     conjugated.  Each is (first rule, rule count) per key, then the state,
-    written symbols, moves (forward only) and coefficient per rule.  With
-    `prune`, rules below PRUNE_THRESHOLD are left out of both."""
+    written symbols, moves (forward only) and coefficient per rule.  Every
+    nonzero rule is kept; `kept` drops the entries below PRUNE_THRESHOLD."""
 
-    def __init__(self, table: TransitionTable, prune: bool = False):
+    def __init__(self, table: TransitionTable):
         super().__init__(table.frame)
         frame = self.frame
         self.S, self.M = frame.symbol_block, frame.move_block
@@ -298,9 +298,6 @@ class _Kernel(_Layout):
         amps = table.amplitudes.ravel()
         flat = np.flatnonzero(amps)
         coef = amps[flat]
-        if prune:
-            keep = np.hypot(coef.real, coef.imag) >= PRUNE_THRESHOLD
-            flat, coef = flat[keep], coef[keep]
         S, M, reads = self.S, self.M, frame.state_count * self.S
         read, target = np.divmod(flat, reads * M)  # (q, sigma) and (p, tau, d), flat
         p, t = np.divmod(target // M, S)
@@ -313,20 +310,21 @@ class _Kernel(_Layout):
         self.adjoint = (*_csr(target[order], reads * M), q, self._symbols(s), None, coef[order].conj())
 
     @classmethod
-    def of(cls, table: TransitionTable, prune: bool = False) -> "_Kernel":
+    def of(cls, table: TransitionTable) -> "_Kernel":
         """The table's kernel, built on first use and kept on the table."""
-        kernel = table._kernels.get(prune)
+        kernel = table._kernel
         if kernel is None:
-            kernel = table._kernels[prune] = cls(table, prune)
+            kernel = cls(table)
+            object.__setattr__(table, "_kernel", kernel)
         return kernel
 
     def _symbols(self, flat: np.ndarray) -> np.ndarray:
         """Flat symbol vectors as (rules, k) symbols."""
         return (flat[:, None] // self.strides % self.sizes).astype(self.dtype)
 
-    def pack(self, configs, amps=None, margin: int = 1) -> _Terms:
+    def pack(self, configs, amps=None) -> _Terms:
         """Pack configurations (and their amplitudes) in the given order, on
-        the columns that are non-blank or within `margin` cells of a head."""
+        the columns that are non-blank or within RUN_MARGIN cells of a head."""
         frame, k, n = self.frame, self.k, len(configs)
         states = list(map(_STATE, configs))
         if not ({k}.issuperset(map(len, map(_HEADS, configs))) and self.state_ids.issuperset(states)):
@@ -347,7 +345,7 @@ class _Kernel(_Layout):
         values = np.array(ints, dtype=np.int64)
         heads = values[:n * k].reshape(n, k)
         cells_at = [values[start:start + 2 * sum(counts)] for _, start, counts in per_tape]
-        near = (heads.reshape(-1, 1) + np.arange(-margin, margin + 1)).ravel()
+        near = (heads.reshape(-1, 1) + np.arange(-RUN_MARGIN, RUN_MARGIN + 1)).ravel()
         cols = _sorted_unique(np.concatenate([near] + [flat[0::2] for flat in cells_at]))
         cells = np.empty((n, k, len(cols)), dtype=self.dtype)
         for i, ((index, _, counts), flat) in enumerate(zip(per_tape, cells_at)):
@@ -386,6 +384,15 @@ class _Kernel(_Layout):
         images[np.arange(len(slot))[:, None], tapes, at] = to_write[rule]
         return parent, _Terms(to_state[rule], moved, images, terms.cols), to_coef[rule]
 
+    def kept(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
+        """`expand` without the entries below PRUNE_THRESHOLD: the matrix
+        entries of `step_operator` and the windowed norm estimate."""
+        parent, entries, coef = self.expand(terms, adjoint)
+        keep = np.hypot(coef.real, coef.imag) >= PRUNE_THRESHOLD
+        if keep.all():
+            return parent, entries, coef
+        return parent[keep], entries.take(keep), coef[keep]
+
     def step(self, terms: _Terms, adjoint: bool) -> tuple[_Terms, float]:
         """M|psi> (or M^dagger|psi>) on packed terms with amplitudes, and the
         squared amplitude the prune dropped.  Each product amp*coef is formed
@@ -412,7 +419,7 @@ class _Kernel(_Layout):
         """The packed core of `step_operator`: (rows, cols, vals) on the
         basis states `terms`, and the packed images that `rows` indexes,
         numbered by first column, then `sort_key`."""
-        parent, entries, vals = self.expand(terms, adjoint)
+        parent, entries, vals = self.kept(terms, adjoint)
         first, ids = self.number(entries)
         images = entries.take(first)
         # A Gram entry adds its terms in image-id order, so the numbering fixes
@@ -455,12 +462,11 @@ class _Kernel(_Layout):
         A packed psi on this frame is reframed with RUN_MARGIN only when some
         head lacks such a neighbour (it drifted to the edge of a run of
         adjacent columns), then sorted by `sort_order`.  Any other psi is
-        packed from `items()` with RUN_MARGIN, which checks it against the
-        frame."""
+        packed from `items()`, which checks it against the frame."""
         packed = psi._packed
         if packed is None or packed[0].frame != self.frame:
             terms = psi.items()
-            return self.pack([c for c, _ in terms], [a for _, a in terms], RUN_MARGIN)
+            return self.pack([c for c, _ in terms], [a for _, a in terms])
         terms = packed[1]
         adjacent = np.diff(terms.cols) == 1
         inner = np.zeros(len(terms.cols), dtype=bool)
@@ -480,13 +486,14 @@ def step_operator(
     Column i holds the expansion of configs[i] in rule order: forward
     entries grouped by written vector in first-appearance order, then
     (p, tau, d); adjoint entries move by move, then (q, sigma).
-    Amplitudes below PRUNE_THRESHOLD are dropped, as `Superposition` does.
+    Entries below PRUNE_THRESHOLD are then dropped, as `Superposition` drops
+    amplitudes, so a dropped rule still places its written-vector group.
     Images are numbered by the first column that reaches them, then by
     `sort_key` within that column (one `np.lexsort` over the packed images);
     only their non-blank cells are decoded, and identical tapes share one
     Tape.
     """
-    kernel = _Kernel.of(table, prune=True)
+    kernel = _Kernel.of(table)
     rows, cols, vals, images = kernel.operator(kernel.pack(list(configs)), adjoint)
     return rows, cols, vals, tuple(kernel.configurations(images))
 
@@ -589,12 +596,12 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
         raise ValueError("window_radius and iterations must be positive")
     from .windows import PackedWindow  # windows builds on this module's layout
 
-    kernel = _Kernel.of(table, prune=True)
+    kernel = _Kernel.of(table)
     window = PackedWindow(kernel, window_radius)
     n = window.size
 
     # the step operator compressed to the window, entries in step_operator order
-    cols, entries, vals = kernel.expand(window.terms, adjoint=False)
+    cols, entries, vals = kernel.kept(window.terms, adjoint=False)
     inside = window.index(entries)
     keep = inside >= 0
     rows, cols, vals = inside[keep], cols[keep], vals[keep]

@@ -89,6 +89,13 @@ class TuringFrame:
     def move_block(self) -> int:
         return 3 ** self.tape_count
 
+    @property
+    def table_shape(self) -> tuple[int, int, int, int, int]:
+        """Shape of the dense rule table: (|Q|, S, |Q|, S, 3^k), indexed by
+        state read, symbol vector read, state written, symbol vector written
+        and move vector."""
+        return (self.state_count, self.symbol_block, self.state_count, self.symbol_block, self.move_block)
+
     def blank_tapes(self) -> tuple["Tape", ...]:
         return tuple(Tape(blank=b) for b in self.blanks)
 

@@ -58,16 +58,6 @@ from .table import TransitionTable
 # cost grows more than fivefold per tape; past six tapes it is refused.
 MAX_TAPES = 6
 
-# Classic labels for the zero-displacement pair and, where a classic numbering
-# exists, for the displacement conditions: letters a-d for one tape, numbers
-# 1-14 for two tapes (displacement (D1, D2) carries number 5*D1 + D2 + 2).
-_SINGLE_TAPE_LABELS = {(1,): "c", (2,): "d"}
-_TWO_TAPE_LABELS = {
-    (0, 1): "3", (0, 2): "4",
-    (1, -2): "5", (1, -1): "6", (1, 0): "7", (1, 1): "8", (1, 2): "9",
-    (2, -2): "10", (2, -1): "11", (2, 0): "12", (2, 1): "13", (2, 2): "14",
-}
-
 
 def displacement_label(displacement: tuple[int, ...], part: str | None = None) -> str:
     """Report label for a condition: classic letter/number when one exists."""
@@ -78,10 +68,12 @@ def displacement_label(displacement: tuple[int, ...], part: str | None = None) -
         if part == "orth":
             return "b" if k == 1 else "2"
         return ("a" if k == 1 else "1") + "+" + ("b" if k == 1 else "2")
+    # classic labels: on one tape D = 1, 2 are (c), (d), after the zero
+    # displacement's (a), (b); on two tapes (D1, D2) is number 5*D1 + D2 + 2
     if k == 1:
-        return _SINGLE_TAPE_LABELS[displacement]
+        return "abcd"[displacement[0] + 1]
     if k == 2:
-        return _TWO_TAPE_LABELS[displacement]
+        return str(5 * displacement[0] + displacement[1] + 2)
     return "D=(" + ",".join(str(d) for d in displacement) + ")"
 
 

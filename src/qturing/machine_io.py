@@ -188,7 +188,7 @@ def parse_document(text: str) -> MachineDocument:
             _rule_error(f"rule {i + 1}", rule, k, state_index, symbol_index)
         entries[key] = amp
 
-    amps = np.zeros((Q, S, Q, S, M), dtype=np.complex128)
+    amps = np.zeros(frame.table_shape, dtype=np.complex128)
     # (re, im) float pairs viewed as complex keep the sign of a -0.0 part
     values = np.array(list(entries.values()), dtype=np.float64).reshape(-1, 2).view(np.complex128)
     amps.reshape(-1)[np.fromiter(entries, dtype=np.intp, count=len(entries))] = values[:, 0]

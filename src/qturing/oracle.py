@@ -21,9 +21,9 @@ import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE
 from .evolution import _Kernel
-from .frame import MOVES, Configuration, TuringFrame, _as_vector
+from .frame import MOVES, Configuration, TuringFrame
 from .ktape import check_column
-from .table import TransitionTable
+from .table import TransitionTable, amplitude
 from .windows import PackedWindow
 
 __all__ = [
@@ -108,7 +108,7 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     # columns of A are the step-operator expansions of the window basis
     # states.  Every key the self-join produces is a structural overlap, so
     # the off-diagonal keys count the pairs even where values cancel exactly.
-    kernel = _Kernel.of(table, prune=True)
+    kernel = _Kernel.of(table)
     window = PackedWindow(kernel, radius)
     n = window.size
     rows, cols, vals, _ = kernel.operator(window.terms, adjoint=side == "rows")
@@ -202,7 +202,7 @@ def pair_unitary_machine(
             raise ValueError(f"directions must map every state to a move vector in {{-1,0,1}}^{k}")
         moves.append(frame.move_flat(d.tolist()))
 
-    amps = np.zeros((Q, S, Q, S, frame.move_block), dtype=np.complex128)
+    amps = np.zeros(frame.table_shape, dtype=np.complex128)
     for p in range(Q):
         block = unitary[p * S:(p + 1) * S, :].reshape(S, Q, S)
         amps[:, :, p, :, moves[p]] = np.transpose(block, (1, 2, 0))
@@ -214,14 +214,7 @@ def perturb(table: TransitionTable, entry: tuple, epsilon: float) -> TransitionT
     if epsilon == 0:
         raise ValueError("epsilon must be nonzero")
     q, sigma, p, tau, moves = entry
-    old = table.amplitudes[
-        q,
-        table.frame.symbol_flat(_as_vector(sigma, table.frame.tape_count, "sigma")),
-        p,
-        table.frame.symbol_flat(_as_vector(tau, table.frame.tape_count, "tau")),
-        table.frame.move_flat(_as_vector(moves, table.frame.tape_count, "moves")),
-    ]
-    return table.with_entry(q, sigma, p, tau, moves, complex(old) + epsilon)
+    return table.with_entry(q, sigma, p, tau, moves, amplitude(table, q, sigma, p, tau, moves) + epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -8,31 +8,46 @@ flattened with tape 1 most significant (see TuringFrame helpers).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .frame import TuringFrame, _as_vector
 
 
+def _entry_index(frame: TuringFrame, q: int, sigma, p: int, tau, moves) -> tuple[int, int, int, int, int]:
+    """The amplitude-array index of rule (q, sigma, p, tau, moves): ValueError
+    for a non-integer state and IndexError for one outside 0..|Q|-1, then the
+    vector checks of `_as_vector`, `symbol_flat` and `move_flat`.
+    sigma/tau/moves may be scalars when the frame has a single tape."""
+    # int() also keeps a bool state from indexing numpy as a mask
+    if not (isinstance(q, numbers.Integral) and isinstance(p, numbers.Integral)):
+        raise ValueError(f"state indices must be integers, got {q!r} and {p!r}")
+    q, p = int(q), int(p)
+    if not 0 <= q < frame.state_count or not 0 <= p < frame.state_count:
+        raise IndexError("state index out of range")
+    k = frame.tape_count
+    return (
+        q,
+        frame.symbol_flat(_as_vector(sigma, k, "sigma")),
+        p,
+        frame.symbol_flat(_as_vector(tau, k, "tau")),
+        frame.move_flat(_as_vector(moves, k, "moves")),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionTable:
     frame: TuringFrame
-    amplitudes: np.ndarray  # (|Q|, S, |Q|, S, 3^k) complex128
-    # step kernels that `evolution` derives from the (immutable) amplitudes,
-    # built on first use and kept as long as the table lives
-    _kernels: dict = field(default_factory=dict, init=False, repr=False)
+    amplitudes: np.ndarray  # frame.table_shape, complex128
+    # the step kernel that `evolution` derives from the (immutable)
+    # amplitudes, built on first use and kept as long as the table lives
+    _kernel: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        frame = self.frame
-        shape = (
-            frame.state_count,
-            frame.symbol_block,
-            frame.state_count,
-            frame.symbol_block,
-            frame.move_block,
-        )
+        shape = self.frame.table_shape
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != shape:
             raise ValueError(f"amplitude array must have shape {shape}, got {amps.shape}")
@@ -44,14 +59,7 @@ class TransitionTable:
 
     @classmethod
     def zeros(cls, frame: TuringFrame) -> "TransitionTable":
-        shape = (
-            frame.state_count,
-            frame.symbol_block,
-            frame.state_count,
-            frame.symbol_block,
-            frame.move_block,
-        )
-        return cls(frame, np.zeros(shape, dtype=np.complex128))
+        return cls(frame, np.zeros(frame.table_shape, dtype=np.complex128))
 
     @classmethod
     def from_rules(cls, frame: TuringFrame, rules: Iterable[tuple]) -> "TransitionTable":
@@ -59,34 +67,14 @@ class TransitionTable:
 
         sigma/tau/moves may be scalars when the frame has a single tape.
         """
-        shape = (
-            frame.state_count,
-            frame.symbol_block,
-            frame.state_count,
-            frame.symbol_block,
-            frame.move_block,
-        )
-        amps = np.zeros(shape, dtype=np.complex128)
-        k = frame.tape_count
+        amps = np.zeros(frame.table_shape, dtype=np.complex128)
         for q, sigma, p, tau, moves, amp in rules:
-            s = frame.symbol_flat(_as_vector(sigma, k, "sigma"))
-            t = frame.symbol_flat(_as_vector(tau, k, "tau"))
-            m = frame.move_flat(_as_vector(moves, k, "moves"))
-            if not 0 <= q < frame.state_count or not 0 <= p < frame.state_count:
-                raise IndexError("state index out of range")
-            amps[q, s, p, t, m] = complex(amp)
+            amps[_entry_index(frame, q, sigma, p, tau, moves)] = complex(amp)
         return cls(frame, amps)
 
     def with_entry(self, q: int, sigma, p: int, tau, moves, amp: complex) -> "TransitionTable":
-        k = self.frame.tape_count
         amps = self.amplitudes.copy()
-        amps[
-            q,
-            self.frame.symbol_flat(_as_vector(sigma, k, "sigma")),
-            p,
-            self.frame.symbol_flat(_as_vector(tau, k, "tau")),
-            self.frame.move_flat(_as_vector(moves, k, "moves")),
-        ] = amp
+        amps[_entry_index(self.frame, q, sigma, p, tau, moves)] = amp
         return TransitionTable(self.frame, amps)
 
     def rules_for(self, q: int, sigma_flat: int) -> list[tuple[int, int, int, complex]]:
@@ -107,14 +95,7 @@ class TransitionTable:
 
 def amplitude(table: TransitionTable, q: int, sigma_vec, p: int, tau_vec, d_vec) -> complex:
     """Look up one rule amplitude; unset entries are 0."""
-    frame = table.frame
-    k = frame.tape_count
-    if not 0 <= q < frame.state_count or not 0 <= p < frame.state_count:
-        raise IndexError("state index out of range")
-    s = frame.symbol_flat(_as_vector(sigma_vec, k, "sigma"))
-    t = frame.symbol_flat(_as_vector(tau_vec, k, "tau"))
-    m = frame.move_flat(_as_vector(d_vec, k, "d"))
-    return complex(table.amplitudes[q, s, p, t, m])
+    return complex(table.amplitudes[_entry_index(table.frame, q, sigma_vec, p, tau_vec, d_vec)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,13 +76,7 @@ def two_tape_corpus() -> list[qt.CorpusEntry]:
 
 
 def random_table(frame: qt.TuringFrame, rng: np.random.Generator, density: float = 0.6) -> qt.TransitionTable:
-    shape = (
-        frame.state_count,
-        frame.symbol_block,
-        frame.state_count,
-        frame.symbol_block,
-        frame.move_block,
-    )
+    shape = frame.table_shape
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amps[rng.random(shape) >= density] = 0
     return qt.TransitionTable(frame, amps)

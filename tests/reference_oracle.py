@@ -214,8 +214,10 @@ class _Rules:
     forward rules per read (q, sigma) grouped by written vector tau, in the
     order each tau first appears in `rules_for`, and in (p, tau, d) order
     within a group; adjoint hits per (p, written, move) in `np.nonzero`
-    order (q, sigma).  With `prune`, rules below PRUNE_THRESHOLD are left out
-    of both."""
+    order (q, sigma).  With `prune`, rules below PRUNE_THRESHOLD are then
+    left out of both: the groups keep the order that every nonzero rule gives
+    them, as the package's one kernel expands every rule and drops the small
+    entries afterwards."""
 
     __slots__ = ("table", "frame", "prune", "forward", "adjoint", "moves")
 
@@ -239,9 +241,10 @@ class _Rules:
             rules = [
                 (p, taus.setdefault(t, len(taus)), moves.setdefault(m, len(moves)), coef)
                 for p, t, m, coef in self.table.rules_for(q, frame.symbol_flat(sigma))
-                if not self.prune or abs(coef) >= PRUNE_THRESHOLD
             ]
             rules.sort(key=lambda rule: rule[1])  # stable: (p, tau, d) within a tau
+            if self.prune:
+                rules = [rule for rule in rules if abs(rule[3]) >= PRUNE_THRESHOLD]
             hit = self.forward[key] = (
                 [frame.symbol_vector(t) for t in taus],
                 [frame.move_vector(m) for m in moves],

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import qturing as qt
 from qturing.cli import bundled_machine_path, main
+from qturing.evolution import _Kernel
 
 from conftest import random_table
 from reference_oracle import reference_adjoint, reference_apply, reference_step_operator
@@ -105,6 +106,51 @@ def test_step_operator_matches_reference_on_wide_alphabet(adjoint):
 def test_step_operator_on_no_configurations(counterexample):
     for adjoint in (False, True):
         _assert_same_operator(counterexample, [], adjoint)
+
+
+def _tiny_rule_opens_group():
+    """Q2S2 where read (q0, B) has a 1e-16 rule writing s1 ahead of the rules
+    writing B and s1 from q1: the tiny rule opens the s1 group."""
+    return qt.TransitionTable.from_rules(qt.simple_frame(2, 2), [
+        (0, 0, 0, 1, 0, 1e-16), (0, 0, 1, 0, 1, 0.6), (0, 0, 1, 1, -1, 0.8), (1, 1, 0, 0, 0, 1.0),
+    ])
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_step_operator_groups_by_every_nonzero_rule(adjoint):
+    # groups keep the order every nonzero rule gives them; the tiny rule's
+    # entries are dropped afterwards
+    table = _tiny_rule_opens_group()
+    _assert_same_operator(table, qt.radius_window(table.frame, 2), adjoint)
+    rows, cols, vals, _ = qt.step_operator(table, [qt.blank_configuration(table.frame)], adjoint)
+    if not adjoint:
+        assert vals.tolist() == [0.8, 0.6]
+
+
+def test_one_kernel_per_table(corpus, monkeypatch):
+    # valid-7 plus a 3e-16 rule: state 0 reading B writes s1 into state 1, moving left
+    table = qt.perturb(corpus[7].table, (0, 0, 1, 1, -1), 3e-16)
+    built = []
+    init = _Kernel.__init__
+
+    def counting_init(self, table):
+        built.append(table)
+        init(self, table)
+
+    monkeypatch.setattr(_Kernel, "__init__", counting_init)
+    blank = qt.blank_configuration(table.frame)
+    tiny_image = qt.Configuration(1, (qt.Tape(0, ((0, 1),)),), (-1,))
+    applied = qt.apply(table, qt.Superposition.basis(blank, 100.0))
+    assert applied.amplitude(tiny_image) == 100.0 * 3e-16
+    rows, cols, vals, images = qt.step_operator(table, [blank])
+    assert tiny_image not in images and len(vals) == len(rows) == len(images)
+    assert np.all(np.abs(vals) >= qt.PRUNE_THRESHOLD)
+    qt.apply_adjoint(table, applied)
+    qt.run(table, applied, 2, unchecked=True)
+    qt.column_gram_check(table, 2)
+    qt.row_gram_check(table, 2)
+    qt.estimate_norm(table, 2, 3)
+    assert built == [table] and isinstance(table._kernel, _Kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qturing as qt
+from qturing.machine_io import table_entries
 
 from conftest import random_table
 
@@ -73,6 +74,84 @@ class TestIntegerComponents:
             assert qt.amplitude(table, 0, index, 0, index, 0) == 0.5
         assert qt.amplitude(table.with_entry(0, np.int64(1), 0, (0,), (np.int8(-1),), 0.3), 0, 1, 0, 0, -1) == 0.3
         assert qt.amplitude(qt.perturb(table, (0, (np.int64(0),), 0, 0, 0), 0.5), 0, 0, 0, 0, 0) == 0.75
+
+
+# (q, p) pairs with one state index out of range, on a two-state frame
+BAD_STATES = [(-1, 0), (2, 0), (0, -1), (0, 2)]
+
+
+class TestStateRange:
+    """Every entry access checks 0 <= q, p < |Q| before it indexes; a
+    negative state must not wrap around to state |Q|-1."""
+
+    @pytest.fixture
+    def table(self):
+        return random_table(qt.simple_frame(2, 2), np.random.default_rng(5), density=1.0)
+
+    @pytest.mark.parametrize("q, p", BAD_STATES)
+    def test_amplitude(self, table, q, p):
+        with pytest.raises(IndexError, match="state index"):
+            qt.amplitude(table, q, 0, p, 0, 0)
+
+    @pytest.mark.parametrize("q, p", BAD_STATES)
+    def test_with_entry_leaves_table_unwritten(self, table, q, p):
+        before = table.amplitudes.copy()
+        with pytest.raises(IndexError, match="state index"):
+            table.with_entry(q, 0, p, 0, 0, 0.25)
+        assert np.array_equal(table.amplitudes, before)
+
+    @pytest.mark.parametrize("q, p", BAD_STATES)
+    def test_perturb_leaves_table_unwritten(self, table, q, p):
+        before = table.amplitudes.copy()
+        with pytest.raises(IndexError, match="state index"):
+            qt.perturb(table, (q, 0, p, 0, 0), 0.1)
+        assert np.array_equal(table.amplitudes, before)
+
+    @pytest.mark.parametrize("q, p", BAD_STATES)
+    def test_from_rules(self, table, q, p):
+        with pytest.raises(IndexError, match="state index"):
+            qt.TransitionTable.from_rules(table.frame, [(0, 0, 0, 0, 0, 1.0), (q, 0, p, 0, 0, 0.5)])
+
+    @pytest.mark.parametrize("q, p", [(1.0, 0), (0, 0.5), ("1", 0), (0, None)])
+    def test_non_integer_states_rejected(self, table, q, p):
+        for access in (lambda: qt.amplitude(table, q, 0, p, 0, 0),
+                       lambda: table.with_entry(q, 0, p, 0, 0, 0.25),
+                       lambda: qt.perturb(table, (q, 0, p, 0, 0), 0.1),
+                       lambda: qt.TransitionTable.from_rules(table.frame, [(q, 0, p, 0, 0, 0.5)])):
+            with pytest.raises(ValueError, match="state indices must be integers"):
+                access()
+
+    def test_bool_state_is_an_index_not_a_mask(self, table):
+        # numpy reads a bool in an index tuple as a mask: True used to write
+        # the entries of a different read, False none at all
+        one = table.with_entry(True, 0, False, 0, 0, 0.25)
+        assert np.array_equal(one.amplitudes, table.with_entry(1, 0, 0, 0, 0, 0.25).amplitudes)
+        assert qt.amplitude(one, True, 0, False, 0, 0) == 0.25
+
+    def test_from_rules_checks_states_before_vectors(self, table):
+        # a bad state and a non-integer symbol in one rule: the state is reported
+        with pytest.raises(IndexError, match="state index"):
+            qt.TransitionTable.from_rules(table.frame, [(2, (0.5,), 0, 0, 0, 1.0)])
+
+
+TABLE_FRAMES = [(2, 2), (1, 2, 3), (2, 2, 1, 2)]
+
+
+@pytest.mark.parametrize("shape", TABLE_FRAMES, ids=["k1", "k2", "k3"])
+def test_table_shape_is_the_amplitude_shape(shape):
+    frame = qt.simple_frame(*shape)
+    Q, S = frame.state_count, frame.symbol_block
+    assert frame.table_shape == (Q, S, Q, S, 3 ** frame.tape_count)
+    assert math.prod(frame.table_shape) == table_entries(frame)
+    zero = (0,) * frame.tape_count
+    tables = [
+        qt.TransitionTable.zeros(frame),
+        qt.TransitionTable.from_rules(frame, [(0, zero, 0, zero, zero, 1.0)]),
+        qt.pair_unitary_machine(frame, np.eye(Q * S), [zero] * Q),
+    ]
+    tables.append(qt.parse_document(qt.serialize_machine(tables[1])).table)
+    for table in tables:
+        assert table.frame == frame and table.amplitudes.shape == frame.table_shape
 
 
 class TestStatistics:
