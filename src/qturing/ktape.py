@@ -1,13 +1,19 @@
 """The condition engine: every unitarity checker on a rule table.
 
-All condition sets are slices of three array computations on
+All condition sets are slices of three kinds of matrix product on
 `table.amplitudes`, with M the amplitudes as a matrix whose rows are reads
 (q, sigma) and whose columns are rule targets (p, tau, d):
 
 * the read Gram G = M M^H over reads (q, sigma);
 * the written Gram W = M^T conj(M) over targets (p, tau, d);
-* the displacement einsum, which pairs move vectors d, d' with a fixed
-  difference D = d - d'.
+* one displacement product X Y^H per D, which pairs move vectors d, d'
+  with a fixed difference D = d - d': X and Y gather the entries of every
+  move-pair choice, with rows (q, sigma, writes on the displaced tapes) and
+  columns (choice, p, writes on the other tapes).
+
+Every sum is a `@` product, which numpy hands to BLAS.  The summation order
+is BLAS's, so residual bits follow it, and the tests pin that one BLAS
+thread gives the same bits as several.
 
 The generated k-tape set is indexed by head-displacement vectors D in
 {0,+-1,+-2}^k whose first nonzero component is positive:
@@ -30,18 +36,21 @@ The classic sets are views of the same engine:
 * row (a)-(f) are sums and slices of W;
 * hirvensalo (H-a)-(H-d), a sufficient-but-not-necessary set kept for
   comparison: (H-a)/(H-b) are column (a)/(b), (H-c) is the off-diagonal of
-  W and (H-d) pairs distinct moves summed over the written state only.
+  W and (H-d) pairs distinct moves summed over the written state only, one
+  (Q*S*S) x Q by Q x (Q*S*S) product per move pair.
 
 Each residual keeps the first parameter tuple attaining the maximum, in the
 order the conditions quantify their parameters.  Where a condition is
 Hermitian under swapping its primed and unprimed tuples, only the half whose
 unprimed tuple comes first is searched.  Hand-written loops over the same
-sets live in the tests (`tests/reference_conditions.py`) as an independent
-reference.
+sets, and the earlier engine that summed the displacement conditions with
+one einsum per move-pair choice, live in the tests
+(`tests/reference_conditions.py`) as independent references.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -54,8 +63,10 @@ from .conditions import (
 from .frame import MOVES, TuringFrame
 from .table import TransitionTable
 
-# The generated set has 1 + (5^k + 1)/2 conditions, one einsum each, so its
-# cost grows more than fivefold per tape; past six tapes it is refused.
+# The generated set has 1 + (5^k + 1)/2 conditions, one matrix product each,
+# so its cost grows about fivefold per tape or more (a one-symbol identity
+# takes tens of ms at four tapes and a few hundred at five); past six tapes
+# it is refused.
 MAX_TAPES = 6
 
 
@@ -170,7 +181,7 @@ def _read_gram(table: TransitionTable) -> np.ndarray:
     """G[(q,s),(q',s')] = sum over rules of delta(q,s,.) * conj(delta(q',s',.))."""
     frame = table.frame
     m = table.amplitudes.reshape(frame.state_count * frame.symbol_block, -1)
-    return np.einsum("ij,kj->ik", m, m.conj())
+    return m @ m.conj().T
 
 
 def _written_gram(table: TransitionTable) -> np.ndarray:
@@ -178,7 +189,7 @@ def _written_gram(table: TransitionTable) -> np.ndarray:
     frame = table.frame
     m = table.amplitudes.reshape(frame.state_count * frame.symbol_block, -1)
     side = (frame.state_count, frame.symbol_block, frame.move_block)
-    return np.einsum("ij,ik->jk", m, m.conj()).reshape(side + side)
+    return (m.T @ m.conj()).reshape(side + side)
 
 
 def _eval_zero(table: TransitionTable) -> tuple[tuple[float, tuple | None], tuple[float, tuple | None]]:
@@ -186,7 +197,9 @@ def _eval_zero(table: TransitionTable) -> tuple[tuple[float, tuple | None], tupl
     frame = table.frame
     S = frame.symbol_block
     gram = _read_gram(table)
-    value, (i,) = _first_max(np.abs(np.diagonal(gram) - 1.0))
+    # a Gram diagonal is real: drop the rounding-level imaginary part that a
+    # BLAS product can leave on it
+    value, (i,) = _first_max(np.abs(np.diagonal(gram).real - 1.0))
     norm = value, _read_witness(frame, *divmod(i, S))
     value, idx = _first_max(np.abs(gram), _before(gram.shape[0]))
     witness = None
@@ -196,33 +209,34 @@ def _eval_zero(table: TransitionTable) -> tuple[tuple[float, tuple | None], tupl
     return norm, (value, witness)
 
 
-def _eval_displacement(table: TransitionTable, displacement: tuple[int, ...]) -> tuple[float, tuple | None]:
-    frame = table.frame
+def _choice_moves(displacement: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Move-axis indices of every move-pair choice (d, d') with d - d' = D:
+    per tape, the indices d_i + 1 and d'_i + 1 of all choices, in
+    `itertools.product` order over the tapes' pairs."""
+    choices = np.array(list(itertools.product(*(_move_pairs(delta) for delta in displacement)))) + 1
+    return tuple(choices[:, :, 0].T), tuple(choices[:, :, 1].T)
+
+
+def _eval_displacement(frame: TuringFrame, split: np.ndarray,
+                       displacement: tuple[int, ...]) -> tuple[float, tuple | None]:
+    """Residual and witness of one displacement D != 0 on the split table:
+    one matrix product whose rows are reads and independent writes
+    (q, sigma, tau_I) and whose columns are (choice, p, tau_shared)."""
     k = frame.tape_count
-    split = _split_amplitudes(table)
     independent = [i for i in range(k) if displacement[i] != 0]
     shared = [i for i in range(k) if displacement[i] == 0]
-
-    # einsum labels (integer form): q=0, s=1, p=2, q'=3, s'=4,
-    # write axes 10+i (unprimed / shared), 30+i (primed independent).
-    x_sub = [0, 1, 2] + [10 + i for i in range(k)]
-    y_sub = [3, 4, 2] + [(10 + i) if i in shared else (30 + i) for i in range(k)]
-    out_sub = [0, 1] + [10 + i for i in independent] + [3, 4] + [30 + i for i in independent]
-
-    gram = None
-    combos = [_move_pairs(displacement[i]) for i in range(k)]
-    for choice in itertools.product(*combos):
-        d_vec = tuple(pair[0] + 1 for pair in choice)
-        d2_vec = tuple(pair[1] + 1 for pair in choice)
-        x = split[(slice(None),) * (3 + k) + d_vec]
-        y = split[(slice(None),) * (3 + k) + d2_vec]
-        term = np.einsum(x, x_sub, y.conj(), y_sub, out_sub)
-        gram = term if gram is None else gram + term
+    d, d2 = _choice_moves(displacement)
+    # one fancy index on the move axes: (q, s, p, tau_1..tau_k, choice)
+    order = [0, 1] + [3 + i for i in independent] + [3 + k, 2] + [3 + i for i in shared]
+    side = (frame.state_count, frame.symbol_block) + tuple(frame.symbol_counts[i] for i in independent)
+    xm = split[(Ellipsis,) + d].transpose(order).reshape(math.prod(side), -1)
+    ym = split[(Ellipsis,) + d2].transpose(order).reshape(xm.shape)
+    gram = (xm @ ym.conj().T).reshape(side + side)
 
     value, idx = _first_max(np.abs(gram))
     if idx is None:
         return value, None
-    half = 2 + len(independent)
+    half = len(side)
     q, s = idx[0], idx[1]
     q2, s2 = idx[half], idx[half + 1]
     witness = _read_witness(frame, q, s)
@@ -249,7 +263,7 @@ def evaluate_ktape_condition(table: TransitionTable, cid: ConditionId) -> Condit
         if cid.part == "orth" or orth[0] > norm[0]:
             return ConditionResidual(cid, *orth)
         return ConditionResidual(cid, *norm)
-    return ConditionResidual(cid, *_eval_displacement(table, cid.displacement))
+    return ConditionResidual(cid, *_eval_displacement(table.frame, _split_amplitudes(table), cid.displacement))
 
 
 def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
@@ -257,7 +271,9 @@ def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) ->
     norm_id, orth_id, *shifts = expand_condition_ids(generate_ktape_conditions(table.frame))
     norm, orth = _eval_zero(table)
     residuals = [ConditionResidual(norm_id, *norm), ConditionResidual(orth_id, *orth)]
-    residuals += [ConditionResidual(cid, *_eval_displacement(table, cid.displacement)) for cid in shifts]
+    split = _split_amplitudes(table)
+    residuals += [ConditionResidual(cid, *_eval_displacement(table.frame, split, cid.displacement))
+                  for cid in shifts]
     return ValidationReport("ktape", tolerance, tuple(residuals))
 
 
@@ -312,8 +328,8 @@ def check_row(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> V
     states, names = frame.states, frame.alphabets[0]
     w = _written_gram(table)
     # same[p, p', t, d, d'] = W[p, t, d, p', t, d']: both sides write the same symbol
-    same = np.einsum("ptmrtn->prtmn", w)
-    diag = np.einsum("pptmm->ptm", same).real
+    same = np.diagonal(w, axis1=1, axis2=4).transpose(0, 2, 4, 1, 3)
+    diag = np.diagonal(w.reshape(Q * S * 3, -1)).real.reshape(Q, S, 3)
     t_differs = np.not_equal.outer(np.arange(S), np.arange(S))[None, :, None, :]
 
     def triple(p, t_minus, t_zero, t_plus):
@@ -369,11 +385,13 @@ def check_hirvensalo(table: TransitionTable, tolerance: float = DEFAULT_TOLERANC
                      ("p'", states[p2]), ("tau'", names[t2]), ("d'", m2 - 1))
 
     # (H-d): one move pair (d, d') at a time keeps memory at the size of
-    # column (c); ties go to the first tuple in (q,s,t,q',s',t',d,d') order
-    amps = table.amplitudes
+    # column (c); ties go to the first tuple in (q,s,t,q',s',t',d,d') order.
+    # by_move[m] has rows (q, s, t) and columns p for move m.
+    by_move = table.amplitudes.transpose(4, 0, 1, 3, 2).reshape(3, Q * S * S, Q)
     best = None
     for m, m2 in itertools.permutations(range(3), 2):
-        value, idx = _first_max(np.abs(np.einsum("qspt,rupv->qstruv", amps[..., m].conj(), amps[..., m2])))
+        product = by_move[m].conj() @ by_move[m2].T
+        value, idx = _first_max(np.abs(product).reshape((Q, S, S) * 2))
         if best is None or value > best[0] or (value == best[0] and idx < best[1]):
             best = (value, idx, m, m2)
     d, (q, s, t, q2, s2, t2), m, m2 = best

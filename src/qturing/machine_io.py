@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import TuringFrame
-from .table import TransitionTable
+from .table import TransitionTable, _sealed
 
 
 class MachineParseError(Exception):
@@ -192,7 +192,7 @@ def parse_document(text: str) -> MachineDocument:
     # (re, im) float pairs viewed as complex keep the sign of a -0.0 part
     values = np.array(list(entries.values()), dtype=np.float64).reshape(-1, 2).view(np.complex128)
     amps.reshape(-1)[np.fromiter(entries, dtype=np.intp, count=len(entries))] = values[:, 0]
-    return MachineDocument(name=name, frame=frame, table=TransitionTable(frame, amps))
+    return MachineDocument(name=name, frame=frame, table=TransitionTable(frame, _sealed(amps)))
 
 
 def parse_machine(text: str) -> TransitionTable:

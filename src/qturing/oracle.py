@@ -23,7 +23,7 @@ from .conditions import DEFAULT_TOLERANCE
 from .evolution import _Kernel
 from .frame import MOVES, Configuration, TuringFrame
 from .ktape import check_column
-from .table import TransitionTable, amplitude
+from .table import TransitionTable, _sealed, amplitude
 from .windows import PackedWindow
 
 __all__ = [
@@ -206,7 +206,7 @@ def pair_unitary_machine(
     for p in range(Q):
         block = unitary[p * S:(p + 1) * S, :].reshape(S, Q, S)
         amps[:, :, p, :, moves[p]] = np.transpose(block, (1, 2, 0))
-    return TransitionTable(frame, amps)
+    return TransitionTable(frame, _sealed(amps))
 
 
 def perturb(table: TransitionTable, entry: tuple, epsilon: float) -> TransitionTable:

@@ -38,6 +38,13 @@ def _entry_index(frame: TuringFrame, q: int, sigma, p: int, tau, moves) -> tuple
     )
 
 
+def _sealed(amps: np.ndarray) -> np.ndarray:
+    """Mark a fresh amplitude array read-only, so that `TransitionTable`
+    takes it over without a copy."""
+    amps.flags.writeable = False
+    return amps
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionTable:
     frame: TuringFrame
@@ -53,29 +60,39 @@ class TransitionTable:
             raise ValueError(f"amplitude array must have shape {shape}, got {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite (no NaN/inf)")
-        amps = amps.copy()
-        amps.flags.writeable = False
+        # an array that owns its data and is already read-only is taken over
+        # as it is (`_sealed` hands fresh arrays over that way); any other is
+        # copied, so the caller cannot write the table later
+        if amps.flags.writeable or not amps.flags.owndata:
+            amps = amps.copy()
+            amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def zeros(cls, frame: TuringFrame) -> "TransitionTable":
-        return cls(frame, np.zeros(frame.table_shape, dtype=np.complex128))
+        return cls(frame, _sealed(np.zeros(frame.table_shape, dtype=np.complex128)))
 
     @classmethod
     def from_rules(cls, frame: TuringFrame, rules: Iterable[tuple]) -> "TransitionTable":
         """Build from (q, sigma, p, tau, moves, amp) tuples of indices.
 
         sigma/tau/moves may be scalars when the frame has a single tape.
+        Two rules with the same (q, sigma, p, tau, moves) raise ValueError.
         """
         amps = np.zeros(frame.table_shape, dtype=np.complex128)
-        for q, sigma, p, tau, moves, amp in rules:
-            amps[_entry_index(frame, q, sigma, p, tau, moves)] = complex(amp)
-        return cls(frame, amps)
+        seen = set()
+        for i, (q, sigma, p, tau, moves, amp) in enumerate(rules):
+            index = _entry_index(frame, q, sigma, p, tau, moves)
+            if index in seen:
+                raise ValueError(f"rule {i + 1}: duplicate rule key (q, sigma, p, tau, moves)")
+            seen.add(index)
+            amps[index] = complex(amp)
+        return cls(frame, _sealed(amps))
 
     def with_entry(self, q: int, sigma, p: int, tau, moves, amp: complex) -> "TransitionTable":
         amps = self.amplitudes.copy()
         amps[_entry_index(self.frame, q, sigma, p, tau, moves)] = amp
-        return TransitionTable(self.frame, amps)
+        return TransitionTable(self.frame, _sealed(amps))
 
     def rules_for(self, q: int, sigma_flat: int) -> list[tuple[int, int, int, complex]]:
         """Nonzero (p, tau_flat, move_flat, amplitude) entries for one read."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qturing as qt
+from qturing.ktape import displacement_label
 
 from reference_frame import write_at
 
@@ -36,17 +37,36 @@ def corpus() -> list[qt.CorpusEntry]:
 # (1, 3, 2), holds 1,944 configurations.
 TWO_TAPE_FRAMES = [(1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 2, 1), (2, 2, 2), (1, 3, 2)]
 
+# (states, symbols on tapes 1..3); at r=1 the windows hold 216, 432, 1,728
+# and 3,456 configurations.
+THREE_TAPE_FRAMES = [(1, 2, 1, 1), (2, 2, 1, 1), (1, 2, 2, 1), (2, 2, 1, 2)]
 
-def build_two_tape_corpus(n_valid: int = 24, n_invalid: int = 24, seed: int = 11) -> list[qt.CorpusEntry]:
-    """Seeded two-tape corpus in the manner of `qt.build_corpus`: unitary-pair
-    machines with a random move vector per state, then single-entry
-    perturbations of them that `check_auto` rejects."""
+# (move d_p of the broken state, move d of the broken rule): the rule pairs
+# with the state's other rules only at the displacement D = d - d_p, which
+# has two or three nonzero components.
+MULTI_COMPONENT_BREAKS = [
+    ((-1, -1, -1), (1, 1, 1)),  # D = (2,2,2)
+    ((-1, 1, 0), (1, 0, -1)),  # D = (2,-1,-1)
+    ((0, -1, 1), (0, 1, -1)),  # D = (0,2,-2)
+    ((0, -1, 1), (1, 1, 0)),  # D = (1,2,-1)
+    ((-1, 0, 1), (0, 0, -1)),  # D = (1,0,-2)
+]
+
+
+def _random_moves(rng: np.random.Generator, k: int) -> tuple[int, ...]:
+    return tuple(int(d) for d in rng.integers(-1, 2, size=k))
+
+
+def build_multitape_corpus(frames, n_valid: int, n_invalid: int, seed: int) -> list[qt.CorpusEntry]:
+    """Seeded corpus in the manner of `qt.build_corpus` on frames of any
+    tape count: unitary-pair machines with a random move vector per state,
+    then single-entry perturbations of them that `check_auto` rejects."""
     rng = np.random.default_rng(seed)
     valid = []
     for i in range(n_valid):
-        frame = qt.simple_frame(*TWO_TAPE_FRAMES[i % len(TWO_TAPE_FRAMES)])
+        frame = qt.simple_frame(*frames[i % len(frames)])
         unitary = qt.random_unitary(frame.state_count * frame.symbol_block, rng)
-        moves = [tuple(int(d) for d in rng.integers(-1, 2, size=2)) for _ in range(frame.state_count)]
+        moves = [_random_moves(rng, frame.tape_count) for _ in range(frame.state_count)]
         table = qt.pair_unitary_machine(frame, unitary, moves)
         valid.append(qt.CorpusEntry(table, True, f"valid-{i} Q={frame.state_count} S={frame.symbol_counts}"))
     invalid = []
@@ -59,7 +79,7 @@ def build_two_tape_corpus(n_valid: int = 24, n_invalid: int = 24, seed: int = 11
                 tuple(int(rng.integers(n)) for n in frame.symbol_counts),
                 int(rng.integers(frame.state_count)),
                 tuple(int(rng.integers(n)) for n in frame.symbol_counts),
-                tuple(int(d) for d in rng.integers(-1, 2, size=2)),
+                _random_moves(rng, frame.tape_count),
             )
             epsilon = float(rng.uniform(0.05, 0.5)) * (1 if rng.integers(2) else -1)
             table = qt.perturb(base, entry, epsilon)
@@ -70,9 +90,50 @@ def build_two_tape_corpus(n_valid: int = 24, n_invalid: int = 24, seed: int = 11
     return valid + invalid
 
 
+def build_three_tape_corpus() -> list[qt.CorpusEntry]:
+    """A seeded 16-table three-tape corpus, plus two tables per entry of
+    MULTI_COMPONENT_BREAKS, each on the next frame in turn with state 0
+    moving d_p:
+
+    * `shift`: a pair-unitary table with one rule into state 0 added on
+      move d; it fails the normalization half of D = 0 and, of the
+      displacements, only D.
+    * `moved`: a signed-permutation pair-unitary table with one rule into
+      state 0 moved from d_p to d; it passes D = 0 and fails only D.
+
+    Each label ends in the name of D's condition.
+    """
+    corpus = build_multitape_corpus(THREE_TAPE_FRAMES, 8, 8, seed=13)
+    rng = np.random.default_rng(14)
+    for i, (d_p, d) in enumerate(MULTI_COMPONENT_BREAKS):
+        frame = qt.simple_frame(*THREE_TAPE_FRAMES[i % len(THREE_TAPE_FRAMES)])
+        dim = frame.state_count * frame.symbol_block
+        moves = [d_p] + [_random_moves(rng, 3) for _ in range(1, frame.state_count)]
+        label = f"Q={frame.state_count} S={frame.symbol_counts} {displacement_label(tuple(np.subtract(d, d_p)))}"
+
+        table = qt.pair_unitary_machine(frame, qt.random_unitary(dim, rng), moves)
+        q = int(rng.integers(frame.state_count))
+        sigma, tau = (frame.symbol_vector(int(s)) for s in rng.integers(frame.symbol_block, size=2))
+        corpus.append(qt.CorpusEntry(qt.perturb(table, (q, sigma, 0, tau, d), float(rng.uniform(0.05, 0.5))),
+                                     False, f"shift {label}"))
+
+        signed = np.eye(dim)[rng.permutation(dim)] * rng.choice((-1.0, 1.0), size=dim)
+        table = qt.pair_unitary_machine(frame, signed, moves)
+        q, s, _, t, _, amp = next(rule for rule in table.nonzero_rules() if rule[2] == 0)
+        rule = (q, frame.symbol_vector(s), 0, frame.symbol_vector(t))
+        corpus.append(qt.CorpusEntry(table.with_entry(*rule, d_p, 0).with_entry(*rule, d, amp),
+                                     False, f"moved {label}"))
+    return corpus
+
+
 @pytest.fixture(scope="session")
 def two_tape_corpus() -> list[qt.CorpusEntry]:
-    return build_two_tape_corpus()
+    return build_multitape_corpus(TWO_TAPE_FRAMES, 24, 24, seed=11)
+
+
+@pytest.fixture(scope="session")
+def three_tape_corpus() -> list[qt.CorpusEntry]:
+    return build_three_tape_corpus()
 
 
 def random_table(frame: qt.TuringFrame, rng: np.random.Generator, density: float = 0.6) -> qt.TransitionTable:

@@ -3,7 +3,13 @@
 These are the column (a)-(d), row (a)-(f), Hirvensalo (H-a)-(H-d) and
 two-tape (1)-(14) condition sets coded condition by condition as explicit
 loops over rule indices.  The package evaluates the same sets as slices of
-one Gram/einsum engine (`qturing.ktape`); the tests compare the two.
+one matrix-product engine (`qturing.ktape`); the tests compare the two.
+
+`check_ktape` here is the generated k-tape set as the engine computed it
+before it moved to matrix products: one `np.einsum` per displacement and
+move-pair choice, summed choice by choice.  It sums in another order than
+the engine, so the tests hold the two to equal witnesses and residuals
+within a relative 1e-13.
 
 Each residual here also carries `near_max`: every witness whose value is
 within `NEAR_MAX` of the condition's maximum (or `{None}` when the condition
@@ -12,12 +18,23 @@ different witnesses, so the tests accept any witness in that set.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from qturing.conditions import DEFAULT_TOLERANCE, ConditionId, ConditionResidual, ValidationReport
 from qturing.frame import MOVES
-from qturing.ktape import _require_tapes
+from qturing.ktape import (
+    _first_max,
+    _move_pairs,
+    _read_witness,
+    _require_tapes,
+    _split_amplitudes,
+    expand_condition_ids,
+    generate_ktape_conditions,
+)
 from qturing.table import TransitionTable
 
 NEAR_MAX = 1e-12
@@ -513,3 +530,73 @@ def check_two_tape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE)
         trackers[i].residual(ConditionId("two-tape", str(i))) for i in range(1, 15)
     )
     return ValidationReport("two-tape", tolerance, residuals)
+
+
+# ---------------------------------------------------------------------------
+# Generated k-tape set: one einsum per move-pair choice
+# ---------------------------------------------------------------------------
+
+def _eval_zero_einsum(table: TransitionTable):
+    """(residual, witness) of the normalization and the orthogonality half
+    of D = 0, from the read Gram as one einsum."""
+    frame = table.frame
+    S = frame.symbol_block
+    m = table.amplitudes.reshape(frame.state_count * S, -1)
+    gram = np.einsum("ij,kj->ik", m, m.conj())
+    value, (i,) = _first_max(np.abs(np.diagonal(gram) - 1.0))
+    norm = value, _read_witness(frame, *divmod(i, S))
+    n = gram.shape[0]
+    value, idx = _first_max(np.abs(gram), np.less.outer(np.arange(n), np.arange(n)))
+    witness = None
+    if idx is not None:
+        i, j = idx
+        witness = _read_witness(frame, *divmod(i, S)) + _read_witness(frame, *divmod(j, S), primed=True)
+    return norm, (value, witness)
+
+
+def _eval_displacement_einsum(table: TransitionTable, displacement: tuple[int, ...]):
+    frame = table.frame
+    k = frame.tape_count
+    split = _split_amplitudes(table)
+    independent = [i for i in range(k) if displacement[i] != 0]
+    shared = [i for i in range(k) if displacement[i] == 0]
+
+    # einsum labels (integer form): q=0, s=1, p=2, q'=3, s'=4,
+    # write axes 10+i (unprimed / shared), 30+i (primed independent).
+    x_sub = [0, 1, 2] + [10 + i for i in range(k)]
+    y_sub = [3, 4, 2] + [(10 + i) if i in shared else (30 + i) for i in range(k)]
+    out_sub = [0, 1] + [10 + i for i in independent] + [3, 4] + [30 + i for i in independent]
+
+    gram = None
+    combos = [_move_pairs(displacement[i]) for i in range(k)]
+    for choice in itertools.product(*combos):
+        d_vec = tuple(pair[0] + 1 for pair in choice)
+        d2_vec = tuple(pair[1] + 1 for pair in choice)
+        x = split[(slice(None),) * (3 + k) + d_vec]
+        y = split[(slice(None),) * (3 + k) + d2_vec]
+        term = np.einsum(x, x_sub, y.conj(), y_sub, out_sub)
+        gram = term if gram is None else gram + term
+
+    value, idx = _first_max(np.abs(gram))
+    if idx is None:
+        return value, None
+    half = 2 + len(independent)
+    q, s = idx[0], idx[1]
+    q2, s2 = idx[half], idx[half + 1]
+    witness = _read_witness(frame, q, s)
+    for pos, i in enumerate(independent):
+        witness += ((f"tau_{i + 1}", frame.symbol_name(i, idx[2 + pos])),)
+    witness += _read_witness(frame, q2, s2, primed=True)
+    for pos, i in enumerate(independent):
+        witness += ((f"tau_{i + 1}'", frame.symbol_name(i, idx[half + 2 + pos])),)
+    return value, witness
+
+
+def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
+    """The full generated condition set, one einsum per move-pair choice."""
+    norm_id, orth_id, *shifts = expand_condition_ids(generate_ktape_conditions(table.frame))
+    norm, orth = _eval_zero_einsum(table)
+    residuals = [ConditionResidual(norm_id, *norm), ConditionResidual(orth_id, *orth)]
+    residuals += [ConditionResidual(cid, *_eval_displacement_einsum(table, cid.displacement))
+                  for cid in shifts]
+    return ValidationReport("ktape", tolerance, tuple(residuals))

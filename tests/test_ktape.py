@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import qturing as qt
 import reference_conditions
 from qturing.ktape import MAX_TAPES, displacement_label
 
-from conftest import random_table
+from conftest import MULTI_COMPONENT_BREAKS, random_table
 
 
 class TestGeneration:
@@ -119,6 +123,20 @@ class TestEvaluation:
         assert len(report.residuals) == 64
         assert all(r.residual == 0.0 for r in report.residuals)
 
+    def test_three_tape_corpus_breaks_multi_component_displacements(self, three_tape_corpus):
+        """Each targeted table fails, of all displacements, only the one its
+        label names, which has two or three nonzero components; a `moved`
+        table passes D = 0 as well."""
+        targeted = [entry for entry in three_tape_corpus if entry.label.startswith(("shift", "moved"))]
+        assert len(targeted) == 2 * len(MULTI_COMPONENT_BREAKS)
+        assert any(entry.label.endswith("D=(2,2,2)") for entry in targeted)
+        for entry in targeted:
+            report = qt.check_ktape(entry.table)
+            failing = {r.id.name for r in report.residuals if r.residual > report.tolerance}
+            broken = entry.label.split()[-1]
+            assert sum(c != "0" for c in broken[3:-1].split(",")) >= 2
+            assert failing == ({"1", broken} if entry.label.startswith("shift") else {broken}), entry.label
+
     def test_mismatched_id_rejected(self, counterexample):
         cid = qt.generate_ktape_conditions(qt.simple_frame(1, 1, 1))[0]
         with pytest.raises(ValueError):
@@ -132,3 +150,40 @@ class TestEvaluation:
         frame3 = qt.simple_frame(1, 1, 1, 1)
         t3 = qt.TransitionTable.from_rules(frame3, [(0, (0, 0, 0), 0, (0, 0, 0), (0, 0, 0), 1.0)])
         assert qt.check_auto(t3).checker == "ktape"
+
+
+# Residual and witness reprs of check_ktape on k = 1..4 and of check_row and
+# check_hirvensalo on one tape, for seeded dense tables; run in-process and
+# in a child interpreter.
+_REPORTS_SOURCE = """
+import numpy as np
+import qturing as qt
+
+def report_reprs():
+    rng = np.random.default_rng(35)
+    out = []
+    for dims in [(8, 4), (2, 3, 3), (2, 2, 2, 2), (1, 2, 1, 1, 2)]:
+        frame = qt.simple_frame(*dims)
+        shape = frame.table_shape
+        table = qt.TransitionTable(frame, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        checks = [qt.check_ktape] + ([qt.check_row, qt.check_hirvensalo] if frame.tape_count == 1 else [])
+        for check in checks:
+            out += [repr((str(r.id), r.residual, r.witness)) for r in check(table).residuals]
+    return out
+"""
+
+
+def test_single_blas_thread_gives_the_same_bits():
+    """The engine's sums run in BLAS; one BLAS thread must give the same
+    residual and witness bits as the default thread count, so CLI output
+    does not depend on it."""
+    namespace = {}
+    exec(_REPORTS_SOURCE, namespace)
+    in_process = namespace["report_reprs"]()
+    src = str(pathlib.Path(qt.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _REPORTS_SOURCE + "print('\\n'.join(report_reprs()))"],
+                           env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert child.stdout.splitlines() == in_process
+    assert len(in_process) == 4 + 6 + 4 + 14 + 64 + 314

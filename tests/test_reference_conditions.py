@@ -3,6 +3,13 @@
 Column, row, hirvensalo and two-tape reports must agree with the loops in
 `reference_conditions` on every table: equal verdicts, residuals within
 1e-12, and a witness the loops also reach within 1e-12 of the maximum.
+
+The generated k-tape set must agree with the einsum loop it replaced
+(`reference_conditions.check_ktape`) on one to four tapes: equal verdicts,
+equal witnesses and residuals within 1e-13 * max(1, |r|).  Where both
+residuals are below ROUNDING the condition holds up to rounding error, its
+maximum is taken over rounding errors alone and the two summation orders may
+place it on different tuples, so there only the residuals are compared.
 """
 import numpy as np
 import pytest
@@ -14,6 +21,7 @@ from conftest import random_table
 
 ONE_TAPE_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 1)]
 TWO_TAPE_SHAPES = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2)]
+ROUNDING = 1e-14
 
 
 def _one_tape_tables(corpus) -> list[qt.TransitionTable]:
@@ -70,4 +78,35 @@ def test_engine_matches_reference_loops(checker, corpus):
                 failures.append(f"table {i} {g.id}: residual {g.residual!r} against {r.residual!r}")
             if g.witness not in r.near_max:
                 failures.append(f"table {i} {g.id}: witness {g.witness} not among the reference maxima")
+    assert not failures, failures[:5]
+
+
+def _four_tape_tables() -> list[qt.TransitionTable]:
+    """Seeded four-tape tables: dense and sparse random ones, a pair-unitary
+    machine and a single-entry perturbation of it."""
+    rng = np.random.default_rng(34)
+    tables = [random_table(qt.simple_frame(1, 2, 1, 1, 1), rng, density=1.0),
+              random_table(qt.simple_frame(2, 1, 1, 1, 2), rng, density=0.3)]
+    frame = qt.simple_frame(2, 2, 1, 1, 1)
+    moves = [tuple(int(d) for d in rng.integers(-1, 2, size=4)) for _ in range(2)]
+    valid = qt.pair_unitary_machine(frame, qt.random_unitary(4, rng), moves)
+    tables += [valid, qt.perturb(valid, (1, (1, 0, 0, 0), 0, (0, 0, 0, 0), (1, -1, 0, 1)), 0.25)]
+    return tables
+
+
+def test_generated_set_matches_einsum_loop(corpus, two_tape_corpus, three_tape_corpus):
+    tables = (_one_tape_tables(corpus) + _two_tape_tables() + [entry.table for entry in two_tape_corpus]
+              + [entry.table for entry in three_tape_corpus] + _four_tape_tables())
+    assert {table.frame.tape_count for table in tables} == {1, 2, 3, 4}
+    failures = []
+    for i, table in enumerate(tables):
+        got, ref = qt.check_ktape(table), reference.check_ktape(table)
+        if got.passed != ref.passed:
+            failures.append(f"table {i}: {got.verdict} against {ref.verdict}")
+        assert [r.id for r in got.residuals] == [r.id for r in ref.residuals]
+        for g, r in zip(got.residuals, ref.residuals):
+            if not abs(g.residual - r.residual) <= 1e-13 * max(1.0, abs(r.residual)):
+                failures.append(f"table {i} {g.id}: residual {g.residual!r} against {r.residual!r}")
+            if g.witness != r.witness and max(g.residual, r.residual) >= ROUNDING:
+                failures.append(f"table {i} {g.id}: witness {g.witness} against {r.witness}")
     assert not failures, failures[:5]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,50 @@ class TestStateRange:
         # a bad state and a non-integer symbol in one rule: the state is reported
         with pytest.raises(IndexError, match="state index"):
             qt.TransitionTable.from_rules(table.frame, [(2, (0.5,), 0, 0, 0, 1.0)])
+
+
+class TestFromRulesDuplicates:
+    def test_repeated_key_refused(self):
+        frame = qt.simple_frame(1, 1)
+        for rules in ([(0, 0, 0, 0, 0, 1.0), (0, 0, 0, 0, 0, 0.5)],
+                      [(0, 0, 0, 0, 0, 1.0), (0, 0, 0, 0, 0, 1.0)],
+                      [(0, 0, 0, 0, 1, 0.5), (0, 0, 0, 0, 0, 1.0), (0, (0,), 0, [0], (0,), 0.5)]):
+            with pytest.raises(ValueError, match=rf"^rule {len(rules)}: duplicate rule key"):
+                qt.TransitionTable.from_rules(frame, rules)
+
+    def test_multitape_key_refused_and_distinct_keys_kept(self):
+        frame = qt.simple_frame(2, 2, 1)
+        rules = [(0, (1, 0), 1, (0, 0), (1, -1), 0.5), (0, (1, 0), 1, (0, 0), (1, 0), 0.5)]
+        table = qt.TransitionTable.from_rules(frame, rules)
+        assert len(table.nonzero_rules()) == 2
+        with pytest.raises(ValueError, match="^rule 3: duplicate rule key"):
+            qt.TransitionTable.from_rules(frame, rules + [rules[0]])
+
+
+class TestOwnership:
+    def test_callers_array_is_copied(self):
+        frame = qt.simple_frame(1, 2)
+        amps = np.zeros(frame.table_shape, dtype=np.complex128)
+        sealed = amps.copy()
+        sealed.flags.writeable = False
+        # writeable, or a read-only view of another array
+        tables = [qt.TransitionTable(frame, given) for given in (amps, amps[:], sealed[:])]
+        amps[0, 0, 0, 0, 0] = 1.0
+        for table in tables:
+            assert not np.shares_memory(table.amplitudes, amps) and not np.shares_memory(table.amplitudes, sealed)
+            assert not table.amplitudes.flags.writeable and not table.amplitudes.any()
+
+    def test_parse_peak_is_one_table(self):
+        """Parsing a Q1 S1000 document (a 45.8 MiB table) keeps one table
+        array alive, not the parser's array and a copy of it."""
+        doc = qt.serialize_machine(qt.TransitionTable.from_rules(qt.simple_frame(1, 1000), [(0, 0, 0, 0, 0, 1.0)]))
+        tracemalloc.start()
+        try:
+            table = qt.parse_machine(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * table.amplitudes.nbytes
 
 
 TABLE_FRAMES = [(2, 2), (1, 2, 3), (2, 2, 1, 2)]
