@@ -57,7 +57,11 @@ def _load_document(path_arg: str) -> MachineDocument:
         if bundled is None:
             raise FileNotFoundError(f"no such machine file: {path_arg}")
         path = bundled
-    return parse_document(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise MachineParseError("syntax", f"not UTF-8 text: byte {err.start} cannot be decoded") from None
+    return parse_document(text)
 
 
 def _fmt(x: float) -> str:
@@ -238,7 +242,13 @@ def _parse_start(frame: TuringFrame, spec: str) -> Superposition:
     """Either a basis spec 'state=.. heads=.. tape=..' or '@file.json' with a
     list of {state, heads, tapes, amp} terms."""
     if spec.startswith("@"):
-        raw = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as err:
+            raise ValueError(f"start file {spec[1:]}: not UTF-8 text: byte {err.start} "
+                             "cannot be decoded") from None
+        except RecursionError:
+            raise ValueError(f"start file {spec[1:]}: JSON nested too deeply") from None
         if not isinstance(raw, list):
             raise ValueError("superposition file must hold a list of terms")
         return Superposition([_parse_term(frame, i, item) for i, item in enumerate(raw)])

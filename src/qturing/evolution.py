@@ -13,27 +13,26 @@ by the data, never by the coordinates: heads at 0 and 10**12 take a few
 dozen columns.  Positions must lie within +-2**62 (`MAX_POSITION`).  The
 rules are CSR arrays read off the table's nonzero amplitudes once per
 table.  A step repeats every term once per matching rule, scatters the
-written symbols, numbers the distinct images in first-reached order with a
-stable sort of compact byte rows and sums amp * coef per image with
-`np.bincount`.
+written symbols and sums amp * coef per image with `np.bincount`.
 
-Every order matches the per-configuration loop the kernel replaced, so
-results are bit-reproducible: terms are taken in `Configuration.sort_key`
-order (`_Layout.sort_order`, one `np.lexsort` over the packed terms),
-forward rules run grouped by written vector in first-appearance order,
-then (p, tau, d), and adjoint hits run move by move, then (q, sigma).
-`_Kernel.operator` numbers the images of packed basis states for the Gram
-oracle, and `step_operator` decodes them; the windowed norm estimator
-locates each entry in the packed window (`windows.PackedWindow`) without
-decoding.
+Each image has one byte key (`_Layout.keys`) whose unsigned order is
+`Configuration.sort_key` order and which is equal only for equal images, so
+one stable sort (`_runs`) both merges and orders the images.  Every order
+matches the per-configuration loop the kernel replaced, so results are
+bit-reproducible: terms in `sort_key` order, forward rules grouped by
+written vector in first-appearance order, then (p, tau, d), adjoint hits
+move by move, then (q, sigma).  `_Kernel.operator` numbers the images of
+packed basis states for the Gram oracle, and `step_operator` decodes them;
+the windowed norm estimator locates each entry in the packed window
+(`windows.PackedWindow`) without decoding.
 
-`apply`, `apply_adjoint` and `run` weight the coefficients by the
-amplitudes and share one step, `_step`.  Their results stay packed: a
-`Superposition` holds the packed terms, in first-reached order, and the next
-step takes them back without decoding.  Configurations are decoded only
-when asked for: `items()` and `configurations()` decode in `sort_key` order,
-and `amplitude`, `in`, `==`, `inner`, `scaled`, `plus` and `distance` build
-the dict once; `len`, `norm` and `repr` read the arrays.
+`apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
+stays packed: a `Superposition` holds its terms in `sort_key` order plus
+their first-reached order, and the next step takes them back without
+decoding or sorting.  Configurations are decoded only when asked for:
+`items()` and `configurations()` in `sort_key` order, and the dict that
+`amplitude`, `in`, `==`, `inner`, `scaled`, `plus` and `distance` build
+once in first-reached order; `len`, `norm` and `repr` read the arrays.
 """
 from __future__ import annotations
 
@@ -62,11 +61,11 @@ class Superposition:
 
     A superposition holds one of two forms: its dict (built by the
     constructor), or, as the output of `apply`, `apply_adjoint` and `run`,
-    the frame's `_Layout` plus packed `_Terms` with amplitudes in
-    first-reached order.  The packed form is decoded only when
-    configurations are asked for: `items()` decodes the terms in `sort_key`
-    order, and the methods that look terms up build the dict (`_terms`)
-    once, in first-reached order, and keep it."""
+    the frame's `_Layout`, packed `_Terms` with amplitudes in `sort_key`
+    order and their first-reached order.  The packed form is decoded only
+    when configurations are asked for: `items()` decodes the terms in
+    `sort_key` order, and the methods that look terms up build the dict
+    (`_terms`) once, in first-reached order, and keep it."""
 
     __slots__ = ("_dict", "_packed")
 
@@ -88,17 +87,19 @@ class Superposition:
         return cls({config: amplitude})
 
     @classmethod
-    def _from_packed(cls, layout: "_Layout", terms: "_Terms") -> "Superposition":
-        """From distinct packed terms whose amplitudes are already pruned."""
+    def _from_packed(cls, layout: "_Layout", terms: "_Terms", reached: np.ndarray) -> "Superposition":
+        """From distinct packed terms in `sort_key` order, their amplitudes
+        already pruned, and `reached`, their first-reached order."""
         psi = object.__new__(cls)
         psi._dict = None
-        psi._packed = (layout, terms)
+        psi._packed = (layout, terms, reached)
         return psi
 
     @property
     def _terms(self) -> dict[Configuration, complex]:
         if self._dict is None:
-            layout, terms = self._packed
+            layout, terms, reached = self._packed
+            terms = terms.take(reached)
             self._dict = dict(zip(layout.configurations(terms), terms.amps.tolist()))
         return self._dict
 
@@ -108,8 +109,7 @@ class Superposition:
     def items(self) -> list[tuple[Configuration, complex]]:
         if self._packed is None:
             return sorted(self._dict.items(), key=lambda kv: kv[0].sort_key())
-        layout, terms = self._packed
-        terms = terms.take(layout.sort_order(terms))
+        layout, terms, _ = self._packed
         return list(zip(layout.configurations(terms), terms.amps.tolist()))
 
     def configurations(self) -> list[Configuration]:
@@ -129,7 +129,8 @@ class Superposition:
 
     def norm(self) -> float:
         if self._packed is not None:
-            return _norm(self._packed[1].amps)
+            _, terms, reached = self._packed
+            return _norm(terms.amps[reached])
         return float(np.sqrt(sum((a * a.conjugate()).real for a in self._dict.values())))
 
     def inner(self, other: "Superposition") -> complex:
@@ -162,30 +163,20 @@ class Superposition:
         return max((abs(self.amplitude(c) - other.amplitude(c)) for c in keys), default=0.0)
 
 
-# Every sort here is a stable one: it keeps first occurrences first, and
-# one sort kernel keeps the pages of numpy code a process touches (its
-# RSS) small.  A bare `np.unique` would also import `numpy.ma`.
+# Every sort here is a stable argsort: equal keys keep their input order,
+# and one sort kernel keeps the pages of numpy code a process touches small.
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a 1-D array."""
-    a = np.sort(a, kind="stable")
-    new = np.empty(len(a), dtype=bool)
-    new[:1] = True
-    new[1:] = a[1:] != a[:-1]
-    return a[new]
-
-
-def _first_seen(keys: np.ndarray) -> np.ndarray:
-    """For every element of a 1-D array, the index of the first element
-    equal to it."""
-    perm = keys.argsort(kind="stable")
-    ordered = keys[perm]
-    new = np.empty(len(perm), dtype=bool)
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort order of a 1-D array, the start of each run of equal
+    keys in that order, and the run number of every key."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    new = np.empty(len(order), dtype=bool)
     new[:1] = True
     new[1:] = ordered[1:] != ordered[:-1]
-    first = np.empty(len(perm), dtype=np.intp)
-    first[perm] = perm[new][new.cumsum() - 1]
-    return first
+    run = np.empty(len(order), dtype=np.intp)
+    run[order] = new.cumsum() - 1
+    return order, np.flatnonzero(new), run
 
 
 def _csr(keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,29 +216,29 @@ class _Layout:
         self.sizes = np.array(frame.symbol_counts, dtype=np.intp)
         self.dtype = np.min_scalar_type(int(self.sizes.max()) - 1)
         self.blanks = np.array(frame.blanks, dtype=self.dtype)
+        self.top = int(self.sizes.max()) + 1  # the key of a blank before a non-blank cell
 
-    def sort_order(self, terms: _Terms, first: np.ndarray | None = None) -> np.ndarray:
-        """The permutation that sorts the terms by `Configuration.sort_key`
-        (after `first`, when given): state, heads, then per tape the
-        (cell, symbol) pairs of its non-blank cells, a missing pair sorting
-        below any cell."""
-        n = len(terms.state)
-        keys = [terms.state, *terms.heads.T]
+    def keys(self, terms: _Terms) -> np.ndarray:
+        """One void key per term, in `Configuration.sort_key` order as
+        unsigned bytes and equal only for equal terms: state, heads, then
+        per tape a symbol s as s+1 and a blank as 0, or as `top` when a
+        non-blank cell follows it on its tape.  Columns blank in every term
+        go, then columns equal in all terms; the rest are big-endian."""
+        dtype = np.min_scalar_type(max(self.frame.state_count, len(terms.cols), self.top))
+        # built column by column, (columns, terms), so every pass runs along the terms
+        cells = terms.cells.transpose(1, 2, 0)
+        filled = cells != self.blanks[:, None, None]
+        used = filled.any(axis=2)
+        rows = [terms.state[None, :], terms.heads.T]
         for i in range(self.k):
-            cells = terms.cells[:, i, :]
-            rows, cols = np.nonzero(cells != self.blanks[i])
-            if not len(rows):
-                continue
-            count = np.bincount(rows, minlength=n)
-            slot = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
-            pos = np.full((n, int(count.max())), -1, dtype=np.intp)
-            pos[rows, slot] = cols
-            sym = np.zeros(pos.shape, dtype=self.dtype)
-            sym[rows, slot] = cells[rows, cols]
-            keys += [a for pair in zip(pos.T, sym.T) for a in pair]
-        if first is not None:
-            keys.insert(0, first)
-        return np.lexsort(keys[::-1])
+            full = filled[i, used[i]]
+            later = np.logical_or.accumulate(full[::-1], axis=0)[::-1] & ~full
+            rows.append(full * (cells[i, used[i]] + dtype.type(1)) + later * dtype.type(self.top))
+        rows = np.concatenate(rows, axis=0, dtype=dtype, casting="unsafe")
+        vary = (rows != rows[:, :1]).any(axis=1)
+        vary[0] = True  # a key keeps one column when no column varies
+        rows = np.ascontiguousarray(rows[vary].T, dtype=dtype.newbyteorder(">"))
+        return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
     def configurations(self, terms: _Terms) -> list[Configuration]:
         """Decode packed terms, reading only non-blank cells and building one
@@ -264,9 +255,10 @@ class _Layout:
             at, col = np.nonzero(filled)
             # one (cell, symbol) tuple per distinct pair, shared by the tapes
             code = col * size + distinct[at, col]
-            codes = _sorted_unique(code)
-            shared = list(zip(cols[codes // size].tolist(), (codes % size).tolist()))
-            pairs = list(map(shared.__getitem__, np.searchsorted(codes, code).tolist()))
+            order, starts, run = _runs(code)
+            col, sym = np.divmod(code[order[starts]], size)
+            shared = list(zip(cols[col].tolist(), sym.tolist()))
+            pairs = list(map(shared.__getitem__, run.tolist()))
             ends = np.cumsum(filled.sum(axis=1)).tolist()
             tapes = [_tape_unchecked(blank, tuple(pairs[a:b])) for a, b in zip([0] + ends, ends)]
             per_tape.append([tapes[j] for j in index])
@@ -291,7 +283,6 @@ class _Kernel(_Layout):
         self.S, self.M = frame.symbol_block, frame.move_block
         self.tapes = np.arange(self.k)
         self.state_ids = frozenset(range(frame.state_count))
-        self.key_top = max(frame.state_count, int(self.sizes.max()))
         # symbol and move vectors are flattened with tape 1 most significant
         self.strides = np.append(np.cumprod(self.sizes[:0:-1])[::-1], 1).astype(np.intp)
         self.moves = np.array(list(frame.move_vectors()), dtype=np.intp).reshape(self.M, self.k)
@@ -302,7 +293,8 @@ class _Kernel(_Layout):
         read, target = np.divmod(flat, reads * M)  # (q, sigma) and (p, tau, d), flat
         p, t = np.divmod(target // M, S)
         # forward: each (read, tau) group sorts by its first rule, stably
-        order = np.argsort(_first_seen(read * S + t), kind="stable")
+        order, starts, run = _runs(read * S + t)
+        order = np.argsort(order[starts][run], kind="stable")
         self.forward = (*_csr(read[order], reads), p[order], self._symbols(t[order]),
                         self.moves[target[order] % M], coef[order])
         order = np.argsort(target, kind="stable")
@@ -346,7 +338,9 @@ class _Kernel(_Layout):
         heads = values[:n * k].reshape(n, k)
         cells_at = [values[start:start + 2 * sum(counts)] for _, start, counts in per_tape]
         near = (heads.reshape(-1, 1) + np.arange(-RUN_MARGIN, RUN_MARGIN + 1)).ravel()
-        cols = _sorted_unique(np.concatenate([near] + [flat[0::2] for flat in cells_at]))
+        cols = np.concatenate([near] + [flat[0::2] for flat in cells_at])
+        order, starts, _ = _runs(cols)
+        cols = cols[order[starts]]
         cells = np.empty((n, k, len(cols)), dtype=self.dtype)
         for i, ((index, _, counts), flat) in enumerate(zip(per_tape, cells_at)):
             sym = flat[1::2]
@@ -393,63 +387,54 @@ class _Kernel(_Layout):
             return parent, entries, coef
         return parent[keep], entries.take(keep), coef[keep]
 
-    def step(self, terms: _Terms, adjoint: bool) -> tuple[_Terms, float]:
-        """M|psi> (or M^dagger|psi>) on packed terms with amplitudes, and the
-        squared amplitude the prune dropped.  Each product amp*coef is formed
-        in real arithmetic with one rounding per product, as a Python complex
-        product is, and summed per image in entry order; the images come out
-        in first-reached order."""
+    def step(self, terms: _Terms, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
+        """M|psi> (or M^dagger|psi>) on packed terms with amplitudes: the
+        images in `sort_key` order, the permutation that lists them in
+        first-reached order, and the squared amplitude the prune dropped.
+        Each product amp*coef is formed in real arithmetic with one rounding
+        per product, as a Python complex product is, and summed per image in
+        entry order."""
         parent, entries, coef = self.expand(terms, adjoint)
-        first, ids = self.number(entries)
+        order, starts, ids = _runs(self.keys(entries))
+        first = order[starts]  # each image's first entry
         amps = terms.amps[parent]
-        n = len(first)
         ar, ai, cr, ci = amps.real, amps.imag, coef.real, coef.imag
-        re = np.bincount(ids, weights=ar * cr - ai * ci, minlength=n)
-        im = np.bincount(ids, weights=ar * ci + ai * cr, minlength=n)
+        re = np.bincount(ids, weights=ar * cr - ai * ci, minlength=len(first))
+        im = np.bincount(ids, weights=ar * ci + ai * cr, minlength=len(first))
         vals = re + 1j * im
         keep = np.hypot(vals.real, vals.imag) >= PRUNE_THRESHOLD
         dropped = 0.0
         if not keep.all():
-            lost = vals[~keep]
+            lost = vals[~keep][first[~keep].argsort(kind="stable")]
             dropped = float(np.sum(lost.real * lost.real + lost.imag * lost.imag))
             first, vals = first[keep], vals[keep]
-        return entries.take(first)._replace(amps=vals), dropped
+        return entries.take(first)._replace(amps=vals), first.argsort(kind="stable"), dropped
 
     def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms]:
         """The packed core of `step_operator`: (rows, cols, vals) on the
         basis states `terms`, and the packed images that `rows` indexes,
         numbered by first column, then `sort_key`."""
         parent, entries, vals = self.kept(terms, adjoint)
-        first, ids = self.number(entries)
-        images = entries.take(first)
+        order, starts, ids = _runs(self.keys(entries))
+        first = order[starts]
         # A Gram entry adds its terms in image-id order, so the numbering fixes
-        # its rounding; (first column, sort key) keeps it independent of rule order.
-        order = self.sort_order(images, parent[first])
-        rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order), dtype=np.intp)
-        return rank[ids], parent, vals, images.take(order)
-
-    def number(self, entries: _Terms) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct images in first-reached order: (first entry of each image,
-        image id of every entry).  Images are told apart by compact byte rows
-        of state, heads and the cell columns that vary between entries."""
-        cells = entries.cells
-        vary = np.logical_or.reduce(cells != cells[:1], axis=0)
-        rows = np.concatenate([entries.state[:, None], entries.heads, cells[:, vary]], axis=1,
-                              dtype=np.min_scalar_type(max(self.key_top, len(entries.cols)) - 1),
-                              casting="unsafe")
-        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
-        first = _first_seen(keys)
-        new = first == np.arange(len(first))
-        return np.flatnonzero(new), (new.cumsum() - 1)[first]
+        # its rounding; (first column, sort key) keeps it independent of rule
+        # order.  Entries come column by column, so an image's first entry
+        # holds its first column.
+        by_column = parent[first].argsort(kind="stable")
+        rank = np.empty(len(first), dtype=np.intp)
+        rank[by_column] = np.arange(len(first), dtype=np.intp)
+        return rank[ids], parent, vals, entries.take(first[by_column])
 
     def reframe(self, terms: _Terms, margin: int) -> _Terms:
         """The same terms on the columns that are non-blank in some term or
         within `margin` cells of some head."""
         cols = terms.cols
         used = (terms.cells != self.blanks[:, None]).any(axis=(0, 1))
-        near = (cols[_sorted_unique(terms.heads.ravel())][:, None] + np.arange(-margin, margin + 1)).ravel()
-        wanted = _sorted_unique(np.concatenate([cols[used], near]))
+        heads = np.flatnonzero(np.bincount(terms.heads.ravel(), minlength=len(cols)))
+        wanted = np.concatenate([cols[used], (cols[heads][:, None] + np.arange(-margin, margin + 1)).ravel()])
+        order, starts, _ = _runs(wanted)
+        wanted = wanted[order[starts]]
         cells = np.empty((len(terms.state), self.k, len(wanted)), dtype=self.dtype)
         cells[...] = self.blanks[:, None]
         cells[:, :, np.searchsorted(wanted, cols[used])] = terms.cells[:, :, used]
@@ -459,10 +444,10 @@ class _Kernel(_Layout):
         """psi's terms packed with amplitudes, in `sort_key` order, every head
         one cell from the next column on either side, as a step needs.
 
-        A packed psi on this frame is reframed with RUN_MARGIN only when some
-        head lacks such a neighbour (it drifted to the edge of a run of
-        adjacent columns), then sorted by `sort_order`.  Any other psi is
-        packed from `items()`, which checks it against the frame."""
+        A packed psi on this frame, already in that order, is reframed with
+        RUN_MARGIN only when some head lacks such a neighbour (it drifted to
+        the edge of a run of adjacent columns).  Any other psi is packed
+        from `items()`, which checks it against the frame."""
         packed = psi._packed
         if packed is None or packed[0].frame != self.frame:
             terms = psi.items()
@@ -471,9 +456,7 @@ class _Kernel(_Layout):
         adjacent = np.diff(terms.cols) == 1
         inner = np.zeros(len(terms.cols), dtype=bool)
         inner[1:-1] = adjacent[:-1] & adjacent[1:]
-        if not inner[terms.heads].all():
-            terms = self.reframe(terms, RUN_MARGIN)
-        return terms.take(self.sort_order(terms))
+        return terms if inner[terms.heads].all() else self.reframe(terms, RUN_MARGIN)
 
 
 def step_operator(
@@ -489,7 +472,7 @@ def step_operator(
     Entries below PRUNE_THRESHOLD are then dropped, as `Superposition` drops
     amplitudes, so a dropped rule still places its written-vector group.
     Images are numbered by the first column that reaches them, then by
-    `sort_key` within that column (one `np.lexsort` over the packed images);
+    `sort_key` within that column (one stable sort of the images' keys);
     only their non-blank cells are decoded, and identical tapes share one
     Tape.
     """
@@ -498,13 +481,12 @@ def step_operator(
     return rows, cols, vals, tuple(kernel.configurations(images))
 
 
-def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> tuple[Superposition, _Terms, float]:
-    """M|psi> (or M^dagger|psi>) in packed form, its packed terms and the
-    squared amplitude the prune dropped: the one step of `apply`,
-    `apply_adjoint` and `run`."""
+def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> tuple[Superposition, float]:
+    """M|psi> (or M^dagger|psi>) in packed form and the squared amplitude
+    the prune dropped: the one step of `apply`, `apply_adjoint` and `run`."""
     kernel = _Kernel.of(table)
-    images, dropped = kernel.step(kernel.ready(psi), adjoint)
-    return Superposition._from_packed(kernel, images), images, dropped
+    images, reached, dropped = kernel.step(kernel.ready(psi), adjoint)
+    return Superposition._from_packed(kernel, images, reached), dropped
 
 
 def apply(table: TransitionTable, psi: Superposition) -> Superposition:
@@ -557,7 +539,7 @@ def run(
     The table is validated first unless `unchecked`; norm drift is reported,
     never corrected.  Each step is the packed step of `apply`, so the terms
     stay packed from step to step and the final superposition is packed too,
-    its terms in the last step's first-reached order.  norms[t] sums |a|^2
+    its dict in the last step's first-reached order.  norms[t] sums |a|^2
     in that order with a Python float sum, as `Superposition.norm` does.
     """
     if steps < 0:
@@ -572,11 +554,11 @@ def run(
     psi = initial
     norms, pruned, terms, width = [initial.norm()], [0.0], [len(initial)], [0]
     for _ in range(steps):
-        psi, images, dropped = _step(table, psi, adjoint=False)
-        norms.append(_norm(images.amps))
+        psi, dropped = _step(table, psi, adjoint=False)
+        norms.append(psi.norm())
         pruned.append(dropped)
-        terms.append(len(images.state))
-        width.append(len(images.cols))
+        terms.append(len(psi))
+        width.append(len(psi._packed[1].cols))
     return RunResult(final=psi, norms=tuple(norms), pruned_mass=tuple(pruned),
                      terms=tuple(terms), width=tuple(width))
 
@@ -606,19 +588,10 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     keep = inside >= 0
     rows, cols, vals = inside[keep], cols[keep], vals[keep]
 
-    def matvec(v):
-        prod = vals * v[cols]
-        return (
-            np.bincount(rows, weights=prod.real, minlength=n)
-            + 1j * np.bincount(rows, weights=prod.imag, minlength=n)
-        )
-
-    def rmatvec(w):
-        prod = vals.conj() * w[rows]
-        return (
-            np.bincount(cols, weights=prod.real, minlength=n)
-            + 1j * np.bincount(cols, weights=prod.imag, minlength=n)
-        )
+    def gather(at, prod):
+        """The sums of `prod` at each index `at`: A v or A^H w."""
+        return (np.bincount(at, weights=prod.real, minlength=n)
+                + 1j * np.bincount(at, weights=prod.imag, minlength=n))
 
     v = np.zeros(n, dtype=np.complex128)
     v[window.interior()] = 1.0
@@ -632,11 +605,11 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
 
     estimate = 0.0
     for _ in range(iterations):
-        w = matvec(v)
+        w = gather(rows, vals * v[cols])
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         estimate = norm_w
-        u = rmatvec(w)
+        u = gather(cols, vals.conj() * w[rows])
         v = u / np.linalg.norm(u)
     return estimate

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import TuringFrame
-from .table import TransitionTable, _sealed
+from .table import _MAX_MODULUS, TransitionTable, _sealed
 
 
 class MachineParseError(Exception):
@@ -131,6 +131,8 @@ def parse_document(text: str) -> MachineDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise MachineParseError("syntax", err.msg, err.lineno, err.colno) from err
+    except RecursionError:
+        raise MachineParseError("syntax", "JSON nested too deeply") from None
 
     _expect(isinstance(doc, dict), "schema", "document must be a JSON object")
     name = doc.get("name", "machine")
@@ -191,6 +193,9 @@ def parse_document(text: str) -> MachineDocument:
     amps = np.zeros(frame.table_shape, dtype=np.complex128)
     # (re, im) float pairs viewed as complex keep the sign of a -0.0 part
     values = np.array(list(entries.values()), dtype=np.float64).reshape(-1, 2).view(np.complex128)
+    big = np.flatnonzero(np.abs(values[:, 0]) > _MAX_MODULUS)
+    if big.size:
+        raise MachineParseError("range", f"rule {big[0] + 1}: amp modulus must be at most 2**100")
     amps.reshape(-1)[np.fromiter(entries, dtype=np.intp, count=len(entries))] = values[:, 0]
     return MachineDocument(name=name, frame=frame, table=TransitionTable(frame, _sealed(amps)))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE
-from .evolution import _Kernel
+from .evolution import _Kernel, _runs
 from .frame import MOVES, Configuration, TuringFrame
 from .ktape import check_column
 from .table import TransitionTable, _sealed, amplitude
@@ -81,16 +81,18 @@ def _gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     (an image) are paired, so the pairs run by image id, then column, and
     each G[i, j] adds its terms in image-id order.
     """
-    order = np.argsort(rows, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    sizes = np.diff(np.append(starts, rows.size))
+    order, starts, _ = _runs(rows)
+    cols, vals = cols[order], vals[order]
+    sizes = np.diff(starts, append=rows.size)
     fan = sizes * sizes
     group = np.repeat(np.arange(starts.size), fan)
     local = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
     left = starts[group] + local // sizes[group]
     right = starts[group] + local % sizes[group]
-    keys, inverse = np.unique(cols[left] * n + cols[right], return_inverse=True)
+    keys = cols[left] * n + cols[right]
+    order, starts, inverse = _runs(keys)
+    keys = keys[order[starts]]
+    del order  # the products below set the peak memory
     # Real arithmetic, one rounding per product: numpy's complex multiply may
     # fuse multiply-adds, which leaves conj(v) v a nonzero imaginary part and
     # breaks the exact Hermitian symmetry of the entries.

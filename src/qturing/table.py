@@ -38,6 +38,13 @@ def _entry_index(frame: TuringFrame, q: int, sigma, p: int, tau, moves) -> tuple
     )
 
 
+# Every amplitude modulus is at most this.  The largest powers of it that are
+# formed are fourth powers (the power iteration of `estimate_norm`), and
+# 2**400 times any table or window size stays far below the float maximum,
+# so every residual, Gram entry and norm stays finite.
+_MAX_MODULUS = 2.0 ** 100
+
+
 def _sealed(amps: np.ndarray) -> np.ndarray:
     """Mark a fresh amplitude array read-only, so that `TransitionTable`
     takes it over without a copy."""
@@ -58,14 +65,17 @@ class TransitionTable:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != shape:
             raise ValueError(f"amplitude array must have shape {shape}, got {amps.shape}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite (no NaN/inf)")
         # an array that owns its data and is already read-only is taken over
         # as it is (`_sealed` hands fresh arrays over that way); any other is
         # copied, so the caller cannot write the table later
         if amps.flags.writeable or not amps.flags.owndata:
             amps = amps.copy()
             amps.flags.writeable = False
+        # block by block, so the check makes no table-sized temporary
+        flat = amps.reshape(-1)
+        for at in range(0, flat.size, 1 << 16):
+            if not np.all(np.abs(flat[at:at + (1 << 16)]) <= _MAX_MODULUS):
+                raise ValueError("amplitudes must be finite with modulus at most 2**100")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod

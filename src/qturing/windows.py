@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolution import _Layout, _Terms
+from .evolution import _Layout, _Terms, _runs
 from .frame import Configuration, TuringFrame
 
 # The largest window built: Q2S2 at r=4 has 9,216 configurations, and a
@@ -78,10 +78,8 @@ class PackedWindow:
             cells[:, i, 1:-1] = tape[:, None] // powers % symbols
         packed = _Terms(code, np.stack(heads, axis=1), cells,
                         np.arange(-radius - 1, radius + 2, dtype=np.int64))
-        order = layout.sort_order(packed)
+        order, _, self.position = _runs(layout.keys(packed))  # terms are distinct: run = position
         self.terms = packed.take(order)
-        self.position = np.empty(self.size, dtype=np.intp)
-        self.position[order] = np.arange(self.size, dtype=np.intp)
 
     def index(self, terms: _Terms) -> np.ndarray:
         """The window position of every term on the window's columns, or -1

@@ -301,6 +301,43 @@ class TestErrorsAndDeterminism:
         assert out == ""
         assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
 
+    @pytest.mark.parametrize("data, message", [
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+        (b'{"name": "\xff"}', "not UTF-8 text: byte 10 cannot be decoded"),
+    ], ids=["nested", "non-utf8"])
+    def test_undecodable_inputs_exit_two_with_a_coded_message(self, capsys, tmp_path, data, message):
+        path = tmp_path / "input.qtm"
+        path.write_bytes(data)
+        code, out, err = invoke(capsys, "validate", str(path))
+        assert (code, out, err) == (2, "", f"error: syntax: {message}\n")
+        code, out, err = invoke(capsys, "run", "counterexample", "--start", f"@{path}")
+        assert (code, out, err) == (2, "", f"error: start file {path}: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["validate"], ["validate", "--format", "json"], ["gram"], ["norm"],
+                                      ["run", "--unchecked"]])
+    def test_amplitude_above_the_bound_exits_two(self, capsys, tmp_path, argv):
+        doc = json.loads(bundled_machine_path("counterexample").read_text())
+        doc["rules"][1]["amp"] = [1e308, 1e308]
+        path = tmp_path / "huge.qtm"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", "error: range: rule 2: amp modulus must be at most 2**100\n")
+
+    @pytest.mark.parametrize("command", ["validate", "gram", "norm"])
+    def test_amplitudes_at_the_bound_give_finite_json(self, capsys, tmp_path, command):
+        doc = json.loads(bundled_machine_path("counterexample").read_text())
+        for item in doc["rules"]:
+            item["amp"] = [2.0 ** 99, -(2.0 ** 99)]
+        path = tmp_path / "edge.qtm"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, command, str(path), "--format", "json")
+        assert code in (0, 1) and err == ""
+
+        def refuse(constant):
+            raise AssertionError(f"{command} printed {constant}")
+
+        json.loads(out, parse_constant=refuse)
+
     def test_real_file_wins_over_bundled_name(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "identity"
         path.write_text(bundled_machine_path("zero").read_text())

@@ -85,6 +85,23 @@ class TestErrors:
     def test_duplicate_rule(self):
         self.expect_code(document([rule(), rule(amp=(0.5, 0.0))]), "duplicate")
 
+    def test_overnested_json_is_a_syntax_error(self):
+        err = self.expect_code("[" * 100_000 + "]" * 100_000, "syntax")
+        assert str(err) == "syntax: JSON nested too deeply"
+
+    def test_amplitude_modulus_bound_names_the_first_rule_above_it(self):
+        states = ("q0", "q1", "q2", "q3")
+        rules = [rule(q=q, amp=amp) for q, amp in
+                 zip(states, [(1.0, 0.0), (2.0 ** 100, 2.0 ** 99), (1e308, 1e308), (2.0 ** 99, 2.0 ** 99)])]
+        err = self.expect_code(document(rules, states=states), "range")
+        assert str(err) == "range: rule 2: amp modulus must be at most 2**100"
+        # the rule checks run first: a later malformed rule is reported instead
+        err = self.expect_code(document(rules + [rule(move=(2,))], states=states), "range")
+        assert str(err).startswith("range: rule 5: move components")
+        # a modulus just inside the bound parses
+        table = qt.parse_machine(document([rule(amp=(2.0 ** 99, 2.0 ** 99))]))
+        assert abs(table.amplitudes).max() <= 2.0 ** 100
+
 
 def frame_document(states: int, *symbol_counts: int) -> str:
     """A one-rule document on `simple_frame(states, *symbol_counts)`'s names."""

@@ -40,6 +40,18 @@ class TestAmplitudeLookup:
         with pytest.raises(ValueError):
             qt.TransitionTable(frame, amps)
 
+    @pytest.mark.parametrize("value", [2.0 ** 100 + 2.0 ** 60, 2.0 ** 99.6 * (1 + 1j), 1e308 + 1e308j, np.inf])
+    def test_modulus_above_the_bound_rejected(self, value):
+        frame = qt.simple_frame(1, 300)  # 270,000 entries: the check runs block by block
+        amps = np.zeros(frame.table_shape, dtype=complex)
+        amps.reshape(-1)[-1] = value
+        with pytest.raises(ValueError, match=r"modulus at most 2\*\*100"):
+            qt.TransitionTable(frame, amps)
+        amps.reshape(-1)[-1] = 2.0 ** 100
+        assert qt.TransitionTable(frame, amps).amplitudes.reshape(-1)[-1] == 2.0 ** 100
+        with pytest.raises(ValueError, match=r"modulus at most 2\*\*100"):
+            qt.TransitionTable.zeros(frame).with_entry(0, 299, 0, 299, 1, value)
+
     def test_array_immutable(self, counterexample):
         with pytest.raises(ValueError):
             counterexample.amplitudes[0, 0, 0, 0, 0] = 9
