@@ -249,6 +249,8 @@ def _parse_start(frame: TuringFrame, spec: str) -> Superposition:
                              "cannot be decoded") from None
         except RecursionError:
             raise ValueError(f"start file {spec[1:]}: JSON nested too deeply") from None
+        except json.JSONDecodeError as err:
+            raise ValueError(f"start file {spec[1:]}: invalid JSON: {err}") from None
         if not isinstance(raw, list):
             raise ValueError("superposition file must hold a list of terms")
         return Superposition([_parse_term(frame, i, item) for i, item in enumerate(raw)])
@@ -432,8 +434,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (MachineParseError, OSError, ValueError, KeyError) as err:
-        # OSError is a missing, unreadable or directory path;
-        # json.JSONDecodeError is a ValueError
+        # OSError is a missing, unreadable or directory path
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,7 @@ once in first-reached order; `len`, `norm` and `repr` read the arrays.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -541,6 +542,10 @@ def run(
     stay packed from step to step and the final superposition is packed too,
     its dict in the last step's first-reached order.  norms[t] sums |a|^2
     in that order with a Python float sum, as `Superposition.norm` does.
+
+    An unchecked table can grow the amplitudes past the float range: the run
+    stops with ValueError at the first step whose norm or pruned mass is not
+    finite, without numpy's overflow warnings.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -551,14 +556,18 @@ def run(
                 f"table fails the {report.checker} conditions "
                 f"(max residual {report.max_residual:.3e}); pass unchecked=True to run anyway"
             )
-    psi = initial
-    norms, pruned, terms, width = [initial.norm()], [0.0], [len(initial)], [0]
-    for _ in range(steps):
-        psi, dropped = _step(table, psi, adjoint=False)
-        norms.append(psi.norm())
-        pruned.append(dropped)
-        terms.append(len(psi))
-        width.append(len(psi._packed[1].cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = initial
+        norms, pruned, terms, width = [initial.norm()], [0.0], [len(initial)], [0]
+        for t in range(steps + 1):
+            if t:
+                psi, dropped = _step(table, psi, adjoint=False)
+                norms.append(psi.norm())
+                pruned.append(dropped)
+                terms.append(len(psi))
+                width.append(len(psi._packed[1].cols))
+            if not (math.isfinite(norms[t]) and math.isfinite(pruned[t])):
+                raise ValueError(f"the norm is not finite after step {t}: the amplitudes overflow")
     return RunResult(final=psi, norms=tuple(norms), pruned_mass=tuple(pruned),
                      terms=tuple(terms), width=tuple(width))
 
@@ -573,6 +582,12 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     unitarity conditions, because interior window states are fixed points of
     the compressed normal operator.  A window of more than
     `windows.MAX_WINDOW_CONFIGS` configurations is refused with ValueError.
+
+    Each iteration forms A v and then A^H w.  Each of the two adds its
+    entry products into a zero vector one at a time, in entry order: window
+    column by window column, each column in `step_operator` order.  The
+    products are numpy complex products, which may fuse multiply-adds, so
+    the last bits of the estimate can differ between hosts.
     """
     if window_radius < 1 or iterations < 1:
         raise ValueError("window_radius and iterations must be positive")
@@ -589,9 +604,11 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     rows, cols, vals = inside[keep], cols[keep], vals[keep]
 
     def gather(at, prod):
-        """The sums of `prod` at each index `at`: A v or A^H w."""
-        return (np.bincount(at, weights=prod.real, minlength=n)
-                + 1j * np.bincount(at, weights=prod.imag, minlength=n))
+        """The sums of `prod` at each index `at`, from +0 in entry order:
+        A v or A^H w."""
+        out = np.zeros(n, dtype=np.complex128)
+        np.add.at(out, at, prod)
+        return out
 
     v = np.zeros(n, dtype=np.complex128)
     v[window.interior()] = 1.0
@@ -603,6 +620,11 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     v += 0.01 * noise / np.linalg.norm(noise)
     v /= np.linalg.norm(v)
 
+    # numpy's complex multiply is not bitwise commutative, and from 16,384
+    # entries on `a * b[i]` reuses the temporary b[i] and multiplies
+    # b[i] * a.  `vals * v[cols]` is kept as written; np.multiply keeps
+    # conj(A) on the left, so A^H w has the bits of `vals.conj() * w[rows]`.
+    cvals = vals.conj()
     estimate = 0.0
     for _ in range(iterations):
         w = gather(rows, vals * v[cols])
@@ -610,6 +632,6 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
         if norm_w == 0.0:
             return 0.0
         estimate = norm_w
-        u = gather(cols, vals.conj() * w[rows])
-        v = u / np.linalg.norm(u)
+        v = gather(cols, np.multiply(cvals, w[rows]))
+        v /= np.linalg.norm(v)
     return estimate

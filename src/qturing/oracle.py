@@ -2,12 +2,13 @@
 
 The oracle never looks at the condition sums: it expands every basis
 configuration of a window through the step operator (or its adjoint) and
-forms the whole Gram matrix A^H A, so a checker bug and an oracle bug would
-have to coincide to hide a wrong verdict.  Two columns of A overlap only
-where they share an image configuration, so the product is a self-join of
-A's entries on image id; every other Gram entry is a structural zero.  The
-window and its images stay packed arrays (`windows.PackedWindow`); only
-the witness configurations are decoded.
+forms the Gram matrix A^H A over the whole window, so a checker bug and an
+oracle bug would have to coincide to hide a wrong verdict.  Two columns of A
+overlap only where they share an image configuration, so the product is a
+self-join of A's entries on image id; every other Gram entry is a structural
+zero.  Only the upper half is formed, since the lower half is its exact
+conjugate.  The window and its images stay packed arrays
+(`windows.PackedWindow`); only the witness configurations are decoded.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -74,21 +75,25 @@ class GramCheck:
 
 
 def _gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
-    """A^H A for the COO matrix A with n columns, as sorted keys i*n + j and
-    the entry sums G[i, j] = sum_k conj(A[k, i]) A[k, j].
+    """The upper half of A^H A for the COO matrix A with n columns, whose
+    entries come column by column and reach each row at most once per
+    column: sorted keys i*n + j with i <= j and the entry sums
+    G[i, j] = sum_k conj(A[k, i]) A[k, j].
 
-    Entries are stable-sorted by row and every two entries that share a row
-    (an image) are paired, so the pairs run by image id, then column, and
-    each G[i, j] adds its terms in image-id order.
+    Entries are stable-sorted by row (an image), so each image lists its
+    columns in increasing order, and every entry is paired with itself and
+    the entries after it in its image.  The pairs run by image id, then
+    column, and each G[i, j] adds its terms in image-id order.  Each product
+    is done in real arithmetic with one rounding, so the lower half is the
+    conjugate of the upper half bit for bit: G[j, i] = conj(G[i, j]).
     """
     order, starts, _ = _runs(rows)
     cols, vals = cols[order], vals[order]
     sizes = np.diff(starts, append=rows.size)
-    fan = sizes * sizes
-    group = np.repeat(np.arange(starts.size), fan)
-    local = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
-    left = starts[group] + local // sizes[group]
-    right = starts[group] + local % sizes[group]
+    count = np.repeat(starts + sizes, sizes) - np.arange(rows.size)  # pairs per left entry
+    left = np.repeat(np.arange(rows.size), count)
+    first = np.cumsum(count) - count  # each left entry's first pair, which pairs it with itself
+    right = np.arange(left.size) - np.repeat(first - np.arange(rows.size), count)
     keys = cols[left] * n + cols[right]
     order, starts, inverse = _runs(keys)
     keys = keys[order[starts]]
@@ -105,6 +110,27 @@ def _gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     return keys, sums
 
 
+def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int):
+    """From the upper half of G, as `_gram_product` gives it: the diagonal
+    residuals |G[i, i] - 1|, the largest off-diagonal modulus, the first
+    (i, j) in key order that attains it (None without off-diagonal keys) and
+    the number of off-diagonal pairs.
+
+    Each off-diagonal key stands for two pairs of equal modulus, G[i, j] and
+    G[j, i] = conj(G[i, j]); the first tie in key order is the first of the
+    whole matrix too, because the mirror (j, i) of a tie comes after it."""
+    i, j = np.divmod(keys, n)
+    on_diag = i == j
+    diagonal = np.zeros(n, dtype=np.complex128)
+    diagonal[i[on_diag]] = sums[on_diag]
+    off_i, off_j, off_abs = i[~on_diag], j[~on_diag], np.abs(sums[~on_diag])
+    if not off_abs.size:
+        return np.abs(diagonal - 1.0), 0.0, None, 0
+    off = off_abs.max()
+    first = np.flatnonzero(off_abs == off)[0]
+    return np.abs(diagonal - 1.0), float(off), (int(off_i[first]), int(off_j[first])), 2 * off_abs.size
+
+
 def _gram_check(table, radius, tolerance, side) -> GramCheck:
     # The full Gram matrix over the window is one A^H A product, where the
     # columns of A are the step-operator expansions of the window basis
@@ -114,24 +140,15 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     window = PackedWindow(kernel, radius)
     n = window.size
     rows, cols, vals, _ = kernel.operator(window.terms, adjoint=side == "rows")
-    keys, sums = _gram_product(rows, cols, vals, n)
-    i, j = np.divmod(keys, n)
-    on_diag = i == j
-    diagonal = np.zeros(n, dtype=np.complex128)
-    diagonal[i[on_diag]] = sums[on_diag]
-    diag_resid = np.abs(diagonal - 1.0)
+    diag_resid, off, tie, pairs = _gram_residuals(*_gram_product(rows, cols, vals, n), n)
     diag = float(diag_resid.max())
-    off_i, off_j, off_abs = i[~on_diag], j[~on_diag], np.abs(sums[~on_diag])
-    off = float(off_abs.max()) if off_abs.size else 0.0
 
     # only the witnesses are decoded into configurations
     if diag >= off:
         (config,) = kernel.configurations(window.terms.take([np.argmax(diag_resid)]))
         witness = (config, config)
     else:
-        # keys are sorted, so the first tie has the smallest (i, j)
-        first = np.flatnonzero(off_abs == off)[0]
-        witness = tuple(kernel.configurations(window.terms.take([off_i[first], off_j[first]])))
+        witness = tuple(kernel.configurations(window.terms.take(list(tie))))
 
     return GramCheck(
         side=side,
@@ -141,7 +158,7 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
         offdiagonal_residual=off,
         witness=witness,
         config_count=n,
-        pair_count=int(off_abs.size),
+        pair_count=pairs,
     )
 
 

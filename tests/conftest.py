@@ -41,6 +41,10 @@ TWO_TAPE_FRAMES = [(1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 2, 1), (2, 2, 2), (1, 3,
 # and 3,456 configurations.
 THREE_TAPE_FRAMES = [(1, 2, 1, 1), (2, 2, 1, 1), (1, 2, 2, 1), (2, 2, 1, 2)]
 
+# The full-size three-tape frame: two states over two symbols on every
+# tape, 27,648 configurations at r=1.
+FULL_THREE_TAPE_FRAME = (2, 2, 2, 2)
+
 # (move d_p of the broken state, move d of the broken rule): the rule pairs
 # with the state's other rules only at the displacement D = d - d_p, which
 # has two or three nonzero components.
@@ -57,6 +61,30 @@ def _random_moves(rng: np.random.Generator, k: int) -> tuple[int, ...]:
     return tuple(int(d) for d in rng.integers(-1, 2, size=k))
 
 
+def _pair_unitary_table(frame: qt.TuringFrame, rng: np.random.Generator) -> qt.TransitionTable:
+    """A unitary-pair machine with a random move vector per state."""
+    unitary = qt.random_unitary(frame.state_count * frame.symbol_block, rng)
+    moves = [_random_moves(rng, frame.tape_count) for _ in range(frame.state_count)]
+    return qt.pair_unitary_machine(frame, unitary, moves)
+
+
+def _broken_neighbour(base: qt.TransitionTable, rng: np.random.Generator) -> qt.TransitionTable:
+    """A single-entry perturbation of `base` that `check_auto` rejects."""
+    frame = base.frame
+    while True:
+        entry = (
+            int(rng.integers(frame.state_count)),
+            tuple(int(rng.integers(n)) for n in frame.symbol_counts),
+            int(rng.integers(frame.state_count)),
+            tuple(int(rng.integers(n)) for n in frame.symbol_counts),
+            _random_moves(rng, frame.tape_count),
+        )
+        epsilon = float(rng.uniform(0.05, 0.5)) * (1 if rng.integers(2) else -1)
+        table = qt.perturb(base, entry, epsilon)
+        if not qt.check_auto(table).passed:
+            return table
+
+
 def build_multitape_corpus(frames, n_valid: int, n_invalid: int, seed: int) -> list[qt.CorpusEntry]:
     """Seeded corpus in the manner of `qt.build_corpus` on frames of any
     tape count: unitary-pair machines with a random move vector per state,
@@ -64,27 +92,13 @@ def build_multitape_corpus(frames, n_valid: int, n_invalid: int, seed: int) -> l
     rng = np.random.default_rng(seed)
     valid = []
     for i in range(n_valid):
-        frame = qt.simple_frame(*frames[i % len(frames)])
-        unitary = qt.random_unitary(frame.state_count * frame.symbol_block, rng)
-        moves = [_random_moves(rng, frame.tape_count) for _ in range(frame.state_count)]
-        table = qt.pair_unitary_machine(frame, unitary, moves)
+        table = _pair_unitary_table(qt.simple_frame(*frames[i % len(frames)]), rng)
+        frame = table.frame
         valid.append(qt.CorpusEntry(table, True, f"valid-{i} Q={frame.state_count} S={frame.symbol_counts}"))
     invalid = []
     for i in range(n_invalid):
-        base = valid[i % n_valid].table
-        frame = base.frame
-        while True:
-            entry = (
-                int(rng.integers(frame.state_count)),
-                tuple(int(rng.integers(n)) for n in frame.symbol_counts),
-                int(rng.integers(frame.state_count)),
-                tuple(int(rng.integers(n)) for n in frame.symbol_counts),
-                _random_moves(rng, frame.tape_count),
-            )
-            epsilon = float(rng.uniform(0.05, 0.5)) * (1 if rng.integers(2) else -1)
-            table = qt.perturb(base, entry, epsilon)
-            if not qt.check_auto(table).passed:
-                break
+        table = _broken_neighbour(valid[i % n_valid].table, rng)
+        frame = table.frame
         invalid.append(qt.CorpusEntry(table, False,
                                       f"invalid-{i} Q={frame.state_count} S={frame.symbol_counts}"))
     return valid + invalid
@@ -93,7 +107,9 @@ def build_multitape_corpus(frames, n_valid: int, n_invalid: int, seed: int) -> l
 def build_three_tape_corpus() -> list[qt.CorpusEntry]:
     """A seeded 16-table three-tape corpus, plus two tables per entry of
     MULTI_COMPONENT_BREAKS, each on the next frame in turn with state 0
-    moving d_p:
+    moving d_p, plus one unitary-pair table on FULL_THREE_TAPE_FRAME and one
+    single-entry perturbation of it that `check_auto` rejects.  The
+    displacement tables are:
 
     * `shift`: a pair-unitary table with one rule into state 0 added on
       move d; it fails the normalization half of D = 0 and, of the
@@ -123,6 +139,10 @@ def build_three_tape_corpus() -> list[qt.CorpusEntry]:
         rule = (q, frame.symbol_vector(s), 0, frame.symbol_vector(t))
         corpus.append(qt.CorpusEntry(table.with_entry(*rule, d_p, 0).with_entry(*rule, d, amp),
                                      False, f"moved {label}"))
+    table = _pair_unitary_table(qt.simple_frame(*FULL_THREE_TAPE_FRAME), rng)
+    label = f"Q={table.frame.state_count} S={table.frame.symbol_counts}"
+    corpus.append(qt.CorpusEntry(table, True, f"full valid {label}"))
+    corpus.append(qt.CorpusEntry(_broken_neighbour(table, rng), False, f"full invalid {label}"))
     return corpus
 
 

@@ -5,8 +5,8 @@ Each Gram entry is one sparse inner product of two full expansions through
 be nonzero for structurally close pairs (heads at distance <= 2 per tape,
 tapes agreeing off the two head cells for columns; a single differing cell
 next to both heads for rows), so pair enumeration is restricted to that
-pattern.  The package itself forms the whole Gram matrix from
-`step_operator` instead (see `qturing.oracle`).
+pattern.  The package itself forms the Gram matrix over the whole window
+from the step operator instead, as its upper half (see `qturing.oracle`).
 
 `reference_apply` and `reference_adjoint` are the per-term dict loops that
 `apply` and `apply_adjoint` replaced, and `reference_step_operator` is the
@@ -14,7 +14,9 @@ per-configuration expansion loop (`_Rules` and `_expand`) that the packed
 step kernel replaced; the tests hold the packed kernel to them bit for bit.
 `reference_gram_check` and `reference_estimate_norm` are the Gram check and
 the norm estimator on a window of `Configuration` objects, located through
-a dict, as they ran before the packed window.
+a dict, as they ran before the packed window; the Gram check multiplies out
+the whole of A^H A (`reference_gram_product`), where the package forms only
+its upper half.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ from qturing import (
     step_operator,
 )
 from qturing.frame import _config_unchecked
-from qturing.oracle import _gram_product
 
 from reference_frame import reference_radius_window
 
@@ -358,30 +359,66 @@ def reference_step_operator(
     )
 
 
-def reference_gram_check(table: TransitionTable, radius: int, tolerance: float, side: str) -> GramCheck:
-    """The Gram check over the decoded reference window, expanded by
-    `reference_step_operator`."""
-    window = reference_radius_window(table.frame, radius)
-    n = len(window)
-    rows, cols, vals, _ = reference_step_operator(table, window, adjoint=side == "rows")
-    keys, sums = _gram_product(rows, cols, vals, n)
+def reference_gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """The whole of A^H A for the COO matrix A with n columns, as sorted keys
+    i*n + j and the entry sums G[i, j] = sum_k conj(A[k, i]) A[k, j].
+
+    Entries are stable-sorted by row (an image) and every two entries that
+    share a row are paired, both ways round, so the pairs run by image id,
+    then column, and each G[i, j] adds its terms in image-id order.
+    """
+    order = np.argsort(rows, kind="stable")
+    cols, vals = cols[order], vals[order]
+    _, starts, sizes = np.unique(rows[order], return_index=True, return_counts=True)
+    fan = sizes * sizes
+    group = np.repeat(np.arange(starts.size), fan)
+    local = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+    left = starts[group] + local // sizes[group]
+    right = starts[group] + local % sizes[group]
+    keys, inverse = np.unique(cols[left] * n + cols[right], return_inverse=True)
+    ar, ai = vals.real[left], vals.imag[left]
+    br, bi = vals.real[right], vals.imag[right]
+    sums = (
+        np.bincount(inverse, weights=ar * br + ai * bi, minlength=keys.size)
+        + 1j * np.bincount(inverse, weights=ar * bi - ai * br, minlength=keys.size)
+    )
+    return keys, sums
+
+
+def reference_gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int):
+    """From the whole of G, as `reference_gram_product` gives it: the
+    diagonal residuals |G[i, i] - 1|, the largest off-diagonal modulus, the
+    first (i, j) in key order that attains it (None without off-diagonal
+    keys) and the number of off-diagonal keys."""
     i, j = np.divmod(keys, n)
     on_diag = i == j
     diagonal = np.zeros(n, dtype=np.complex128)
     diagonal[i[on_diag]] = sums[on_diag]
-    diag_resid = np.abs(diagonal - 1.0)
-    diag = float(diag_resid.max())
     off_i, off_j, off_abs = i[~on_diag], j[~on_diag], np.abs(sums[~on_diag])
     off = float(off_abs.max()) if off_abs.size else 0.0
+    tie = None
+    if off_abs.size:
+        first = np.flatnonzero(off_abs == off)[0]
+        tie = (int(off_i[first]), int(off_j[first]))
+    return np.abs(diagonal - 1.0), off, tie, int(off_abs.size)
+
+
+def reference_gram_check(table: TransitionTable, radius: int, tolerance: float, side: str) -> GramCheck:
+    """The Gram check over the decoded reference window, expanded by
+    `reference_step_operator` and multiplied out in full by
+    `reference_gram_product`."""
+    window = reference_radius_window(table.frame, radius)
+    n = len(window)
+    rows, cols, vals, _ = reference_step_operator(table, window, adjoint=side == "rows")
+    diag_resid, off, tie, pairs = reference_gram_residuals(*reference_gram_product(rows, cols, vals, n), n)
+    diag = float(diag_resid.max())
     if diag >= off:
         k = int(np.argmax(diag_resid))
         witness = (window[k], window[k])
     else:
-        first = np.flatnonzero(off_abs == off)[0]
-        witness = (window[off_i[first]], window[off_j[first]])
+        witness = (window[tie[0]], window[tie[1]])
     return GramCheck(side=side, radius=radius, tolerance=tolerance, diagonal_residual=diag,
-                     offdiagonal_residual=off, witness=witness, config_count=n,
-                     pair_count=int(off_abs.size))
+                     offdiagonal_residual=off, witness=witness, config_count=n, pair_count=pairs)
 
 
 def reference_estimate_norm(table: TransitionTable, window_radius: int, iterations: int,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,24 @@ class TestErrorsAndDeterminism:
         assert (code, out, err) == (2, "", f"error: syntax: {message}\n")
         code, out, err = invoke(capsys, "run", "counterexample", "--start", f"@{path}")
         assert (code, out, err) == (2, "", f"error: start file {path}: {message}\n")
+
+    def test_invalid_json_start_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "trunc.json"
+        path.write_text("[1,\n")
+        code, out, err = invoke(capsys, "run", "counterexample", "--start", f"@{path}")
+        assert (code, out, err) == (
+            2, "", f"error: start file {path}: invalid JSON: Expecting value: line 2 column 1 (char 4)\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_run_stops_at_a_non_finite_norm(self, capsys, tmp_path, fmt):
+        doc = json.loads(bundled_machine_path("counterexample").read_text())
+        doc["rules"][1]["amp"] = [2.0 ** 99, 2.0 ** 99]
+        path = tmp_path / "growing.qtm"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, "run", str(path), "--unchecked", "--steps", "12", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: the norm is not finite after step 6: the amplitudes overflow\n")
 
     @pytest.mark.parametrize("argv", [["validate"], ["validate", "--format", "json"], ["gram"], ["norm"],
                                       ["run", "--unchecked"]])

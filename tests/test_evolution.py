@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,19 @@ class TestRun:
     def test_negative_steps_rejected(self, identity_machine):
         with pytest.raises(ValueError):
             qt.run(identity_machine, qt.Superposition.basis(blank(identity_machine)), -1)
+
+    def test_stops_at_the_first_non_finite_norm(self, counterexample):
+        """Amplitudes inside the 2**100 bound still overflow over a chain:
+        norm[6] would be inf.  The run stops there, without numpy warnings."""
+        big = counterexample.with_entry(0, 0, 0, 0, 0, 2.0 ** 99 * (1 + 1j))
+        psi = qt.Superposition.basis(blank(big))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(qt.run(big, psi, 5, unchecked=True).norms[-1])
+            with pytest.raises(ValueError, match=r"^the norm is not finite after step 6: "):
+                qt.run(big, psi, 12, unchecked=True)
+            with pytest.raises(ValueError, match=r"after step 0: "):
+                qt.run(counterexample, qt.Superposition.basis(blank(counterexample), 1e200), 3)
 
 
 class TestEstimateNorm:

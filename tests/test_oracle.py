@@ -3,12 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qturing as qt
+from qturing.oracle import _gram_product, _gram_residuals
 
 from conftest import random_configuration, random_table
 from reference_frame import ConfigurationWindow, locally_like
-from reference_oracle import column_pairs, gram_columns, gram_rows, row_pairs
+from reference_oracle import (
+    column_pairs,
+    gram_columns,
+    gram_rows,
+    reference_gram_product,
+    reference_gram_residuals,
+    row_pairs,
+)
 
 
 class TestWindows:
@@ -99,6 +109,60 @@ class TestGramColumns:
         diag = gram_columns(bad, [(c, c) for c in window])
         assert abs(np.abs(diag - 1.0).max() - check2.diagonal_residual) < 1e-12
         assert abs(np.abs(off).max() - check2.offdiagonal_residual) < 1e-12
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The bits of complex values, with a zero imaginary part read as +0."""
+    return np.stack([values.real, values.imag + 0.0]).view(np.uint64)
+
+
+def _random_coo(n: int, sizes: list[int], seed: int, exact: bool):
+    """A COO matrix with n columns and one row (image) per entry of `sizes`,
+    reaching that many distinct columns, listed column by column with each
+    column's rows in a random order.  Exact values are small Gaussian
+    integers, so equal moduli, and ties for the largest, are common."""
+    rng = np.random.default_rng(seed)
+    members = [rng.choice(n, size=min(size, n), replace=False) for size in sizes]
+    cols = np.concatenate(members)
+    rows = np.repeat(rng.permutation(len(sizes)), [len(m) for m in members])
+    shuffle = rng.permutation(cols.size)
+    by_column = np.argsort(cols[shuffle], kind="stable")
+    cols, rows = cols[shuffle][by_column], rows[shuffle][by_column]
+    if exact:
+        vals = rng.integers(-2, 3, cols.size) + 1j * rng.integers(-2, 3, cols.size)
+    else:
+        vals = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+    return rows, cols, vals.astype(np.complex128)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(1, 300), sizes=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1), exact=st.booleans())
+@example(n=257, sizes=[1, 256, 200, 2], seed=3, exact=True)
+@example(n=300, sizes=[300, 299], seed=4, exact=False)
+def test_upper_half_gram_product_mirrors_the_whole(n, sizes, seed, exact):
+    """The upper half, mirrored, is the whole product in keys and in sum
+    bits; it counts every off-diagonal pair twice, and its first tie for the
+    largest off-diagonal modulus is the whole product's."""
+    rows, cols, vals = _random_coo(n, sizes, seed, exact)
+    keys, sums = _gram_product(rows, cols, vals, n)
+    whole_keys, whole_sums = reference_gram_product(rows, cols, vals, n)
+    i, j = np.divmod(keys, n)
+    assert np.all(i <= j)
+    off = i < j
+    mirrored_keys = np.concatenate([keys, j[off] * n + i[off]])
+    mirrored = np.concatenate([sums, sums[off].conj()])
+    order = np.argsort(mirrored_keys)
+    assert np.array_equal(mirrored_keys[order], whole_keys)
+    assert np.array_equal(_bits(mirrored[order]), _bits(whole_sums))
+
+    diag, largest, tie, pairs = _gram_residuals(keys, sums, n)
+    ref_diag, ref_largest, ref_tie, ref_pairs = reference_gram_residuals(whole_keys, whole_sums, n)
+    assert np.array_equal(diag.view(np.uint64), ref_diag.view(np.uint64))
+    assert largest.hex() == ref_largest.hex()
+    assert tie == ref_tie
+    assert pairs == ref_pairs == 2 * int(off.sum())
+    assert pairs % 2 == 0
 
 
 class TestGramRows:

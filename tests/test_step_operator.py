@@ -1,5 +1,5 @@
 """The step-operator kernel against a dense matrix built from `matrix_element`,
-the numpy Gram product against dense A^H A, and `apply`/`apply_adjoint`
+the upper-half numpy Gram product against dense A^H A, and `apply`/`apply_adjoint`
 against the per-term dict loops they replaced."""
 import numpy as np
 import pytest
@@ -118,12 +118,16 @@ def test_gram_product_matches_dense(case, adjoint):
     n = len(window)
     keys, sums = _gram_product(*qt.step_operator(table, window, adjoint=adjoint)[:3], n)
     assert np.all(np.diff(keys) > 0)
+    # the upper half, mirrored, is the whole product
+    i, j = np.divmod(keys, n)
+    assert np.all(i <= j)
     gram = np.zeros((n, n), dtype=np.complex128)
-    gram.flat[keys] = sums
+    gram[j, i] = sums.conj()
+    gram[i, j] = sums
     assert np.abs(gram - a.conj().T @ a).max() < 1e-12
-    # every key is a structural overlap, and every overlap has a key
+    # every key is a structural overlap, and every overlap in the upper half has a key
     overlap = (np.abs(a).T @ np.abs(a)) > 0
-    assert np.array_equal(np.sort(np.flatnonzero(overlap)), keys)
+    assert np.array_equal(np.flatnonzero(np.triu(overlap)), keys)
 
 
 def test_step_operator_entry_order():
