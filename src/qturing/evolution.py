@@ -15,9 +15,13 @@ rules are CSR arrays read off the table's nonzero amplitudes once per
 table.  A step repeats every term once per matching rule, scatters the
 written symbols and sums amp * coef per image with `np.bincount`.
 
-Each image has one byte key (`_Layout.keys`) whose unsigned order is
+Each image has one sort key (`_Layout.keys`) whose order is
 `Configuration.sort_key` order and which is equal only for equal images, so
-one stable sort (`_runs`) both merges and orders the images.  Every order
+one stable sort (`_runs`) both merges and orders the images.  The key is
+the mixed-radix value of the image's varying digit columns as one uint64
+when their radices multiply to less than 2**64, and otherwise those columns
+big-endian as one void scalar, compared as unsigned bytes; numpy sorts the
+integer form several times faster.  Every order
 matches the per-configuration loop the kernel replaced, so results are
 bit-reproducible: terms in `sort_key` order, forward rules grouped by
 written vector in first-appearance order, then (p, tau, d), adjoint hits
@@ -29,10 +33,14 @@ the windowed norm estimator locates each entry in the packed window
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
 stays packed: a `Superposition` holds its terms in `sort_key` order plus
 their first-reached order, and the next step takes them back without
-decoding or sorting.  Configurations are decoded only when asked for:
-`items()` and `configurations()` in `sort_key` order, and the dict that
-`amplitude`, `in`, `==`, `inner`, `scaled`, `plus` and `distance` build
-once in first-reached order; `len`, `norm` and `repr` read the arrays.
+decoding or sorting.  Terms carry their head slack (`_Terms.slack`, the
+adjacent columns every head has on each side): packing and re-framing set
+it to their margin and each step lowers it by one, so a step scans the
+columns for a head at the edge only once the slack is spent.
+Configurations are decoded only when asked for: `items()` and
+`configurations()` in `sort_key` order, and the dict that `amplitude`,
+`in`, `==`, `inner`, `scaled`, `plus` and `distance` build once in
+first-reached order; `len`, `norm` and `repr` read the arrays.
 """
 from __future__ import annotations
 
@@ -44,7 +52,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .conditions import DEFAULT_TOLERANCE
+from .conditions import DEFAULT_TOLERANCE, ValidationReport
 from .frame import Configuration, TuringFrame, _config_unchecked, _tape_unchecked
 from .ktape import check_auto
 from .table import TransitionTable
@@ -190,17 +198,20 @@ def _csr(keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 class _Terms(NamedTuple):
     """Packed basis states: `heads[j, i]` indexes `cols`, the sorted cell
     positions shared by every term, and `cells[j, i, w]` is tape i's symbol
-    at `cols[w]`.  `amps` is None for bare basis states."""
+    at `cols[w]`.  `amps` is None for bare basis states.  Every head has at
+    least `slack` adjacent columns on each side: cols[h - s..h + s] are the
+    positions cols[h] - s..cols[h] + s for s <= slack."""
 
     state: np.ndarray  # (n,) intp
     heads: np.ndarray  # (n, k) intp
     cells: np.ndarray  # (n, k, W) unsigned symbols
     cols: np.ndarray  # (W,) int64
     amps: np.ndarray | None = None  # (n,) complex128
+    slack: int = 0
 
     def take(self, index: np.ndarray) -> "_Terms":
         return _Terms(self.state[index], self.heads[index], self.cells[index], self.cols,
-                      None if self.amps is None else self.amps[index])
+                      None if self.amps is None else self.amps[index], self.slack)
 
 
 _STATE = operator.attrgetter("state")
@@ -218,27 +229,45 @@ class _Layout:
         self.dtype = np.min_scalar_type(int(self.sizes.max()) - 1)
         self.blanks = np.array(frame.blanks, dtype=self.dtype)
         self.top = int(self.sizes.max()) + 1  # the key of a blank before a non-blank cell
+        self.S = frame.symbol_block
 
     def keys(self, terms: _Terms) -> np.ndarray:
-        """One void key per term, in `Configuration.sort_key` order as
-        unsigned bytes and equal only for equal terms: state, heads, then
-        per tape a symbol s as s+1 and a blank as 0, or as `top` when a
-        non-blank cell follows it on its tape.  Columns blank in every term
-        go, then columns equal in all terms; the rest are big-endian."""
+        """One key per term, in `Configuration.sort_key` order and equal only
+        for equal terms: state, heads, then per tape a symbol s as s+1 and a
+        blank as 0, or as `top` when a non-blank cell follows it on its tape.
+        Columns blank in every term go, then columns equal in all terms.
+        When the product of the kept columns' radices (column max + 1) is
+        below 2**64, the key is their mixed-radix value as one uint64;
+        otherwise it is one void scalar of the columns big-endian, compared
+        as unsigned bytes."""
+        if not len(terms.state):
+            return np.zeros(0, dtype=np.uint64)
         dtype = np.min_scalar_type(max(self.frame.state_count, len(terms.cols), self.top))
-        # built column by column, (columns, terms), so every pass runs along the terms
-        cells = terms.cells.transpose(1, 2, 0)
-        filled = cells != self.blanks[:, None, None]
-        used = filled.any(axis=2)
         rows = [terms.state[None, :], terms.heads.T]
-        for i in range(self.k):
-            full = filled[i, used[i]]
-            later = np.logical_or.accumulate(full[::-1], axis=0)[::-1] & ~full
-            rows.append(full * (cells[i, used[i]] + dtype.type(1)) + later * dtype.type(self.top))
+        if self.S > 1:  # with one symbol per tape every cell is blank
+            # one copy as (tape, column, term), so every pass runs along the terms
+            cells = np.ascontiguousarray(terms.cells.transpose(1, 2, 0))
+            filled = cells != self.blanks[:, None, None]
+            used = filled.any(axis=2)
+            for i in range(self.k):
+                full = filled[i, used[i]]
+                # a blank counts as `top` before its tape's last non-blank cell
+                position = np.arange(1, len(full) + 1, dtype=dtype)[:, None]
+                later = (position < np.max(full * position, axis=0, initial=0)) & ~full
+                rows.append(full * (cells[i, used[i]] + dtype.type(1)) + later * dtype.type(self.top))
         rows = np.concatenate(rows, axis=0, dtype=dtype, casting="unsafe")
-        vary = (rows != rows[:, :1]).any(axis=1)
+        high = rows.max(axis=1)
+        vary = high != rows.min(axis=1)
         vary[0] = True  # a key keeps one column when no column varies
-        rows = np.ascontiguousarray(rows[vary].T, dtype=dtype.newbyteorder(">"))
+        rows = rows[vary]
+        place, total = [], 1  # mixed-radix place values, last column first
+        for digit in reversed(high[vary].tolist()):
+            place.append(total)
+            total *= digit + 1
+        if total < 2 ** 64:
+            # einsum casts in small buffers; `@` would copy all digits to uint64
+            return np.einsum("c,cn->n", np.array(place[::-1], dtype=np.uint64), rows)
+        rows = np.ascontiguousarray(rows.T, dtype=dtype.newbyteorder(">"))
         return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
     def configurations(self, terms: _Terms) -> list[Configuration]:
@@ -276,12 +305,13 @@ class _Kernel(_Layout):
     `adjoint` indexes the hits by (p, written, move) in (q, sigma) order,
     conjugated.  Each is (first rule, rule count) per key, then the state,
     written symbols, moves (forward only) and coefficient per rule.  Every
-    nonzero rule is kept; `kept` drops the entries below PRUNE_THRESHOLD."""
+    nonzero rule is kept; `kept` drops the entries below PRUNE_THRESHOLD.
+    `verdicts` holds `run`'s `check_auto` report per tolerance."""
 
     def __init__(self, table: TransitionTable):
         super().__init__(table.frame)
         frame = self.frame
-        self.S, self.M = frame.symbol_block, frame.move_block
+        self.M = frame.move_block
         self.tapes = np.arange(self.k)
         self.state_ids = frozenset(range(frame.state_count))
         # symbol and move vectors are flattened with tape 1 most significant
@@ -301,6 +331,7 @@ class _Kernel(_Layout):
         order = np.argsort(target, kind="stable")
         q, s = np.divmod(read[order], S)
         self.adjoint = (*_csr(target[order], reads * M), q, self._symbols(s), None, coef[order].conj())
+        self.verdicts: dict[float, ValidationReport] = {}
 
     @classmethod
     def of(cls, table: TransitionTable) -> "_Kernel":
@@ -351,20 +382,23 @@ class _Kernel(_Layout):
             rows[np.repeat(np.arange(len(counts)), counts), np.searchsorted(cols, flat[0::2])] = sym
             cells[:, i, :] = rows[index]
         return _Terms(np.array(states, dtype=np.intp), np.searchsorted(cols, heads), cells, cols,
-                      None if amps is None else np.array(amps, dtype=np.complex128))
+                      None if amps is None else np.array(amps, dtype=np.complex128), RUN_MARGIN)
 
     def expand(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
         """Every entry of M (or M^dagger) on the packed basis states, term by
-        term in rule order: (parent term, images, coefficients)."""
+        term in rule order: (parent term, images, coefficients).  A head moves
+        at most one column, so the images keep one column less slack."""
         starts, counts, to_state, to_write, to_move, to_coef = self.adjoint if adjoint else self.forward
         state, heads, cells = terms.state, terms.heads, terms.cells
         n, k, M, tapes = len(state), self.k, self.M, self.tapes
+        # with one symbol per tape (S = 1) every read and every write is blank
         if adjoint:
             source = heads[:, None, :] - self.moves  # (n, M, k)
-            read = cells[np.arange(n)[:, None, None], tapes, source] @ self.strides
+            read = 0 if self.S == 1 else cells[np.arange(n)[:, None, None], tapes, source] @ self.strides
             key = ((state[:, None] * self.S + read) * M + np.arange(M)).ravel()
         else:
-            key = state * self.S + cells[np.arange(n)[:, None], tapes, heads] @ self.strides
+            read = 0 if self.S == 1 else cells[np.arange(n)[:, None], tapes, heads] @ self.strides
+            key = state * self.S + read
         start, count = starts[key], counts[key]
         slot = np.arange(len(key)).repeat(count)
         rule = np.arange(len(slot)) + (start - count.cumsum() + count)[slot]
@@ -376,8 +410,10 @@ class _Kernel(_Layout):
             at = heads[parent]
             moved = at + to_move[rule]
         images = cells[parent]
-        images[np.arange(len(slot))[:, None], tapes, at] = to_write[rule]
-        return parent, _Terms(to_state[rule], moved, images, terms.cols), to_coef[rule]
+        if self.S > 1:
+            images[np.arange(len(slot))[:, None], tapes, at] = to_write[rule]
+        return parent, _Terms(to_state[rule], moved, images, terms.cols, None,
+                              max(terms.slack - 1, 0)), to_coef[rule]
 
     def kept(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
         """`expand` without the entries below PRUNE_THRESHOLD: the matrix
@@ -405,11 +441,13 @@ class _Kernel(_Layout):
         vals = re + 1j * im
         keep = np.hypot(vals.real, vals.imag) >= PRUNE_THRESHOLD
         dropped = 0.0
-        if not keep.all():
+        if np.count_nonzero(keep) < len(keep):
             lost = vals[~keep][first[~keep].argsort(kind="stable")]
             dropped = float(np.sum(lost.real * lost.real + lost.imag * lost.imag))
             first, vals = first[keep], vals[keep]
-        return entries.take(first)._replace(amps=vals), first.argsort(kind="stable"), dropped
+        images = _Terms(entries.state[first], entries.heads[first], entries.cells[first], entries.cols,
+                        vals, entries.slack)
+        return images, first.argsort(kind="stable"), dropped
 
     def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms]:
         """The packed core of `step_operator`: (rows, cols, vals) on the
@@ -439,21 +477,26 @@ class _Kernel(_Layout):
         cells = np.empty((len(terms.state), self.k, len(wanted)), dtype=self.dtype)
         cells[...] = self.blanks[:, None]
         cells[:, :, np.searchsorted(wanted, cols[used])] = terms.cells[:, :, used]
-        return terms._replace(heads=np.searchsorted(wanted, cols[terms.heads]), cells=cells, cols=wanted)
+        return terms._replace(heads=np.searchsorted(wanted, cols[terms.heads]), cells=cells, cols=wanted,
+                              slack=margin)
 
     def ready(self, psi: Superposition) -> _Terms:
         """psi's terms packed with amplitudes, in `sort_key` order, every head
         one cell from the next column on either side, as a step needs.
 
-        A packed psi on this frame, already in that order, is reframed with
-        RUN_MARGIN only when some head lacks such a neighbour (it drifted to
-        the edge of a run of adjacent columns).  Any other psi is packed
-        from `items()`, which checks it against the frame."""
+        A packed psi on this frame, already in that order, is taken as it is
+        while its slack is at least 1.  At slack 0 its columns are scanned,
+        and it is reframed with RUN_MARGIN only when some head lacks such a
+        neighbour (it drifted to the edge of a run of adjacent columns).  Any
+        other psi is packed from `items()`, which checks it against the
+        frame."""
         packed = psi._packed
         if packed is None or packed[0].frame != self.frame:
             terms = psi.items()
             return self.pack([c for c, _ in terms], [a for _, a in terms])
         terms = packed[1]
+        if terms.slack:
+            return terms
         adjacent = np.diff(terms.cols) == 1
         inner = np.zeros(len(terms.cols), dtype=bool)
         inner[1:-1] = adjacent[:-1] & adjacent[1:]
@@ -537,8 +580,12 @@ def run(
     norm, the squared amplitude the prune dropped, the term count and the
     column count.
 
-    The table is validated first unless `unchecked`; norm drift is reported,
-    never corrected.  Each step is the packed step of `apply`, so the terms
+    The table is validated first unless `unchecked`.  The `check_auto`
+    report is kept on the table's kernel per tolerance, so a table is
+    checked once per tolerance however often it runs (tables are
+    immutable); a failing table raises on every call, and an unchecked run
+    neither reads nor fills that cache.  Norm drift is reported, never
+    corrected.  Each step is the packed step of `apply`, so the terms
     stay packed from step to step and the final superposition is packed too,
     its dict in the last step's first-reached order.  norms[t] sums |a|^2
     in that order with a Python float sum, as `Superposition.norm` does.
@@ -550,7 +597,10 @@ def run(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if not unchecked:
-        report = check_auto(table, tolerance)
+        verdicts = _Kernel.of(table).verdicts
+        report = verdicts.get(tolerance)
+        if report is None:
+            report = verdicts[tolerance] = check_auto(table, tolerance)
         if not report.passed:
             raise ValueError(
                 f"table fails the {report.checker} conditions "

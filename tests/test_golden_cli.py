@@ -66,8 +66,15 @@ MULTITAPE_COMMANDS = {
     "gram-both": ["gram", "--side", "both"],
     "gram": ["gram"],
     "norm": ["norm"],
+    "validate": ["validate"],
+    "gram-r1": ["gram", "--radius", "1"],
 }
-MULTITAPE_CASES = [f"two_tape_identity {command} {f}" for command in MULTITAPE_COMMANDS for f in FORMATS]
+# The three-tape machine's amplitudes are 0 and +-1/2, so its residuals are
+# exact sums and its bytes do not depend on the CPU.
+MULTITAPE_CASES = (
+    [f"two_tape_identity {command} {f}" for command in ("gram-rows", "gram-both", "gram", "norm") for f in FORMATS]
+    + [f"three_tape_pair {command} {f}" for command in ("validate", "gram-r1") for f in FORMATS]
+)
 
 
 def _rule(**fields) -> dict:
@@ -237,7 +244,7 @@ def multitape_golden() -> dict:
 
 
 def test_multitape_golden_covers_every_case(multitape_golden):
-    assert len(MULTITAPE_CASES) == 8
+    assert len(MULTITAPE_CASES) == 12
     assert sorted(multitape_golden) == sorted(MULTITAPE_CASES)
 
 

@@ -1,11 +1,14 @@
 """`_Layout.keys` against `Configuration.sort_key`: configurations packed on
-shared columns get keys whose unsigned byte order is their `sort_key` order
-and which are equal exactly when the configurations are.  The frames reach
-past one byte in every part of the key: symbol codes, states, heads and
-columns."""
+shared columns get keys whose order is their `sort_key` order and which are
+equal exactly when the configurations are.  A key is a uint64 mixed-radix
+value when the kept columns' radices multiply to less than 2**64 and a void
+scalar compared as unsigned bytes otherwise; the corpus reaches both forms.
+The frames reach past one byte in every part of the key: symbol codes,
+states, heads and columns."""
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,11 +55,20 @@ def comb(name: str) -> qt.Configuration:
     return qt.Configuration(0, tapes, (0,) * frame.tape_count)
 
 
+def key_values(keys) -> list:
+    """The keys as Python values in key order: ints in the integer form,
+    bytes (compared unsigned) in the void form."""
+    if keys.dtype == np.uint64:
+        return keys.tolist()
+    assert keys.dtype.kind == "V"
+    return [key.tobytes() for key in keys]
+
+
 def assert_keys_follow_sort_key(name: str, configs: list) -> None:
     layout = kernel(name)
     keys = layout.keys(layout.pack(configs))
     assert keys.shape == (len(configs),)
-    data = [key.tobytes() for key in keys]
+    data = key_values(keys)
     sort_keys = [c.sort_key() for c in configs]
     for i, j in itertools.product(range(len(configs)), repeat=2):
         assert (data[i] < data[j]) == (sort_keys[i] < sort_keys[j])
@@ -76,6 +88,28 @@ def test_key_order_and_equality_follow_sort_key(name, data):
     if name == "over 256 columns":
         configs.append(comb(name))
         assert len(kernel(name).pack(configs).cols) > 256
+    assert_keys_follow_sort_key(name, configs)
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_a_few_cells_give_integer_keys(name):
+    frame = FRAMES[name][0]
+    tapes = []
+    for blank, size in zip(frame.blanks, frame.symbol_counts):
+        symbols = [s for s in range(size) if s != blank]
+        tapes.append(qt.Tape(blank, ((-1, symbols[0]), (2, symbols[-1]))))
+    configs = [qt.blank_configuration(frame),
+               qt.Configuration(frame.state_count - 1, tuple(tapes), (3,) * len(tapes))]
+    assert kernel(name).keys(kernel(name).pack(configs)).dtype == np.uint64
+    assert_keys_follow_sort_key(name, configs)
+
+
+def test_the_comb_gives_void_keys():
+    """301 cells that vary between terms put the radix product far past
+    2**64."""
+    name = "over 256 columns"
+    configs = [qt.blank_configuration(FRAMES[name][0]), comb(name)]
+    assert kernel(name).keys(kernel(name).pack(configs)).dtype.kind == "V"
     assert_keys_follow_sort_key(name, configs)
 
 
