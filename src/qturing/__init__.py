@@ -39,8 +39,6 @@ from .ktape import (
     check_two_tape,
     condition_count,
     displacement_label,
-    evaluate_ktape_condition,
-    expand_condition_ids,
     generate_ktape_conditions,
 )
 from .machine_io import (

@@ -23,7 +23,6 @@ from .ktape import (
     check_ktape,
     check_row,
     check_two_tape,
-    expand_condition_ids,
     generate_ktape_conditions,
 )
 from .machine_io import MachineDocument, MachineParseError, parse_document
@@ -161,12 +160,12 @@ def _parse_basis_spec(frame: TuringFrame, text: str) -> Configuration:
     state = 0
     heads = (0,) * frame.tape_count
     tapes = frame.blank_tapes()
-    state_names = {name: i for i, name in enumerate(frame.states)}
+    state_index = {name: i for i, name in enumerate(frame.states)}
     for token in text.split():
         key, _, value = token.partition("=")
         if key == "state":
-            if value in state_names:
-                state = state_names[value]
+            if value in state_index:
+                state = state_index[value]
             elif value.isdigit() and int(value) < frame.state_count:
                 state = int(value)
             else:
@@ -331,7 +330,7 @@ def cmd_conditions(args) -> int:
     k = args.k
     if not 1 <= k <= MAX_TAPES:
         raise ValueError(f"supported tape counts are 1..{MAX_TAPES}")
-    ids = expand_condition_ids(generate_ktape_conditions(simple_frame(1, *(1,) * k)))
+    ids = generate_ktape_conditions(simple_frame(1, *(1,) * k))
     kinds = {"norm": "normalization", "orth": "orthogonality"}
     lines = [f"conditions for k={k} ({len(ids)} total)", "label\tkind\tdisplacement"]
     rows = []
@@ -385,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, machine=True):
-        if machine:
-            p.add_argument("machine", help=".qtm machine file (or bundled machine name)")
+    def add_common(p):
+        p.add_argument("machine", help=".qtm machine file (or bundled machine name)")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("validate", help="run a unitarity condition checker")

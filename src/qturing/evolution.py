@@ -63,6 +63,10 @@ MAX_POSITION = 2 ** 62  # head and cell positions must lie in [-MAX_POSITION, MA
 # of steps re-frames about once every RUN_MARGIN steps (a head moves one
 # cell a step).
 RUN_MARGIN = 8
+# A step whose entries would hold more than this many packed symbols
+# (entries x tapes x columns, a few bytes each with the keys) is refused
+# before its arrays are allocated.
+MAX_STEP_SYMBOLS = 2 ** 26
 
 
 class Superposition:
@@ -387,7 +391,8 @@ class _Kernel(_Layout):
     def expand(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
         """Every entry of M (or M^dagger) on the packed basis states, term by
         term in rule order: (parent term, images, coefficients).  A head moves
-        at most one column, so the images keep one column less slack."""
+        at most one column, so the images keep one column less slack.  More
+        than MAX_STEP_SYMBOLS packed image symbols raise ValueError."""
         starts, counts, to_state, to_write, to_move, to_coef = self.adjoint if adjoint else self.forward
         state, heads, cells = terms.state, terms.heads, terms.cells
         n, k, M, tapes = len(state), self.k, self.M, self.tapes
@@ -400,8 +405,13 @@ class _Kernel(_Layout):
             read = 0 if self.S == 1 else cells[np.arange(n)[:, None], tapes, heads] @ self.strides
             key = state * self.S + read
         start, count = starts[key], counts[key]
+        ends = count.cumsum()
+        entries = int(ends[-1]) if len(ends) else 0
+        if entries * k * len(terms.cols) > MAX_STEP_SYMBOLS:
+            raise ValueError(f"a step of {entries} entries on {len(terms.cols)} columns per tape exceeds "
+                             f"the {MAX_STEP_SYMBOLS} packed symbols a step may hold")
         slot = np.arange(len(key)).repeat(count)
-        rule = np.arange(len(slot)) + (start - count.cumsum() + count)[slot]
+        rule = np.arange(len(slot)) + (start - ends + count)[slot]
         if adjoint:
             parent = slot // M
             at = moved = source.reshape(-1, k)[slot]

@@ -136,9 +136,6 @@ class TuringFrame:
     def move_vectors(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(MOVES, repeat=self.tape_count)
 
-    def state_name(self, q: int) -> str:
-        return self.states[q]
-
     def symbol_name(self, tape: int, s: int) -> str:
         return self.alphabets[tape][s]
 

@@ -15,19 +15,19 @@ Every sum is a `@` product, which numpy hands to BLAS.  The summation order
 is BLAS's, so residual bits follow it, and the tests pin that one BLAS
 thread gives the same bits as several.
 
-The generated k-tape set is indexed by head-displacement vectors D in
-{0,+-1,+-2}^k whose first nonzero component is positive:
+The generated k-tape set is one catalog, indexed by head-displacement
+vectors D in {0,+-1,+-2}^k whose first nonzero component is positive:
 
-* D = 0 stands for the normalization/orthogonality pair over reads
-  (every read has unit outgoing mass; distinct reads have orthogonal
+* D = 0 gives two conditions over reads, normalization (every read has
+  unit outgoing mass) and orthogonality (distinct reads have orthogonal
   outgoing amplitude vectors): the diagonal and off-diagonal of G.
 * D != 0 demands, for every pair of reads and every independent choice of
   write symbols on the displaced tapes, that the sum over the written state,
   over shared write symbols on non-displaced tapes, and over all move-vector
   pairs (d, d') with d - d' = D vanishes.
 
-That yields 1 + (5^k - 1)/2 condition ids expanding to 1 + (5^k + 1)/2
-evaluated conditions: 4 for one tape, 14 for two, 64 for three, 314 for four.
+That yields 2 + (5^k - 1)/2 = 1 + (5^k + 1)/2 conditions, each evaluated
+as listed: 4 for one tape, 14 for two, 64 for three, 314 for four.
 
 The classic sets are views of the same engine:
 
@@ -71,14 +71,13 @@ MAX_TAPES = 6
 
 
 def displacement_label(displacement: tuple[int, ...], part: str | None = None) -> str:
-    """Report label for a condition: classic letter/number when one exists."""
+    """Report label for a condition: classic letter/number when one exists.
+    `part` ("norm" or "orth") names a half of D = 0."""
     k = len(displacement)
-    if all(d == 0 for d in displacement):
-        if part == "norm":
-            return "a" if k == 1 else "1"
-        if part == "orth":
-            return "b" if k == 1 else "2"
-        return ("a" if k == 1 else "1") + "+" + ("b" if k == 1 else "2")
+    if part == "norm":
+        return "a" if k == 1 else "1"
+    if part == "orth":
+        return "b" if k == 1 else "2"
     # classic labels: on one tape D = 1, 2 are (c), (d), after the zero
     # displacement's (a), (b); on two tapes (D1, D2) is number 5*D1 + D2 + 2
     if k == 1:
@@ -98,32 +97,16 @@ def _valid_displacements(k: int) -> list[tuple[int, ...]]:
 
 
 def generate_ktape_conditions(frame: TuringFrame) -> list[ConditionId]:
-    """All condition ids for the frame: the zero vector first (it expands to
-    the normalization/orthogonality pair), then every valid displacement in
-    lexicographic order.  Frames with more than MAX_TAPES tapes raise
-    ValueError."""
+    """The frame's condition catalog, in evaluation order: the
+    normalization and the orthogonality half of D = 0, then every valid
+    displacement in lexicographic order; `condition_count(k)` ids.  Frames
+    with more than MAX_TAPES tapes raise ValueError."""
     k = frame.tape_count
     if k > MAX_TAPES:
         raise ValueError(f"supported tape counts are 1..{MAX_TAPES}")
     zero = (0,) * k
-    ids = [ConditionId("ktape", displacement_label(zero), zero)]
-    for vec in _valid_displacements(k):
-        ids.append(ConditionId("ktape", displacement_label(vec), vec))
-    return ids
-
-
-def expand_condition_ids(ids: list[ConditionId]) -> list[ConditionId]:
-    """Expand the zero id into its normalization and orthogonality halves."""
-    out = []
-    for cid in ids:
-        if cid.displacement is not None and all(d == 0 for d in cid.displacement) and cid.part is None:
-            out.append(ConditionId("ktape", displacement_label(cid.displacement, "norm"),
-                                   cid.displacement, "norm"))
-            out.append(ConditionId("ktape", displacement_label(cid.displacement, "orth"),
-                                   cid.displacement, "orth"))
-        else:
-            out.append(cid)
-    return out
+    ids = [ConditionId("ktape", displacement_label(zero, part), zero, part) for part in ("norm", "orth")]
+    return ids + [ConditionId("ktape", displacement_label(vec), vec) for vec in _valid_displacements(k)]
 
 
 def condition_count(k: int) -> int:
@@ -154,8 +137,6 @@ def _first_max(values: np.ndarray, keep: np.ndarray | None = None) -> tuple[floa
     index attaining it in row-major order; (0.0, None) when nothing is kept."""
     if keep is not None:
         values = np.where(keep, values, -1.0)
-    if values.size == 0:
-        return 0.0, None
     flat = int(np.argmax(values))
     value = float(values.flat[flat])
     if value < 0.0:
@@ -234,8 +215,6 @@ def _eval_displacement(frame: TuringFrame, split: np.ndarray,
     gram = (xm @ ym.conj().T).reshape(side + side)
 
     value, idx = _first_max(np.abs(gram))
-    if idx is None:
-        return value, None
     half = len(side)
     q, s = idx[0], idx[1]
     q2, s2 = idx[half], idx[half + 1]
@@ -248,27 +227,9 @@ def _eval_displacement(frame: TuringFrame, split: np.ndarray,
     return value, witness
 
 
-def evaluate_ktape_condition(table: TransitionTable, cid: ConditionId) -> ConditionResidual:
-    """Residual of one generated condition on the table.
-
-    For the unexpanded zero id the residual is the larger of its
-    normalization and orthogonality halves.
-    """
-    if cid.displacement is None or len(cid.displacement) != table.frame.tape_count:
-        raise ValueError("condition id does not match the table's tape count")
-    if all(d == 0 for d in cid.displacement):
-        norm, orth = _eval_zero(table)
-        if cid.part == "norm":
-            return ConditionResidual(cid, *norm)
-        if cid.part == "orth" or orth[0] > norm[0]:
-            return ConditionResidual(cid, *orth)
-        return ConditionResidual(cid, *norm)
-    return ConditionResidual(cid, *_eval_displacement(table.frame, _split_amplitudes(table), cid.displacement))
-
-
 def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
-    """Evaluate the full generated condition set for the table's frame."""
-    norm_id, orth_id, *shifts = expand_condition_ids(generate_ktape_conditions(table.frame))
+    """Evaluate the frame's whole condition catalog."""
+    norm_id, orth_id, *shifts = generate_ktape_conditions(table.frame)
     norm, orth = _eval_zero(table)
     residuals = [ConditionResidual(norm_id, *norm), ConditionResidual(orth_id, *orth)]
     split = _split_amplitudes(table)

@@ -156,6 +156,14 @@ def three_tape_corpus() -> list[qt.CorpusEntry]:
     return build_three_tape_corpus()
 
 
+@pytest.fixture(scope="session")
+def sixfold() -> qt.TransitionTable:
+    """A two-tape Q1 S(3,2) pair-unitary table with move vector (1,-1): every
+    step multiplies the terms by 6."""
+    return qt.pair_unitary_machine(qt.simple_frame(1, 3, 2), qt.random_unitary(6, np.random.default_rng(11)),
+                                   [(1, -1)])
+
+
 def random_table(frame: qt.TuringFrame, rng: np.random.Generator, density: float = 0.6) -> qt.TransitionTable:
     shape = frame.table_shape
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -32,7 +32,6 @@ from qturing.ktape import (
     _read_witness,
     _require_tapes,
     _split_amplitudes,
-    expand_condition_ids,
     generate_ktape_conditions,
 )
 from qturing.table import TransitionTable
@@ -594,7 +593,7 @@ def _eval_displacement_einsum(table: TransitionTable, displacement: tuple[int, .
 
 def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """The full generated condition set, one einsum per move-pair choice."""
-    norm_id, orth_id, *shifts = expand_condition_ids(generate_ktape_conditions(table.frame))
+    norm_id, orth_id, *shifts = generate_ktape_conditions(table.frame)
     norm, orth = _eval_zero_einsum(table)
     residuals = [ConditionResidual(norm_id, *norm), ConditionResidual(orth_id, *orth)]
     residuals += [ConditionResidual(cid, *_eval_displacement_einsum(table, cid.displacement))

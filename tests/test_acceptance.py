@@ -52,8 +52,7 @@ def test_criterion_01_counterexample_reproduction(bundled_counterexample):
 def test_criterion_02_condition_count_law():
     failures = []
     for k, expected in ((1, 4), (2, 14), (3, 64), (4, 314)):
-        ids = qt.generate_ktape_conditions(qt.simple_frame(1, *(1,) * k))
-        total = len(qt.expand_condition_ids(ids))
+        total = len(qt.generate_ktape_conditions(qt.simple_frame(1, *(1,) * k)))
         if total != expected or total != 1 + (5 ** k + 1) // 2:
             failures.append(f"k={k}: {total}")
     _report(2, "generated condition totals are 4/14/64/314 for k=1..4", failures)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qturing as qt
+from qturing import evolution
 from qturing.cli import _parse_basis_spec, _parse_start, bundled_machine_path, main
 
 
@@ -154,6 +156,27 @@ class TestRun:
     def test_bad_start_spec(self, capsys):
         code, _, err = invoke(capsys, "run", "counterexample", "--start", "state=9")
         assert code == 2
+
+    @pytest.mark.parametrize("start, message", [
+        ("state=q0 heads=0,0", "heads must list 3 positions"),
+        ("state=q0 tape=1:a;blank", "tape spec must have 3 ';'-separated parts"),
+        ("@", "start term 0: field 'tapes' must be a list of 3 lists of [cell, symbol] pairs, got [[], []]"),
+    ])
+    def test_three_tape_start_of_the_wrong_length(self, capsys, tmp_path, start, message):
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps([{"state": "q0", "heads": [0, 0, 0], "tapes": [[], []], "amp": [1.0, 0.0]}]))
+        start = start.replace("@", f"@{path}")
+        code, out, err = invoke(capsys, "run", "three_tape_pair", "--start", start)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_step_above_the_symbol_bound_exits_two(self, capsys, tmp_path, monkeypatch, sixfold):
+        path = tmp_path / "sixfold.qtm"
+        path.write_text(qt.serialize_machine(sixfold, name="sixfold"))
+        monkeypatch.setattr(evolution, "MAX_STEP_SYMBOLS", 10_000)
+        code, out, err = invoke(capsys, "run", str(path), "--steps", "12")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: a step of \d+ entries on \d+ columns per tape exceeds "
+                            r"the 10000 packed symbols a step may hold\n", err)
 
     def test_two_tape_run(self, capsys):
         code, out, _ = invoke(capsys, "run", "two_tape_identity", "--steps", "2",

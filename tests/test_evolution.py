@@ -1,10 +1,12 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import qturing as qt
+from qturing import evolution
 
 from conftest import naive_step, random_configuration, random_table
 from reference_frame import matrix_element
@@ -68,6 +70,17 @@ class TestApply:
         left = qt.apply(table, psi.scaled(a).plus(phi.scaled(b)))
         right = qt.apply(table, psi).scaled(a).plus(qt.apply(table, phi).scaled(b))
         assert left.distance(right) < 1e-12
+
+    @pytest.mark.parametrize("tape, message", [
+        (qt.Tape(1), "superposition does not match the table's frame"),  # blank 1, the frame's is 0
+        (qt.Tape(0, ((3, 2),)), "tape-1 symbol out of range 0..1"),
+    ])
+    def test_foreign_tapes_refused(self, tape, message):
+        table = qt.TransitionTable.zeros(qt.simple_frame(1, 2))
+        psi = qt.Superposition.basis(qt.Configuration(0, (tape,), (0,)))
+        for step in (qt.apply, qt.apply_adjoint):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                step(table, psi)
 
     def test_finite_fan_out(self):
         rng = np.random.default_rng(24)
@@ -229,6 +242,25 @@ class TestRun:
                 qt.run(big, psi, 12, unchecked=True)
             with pytest.raises(ValueError, match=r"after step 0: "):
                 qt.run(counterexample, qt.Superposition.basis(blank(counterexample), 1e200), 3)
+
+    def test_a_step_above_the_symbol_bound_is_refused(self, monkeypatch, sixfold):
+        """The step whose entries x tapes x columns exceed the bound stops the
+        run before it allocates, naming its counts."""
+        psi = qt.Superposition.basis(blank(sixfold))
+        before = qt.run(sixfold, psi, 4)
+        assert before.terms == (1, 6, 36, 216, 1296)
+        entries, columns = 6 * before.terms[-1], before.width[-1]
+        monkeypatch.setattr(evolution, "MAX_STEP_SYMBOLS", entries * 2 * columns)
+        assert qt.run(sixfold, psi, 5).terms[-1] == entries
+        monkeypatch.setattr(evolution, "MAX_STEP_SYMBOLS", entries * 2 * columns - 1)
+        assert qt.run(sixfold, psi, 4).terms == before.terms
+        with pytest.raises(ValueError, match=f"^a step of {entries} entries on {columns} columns per tape exceeds "
+                                             f"the {entries * 2 * columns - 1} packed symbols a step may hold$"):
+            qt.run(sixfold, psi, 12)
+        # unpatched, a step packs at least 2 * RUN_MARGIN + 1 columns, so the
+        # ninth step of this chain is refused whatever its width
+        monkeypatch.undo()
+        assert 6 ** 9 * 2 * (2 * evolution.RUN_MARGIN + 1) > evolution.MAX_STEP_SYMBOLS
 
 
 class TestEstimateNorm:

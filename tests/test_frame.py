@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,24 @@ from reference_frame import alpha, beta, locally_like, precedes, sorted_configur
 
 def make_frame(states=2, symbols=2):
     return qt.simple_frame(states, symbols)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: qt.TuringFrame((), (("B",),)), "frame needs at least one state"),
+    (lambda: qt.TuringFrame(("q", "q"), (("B",),)), "state names must be unique"),
+    (lambda: qt.TuringFrame(("q",), ()), "frame needs at least one tape"),
+    (lambda: qt.TuringFrame(("q",), (("B",), ("B",)), (0,)), "one blank index per tape required"),
+    (lambda: qt.TuringFrame(("q",), ((),)), "alphabets must be nonempty"),
+    (lambda: qt.TuringFrame(("q",), (("B", "B"),)), "symbol names must be unique per tape"),
+    (lambda: qt.TuringFrame(("q",), (("B", "x"),), (2,)), "blank index out of range"),
+    (lambda: qt.Tape(1, ((3, 0), (-2, 1))), "canonical tape never stores the blank"),
+    (lambda: qt.Tape(0, ((3, 1), (3, 2))), "duplicate cell in tape support"),
+    (lambda: qt.Configuration(0, (qt.Tape(0),), (0, 1)), "tape count and head count must agree"),
+    (lambda: qt.Configuration(0, (), ()), "a configuration needs at least one tape"),
+])
+def test_constructor_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestTape:

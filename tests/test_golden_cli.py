@@ -6,7 +6,9 @@ that does not fit the machine's tape count pins its exit-2 stderr.  The
 `reference_conditions`), which the condition engine reproduces byte for
 byte.  The `run` goldens cover five steps of every bundled machine in both
 formats, checked and `--unchecked`, ten steps of a two-symbol corpus
-machine read from a `.qtm` file, and a superposition start file.  The
+machine read from a `.qtm` file, a superposition start file, and two
+steps of `three_tape_pair` from a start with non-blank cells, given as a
+basis spec and as a start file.  The
 `norm` and `gram` goldens cover `--radius 2` on every two-symbol table of
 `build_corpus(50, 50, seed=7)`, read from `.qtm` files: the last bits of a
 norm estimate and a Gram residual follow the step operator's entry order,
@@ -14,6 +16,7 @@ so these pin that order.  The multi-tape goldens cover `gram` (each
 `--side`, and the default) and `norm` on `two_tape_identity` in both
 formats; `norm` pins its exit-2 stderr.  The parse-error goldens cover
 `validate` on malformed documents, one or more per parse error code, in
+both formats.  The conditions goldens cover `conditions k` for k = 1..6 in
 both formats.  To capture them again (only when an output
 change is intended and recorded), run::
 
@@ -36,6 +39,7 @@ RUN_GOLDEN = Path(__file__).parent / "golden" / "run.json"
 NORM_GOLDEN = Path(__file__).parent / "golden" / "norm.json"
 MULTITAPE_GOLDEN = Path(__file__).parent / "golden" / "multitape.json"
 PARSE_ERROR_GOLDEN = Path(__file__).parent / "golden" / "parse_errors.json"
+CONDITIONS_GOLDEN = Path(__file__).parent / "golden" / "conditions.json"
 MACHINES = ("counterexample", "identity", "zero", "two_tape_identity")
 CHECKERS = ("auto", "column", "hirvensalo", "ktape", "row", "two-tape")
 FORMATS = ("text", "json")
@@ -44,7 +48,7 @@ RUN_CASES = [f"{m} {f} {mode}" for m in MACHINES for f in FORMATS for mode in ("
     "corpus-valid-7 json steps10",
     "counterexample text start-file",
     "counterexample json start-file",
-]
+] + [f"three_tape_pair {f} {mode}" for f in FORMATS for mode in ("cells-spec", "cells-file")]
 NORM_COMMANDS = {
     "norm": ["norm", "--radius", "2", "--format", "json"],
     "gram": ["gram", "--radius", "2", "--side", "both", "--format", "json"],
@@ -132,11 +136,17 @@ PARSE_ERROR_DOCUMENTS = {
     "order first-failing-check": _malformed(_rule(read=["Z"], move=[2], amp=["a", 0])),
 }
 PARSE_ERROR_CASES = [f"{name} {f}" for name in PARSE_ERROR_DOCUMENTS for f in FORMATS]
+CONDITIONS_CASES = [f"{k} {f}" for k in range(1, 7) for f in FORMATS]
 # Two terms with unequal phases, so the start file exercises complex amplitudes.
 START_TERMS = [
     {"state": "0", "heads": [0], "tapes": [[]], "amp": [0.6, 0.0]},
     {"state": "1", "heads": [1], "tapes": [[]], "amp": [0.0, 0.8]},
 ]
+# One three-tape start with non-blank cells, as a basis spec and as a start
+# file; both must print the same bytes.  The second step reads both cells, and
+# every amplitude is +-1/4, so the bytes do not depend on the CPU.
+CELLS_SPEC = "state=q0 heads=0,0,0 tape=1:a;blank;-1:b"
+CELLS_TERMS = [{"state": "q0", "heads": [0, 0, 0], "tapes": [[[1, "a"]], [], [[-1, "b"]]], "amp": [1.0, 0.0]}]
 
 
 def _invoke(argv: list[str]) -> dict:
@@ -162,10 +172,12 @@ def capture_run(case: str) -> dict:
             path = Path(tmp) / "valid-7.qtm"
             path.write_text(_corpus_document(), encoding="utf-8")
             argv = ["run", str(path), "--steps", "10"]
-        elif mode == "start-file":
+        elif mode in ("start-file", "cells-file"):
             path = Path(tmp) / "start.json"
-            path.write_text(json.dumps(START_TERMS), encoding="utf-8")
-            argv = ["run", machine, "--steps", "5", "--start", f"@{path}"]
+            path.write_text(json.dumps(START_TERMS if mode == "start-file" else CELLS_TERMS), encoding="utf-8")
+            argv = ["run", machine, "--steps", "5" if mode == "start-file" else "2", "--start", f"@{path}"]
+        elif mode == "cells-spec":
+            argv = ["run", machine, "--steps", "2", "--start", CELLS_SPEC]
         else:
             argv = ["run", machine, "--steps", "5"] + (["--unchecked"] if mode == "unchecked" else [])
         return _invoke(argv + ["--format", fmt])
@@ -195,6 +207,11 @@ def capture_parse_error(case: str) -> dict:
         return _invoke(["validate", str(path), "--format", fmt])
 
 
+def capture_conditions(case: str) -> dict:
+    k, fmt = case.split()
+    return _invoke(["conditions", k, "--format", fmt])
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -221,6 +238,12 @@ def test_run_golden_covers_every_case(run_golden):
 @pytest.mark.parametrize("case", RUN_CASES)
 def test_run_bytes_match_golden(run_golden, case):
     assert capture_run(case) == run_golden[case]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cells_spec_and_file_print_the_same(run_golden, fmt):
+    spec, file = (run_golden[f"three_tape_pair {fmt} {mode}"] for mode in ("cells-spec", "cells-file"))
+    assert spec == file and spec["code"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +290,20 @@ def test_parse_error_bytes_match_golden(parse_error_golden, case):
     assert capture_parse_error(case) == parse_error_golden[case]
 
 
+@pytest.fixture(scope="module")
+def conditions_golden() -> dict:
+    return json.loads(CONDITIONS_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_conditions_golden_covers_every_case(conditions_golden):
+    assert sorted(conditions_golden) == sorted(CONDITIONS_CASES)
+
+
+@pytest.mark.parametrize("case", CONDITIONS_CASES)
+def test_conditions_bytes_match_golden(conditions_golden, case):
+    assert capture_conditions(case) == conditions_golden[case]
+
+
 def _write(path: Path, golden: dict):
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -278,3 +315,4 @@ if __name__ == "__main__":
     _write(NORM_GOLDEN, {case: capture_norm(case) for case in NORM_CASES})
     _write(MULTITAPE_GOLDEN, {case: capture_multitape(case) for case in MULTITAPE_CASES})
     _write(PARSE_ERROR_GOLDEN, {case: capture_parse_error(case) for case in PARSE_ERROR_CASES})
+    _write(CONDITIONS_GOLDEN, {case: capture_conditions(case) for case in CONDITIONS_CASES})

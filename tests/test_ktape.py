@@ -16,30 +16,30 @@ from conftest import MULTI_COMPONENT_BREAKS, random_table
 
 class TestGeneration:
     def test_count_law(self):
-        for k in range(1, 5):
+        """One catalog: normalization, orthogonality, then the displacements."""
+        for k in range(1, MAX_TAPES + 1):
             frame = qt.simple_frame(1, *(1,) * k)
             ids = qt.generate_ktape_conditions(frame)
-            assert len(ids) == 1 + (5 ** k - 1) // 2
-            expanded = qt.expand_condition_ids(ids)
-            assert len(expanded) == 1 + (5 ** k + 1) // 2
-            assert len(expanded) == qt.condition_count(k)
+            assert len(ids) == qt.condition_count(k) == 1 + (5 ** k + 1) // 2
+            assert [(cid.displacement, cid.part) for cid in ids[:2]] == [((0,) * k, "norm"), ((0,) * k, "orth")]
+            assert all(cid.part is None and any(cid.displacement) for cid in ids[2:])
         assert [qt.condition_count(k) for k in (1, 2, 3, 4)] == [4, 14, 64, 314]
 
     def test_first_nonzero_component_positive(self):
         for k in (1, 2, 3):
             ids = qt.generate_ktape_conditions(qt.simple_frame(1, *(1,) * k))
-            assert ids[0].displacement == (0,) * k
-            for cid in ids[1:]:
+            assert ids[0].displacement == ids[1].displacement == (0,) * k
+            for cid in ids[2:]:
                 first = next(d for d in cid.displacement if d != 0)
                 assert first in (1, 2)
 
     def test_single_tape_labels(self):
-        ids = qt.expand_condition_ids(qt.generate_ktape_conditions(qt.simple_frame(1, 1)))
+        ids = qt.generate_ktape_conditions(qt.simple_frame(1, 1))
         assert [cid.name for cid in ids] == ["a", "b", "c", "d"]
 
     def test_two_tape_labels_follow_numbering_rule(self):
         # the displacement (D1, D2) carries classic number 5*D1 + D2 + 2
-        ids = qt.expand_condition_ids(qt.generate_ktape_conditions(qt.simple_frame(1, 1, 1)))
+        ids = qt.generate_ktape_conditions(qt.simple_frame(1, 1, 1))
         assert [cid.name for cid in ids] == [str(i) for i in range(1, 15)]
         for cid in ids[2:]:
             d1, d2 = cid.displacement
@@ -73,33 +73,19 @@ class TestEvaluation:
         for _ in range(20):
             table = random_table(qt.simple_frame(2, 2), rng)
             report = reference_conditions.check_column(table)
-            ids = qt.generate_ktape_conditions(table.frame)
-            by_disp = {cid.displacement: cid for cid in ids}
-            res_c = qt.evaluate_ktape_condition(table, by_disp[(1,)])
-            res_d = qt.evaluate_ktape_condition(table, by_disp[(2,)])
-            assert abs(res_c.residual - report.residual_for("c").residual) < 1e-12
-            assert abs(res_d.residual - report.residual_for("d").residual) < 1e-12
+            generated = qt.check_ktape(table)
+            for name in ("c", "d"):
+                assert abs(generated.residual_for(name).residual - report.residual_for(name).residual) < 1e-12
 
     def test_two_tape_displacements_reproduce_named_conditions(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             table = random_table(qt.simple_frame(2, 2, 1), rng, density=0.5)
             report = reference_conditions.check_two_tape(table)
-            ids = {cid.displacement: cid for cid in qt.generate_ktape_conditions(table.frame)}
+            by_disp = {r.id.displacement: r for r in qt.check_ktape(table).residuals[2:]}
             # (0,1) is condition 3, (1,-2) is condition 5
             for disp, name in (((0, 1), "3"), ((1, -2), "5"), ((2, 0), "12")):
-                got = qt.evaluate_ktape_condition(table, ids[disp])
-                assert abs(got.residual - report.residual_for(name).residual) < 1e-12
-
-    def test_zero_id_combines_norm_and_orth(self, counterexample):
-        table = counterexample.with_entry(0, 0, 0, 0, 0, 0.6)
-        zero = qt.generate_ktape_conditions(table.frame)[0]
-        combined = qt.evaluate_ktape_condition(table, zero)
-        parts = [
-            qt.evaluate_ktape_condition(table, part)
-            for part in qt.expand_condition_ids([zero])
-        ]
-        assert combined.residual == max(p.residual for p in parts)
+                assert abs(by_disp[disp].residual - report.residual_for(name).residual) < 1e-12
 
     def test_specialization_verdicts_and_residuals(self):
         rng = np.random.default_rng(16)
@@ -136,11 +122,6 @@ class TestEvaluation:
             broken = entry.label.split()[-1]
             assert sum(c != "0" for c in broken[3:-1].split(",")) >= 2
             assert failing == ({"1", broken} if entry.label.startswith("shift") else {broken}), entry.label
-
-    def test_mismatched_id_rejected(self, counterexample):
-        cid = qt.generate_ktape_conditions(qt.simple_frame(1, 1, 1))[0]
-        with pytest.raises(ValueError):
-            qt.evaluate_ktape_condition(counterexample, cid)
 
     def test_auto_checker_dispatch(self, counterexample):
         assert qt.check_auto(counterexample).checker == "column"

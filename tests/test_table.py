@@ -34,6 +34,10 @@ class TestAmplitudeLookup:
         with pytest.raises(IndexError):
             qt.amplitude(counterexample, 0, 0, 0, 0, 2)
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^amplitude array must have shape \(1, 2, 1, 2, 3\), got \(1, 2, 1, 2\)$"):
+            qt.TransitionTable(qt.simple_frame(1, 2), np.zeros((1, 2, 1, 2)))
+
     def test_non_finite_rejected(self):
         frame = qt.simple_frame(1, 1)
         amps = np.full((1, 1, 1, 1, 3), np.nan, dtype=complex)
