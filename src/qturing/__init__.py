@@ -19,7 +19,6 @@ from .evolution import (
     Superposition,
     apply,
     apply_adjoint,
-    estimate_norm,
     run,
     step_operator,
 )
@@ -67,6 +66,6 @@ from .table import (
     is_unidirectional,
     norm_bound,
 )
-from .windows import radius_window
+from .windows import estimate_norm, radius_window
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .conditions import DEFAULT_TOLERANCE, ValidationReport
-from .evolution import MAX_POSITION, Superposition, run as run_evolution, estimate_norm
+from .evolution import MAX_POSITION, Superposition, run as run_evolution
 from .frame import Configuration, Tape, TuringFrame
 from .ktape import (
     MAX_TAPES,
@@ -28,6 +28,7 @@ from .ktape import (
 from .machine_io import MachineDocument, MachineParseError, parse_document
 from .oracle import column_gram_check, row_gram_check, simple_frame
 from .table import TransitionTable, compute_statistics, norm_bound
+from .windows import estimate_norm
 
 _CHECKERS = {
     "column": check_column,
@@ -152,8 +153,15 @@ def _parse_cells(frame: TuringFrame, tape_index: int, text: str) -> Tape:
         cell, _, symbol = item.partition(":")
         if symbol not in names:
             raise ValueError(f"unknown tape-{tape_index + 1} symbol {symbol!r} in start spec")
-        tape = tape.write(int(cell), names[symbol])
+        tape = tape.write(_spec_int(f"tape-{tape_index + 1} cell", cell), names[symbol])
     return tape
+
+
+def _spec_int(what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r} in start spec is not an integer") from None
 
 
 def _parse_basis_spec(frame: TuringFrame, text: str) -> Configuration:
@@ -161,12 +169,17 @@ def _parse_basis_spec(frame: TuringFrame, text: str) -> Configuration:
     heads = (0,) * frame.tape_count
     tapes = frame.blank_tapes()
     state_index = {name: i for i, name in enumerate(frame.states)}
+    seen = set()
     for token in text.split():
         key, _, value = token.partition("=")
+        name = "tape" if key == "tapes" else key
+        if name in seen:
+            raise ValueError(f"start key {name!r} given more than once in start spec")
+        seen.add(name)
         if key == "state":
             if value in state_index:
                 state = state_index[value]
-            elif value.isdigit() and int(value) < frame.state_count:
+            elif value.isdecimal() and int(value) < frame.state_count:
                 state = int(value)
             else:
                 raise ValueError(f"unknown state {value!r} in start spec")
@@ -174,7 +187,7 @@ def _parse_basis_spec(frame: TuringFrame, text: str) -> Configuration:
             parts = value.split(",")
             if len(parts) != frame.tape_count:
                 raise ValueError(f"heads must list {frame.tape_count} positions")
-            heads = tuple(int(h) for h in parts)
+            heads = tuple(_spec_int("heads position", h) for h in parts)
         elif key in ("tape", "tapes"):
             parts = value.split(";")
             if len(parts) != frame.tape_count:

@@ -1,9 +1,9 @@
 """Report types shared by every unitarity checker.
 
 The checkers themselves live in `ktape`, where each condition set (column,
-row, hirvensalo, two-tape and the generated k-tape set) is a view of one
-Gram/einsum engine.  The hand-written loops over the same sets are kept in
-the tests as an independent reference.
+row, hirvensalo, two-tape and the generated k-tape set) is a slice of a few
+matrix products on the rule amplitudes.  The hand-written loops over the
+same sets are kept in the tests as an independent reference.
 
 Residual semantics: normalization conditions report max |sum - 1| over their
 parameter tuples, orthogonality conditions max |sum|; a report passes iff

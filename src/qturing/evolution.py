@@ -27,8 +27,8 @@ bit-reproducible: terms in `sort_key` order, forward rules grouped by
 written vector in first-appearance order, then (p, tau, d), adjoint hits
 move by move, then (q, sigma).  `_Kernel.operator` numbers the images of
 packed basis states for the Gram oracle, and `step_operator` decodes them;
-the windowed norm estimator locates each entry in the packed window
-(`windows.PackedWindow`) without decoding.
+`windows.estimate_norm` locates each entry of `_Kernel.kept` in its packed
+window without decoding.  `windows` and `oracle` build on this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
 stays packed: a `Superposition` holds its terms in `sort_key` order plus
@@ -352,39 +352,31 @@ class _Kernel(_Layout):
 
     def pack(self, configs, amps=None) -> _Terms:
         """Pack configurations (and their amplitudes) in the given order, on
-        the columns that are non-blank or within RUN_MARGIN cells of a head."""
+        the columns that are non-blank or within RUN_MARGIN cells of a head:
+        every stored (term, tape, cell, symbol) is scattered into one
+        blank-filled array."""
         frame, k, n = self.frame, self.k, len(configs)
         states = list(map(_STATE, configs))
-        if not ({k}.issuperset(map(len, map(_HEADS, configs))) and self.state_ids.issuperset(states)):
+        heads = list(map(_HEADS, configs))
+        if not ({k}.issuperset(map(len, heads)) and self.state_ids.issuperset(states)
+                and all(t.blank == b for c in configs for t, b in zip(c.tapes, frame.blanks))):
             raise ValueError("superposition does not match the table's frame")
-        ints = list(itertools.chain.from_iterable(map(_HEADS, configs)))
-        per_tape = []
-        for i, blank in enumerate(frame.blanks):
-            # each distinct tape is read once
-            ids: dict = {}
-            index = [ids.setdefault(c.tapes[i], len(ids)) for c in configs]
-            if any(tape.blank != blank for tape in ids):
-                raise ValueError("superposition does not match the table's frame")
-            counts = [len(tape.cells) for tape in ids]
-            per_tape.append((index, len(ints), counts))
-            ints += itertools.chain.from_iterable(itertools.chain.from_iterable(tape.cells for tape in ids))
+        stored = [(j, i, *cell) for j, c in enumerate(configs) for i, t in enumerate(c.tapes) for cell in t.cells]
+        ints = [m for _, _, m, _ in stored] + list(itertools.chain.from_iterable(heads))
         if ints and (min(ints) < -MAX_POSITION or max(ints) > MAX_POSITION):
             raise ValueError("configuration positions must lie within -2**62..2**62")
-        values = np.array(ints, dtype=np.int64)
-        heads = values[:n * k].reshape(n, k)
-        cells_at = [values[start:start + 2 * sum(counts)] for _, start, counts in per_tape]
-        near = (heads.reshape(-1, 1) + np.arange(-RUN_MARGIN, RUN_MARGIN + 1)).ravel()
-        cols = np.concatenate([near] + [flat[0::2] for flat in cells_at])
+        term, tape, cell, sym = np.array(stored, dtype=np.int64).reshape(-1, 4).T
+        bad = tape[(sym < 0) | (sym >= self.sizes[tape])]
+        if bad.size:
+            i = int(bad.min())
+            raise ValueError(f"tape-{i + 1} symbol out of range 0..{frame.symbol_counts[i] - 1}")
+        heads = np.array(heads, dtype=np.int64).reshape(n, k)
+        cols = np.concatenate([(heads.reshape(-1, 1) + np.arange(-RUN_MARGIN, RUN_MARGIN + 1)).ravel(), cell])
         order, starts, _ = _runs(cols)
         cols = cols[order[starts]]
         cells = np.empty((n, k, len(cols)), dtype=self.dtype)
-        for i, ((index, _, counts), flat) in enumerate(zip(per_tape, cells_at)):
-            sym = flat[1::2]
-            if sym.size and (sym.min() < 0 or sym.max() >= frame.symbol_counts[i]):
-                raise ValueError(f"tape-{i + 1} symbol out of range 0..{frame.symbol_counts[i] - 1}")
-            rows = np.full((len(counts), len(cols)), self.blanks[i], dtype=self.dtype)
-            rows[np.repeat(np.arange(len(counts)), counts), np.searchsorted(cols, flat[0::2])] = sym
-            cells[:, i, :] = rows[index]
+        cells[...] = self.blanks[:, None]
+        cells[term, tape, np.searchsorted(cols, cell)] = sym
         return _Terms(np.array(states, dtype=np.intp), np.searchsorted(cols, heads), cells, cols,
                       None if amps is None else np.array(amps, dtype=np.complex128), RUN_MARGIN)
 
@@ -630,68 +622,3 @@ def run(
                 raise ValueError(f"the norm is not finite after step {t}: the amplitudes overflow")
     return RunResult(final=psi, norms=tuple(norms), pruned_mass=tuple(pruned),
                      terms=tuple(terms), width=tuple(width))
-
-
-def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, seed: int = 0) -> float:
-    """Power-iteration lower bound on the operator norm, computed on the
-    window of configurations whose support and head lie inside [-w, w] on
-    every tape.
-
-    The estimate is a Rayleigh quotient of the compressed operator, hence
-    never exceeds the true norm; it is exact (=1) for tables that pass the
-    unitarity conditions, because interior window states are fixed points of
-    the compressed normal operator.  A window of more than
-    `windows.MAX_WINDOW_CONFIGS` configurations is refused with ValueError.
-
-    Each iteration forms A v and then A^H w.  Each of the two adds its
-    entry products into a zero vector one at a time, in entry order: window
-    column by window column, each column in `step_operator` order.  The
-    products are numpy complex products, which may fuse multiply-adds, so
-    the last bits of the estimate can differ between hosts.
-    """
-    if window_radius < 1 or iterations < 1:
-        raise ValueError("window_radius and iterations must be positive")
-    from .windows import PackedWindow  # windows builds on this module's layout
-
-    kernel = _Kernel.of(table)
-    window = PackedWindow(kernel, window_radius)
-    n = window.size
-
-    # the step operator compressed to the window, entries in step_operator order
-    cols, entries, vals = kernel.kept(window.terms, adjoint=False)
-    inside = window.index(entries)
-    keep = inside >= 0
-    rows, cols, vals = inside[keep], cols[keep], vals[keep]
-
-    def gather(at, prod):
-        """The sums of `prod` at each index `at`, from +0 in entry order:
-        A v or A^H w."""
-        out = np.zeros(n, dtype=np.complex128)
-        np.add.at(out, at, prod)
-        return out
-
-    v = np.zeros(n, dtype=np.complex128)
-    v[window.interior()] = 1.0
-    norm_v = np.linalg.norm(v)
-    if norm_v > 0:
-        v /= norm_v
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v += 0.01 * noise / np.linalg.norm(noise)
-    v /= np.linalg.norm(v)
-
-    # numpy's complex multiply is not bitwise commutative, and from 16,384
-    # entries on `a * b[i]` reuses the temporary b[i] and multiplies
-    # b[i] * a.  `vals * v[cols]` is kept as written; np.multiply keeps
-    # conj(A) on the left, so A^H w has the bits of `vals.conj() * w[rows]`.
-    cvals = vals.conj()
-    estimate = 0.0
-    for _ in range(iterations):
-        w = gather(rows, vals * v[cols])
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        estimate = norm_w
-        v = gather(cols, np.multiply(cvals, w[rows]))
-        v /= np.linalg.norm(v)
-    return estimate

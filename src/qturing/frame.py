@@ -159,13 +159,6 @@ class Tape:
             raise ValueError("duplicate cell in tape support")
         object.__setattr__(self, "cells", cells)
 
-    def __hash__(self):
-        cached = getattr(self, "_hash", None)
-        if cached is None:
-            cached = hash((self.blank, self.cells))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
     def read(self, cell: int) -> int:
         for m, s in self.cells:
             if m == cell:
@@ -216,13 +209,6 @@ class Configuration:
             raise ValueError("tape count and head count must agree")
         if not self.tapes:
             raise ValueError("a configuration needs at least one tape")
-
-    def __hash__(self):
-        cached = getattr(self, "_hash", None)
-        if cached is None:
-            cached = hash((self.state, self.tapes, self.heads))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
     @property
     def tape_count(self) -> int:

@@ -104,14 +104,6 @@ class TransitionTable:
         amps[_entry_index(self.frame, q, sigma, p, tau, moves)] = amp
         return TransitionTable(self.frame, _sealed(amps))
 
-    def rules_for(self, q: int, sigma_flat: int) -> list[tuple[int, int, int, complex]]:
-        """Nonzero (p, tau_flat, move_flat, amplitude) entries for one read."""
-        block = self.amplitudes[q, sigma_flat]
-        out = []
-        for p, t, m in zip(*np.nonzero(block)):
-            out.append((int(p), int(t), int(m), complex(block[p, t, m])))
-        return out
-
     def nonzero_rules(self) -> list[tuple[int, int, int, int, int, complex]]:
         """All nonzero (q, sigma_flat, p, tau_flat, move_flat, amplitude) entries."""
         out = []

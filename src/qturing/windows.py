@@ -1,5 +1,6 @@
 """The radius window of the brute-force oracle and the windowed norm
-estimator: one packed window plus its decoding.
+estimator `estimate_norm`: one packed window, its decoding, and the power
+iteration on the step operator compressed to it.
 
 The radius-r window holds every configuration with, per tape, support and
 head inside [-r, r]; it works for any number of tapes.  It is the product
@@ -12,15 +13,17 @@ MAX_WINDOW_CONFIGS a window is refused before anything is allocated.
 columns [-r-1, r+1], where every one-step image of a window configuration
 still fits, and puts it in `Configuration.sort_key` order.  The mixed-radix
 code (state, then per tape tape code and head) of a packed term gives its
-window position by one lookup, so images are located without decoding.
+window position by one lookup, so images are located without decoding
+(`PackedWindow.index`; `estimate_norm` starts from `.interior`).
 `radius_window` decodes the whole window into configurations.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .evolution import _Layout, _Terms, _runs
+from .evolution import _Kernel, _Layout, _Terms, _runs
 from .frame import Configuration, TuringFrame
+from .table import TransitionTable
 
 # The largest window built: Q2S2 at r=4 has 9,216 configurations, and a
 # window of 2**20 packs into tens of MiB.
@@ -107,3 +110,66 @@ def radius_window(frame: TuringFrame, radius: int) -> tuple[Configuration, ...]:
     [-radius, radius], in `sort_key` order: the decoded `PackedWindow`."""
     layout = _Layout(frame)
     return tuple(layout.configurations(PackedWindow(layout, radius).terms))
+
+
+def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, seed: int = 0) -> float:
+    """Power-iteration lower bound on the operator norm, computed on the
+    window of configurations whose support and head lie inside [-w, w] on
+    every tape.
+
+    The estimate is a Rayleigh quotient of the compressed operator, hence
+    never exceeds the true norm; it is exact (=1) for tables that pass the
+    unitarity conditions, because interior window states are fixed points of
+    the compressed normal operator.  A window of more than
+    `MAX_WINDOW_CONFIGS` configurations is refused with ValueError.
+
+    Each iteration forms A v and then A^H w.  Each of the two adds its
+    entry products into a zero vector one at a time, in entry order: window
+    column by window column, each column in `step_operator` order.  The
+    products are numpy complex products, which may fuse multiply-adds, so
+    the last bits of the estimate can differ between hosts.
+    """
+    if window_radius < 1 or iterations < 1:
+        raise ValueError("window_radius and iterations must be positive")
+    kernel = _Kernel.of(table)
+    window = PackedWindow(kernel, window_radius)
+    n = window.size
+
+    # the step operator compressed to the window, entries in step_operator order
+    cols, entries, vals = kernel.kept(window.terms, adjoint=False)
+    inside = window.index(entries)
+    keep = inside >= 0
+    rows, cols, vals = inside[keep], cols[keep], vals[keep]
+
+    def gather(at, prod):
+        """The sums of `prod` at each index `at`, from +0 in entry order:
+        A v or A^H w."""
+        out = np.zeros(n, dtype=np.complex128)
+        np.add.at(out, at, prod)
+        return out
+
+    v = np.zeros(n, dtype=np.complex128)
+    v[window.interior()] = 1.0
+    norm_v = np.linalg.norm(v)
+    if norm_v > 0:
+        v /= norm_v
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v += 0.01 * noise / np.linalg.norm(noise)
+    v /= np.linalg.norm(v)
+
+    # numpy's complex multiply is not bitwise commutative, and from 16,384
+    # entries on `a * b[i]` reuses the temporary b[i] and multiplies
+    # b[i] * a.  `vals * v[cols]` is kept as written; np.multiply keeps
+    # conj(A) on the left, so A^H w has the bits of `vals.conj() * w[rows]`.
+    cvals = vals.conj()
+    estimate = 0.0
+    for _ in range(iterations):
+        w = gather(rows, vals * v[cols])
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return 0.0
+        estimate = norm_w
+        v = gather(cols, np.multiply(cvals, w[rows]))
+        v /= np.linalg.norm(v)
+    return estimate

@@ -45,6 +45,14 @@ THREE_TAPE_FRAMES = [(1, 2, 1, 1), (2, 2, 1, 1), (1, 2, 2, 1), (2, 2, 1, 2)]
 # tape, 27,648 configurations at r=1.
 FULL_THREE_TAPE_FRAME = (2, 2, 2, 2)
 
+# (states, symbols on tapes 1..k) for four and five tapes; at r=1 the
+# windows hold 648, 10,368 and 3,888 configurations.
+FOUR_FIVE_TAPE_FRAMES = [(1, 2, 1, 1, 1), (2, 2, 2, 1, 1), (2, 2, 1, 1, 1, 1)]
+
+# A six-tape frame, 5,832 configurations at r=1.  One six-tape table costs
+# about 1-1.5 s of `check_auto` and 0.6-0.9 s of row Gram.
+SIX_TAPE_FRAME = (1, 2, 1, 1, 1, 1, 1)
+
 # (move d_p of the broken state, move d of the broken rule): the rule pairs
 # with the state's other rules only at the displacement D = d - d_p, which
 # has two or three nonzero components.
@@ -54,6 +62,12 @@ MULTI_COMPONENT_BREAKS = [
     ((0, -1, 1), (0, 1, -1)),  # D = (0,2,-2)
     ((0, -1, 1), (1, 1, 0)),  # D = (1,2,-1)
     ((-1, 0, 1), (0, 0, -1)),  # D = (1,0,-2)
+]
+
+# (frame, d_p, d) as above on four and six tapes, D with four nonzero components.
+MANY_COMPONENT_BREAKS = [
+    ((2, 2, 1, 1, 1), (0, 0, 0, 0), (1, 1, 1, 1)),  # D = (1,1,1,1)
+    (SIX_TAPE_FRAME, (-1, 0, 1, 0, 0, 0), (1, 0, -1, 1, 0, 1)),  # D = (2,0,-2,1,0,1)
 ]
 
 
@@ -83,6 +97,17 @@ def _broken_neighbour(base: qt.TransitionTable, rng: np.random.Generator) -> qt.
         table = qt.perturb(base, entry, epsilon)
         if not qt.check_auto(table).passed:
             return table
+
+
+def _moved_rule_table(frame: qt.TuringFrame, moves, d, rng: np.random.Generator) -> qt.TransitionTable:
+    """A signed-permutation pair-unitary table with state p moving moves[p],
+    and one rule into state 0 moved from moves[0] to d."""
+    dim = frame.state_count * frame.symbol_block
+    signed = np.eye(dim)[rng.permutation(dim)] * rng.choice((-1.0, 1.0), size=dim)
+    table = qt.pair_unitary_machine(frame, signed, moves)
+    q, s, _, t, _, amp = next(rule for rule in table.nonzero_rules() if rule[2] == 0)
+    rule = (q, frame.symbol_vector(s), 0, frame.symbol_vector(t))
+    return table.with_entry(*rule, moves[0], 0).with_entry(*rule, d, amp)
 
 
 def build_multitape_corpus(frames, n_valid: int, n_invalid: int, seed: int) -> list[qt.CorpusEntry]:
@@ -132,17 +157,30 @@ def build_three_tape_corpus() -> list[qt.CorpusEntry]:
         sigma, tau = (frame.symbol_vector(int(s)) for s in rng.integers(frame.symbol_block, size=2))
         corpus.append(qt.CorpusEntry(qt.perturb(table, (q, sigma, 0, tau, d), float(rng.uniform(0.05, 0.5))),
                                      False, f"shift {label}"))
-
-        signed = np.eye(dim)[rng.permutation(dim)] * rng.choice((-1.0, 1.0), size=dim)
-        table = qt.pair_unitary_machine(frame, signed, moves)
-        q, s, _, t, _, amp = next(rule for rule in table.nonzero_rules() if rule[2] == 0)
-        rule = (q, frame.symbol_vector(s), 0, frame.symbol_vector(t))
-        corpus.append(qt.CorpusEntry(table.with_entry(*rule, d_p, 0).with_entry(*rule, d, amp),
-                                     False, f"moved {label}"))
+        corpus.append(qt.CorpusEntry(_moved_rule_table(frame, moves, d, rng), False, f"moved {label}"))
     table = _pair_unitary_table(qt.simple_frame(*FULL_THREE_TAPE_FRAME), rng)
     label = f"Q={table.frame.state_count} S={table.frame.symbol_counts}"
     corpus.append(qt.CorpusEntry(table, True, f"full valid {label}"))
     corpus.append(qt.CorpusEntry(_broken_neighbour(table, rng), False, f"full invalid {label}"))
+    return corpus
+
+
+def build_many_tape_corpus() -> list[qt.CorpusEntry]:
+    """A seeded corpus on four to six tapes: three pair-unitary tables on
+    FOUR_FIVE_TAPE_FRAMES and three single-entry perturbations of them, one
+    `moved` table (as in `build_three_tape_corpus`) per entry of
+    MANY_COMPONENT_BREAKS, and one pair-unitary table on SIX_TAPE_FRAME, so
+    six tapes have two tables.  A `moved` label ends in the name of D's
+    condition, the only condition that table fails."""
+    corpus = build_multitape_corpus(FOUR_FIVE_TAPE_FRAMES, 3, 3, seed=15)
+    rng = np.random.default_rng(16)
+    for shape, d_p, d in MANY_COMPONENT_BREAKS:
+        frame = qt.simple_frame(*shape)
+        moves = [d_p] + [_random_moves(rng, frame.tape_count) for _ in range(1, frame.state_count)]
+        label = f"Q={frame.state_count} S={frame.symbol_counts} {displacement_label(tuple(np.subtract(d, d_p)))}"
+        corpus.append(qt.CorpusEntry(_moved_rule_table(frame, moves, d, rng), False, f"moved {label}"))
+    table = _pair_unitary_table(qt.simple_frame(*SIX_TAPE_FRAME), rng)
+    corpus.append(qt.CorpusEntry(table, True, f"valid Q=1 S={table.frame.symbol_counts}"))
     return corpus
 
 
@@ -154,6 +192,11 @@ def two_tape_corpus() -> list[qt.CorpusEntry]:
 @pytest.fixture(scope="session")
 def three_tape_corpus() -> list[qt.CorpusEntry]:
     return build_three_tape_corpus()
+
+
+@pytest.fixture(scope="session")
+def many_tape_corpus() -> list[qt.CorpusEntry]:
+    return build_many_tape_corpus()
 
 
 @pytest.fixture(scope="session")

@@ -144,6 +144,12 @@ def gram_rows(
     return np.array([_sparse_inner(image(c), image(c2)) for c, c2 in pairs], dtype=np.complex128)
 
 
+def rules_for(table: TransitionTable, q: int, sigma_flat: int) -> list[tuple[int, int, int, complex]]:
+    """Nonzero (p, tau_flat, move_flat, amplitude) entries for one read."""
+    block = table.amplitudes[q, sigma_flat]
+    return [(int(p), int(t), int(m), complex(block[p, t, m])) for p, t, m in zip(*np.nonzero(block))]
+
+
 def _grouped_rules(table: TransitionTable, cache: dict, q: int, sflat: int):
     """Rules for one read grouped by written symbol vector, preserving the
     canonical (p, tau, d) order inside each group."""
@@ -152,7 +158,7 @@ def _grouped_rules(table: TransitionTable, cache: dict, q: int, sflat: int):
     if groups is None:
         frame = table.frame
         by_tau: dict[tuple[int, ...], list] = {}
-        for p, t, m, amp in table.rules_for(q, sflat):
+        for p, t, m, amp in rules_for(table, q, sflat):
             by_tau.setdefault(frame.symbol_vector(t), []).append(
                 (p, frame.move_vector(m), amp)
             )
@@ -241,7 +247,7 @@ class _Rules:
             moves: dict = {}
             rules = [
                 (p, taus.setdefault(t, len(taus)), moves.setdefault(m, len(moves)), coef)
-                for p, t, m, coef in self.table.rules_for(q, frame.symbol_flat(sigma))
+                for p, t, m, coef in rules_for(self.table, q, frame.symbol_flat(sigma))
             ]
             rules.sort(key=lambda rule: rule[1])  # stable: (p, tau, d) within a tau
             if self.prune:

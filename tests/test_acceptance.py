@@ -117,7 +117,7 @@ def test_criterion_04_oracle_equivalence(corpus):
     _report(4, "checker verdicts equal brute-force Gram verdicts on the 100-table corpus", failures)
 
 
-def test_criterion_05_column_row_agreement(corpus, two_tape_corpus, three_tape_corpus):
+def test_criterion_05_column_row_agreement(corpus, two_tape_corpus, three_tape_corpus, many_tape_corpus):
     failures = []
     for entry in corpus:
         column = qt.check_column(entry.table).passed
@@ -139,16 +139,17 @@ def test_criterion_05_column_row_agreement(corpus, two_tape_corpus, three_tape_c
                 failures.append(f"two-tape {entry.label} r={radius}: "
                                 f"column gram {column}, row gram {row}, check_auto {checker}")
     # r=1 puts heads at -1 and +1, so every |D_i| = 2 is realised
-    for entry in three_tape_corpus:
+    for entry in three_tape_corpus + many_tape_corpus:
         checker = qt.check_auto(entry.table).passed
         column = qt.column_gram_check(entry.table, 1).passed
         row = qt.row_gram_check(entry.table, 1).passed
         if not column == row == checker == entry.expect_valid:
-            failures.append(f"three-tape {entry.label} r=1: "
+            failures.append(f"{entry.table.frame.tape_count}-tape {entry.label} r=1: "
                             f"column gram {column}, row gram {row}, check_auto {checker}")
     _report(5, "column and row verdicts agree on the one-tape corpus; column Gram, row Gram "
                "and check_auto agree on the 48-table two-tape corpus and, at r=1, on the "
-               f"{len(three_tape_corpus)}-table three-tape corpus", failures)
+               f"{len(three_tape_corpus)}-table three-tape corpus and the "
+               f"{len(many_tape_corpus)}-table four- to six-tape corpus", failures)
 
 
 def test_criterion_06_unidirectional_exactness(corpus):

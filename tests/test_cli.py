@@ -169,6 +169,21 @@ class TestRun:
         code, out, err = invoke(capsys, "run", "three_tape_pair", "--start", start)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("start, message", [
+        ("state=\u00b2", "unknown state '\u00b2' in start spec"),  # a digit that int() refuses
+        ("heads=x,0,0", "heads position 'x' in start spec is not an integer"),
+        ("state=q0 heads=0,,0", "heads position '' in start spec is not an integer"),
+        ("tape=y:a;blank;blank", "tape-1 cell 'y' in start spec is not an integer"),
+        ("tapes=blank;blank;1:b,2.5:b", "tape-3 cell '2.5' in start spec is not an integer"),
+        ("heads=0,0,0 heads=1,1,1", "start key 'heads' given more than once in start spec"),
+        ("state=q1 state=q0", "start key 'state' given more than once in start spec"),
+        ("tape=1:a;blank;blank tapes=blank;blank;blank", "start key 'tape' given more than once in start spec"),
+        ("tapes=blank;blank;blank tapes=blank;blank;blank", "start key 'tape' given more than once in start spec"),
+    ])
+    def test_bad_start_spec_values_and_repeated_keys(self, capsys, start, message):
+        code, out, err = invoke(capsys, "run", "three_tape_pair", "--start", start)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_step_above_the_symbol_bound_exits_two(self, capsys, tmp_path, monkeypatch, sixfold):
         path = tmp_path / "sixfold.qtm"
         path.write_text(qt.serialize_machine(sixfold, name="sixfold"))

@@ -74,10 +74,26 @@ class TestApply:
     @pytest.mark.parametrize("tape, message", [
         (qt.Tape(1), "superposition does not match the table's frame"),  # blank 1, the frame's is 0
         (qt.Tape(0, ((3, 2),)), "tape-1 symbol out of range 0..1"),
+        # several faults: the frame mismatch comes first, then positions, then symbols
+        (qt.Tape(1, ((3, 2),)), "superposition does not match the table's frame"),
+        (qt.Tape(0, ((2 ** 62 + 1, 2),)), "configuration positions must lie within -2**62..2**62"),
     ])
     def test_foreign_tapes_refused(self, tape, message):
         table = qt.TransitionTable.zeros(qt.simple_frame(1, 2))
         psi = qt.Superposition.basis(qt.Configuration(0, (tape,), (0,)))
+        for step in (qt.apply, qt.apply_adjoint):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                step(table, psi)
+
+    @pytest.mark.parametrize("tapes, message", [
+        ((qt.Tape(0, ((3, 5),)), qt.Tape(1)), "superposition does not match the table's frame"),
+        ((qt.Tape(0, ((1, 4),)), qt.Tape(0, ((-2, 3),))), "tape-1 symbol out of range 0..1"),
+        ((qt.Tape(0, ((0, 2),)), qt.Tape(0, ((-2 ** 62 - 1, 1),))),
+         "configuration positions must lie within -2**62..2**62"),
+    ], ids=["blank and symbol", "symbols on tapes 2 and 1", "position and symbol"])
+    def test_foreign_two_tape_terms_refused(self, tapes, message):
+        table = qt.TransitionTable.zeros(qt.simple_frame(1, 2, 3))
+        psi = qt.Superposition.basis(qt.Configuration(0, tapes, (0, 0)))
         for step in (qt.apply, qt.apply_adjoint):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 step(table, psi)

@@ -123,6 +123,18 @@ class TestEvaluation:
             assert sum(c != "0" for c in broken[3:-1].split(",")) >= 2
             assert failing == ({"1", broken} if entry.label.startswith("shift") else {broken}), entry.label
 
+    def test_many_tape_corpus_breaks_four_component_displacements(self, many_tape_corpus):
+        """The `moved` tables on four and six tapes name displacements with
+        four nonzero components; the four-tape one fails, of all conditions,
+        only that one.  The six-tape one is held to its verdict in acceptance
+        05 alone: one more six-tape `check_ktape` costs 1-1.5 s."""
+        moved = [entry for entry in many_tape_corpus if entry.label.startswith("moved")]
+        assert [entry.table.frame.tape_count for entry in moved] == [4, 6]
+        broken = [entry.label.split()[-1] for entry in moved]
+        assert [sum(c != "0" for c in name[3:-1].split(",")) for name in broken] == [4, 4]
+        report = qt.check_ktape(moved[0].table)
+        assert {r.id.name for r in report.residuals if r.residual > report.tolerance} == {broken[0]}
+
     def test_auto_checker_dispatch(self, counterexample):
         assert qt.check_auto(counterexample).checker == "column"
         frame2 = qt.simple_frame(1, 1, 1)

@@ -10,7 +10,7 @@ from qturing.oracle import _gram_product
 
 from conftest import random_table
 from reference_frame import alpha, beta, matrix_element
-from reference_oracle import reference_adjoint, reference_apply
+from reference_oracle import reference_adjoint, reference_apply, rules_for
 
 
 def _frame_window(shape, radius, stride, seed):
@@ -137,7 +137,7 @@ def test_step_operator_entry_order():
     rows, cols, vals, images = qt.step_operator(table, window)
     for i, config in enumerate(window):
         # grouped by written vector in first-appearance order, then (p, tau, d)
-        rules = table.rules_for(config.state, frame.symbol_flat(config.read()))
+        rules = rules_for(table, config.state, frame.symbol_flat(config.read()))
         taus = list(dict.fromkeys(t for _, t, _, _ in rules))
         expected = [amp for tau in taus for _, t, _, amp in rules if t == tau]
         assert len(taus) == frame.symbol_block and len(expected) == len(rules)

@@ -1,0 +1,51 @@
+"""The package's import structure, read from its source with `ast`: the
+relative imports at module level form an acyclic graph, and no function or
+method imports anything, so every dependency between modules shows at the
+top of a module and importing one module never runs another's body twice."""
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qturing"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _outside_functions(node: ast.AST):
+    """The nodes under `node` that no function or method encloses."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def _relative_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports at module level."""
+    found = set()
+    for node in _outside_functions(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+    return found & set(MODULES)
+
+
+def test_module_level_relative_imports_are_acyclic():
+    graph = {name: _relative_imports(tree) for name, tree in MODULES.items()}
+    assert "windows" in graph["oracle"] and "evolution" in graph["windows"]
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as error:
+        pytest.fail(f"import cycle: {' -> '.join(error.args[1])}")
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_function_body_imports(name):
+    nested = [
+        f"{name}.py:{node.lineno} in {function.name}"
+        for function in ast.walk(MODULES[name])
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, nested
