@@ -158,10 +158,14 @@ def _parse_cells(frame: TuringFrame, tape_index: int, text: str) -> Tape:
 
 
 def _spec_int(what: str, text: str) -> int:
+    """A head or cell position of a basis spec."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValueError(f"{what} {text!r} in start spec is not an integer") from None
+    if not _is_position(value):
+        raise ValueError(f"{what} {text!r} in start spec must lie within -2**62..2**62")
+    return value
 
 
 def _parse_basis_spec(frame: TuringFrame, text: str) -> Configuration:

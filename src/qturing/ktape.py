@@ -8,8 +8,10 @@ All condition sets are slices of three kinds of matrix product on
 * the written Gram W = M^T conj(M) over targets (p, tau, d);
 * one displacement product X Y^H per D, which pairs move vectors d, d'
   with a fixed difference D = d - d': X and Y gather the entries of every
-  move-pair choice, with rows (q, sigma, writes on the displaced tapes) and
-  columns (choice, p, writes on the other tapes).
+  move-pair choice in one fancy index, each tape's pairs read from one
+  table per component and broadcast on an axis of their own, with rows
+  (q, sigma, writes on the displaced tapes) and columns (choice, p, writes
+  on the other tapes).
 
 Every sum is a `@` product, which numpy hands to BLAS.  The summation order
 is BLAS's, so residual bits follow it, and the tests pin that one BLAS
@@ -63,10 +65,11 @@ from .conditions import (
 from .frame import MOVES, TuringFrame
 from .table import TransitionTable
 
-# The generated set has 1 + (5^k + 1)/2 conditions, one matrix product each,
-# so its cost grows about fivefold per tape or more (a one-symbol identity
-# takes tens of ms at four tapes and a few hundred at five); past six tapes
-# it is refused.
+# The generated set has 1 + (5^k + 1)/2 conditions, one matrix product each.
+# On a Q1 table with one 2-symbol tape and k - 1 one-symbol tapes, check_ktape
+# takes about 0.1, 0.5, 3-5, 23-27, 107-143 and 630-843 ms for k = 1..6
+# (2-vCPU Xeon, numpy 2.4.6), five- to sixfold per tape from four tapes on;
+# past six tapes it is refused.
 MAX_TAPES = 6
 
 
@@ -118,6 +121,10 @@ def _move_pairs(delta: int) -> list[tuple[int, int]]:
     return [(d, d2) for d in MOVES for d2 in MOVES if d - d2 == delta]
 
 
+# per component delta: move-axis indices d + 1 and d' + 1 (rows) of its pairs d - d' = delta
+_PAIR_MOVES = {delta: np.array(_move_pairs(delta)).T + 1 for delta in range(-2, 3)}
+
+
 def _split_amplitudes(table: TransitionTable) -> np.ndarray:
     """View with the write vector and move vector split into per-tape axes:
     (Q, S, Q, T1..Tk, 3..3)."""
@@ -150,12 +157,13 @@ def _before(n: int) -> np.ndarray:
     return np.less.outer(np.arange(n), np.arange(n))
 
 
-def _read_witness(frame: TuringFrame, q: int, sflat: int, primed: bool = False):
+def _read_witness(frame: TuringFrame, q: int, sflat: int, writes=(), primed: bool = False):
+    """Witness half: read (q, sigma), then `tau_i` for each (tape i, symbol) in `writes`."""
     mark = "'" if primed else ""
-    vec = frame.symbol_vector(sflat)
-    names = tuple(frame.symbol_name(i, s) for i, s in enumerate(vec))
+    names = tuple(frame.symbol_name(i, s) for i, s in enumerate(frame.symbol_vector(sflat)))
     sigma = names[0] if frame.tape_count == 1 else "(" + ",".join(names) + ")"
-    return (("q" + mark, frame.states[q]), ("sigma" + mark, sigma))
+    taus = tuple((f"tau_{i + 1}{mark}", frame.symbol_name(i, t)) for i, t in writes)
+    return (("q" + mark, frame.states[q]), ("sigma" + mark, sigma)) + taus
 
 
 def _read_gram(table: TransitionTable) -> np.ndarray:
@@ -190,40 +198,27 @@ def _eval_zero(table: TransitionTable) -> tuple[tuple[float, tuple | None], tupl
     return norm, (value, witness)
 
 
-def _choice_moves(displacement: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Move-axis indices of every move-pair choice (d, d') with d - d' = D:
-    per tape, the indices d_i + 1 and d'_i + 1 of all choices, in
-    `itertools.product` order over the tapes' pairs."""
-    choices = np.array(list(itertools.product(*(_move_pairs(delta) for delta in displacement)))) + 1
-    return tuple(choices[:, :, 0].T), tuple(choices[:, :, 1].T)
-
-
 def _eval_displacement(frame: TuringFrame, split: np.ndarray,
                        displacement: tuple[int, ...]) -> tuple[float, tuple | None]:
     """Residual and witness of one displacement D != 0 on the split table:
     one matrix product whose rows are reads and independent writes
     (q, sigma, tau_I) and whose columns are (choice, p, tau_shared)."""
-    k = frame.tape_count
+    k = len(displacement)
     independent = [i for i in range(k) if displacement[i] != 0]
     shared = [i for i in range(k) if displacement[i] == 0]
-    d, d2 = _choice_moves(displacement)
-    # one fancy index on the move axes: (q, s, p, tau_1..tau_k, choice)
-    order = [0, 1] + [3 + i for i in independent] + [3 + k, 2] + [3 + i for i in shared]
-    side = (frame.state_count, frame.symbol_block) + tuple(frame.symbol_counts[i] for i in independent)
+    # tape i's move pairs on choice axis i, so one fancy index on the move axes gives
+    # (q, s, p, tau_1..tau_k, choice_1..choice_k), flattening in `itertools.product` order
+    d, d2 = zip(*(_PAIR_MOVES[delta].reshape((2,) + (1,) * i + (-1,) + (1,) * (k - 1 - i))
+                  for i, delta in enumerate(displacement)))
+    order = [0, 1, *(3 + i for i in independent), *range(3 + k, 3 + 2 * k), 2, *(3 + i for i in shared)]
+    side = split.shape[:2] + tuple(split.shape[3 + i] for i in independent)
     xm = split[(Ellipsis,) + d].transpose(order).reshape(math.prod(side), -1)
     ym = split[(Ellipsis,) + d2].transpose(order).reshape(xm.shape)
     gram = (xm @ ym.conj().T).reshape(side + side)
-
     value, idx = _first_max(np.abs(gram))
     half = len(side)
-    q, s = idx[0], idx[1]
-    q2, s2 = idx[half], idx[half + 1]
-    witness = _read_witness(frame, q, s)
-    for pos, i in enumerate(independent):
-        witness += ((f"tau_{i + 1}", frame.symbol_name(i, idx[2 + pos])),)
-    witness += _read_witness(frame, q2, s2, primed=True)
-    for pos, i in enumerate(independent):
-        witness += ((f"tau_{i + 1}'", frame.symbol_name(i, idx[half + 2 + pos])),)
+    witness = (_read_witness(frame, idx[0], idx[1], zip(independent, idx[2:half]))
+               + _read_witness(frame, idx[half], idx[half + 1], zip(independent, idx[half + 2:]), primed=True))
     return value, witness
 
 
@@ -349,13 +344,9 @@ def check_hirvensalo(table: TransitionTable, tolerance: float = DEFAULT_TOLERANC
     # column (c); ties go to the first tuple in (q,s,t,q',s',t',d,d') order.
     # by_move[m] has rows (q, s, t) and columns p for move m.
     by_move = table.amplitudes.transpose(4, 0, 1, 3, 2).reshape(3, Q * S * S, Q)
-    best = None
-    for m, m2 in itertools.permutations(range(3), 2):
-        product = by_move[m].conj() @ by_move[m2].T
-        value, idx = _first_max(np.abs(product).reshape((Q, S, S) * 2))
-        if best is None or value > best[0] or (value == best[0] and idx < best[1]):
-            best = (value, idx, m, m2)
-    d, (q, s, t, q2, s2, t2), m, m2 = best
+    firsts = (_first_max(np.abs(by_move[m].conj() @ by_move[m2].T).reshape((Q, S, S) * 2)) + (m, m2)
+              for m, m2 in itertools.permutations(range(3), 2))
+    d, (q, s, t, q2, s2, t2), m, m2 = min(firsts, key=lambda found: (-found[0], found[1]))
     d_witness = (("q", states[q]), ("sigma", names[s]), ("tau", names[t]), ("d", m - 1),
                  ("q'", states[q2]), ("sigma'", names[s2]), ("tau'", names[t2]), ("d'", m2 - 1))
 

@@ -9,7 +9,10 @@ one matrix-product engine (`qturing.ktape`); the tests compare the two.
 before it moved to matrix products: one `np.einsum` per displacement and
 move-pair choice, summed choice by choice.  It sums in another order than
 the engine, so the tests hold the two to equal witnesses and residuals
-within a relative 1e-13.
+within a relative 1e-13.  `gather_displacements` is the matrix-product
+engine's first gather: every move-pair choice listed by `itertools.product`,
+one fancy index, a transpose and one `@` per displacement.  It hands BLAS
+the same matrices as the engine, so the tests hold the two to equal bits.
 
 Each residual here also carries `near_max`: every witness whose value is
 within `NEAR_MAX` of the condition's maximum (or `{None}` when the condition
@@ -19,6 +22,7 @@ different witnesses, so the tests accept any witness in that set.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -589,6 +593,35 @@ def _eval_displacement_einsum(table: TransitionTable, displacement: tuple[int, .
     for pos, i in enumerate(independent):
         witness += ((f"tau_{i + 1}'", frame.symbol_name(i, idx[half + 2 + pos])),)
     return value, witness
+
+
+def gather_displacements(table: TransitionTable) -> list[ConditionResidual]:
+    """Every displacement condition of the catalog, as the matrix-product
+    engine first gathered it: rows (q, sigma, tau_I), columns (choice, p,
+    tau_shared), with the choices of d and d' indexed as one list."""
+    frame = table.frame
+    k = frame.tape_count
+    split = _split_amplitudes(table)
+    out = []
+    for cid in generate_ktape_conditions(frame)[2:]:
+        independent = [i for i in range(k) if cid.displacement[i] != 0]
+        shared = [i for i in range(k) if cid.displacement[i] == 0]
+        choices = np.array(list(itertools.product(*(_move_pairs(delta) for delta in cid.displacement)))) + 1
+        d, d2 = tuple(choices[:, :, 0].T), tuple(choices[:, :, 1].T)
+        order = [0, 1] + [3 + i for i in independent] + [3 + k, 2] + [3 + i for i in shared]
+        side = (frame.state_count, frame.symbol_block) + tuple(frame.symbol_counts[i] for i in independent)
+        xm = split[(Ellipsis,) + d].transpose(order).reshape(math.prod(side), -1)
+        ym = split[(Ellipsis,) + d2].transpose(order).reshape(xm.shape)
+        value, idx = _first_max(np.abs((xm @ ym.conj().T).reshape(side + side)))
+        half = len(side)
+        witness = _read_witness(frame, idx[0], idx[1])
+        for pos, i in enumerate(independent):
+            witness += ((f"tau_{i + 1}", frame.symbol_name(i, idx[2 + pos])),)
+        witness += _read_witness(frame, idx[half], idx[half + 1], primed=True)
+        for pos, i in enumerate(independent):
+            witness += ((f"tau_{i + 1}'", frame.symbol_name(i, idx[half + 2 + pos])),)
+        out.append(ConditionResidual(cid, value, witness))
+    return out
 
 
 def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:

@@ -179,6 +179,12 @@ class TestRun:
         ("state=q1 state=q0", "start key 'state' given more than once in start spec"),
         ("tape=1:a;blank;blank tapes=blank;blank;blank", "start key 'tape' given more than once in start spec"),
         ("tapes=blank;blank;blank tapes=blank;blank;blank", "start key 'tape' given more than once in start spec"),
+        ("heads=0,4611686018427387905,0",
+         "heads position '4611686018427387905' in start spec must lie within -2**62..2**62"),
+        ("tape=-99999999999999999999999:a;blank;blank",
+         "tape-1 cell '-99999999999999999999999' in start spec must lie within -2**62..2**62"),
+        ("tapes=blank;blank;-4611686018427387905:B",  # a blank written beyond the bound
+         "tape-3 cell '-4611686018427387905' in start spec must lie within -2**62..2**62"),
     ])
     def test_bad_start_spec_values_and_repeated_keys(self, capsys, start, message):
         code, out, err = invoke(capsys, "run", "three_tape_pair", "--start", start)

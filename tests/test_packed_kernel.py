@@ -275,7 +275,7 @@ def test_cli_basis_spec_position_out_of_range(capsys):
     code = main(["run", "counterexample", "--start", f"state=0 heads={2 ** 62 + 1}"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: configuration positions must lie within -2**62..2**62\n"
+    assert err == f"error: heads position '{2 ** 62 + 1}' in start spec must lie within -2**62..2**62\n"
 
 
 # ---------------------------------------------------------------------------

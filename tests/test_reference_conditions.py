@@ -10,6 +10,11 @@ equal witnesses and residuals within 1e-13 * max(1, |r|).  Where both
 residuals are below ROUNDING the condition holds up to rounding error, its
 maximum is taken over rounding errors alone and the two summation orders may
 place it on different tuples, so there only the residuals are compared.
+
+On the same tables every displacement's residual and witness must equal, bit
+for bit, those of the engine's first gather
+(`reference_conditions.gather_displacements`), which hands BLAS the same
+matrices on the same host.
 """
 import numpy as np
 import pytest
@@ -111,4 +116,19 @@ def test_generated_set_matches_einsum_loop(corpus, two_tape_corpus, three_tape_c
                 failures.append(f"table {i} {g.id}: residual {g.residual!r} against {r.residual!r}")
             if g.witness != r.witness and max(g.residual, r.residual) >= ROUNDING:
                 failures.append(f"table {i} {g.id}: witness {g.witness} against {r.witness}")
+    assert not failures, failures[:5]
+
+
+def test_displacements_match_first_gather_bit_for_bit(corpus, two_tape_corpus, three_tape_corpus,
+                                                      many_tape_corpus):
+    tables = (_one_tape_tables(corpus) + _two_tape_tables() + [entry.table for entry in two_tape_corpus]
+              + [entry.table for entry in three_tape_corpus] + _four_tape_tables()
+              + [entry.table for entry in many_tape_corpus if entry.table.frame.tape_count == 4])
+    assert {table.frame.tape_count for table in tables} == {1, 2, 3, 4}
+    failures = []
+    for i, table in enumerate(tables):
+        got, ref = qt.check_ktape(table).residuals[2:], reference.gather_displacements(table)
+        assert [r.id for r in got] == [r.id for r in ref]
+        failures += [f"table {i} {g.id}: {g.residual!r} {g.witness} against {r.residual!r} {r.witness}"
+                     for g, r in zip(got, ref) if (g.residual, g.witness) != (r.residual, r.witness)]
     assert not failures, failures[:5]
