@@ -67,7 +67,7 @@ from .table import TransitionTable
 
 # The generated set has 1 + (5^k + 1)/2 conditions, one matrix product each.
 # On a Q1 table with one 2-symbol tape and k - 1 one-symbol tapes, check_ktape
-# takes about 0.1, 0.5, 3-5, 23-27, 107-143 and 630-843 ms for k = 1..6
+# takes about 0.1-0.2, 0.4-0.7, 2-4, 12-21, 87-126 and 540-690 ms for k = 1..6
 # (2-vCPU Xeon, numpy 2.4.6), five- to sixfold per tape from four tapes on;
 # past six tapes it is refused.
 MAX_TAPES = 6
@@ -157,12 +157,21 @@ def _before(n: int) -> np.ndarray:
     return np.less.outer(np.arange(n), np.arange(n))
 
 
-def _read_witness(frame: TuringFrame, q: int, sflat: int, writes=(), primed: bool = False):
-    """Witness half: read (q, sigma), then `tau_i` for each (tape i, symbol) in `writes`."""
+def _sigma_names(frame: TuringFrame) -> tuple[str, ...]:
+    """The witness name of every read symbol vector, by flat index: the
+    symbol on one tape, "(a,b,...)" on more."""
+    if frame.tape_count == 1:
+        return frame.alphabets[0]
+    return tuple("(" + ",".join(names) + ")" for names in itertools.product(*frame.alphabets))
+
+
+def _read_witness(frame: TuringFrame, q: int, sflat: int, writes=(), primed: bool = False,
+                  sigmas: tuple[str, ...] | None = None):
+    """Witness half: read (q, sigma), then `tau_i` for each (tape i, symbol) in
+    `writes`.  `sigmas` are the frame's `_sigma_names`, built here if not given."""
     mark = "'" if primed else ""
-    names = tuple(frame.symbol_name(i, s) for i, s in enumerate(frame.symbol_vector(sflat)))
-    sigma = names[0] if frame.tape_count == 1 else "(" + ",".join(names) + ")"
-    taus = tuple((f"tau_{i + 1}{mark}", frame.symbol_name(i, t)) for i, t in writes)
+    sigma = (sigmas or _sigma_names(frame))[sflat]
+    taus = tuple((f"tau_{i + 1}{mark}", frame.alphabets[i][t]) for i, t in writes)
     return (("q" + mark, frame.states[q]), ("sigma" + mark, sigma)) + taus
 
 
@@ -181,28 +190,32 @@ def _written_gram(table: TransitionTable) -> np.ndarray:
     return (m.T @ m.conj()).reshape(side + side)
 
 
-def _eval_zero(table: TransitionTable) -> tuple[tuple[float, tuple | None], tuple[float, tuple | None]]:
-    """(residual, witness) of the normalization and the orthogonality half."""
+def _eval_zero(table: TransitionTable,
+               sigmas: tuple[str, ...]) -> tuple[tuple[float, tuple | None], tuple[float, tuple | None]]:
+    """(residual, witness) of the normalization and the orthogonality half;
+    `sigmas` are the frame's `_sigma_names`."""
     frame = table.frame
     S = frame.symbol_block
     gram = _read_gram(table)
     # a Gram diagonal is real: drop the rounding-level imaginary part that a
     # BLAS product can leave on it
     value, (i,) = _first_max(np.abs(np.diagonal(gram).real - 1.0))
-    norm = value, _read_witness(frame, *divmod(i, S))
+    norm = value, _read_witness(frame, *divmod(i, S), sigmas=sigmas)
     value, idx = _first_max(np.abs(gram), _before(gram.shape[0]))
     witness = None
     if idx is not None:
         i, j = idx
-        witness = _read_witness(frame, *divmod(i, S)) + _read_witness(frame, *divmod(j, S), primed=True)
+        witness = (_read_witness(frame, *divmod(i, S), sigmas=sigmas)
+                   + _read_witness(frame, *divmod(j, S), primed=True, sigmas=sigmas))
     return norm, (value, witness)
 
 
-def _eval_displacement(frame: TuringFrame, split: np.ndarray,
-                       displacement: tuple[int, ...]) -> tuple[float, tuple | None]:
+def _eval_displacement(frame: TuringFrame, split: np.ndarray, displacement: tuple[int, ...],
+                       sigmas: tuple[str, ...]) -> tuple[float, tuple | None]:
     """Residual and witness of one displacement D != 0 on the split table:
     one matrix product whose rows are reads and independent writes
-    (q, sigma, tau_I) and whose columns are (choice, p, tau_shared)."""
+    (q, sigma, tau_I) and whose columns are (choice, p, tau_shared);
+    `sigmas` are the frame's `_sigma_names`."""
     k = len(displacement)
     independent = [i for i in range(k) if displacement[i] != 0]
     shared = [i for i in range(k) if displacement[i] == 0]
@@ -217,18 +230,20 @@ def _eval_displacement(frame: TuringFrame, split: np.ndarray,
     gram = (xm @ ym.conj().T).reshape(side + side)
     value, idx = _first_max(np.abs(gram))
     half = len(side)
-    witness = (_read_witness(frame, idx[0], idx[1], zip(independent, idx[2:half]))
-               + _read_witness(frame, idx[half], idx[half + 1], zip(independent, idx[half + 2:]), primed=True))
+    witness = (_read_witness(frame, idx[0], idx[1], zip(independent, idx[2:half]), sigmas=sigmas)
+               + _read_witness(frame, idx[half], idx[half + 1], zip(independent, idx[half + 2:]),
+                               primed=True, sigmas=sigmas))
     return value, witness
 
 
 def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """Evaluate the frame's whole condition catalog."""
     norm_id, orth_id, *shifts = generate_ktape_conditions(table.frame)
-    norm, orth = _eval_zero(table)
+    sigmas = _sigma_names(table.frame)  # once per table, not once per condition
+    norm, orth = _eval_zero(table, sigmas)
     residuals = [ConditionResidual(norm_id, *norm), ConditionResidual(orth_id, *orth)]
     split = _split_amplitudes(table)
-    residuals += [ConditionResidual(cid, *_eval_displacement(table.frame, split, cid.displacement))
+    residuals += [ConditionResidual(cid, *_eval_displacement(table.frame, split, cid.displacement, sigmas))
                   for cid in shifts]
     return ValidationReport("ktape", tolerance, tuple(residuals))
 
@@ -329,7 +344,7 @@ def check_hirvensalo(table: TransitionTable, tolerance: float = DEFAULT_TOLERANC
     frame = table.frame
     Q, S = frame.state_count, frame.symbol_block
     states, names = frame.states, frame.alphabets[0]
-    (a, a_witness), (b, b_witness) = _eval_zero(table)
+    (a, a_witness), (b, b_witness) = _eval_zero(table, names)
 
     # (H-c) is the off-diagonal of the Hermitian W: search (p,t,d) before (p',t',d')
     w = np.abs(_written_gram(table))

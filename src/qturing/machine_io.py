@@ -22,9 +22,16 @@ dimension, range, duplicate.  Of several invalid rules the first in document
 order is reported, with its first failing check.  A frame whose table would
 hold more than MAX_TABLE_ENTRIES amplitudes is refused with `range` before
 the table is allocated.
+
+`serialize_machine` writes the nonzero rules in table order as the text of
+`json.dumps(doc, indent=2)` plus a newline, formatted directly rather than
+through the json module's pure-Python indenting encoder; parsing the result
+gives back every amplitude bit for bit (a zero entry is not listed, so one
+stored as -0.0 parses as +0).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -205,29 +212,44 @@ def parse_machine(text: str) -> TransitionTable:
     return parse_document(text).table
 
 
+# One rule of the `json.dumps(doc, indent=2)` text: state names, the read,
+# write and move blocks, then the amplitude's real and imaginary parts as
+# `repr`, which is how json writes a (finite) float.
+_RULE = ('    {\n      "q": %s,\n      "read": %s,\n      "p": %s,\n      "write": %s,\n'
+         '      "move": %s,\n      "amp": [\n        %r,\n        %r\n      ]\n    }')
+
+
+def _block(items) -> str:
+    """A rule's list of already-encoded JSON values, indented as in the rule."""
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
 def serialize_machine(table: TransitionTable, name: str = "machine") -> str:
-    """Render a table as a .qtm document listing its nonzero rules."""
+    """Render a table as a .qtm document listing its nonzero rules in table
+    order: the text of `json.dumps(doc, indent=2)` plus a newline, written
+    directly rule by rule.  Parsing it gives back every nonzero amplitude
+    bit for bit."""
     frame = table.frame
-    rules = []
-    for q, s, p, t, m, amp in table.nonzero_rules():
-        read = frame.symbol_vector(s)
-        write = frame.symbol_vector(t)
-        move = frame.move_vector(m)
-        rules.append({
-            "q": frame.states[q],
-            "read": [frame.symbol_name(i, x) for i, x in enumerate(read)],
-            "p": frame.states[p],
-            "write": [frame.symbol_name(i, x) for i, x in enumerate(write)],
-            "move": list(move),
-            "amp": [amp.real, amp.imag],
-        })
-    doc = {
+    head = json.dumps({
         "name": name,
         "states": list(frame.states),
         "tapes": [
             {"symbols": list(symbols), "blank": symbols[blank]}
             for symbols, blank in zip(frame.alphabets, frame.blanks)
         ],
-        "rules": rules,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "rules": [],
+    }, indent=2)
+    rules = table.nonzero_rules()
+    if not rules:
+        return head + "\n"
+    states = [json.dumps(state) for state in frame.states]
+    names = [[json.dumps(symbol) for symbol in symbols] for symbols in frame.alphabets]
+    # each read/write and move block is encoded on first use: a frame of many
+    # tapes has far more vectors than any table lists
+    symbols = functools.cache(lambda flat: _block(
+        [tape[s] for tape, s in zip(names, frame.symbol_vector(flat))]))
+    moves = functools.cache(lambda flat: _block(map(str, frame.move_vector(flat))))
+    body = ",\n".join([_RULE % (states[q], symbols(s), states[p], symbols(t), moves(m), amp.real, amp.imag)
+                       for q, s, p, t, m, amp in rules])
+    # `head` ends in the empty rule list: '"rules": []' and the closing brace
+    return head[:-3] + "\n" + body + "\n  ]\n}\n"

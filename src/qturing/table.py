@@ -105,11 +105,10 @@ class TransitionTable:
         return TransitionTable(self.frame, _sealed(amps))
 
     def nonzero_rules(self) -> list[tuple[int, int, int, int, int, complex]]:
-        """All nonzero (q, sigma_flat, p, tau_flat, move_flat, amplitude) entries."""
-        out = []
-        for q, s, p, t, m in zip(*np.nonzero(self.amplitudes)):
-            out.append((int(q), int(s), int(p), int(t), int(m), complex(self.amplitudes[q, s, p, t, m])))
-        return out
+        """All nonzero (q, sigma_flat, p, tau_flat, move_flat, amplitude)
+        entries in table order, as Python ints and complexes."""
+        index = np.nonzero(self.amplitudes)
+        return list(zip(*(axis.tolist() for axis in index), self.amplitudes[index].tolist()))
 
 
 def amplitude(table: TransitionTable, q: int, sigma_vec, p: int, tau_vec, d_vec) -> complex:

@@ -66,7 +66,7 @@ class PackedWindow:
         width = self.width = 2 * radius + 1
         symbol_counts = layout.frame.symbol_counts
         # per tape: the place value of each cell in the tape code
-        self.powers = [symbols ** np.arange(width - 1, -1, -1) for symbols in symbol_counts]
+        place_values = [symbols ** np.arange(width - 1, -1, -1) for symbols in symbol_counts]
         # code 0..size-1 splits into the state, then per tape (tape code, head)
         code = np.arange(self.size)
         heads, tapes = [], []
@@ -77,7 +77,7 @@ class PackedWindow:
             tapes.insert(0, tape)
         cells = np.empty((self.size, layout.k, width + 2), dtype=layout.dtype)
         cells[...] = layout.blanks[:, None]
-        for i, (tape, powers, symbols) in enumerate(zip(tapes, self.powers, symbol_counts)):
+        for i, (tape, powers, symbols) in enumerate(zip(tapes, place_values, symbol_counts)):
             cells[:, i, 1:-1] = tape[:, None] // powers % symbols
         packed = _Terms(code, np.stack(heads, axis=1), cells,
                         np.arange(-radius - 1, radius + 2, dtype=np.int64))
@@ -91,9 +91,15 @@ class PackedWindow:
         heads, cells, blanks, width = terms.heads, terms.cells, self.layout.blanks, self.width
         inside = ((heads > 0) & (heads <= width) & (cells[:, :, 0] == blanks)
                   & (cells[:, :, -1] == blanks)).all(axis=1)
-        code = terms.state
-        for i, (symbols, powers) in enumerate(zip(self.layout.frame.symbol_counts, self.powers)):
-            code = (code * symbols ** width + cells[:, i, 1:-1] @ powers) * width + heads[:, i] - 1
+        # the mixed-radix code, each tape code read cell by cell (Horner) in
+        # place, so the symbol cells are never copied whole into int64
+        code = terms.state.astype(np.int64)
+        for i, symbols in enumerate(self.layout.frame.symbol_counts):
+            for column in range(1, width + 1):
+                code *= symbols
+                code += cells[:, i, column]
+            code *= width
+            code += heads[:, i] - 1
         return np.where(inside, self.position[np.where(inside, code, 0)], -1)
 
     def interior(self) -> np.ndarray:
@@ -140,6 +146,7 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     inside = window.index(entries)
     keep = inside >= 0
     rows, cols, vals = inside[keep], cols[keep], vals[keep]
+    del entries, inside, keep  # the power iteration needs only the kept entries
 
     def gather(at, prod):
         """The sums of `prod` at each index `at`, from +0 in entry order:

@@ -1,12 +1,18 @@
 """The `.qtm` rule loop that `qturing.machine_io.parse_document` replaced,
-kept as an independent reference for the tests.
+and the serializer that `qturing.machine_io.serialize_machine` replaced,
+kept as independent references for the tests.
 
-It checks and stores one rule at a time: a per-rule symbol-vector closure,
-`symbol_flat`/`move_flat` on each vector and one numpy scalar store per
-rule.  The tests hold the one-pass parser to it: equal amplitude bytes,
+The parser checks and stores one rule at a time: a per-rule symbol-vector
+closure, `symbol_flat`/`move_flat` on each vector and one numpy scalar store
+per rule.  The tests hold the one-pass parser to it: equal amplitude bytes,
 frame and name on every valid document, and the same error code, message,
 line and column on every invalid one.  It has no size guard, so the tests
 give it only frames that fit in memory.
+
+The serializer builds one dict per nonzero rule, read entry by entry as
+numpy scalars (`reference_nonzero_rules`, the loop that
+`TransitionTable.nonzero_rules` replaced), and writes the document with
+`json.dumps(doc, indent=2)`; the tests hold the direct writer to its bytes.
 """
 from __future__ import annotations
 
@@ -115,3 +121,39 @@ def reference_parse_document(text: str) -> MachineDocument:
             amp[0], amp[1])
 
     return MachineDocument(name=name, frame=frame, table=TransitionTable(frame, amps))
+
+
+def reference_nonzero_rules(table: TransitionTable) -> list[tuple[int, int, int, int, int, complex]]:
+    """All nonzero (q, sigma_flat, p, tau_flat, move_flat, amplitude) entries."""
+    out = []
+    for q, s, p, t, m in zip(*np.nonzero(table.amplitudes)):
+        out.append((int(q), int(s), int(p), int(t), int(m), complex(table.amplitudes[q, s, p, t, m])))
+    return out
+
+
+def reference_serialize_machine(table: TransitionTable, name: str = "machine") -> str:
+    """Render a table as a .qtm document listing its nonzero rules."""
+    frame = table.frame
+    rules = []
+    for q, s, p, t, m, amp in reference_nonzero_rules(table):
+        read = frame.symbol_vector(s)
+        write = frame.symbol_vector(t)
+        move = frame.move_vector(m)
+        rules.append({
+            "q": frame.states[q],
+            "read": [frame.symbol_name(i, x) for i, x in enumerate(read)],
+            "p": frame.states[p],
+            "write": [frame.symbol_name(i, x) for i, x in enumerate(write)],
+            "move": list(move),
+            "amp": [amp.real, amp.imag],
+        })
+    doc = {
+        "name": name,
+        "states": list(frame.states),
+        "tapes": [
+            {"symbols": list(symbols), "blank": symbols[blank]}
+            for symbols, blank in zip(frame.alphabets, frame.blanks)
+        ],
+        "rules": rules,
+    }
+    return json.dumps(doc, indent=2) + "\n"
