@@ -6,8 +6,10 @@ The radius-r window holds every configuration with, per tape, support and
 head inside [-r, r]; it works for any number of tapes.  It is the product
 of the states with, per tape, a tape code (the 2r+1 symbols over [-r, r],
 leftmost most significant) and a head, so it has
-|Q| * prod_i (2r+1) * |Sigma_i|^(2r+1) configurations.  Above
-MAX_WINDOW_CONFIGS a window is refused before anything is allocated.
+|Q| * prod_i (2r+1) * |Sigma_i|^(2r+1) configurations.  A window of more
+than MAX_WINDOW_CONFIGS configurations, or whose packed cells (configurations
+x tapes x (2r+3)) exceed `evolution.MAX_STEP_SYMBOLS`, is refused before
+anything is allocated.
 
 `PackedWindow` enumerates that product straight into packed arrays on the
 columns [-r-1, r+1], where every one-step image of a window configuration
@@ -21,19 +23,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolution import _Kernel, _Layout, _Terms, _runs
+from .evolution import MAX_STEP_SYMBOLS, _Kernel, _Layout, _Terms, _runs
 from .frame import Configuration, TuringFrame
 from .table import TransitionTable
 
-# The largest window built: Q2S2 at r=4 has 9,216 configurations, and a
-# window of 2**20 packs into tens of MiB.
+# The largest window built: Q2S2 at r=4 has 9,216 configurations.  A
+# window's packed cells, configurations x tapes x (2r+3), are bounded
+# separately by MAX_STEP_SYMBOLS: a one-symbol tape keeps the configuration
+# count linear in r while every configuration's cells grow with it.
 MAX_WINDOW_CONFIGS = 2 ** 20
 
 
 def window_size(frame: TuringFrame, radius: int) -> int:
     """|Q| * prod_i (2r+1) * |Sigma_i|^(2r+1), the number of configurations
-    in the radius window; ValueError for r < 1 or above MAX_WINDOW_CONFIGS.
-    Only small powers are ever formed, so no radius allocates much."""
+    in the radius window; ValueError for r < 1, above MAX_WINDOW_CONFIGS, or
+    when the packed cells (configurations x tapes x (2r+3)) exceed
+    MAX_STEP_SYMBOLS.  Only small powers are ever formed, so no radius
+    allocates much."""
     if radius < 1:
         raise ValueError("radius must be a positive integer")
     width = 2 * radius + 1
@@ -50,6 +56,9 @@ def window_size(frame: TuringFrame, radius: int) -> int:
     if size > MAX_WINDOW_CONFIGS:
         raise ValueError(f"the radius-{radius} window holds more than {MAX_WINDOW_CONFIGS} "
                          "configurations (|Q| * prod (2r+1)|Sigma_i|^(2r+1)); use a smaller radius")
+    if size * frame.tape_count * (width + 2) > MAX_STEP_SYMBOLS:
+        raise ValueError(f"the radius-{radius} window packs more than {MAX_STEP_SYMBOLS} symbols "
+                         "(configurations x tapes x (2r+3)); use a smaller radius")
     return size
 
 

@@ -4,10 +4,11 @@ kept as independent references for the tests.
 
 The parser checks and stores one rule at a time: a per-rule symbol-vector
 closure, `symbol_flat`/`move_flat` on each vector and one numpy scalar store
-per rule.  The tests hold the one-pass parser to it: equal amplitude bytes,
-frame and name on every valid document, and the same error code, message,
-line and column on every invalid one.  It has no size guard, so the tests
-give it only frames that fit in memory.
+per rule.  The tests hold the parser, which checks the rule list field by
+field over the whole list and walks it rule by rule only to name a refusal,
+to it: equal amplitude bytes, frame and name on every valid document, and
+the same error code, message, line and column on every invalid one.  It has
+no size guard, so the tests give it only frames that fit in memory.
 
 The serializer builds one dict per nonzero rule, read entry by entry as
 numpy scalars (`reference_nonzero_rules`, the loop that

@@ -1,6 +1,7 @@
 """The packed radius window against the `Configuration`-by-`Configuration`
 enumeration, the Gram check and the norm estimate on it against the routes
 that decode the whole window, and the window-size cap."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import qturing as qt
 from qturing import windows
 from qturing.cli import main
-from qturing.evolution import _Kernel
+from qturing.evolution import MAX_STEP_SYMBOLS, _Kernel
 
 from conftest import random_table
 from reference_frame import reference_radius_window
@@ -167,10 +168,10 @@ def test_window_cap_boundary(monkeypatch, counterexample):
         qt.column_gram_check(counterexample, 4)
 
 
-def _refused_without_allocating(call):
+def _refused_without_allocating(call, match=f"more than {windows.MAX_WINDOW_CONFIGS} configurations"):
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"more than {windows.MAX_WINDOW_CONFIGS} configurations"):
+        with pytest.raises(ValueError, match=match):
             call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -180,13 +181,17 @@ def _refused_without_allocating(call):
 
 @pytest.mark.parametrize("shape, radius", [((2, 1), 10 ** 11), ((2, 2), 12), ((2, 2), 10 ** 11)])
 def test_oversized_windows_refused_before_allocation(shape, radius):
-    table = random_table(qt.simple_frame(*shape), np.random.default_rng(1))
-    for call in (lambda: windows.window_size(table.frame, radius),
-                 lambda: qt.radius_window(table.frame, radius),
-                 lambda: qt.column_gram_check(table, radius),
-                 lambda: qt.row_gram_check(table, radius),
-                 lambda: qt.estimate_norm(table, radius, 10)):
+    for call in _window_calls(random_table(qt.simple_frame(*shape), np.random.default_rng(1)), radius):
         _refused_without_allocating(call)
+
+
+def _window_calls(table, radius):
+    """Every public route that builds the radius window of `table`."""
+    return (lambda: windows.window_size(table.frame, radius),
+            lambda: qt.radius_window(table.frame, radius),
+            lambda: qt.column_gram_check(table, radius),
+            lambda: qt.row_gram_check(table, radius),
+            lambda: qt.estimate_norm(table, radius, 10))
 
 
 @pytest.mark.parametrize("argv", [
@@ -198,3 +203,33 @@ def test_cli_refuses_oversized_window(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the radius-100000000000 window holds more than")
+
+
+# A one-symbol tape keeps the window at |Q|(2r+1) configurations while each
+# configuration packs 2r+3 cells per tape, so Q2S1 stays far below the
+# configuration cap at radii whose packed cells alone need gigabytes.  Near
+# the bound the window is only sized, never built: a build that got past the
+# check there would allocate gigabytes.
+def symbol_bound_message(radius: int) -> str:
+    return (f"the radius-{radius} window packs more than {MAX_STEP_SYMBOLS} symbols "
+            "(configurations x tapes x (2r+3)); use a smaller radius")
+
+
+def test_packed_symbol_bound_by_arithmetic():
+    frame = qt.simple_frame(2, 1)
+    assert 2 * 5791 * 1 * 5793 <= MAX_STEP_SYMBOLS < 2 * 5793 * 1 * 5795
+    assert windows.window_size(frame, 2895) == 2 * 5791
+    with pytest.raises(ValueError, match=f"^{re.escape(symbol_bound_message(2896))}$"):
+        windows.window_size(frame, 2896)
+
+
+def test_packed_symbol_bound_refuses_before_allocation(counterexample):
+    for call in _window_calls(counterexample, 100000):
+        _refused_without_allocating(call, f"^{re.escape(symbol_bound_message(100000))}$")
+
+
+@pytest.mark.parametrize("command", ["gram", "norm"])
+def test_cli_refuses_a_window_of_too_many_packed_symbols(capsys, command):
+    assert main([command, "counterexample", "--radius", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {symbol_bound_message(100000)}\n")

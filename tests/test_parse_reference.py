@@ -153,6 +153,13 @@ def test_mutated_documents_match_reference(text):
     lambda rules: rules[3].update(q=rules[1]["q"], read=rules[1]["read"], p=rules[1]["p"],
                                   write=rules[1]["write"], move=rules[1]["move"]),
     lambda rules: (rules[5].pop("q"), rules[3].__setitem__("amp", "x")),
+    # rule 4 holds the first fault, a later rule one that a field-by-field
+    # pass over the whole list meets first
+    lambda rules: (rules[3].__setitem__("amp", "x"), rules[5].__setitem__("q", "q9")),
+    lambda rules: (rules[3].update({key: rules[1][key] for key in KEYS[:5]}), rules[4].pop("q")),
+    lambda rules: (rules[3]["move"].__setitem__(0, True), rules[4]["read"].__setitem__(0, "zz")),
+    lambda rules: (rules[3]["amp"].__setitem__(0, 10 ** 400),
+                   rules[6].update({key: rules[1][key] for key in KEYS[:5]})),
 ])
 def test_named_mutations_are_refused_like_the_reference(mutate):
     doc = json.loads(BASES["one-tape"])
