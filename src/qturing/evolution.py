@@ -335,6 +335,8 @@ class _Kernel(_Layout):
         order = np.argsort(target, kind="stable")
         q, s = np.divmod(read[order], S)
         self.adjoint = (*_csr(target[order], reads * M), q, self._symbols(s), None, coef[order].conj())
+        # the move vectors some rule uses, ascending: the adjoint looks back only along these
+        self.used_moves = np.flatnonzero(np.bincount(target % M, minlength=M))
         self.verdicts: dict[float, ValidationReport] = {}
 
     @classmethod
@@ -382,17 +384,19 @@ class _Kernel(_Layout):
 
     def expand(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
         """Every entry of M (or M^dagger) on the packed basis states, term by
-        term in rule order: (parent term, images, coefficients).  A head moves
-        at most one column, so the images keep one column less slack.  More
-        than MAX_STEP_SYMBOLS packed image symbols raise ValueError."""
+        term in rule order: (parent term, images, coefficients).  The adjoint
+        reads and keys each term only along `used_moves`, the move vectors
+        some rule uses, since no hit lies along the others.  A head moves at
+        most one column, so the images keep one column less slack.  More than
+        MAX_STEP_SYMBOLS packed image symbols raise ValueError."""
         starts, counts, to_state, to_write, to_move, to_coef = self.adjoint if adjoint else self.forward
         state, heads, cells = terms.state, terms.heads, terms.cells
-        n, k, M, tapes = len(state), self.k, self.M, self.tapes
+        n, k, M, tapes, used = len(state), self.k, self.M, self.tapes, self.used_moves
         # with one symbol per tape (S = 1) every read and every write is blank
         if adjoint:
-            source = heads[:, None, :] - self.moves  # (n, M, k)
+            source = heads[:, None, :] - self.moves[used]  # (n, moves in use, k)
             read = 0 if self.S == 1 else cells[np.arange(n)[:, None, None], tapes, source] @ self.strides
-            key = ((state[:, None] * self.S + read) * M + np.arange(M)).ravel()
+            key = ((state[:, None] * self.S + read) * M + used).ravel()
         else:
             read = 0 if self.S == 1 else cells[np.arange(n)[:, None], tapes, heads] @ self.strides
             key = state * self.S + read
@@ -405,7 +409,7 @@ class _Kernel(_Layout):
         slot = np.arange(len(key)).repeat(count)
         rule = np.arange(len(slot)) + (start - ends + count)[slot]
         if adjoint:
-            parent = slot // M
+            parent = slot // max(len(used), 1)  # a table without rules has no slot
             at = moved = source.reshape(-1, k)[slot]
         else:
             parent = slot

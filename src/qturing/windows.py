@@ -21,6 +21,9 @@ window position by one lookup, so images are located without decoding
 """
 from __future__ import annotations
 
+import numbers
+from typing import NamedTuple
+
 import numpy as np
 
 from .evolution import MAX_STEP_SYMBOLS, _Kernel, _Layout, _Terms, _runs
@@ -34,15 +37,22 @@ from .table import TransitionTable
 MAX_WINDOW_CONFIGS = 2 ** 20
 
 
+def _positive(value) -> bool:
+    """Whether `value` is a positive Python or numpy integer, a bool not
+    counting as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 def window_size(frame: TuringFrame, radius: int) -> int:
     """|Q| * prod_i (2r+1) * |Sigma_i|^(2r+1), the number of configurations
-    in the radius window; ValueError for r < 1, above MAX_WINDOW_CONFIGS, or
-    when the packed cells (configurations x tapes x (2r+3)) exceed
-    MAX_STEP_SYMBOLS.  Only small powers are ever formed, so no radius
-    allocates much."""
-    if radius < 1:
+    in the radius window; ValueError for a radius that is not a positive
+    integer (Python or numpy; a float or a bool is refused), above
+    MAX_WINDOW_CONFIGS, or when the packed cells (configurations x tapes x
+    (2r+3)) exceed MAX_STEP_SYMBOLS.  Only small powers are ever formed, so
+    no radius allocates much."""
+    if not _positive(radius):
         raise ValueError("radius must be a positive integer")
-    width = 2 * radius + 1
+    width = 2 * int(radius) + 1
     size = frame.state_count
     for symbols in frame.symbol_counts:
         # symbols**width >= 2**width, so a long window of two or more symbols
@@ -127,6 +137,76 @@ def radius_window(frame: TuringFrame, radius: int) -> tuple[Configuration, ...]:
     return tuple(layout.configurations(PackedWindow(layout, radius).terms))
 
 
+# numpy's complex multiply is not bitwise commutative, and from this many
+# complex128 entries on (256 KiB) numpy's temporary elision computes
+# `a * b[i]` in place in the temporary b[i], as b[i] * a.  The `norm`
+# goldens and `tests/reference_oracle.py` form A v as `vals * v[cols]`, so
+# the slot product takes v's entries first from here on.
+ELIDED_ENTRIES = 2 ** 14
+
+
+class _Slots(NamedTuple):
+    """One half-step of the power iteration, y[i] = the sum of vals * x[index]
+    over the entries summed into i, in entry order.  Slot j of window
+    position i holds i's j-th entry (value and gather index; padding holds
+    0 at index 0), `tail` holds the entries past the last slot, in entry
+    order, as (at, index, vals), and `swap` puts x[index] first in each
+    product."""
+
+    vals: np.ndarray  # (width, n) complex128
+    index: np.ndarray  # (width, n) intp
+    tail: tuple[np.ndarray, np.ndarray, np.ndarray]
+    swap: bool
+
+
+def _compressed(kernel: _Kernel, window: PackedWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals): the entries of the step operator compressed to
+    the window, in `step_operator` order."""
+    cols, entries, vals = kernel.kept(window.terms, adjoint=False)
+    inside = window.index(entries)
+    keep = inside >= 0
+    return inside[keep], cols[keep], vals[keep]
+
+
+def _slots(at: np.ndarray, index: np.ndarray, vals: np.ndarray, n: int, swap: bool) -> _Slots:
+    """The entries (at, index, vals) in slots of width at most
+    2 * entries // n, so the slot matrices hold at most twice the entries."""
+    counts = np.bincount(at, minlength=n)
+    width = min(int(counts.max(initial=0)), 2 * len(at) // n)
+    order = np.argsort(at, kind="stable")  # grouped by window position, in entry order
+    # each entry of `order` at flat slot (rank in its group) * n + position
+    slot = np.arange(len(at)) - np.repeat(counts.cumsum() - counts, counts)
+    slot *= n
+    slot += at[order]
+    slotted = slot < width * n
+    tail = np.sort(order[~slotted])
+    order, slot = order[slotted], slot[slotted]
+    slot_vals = np.zeros(width * n, dtype=np.complex128)
+    slot_vals[slot] = vals[order]
+    slot_index = np.zeros(width * n, dtype=np.intp)
+    slot_index[slot] = index[order]
+    return _Slots(slot_vals.reshape(width, n), slot_index.reshape(width, n),
+                  (at[tail], index[tail], vals[tail]), swap)
+
+
+def _half_step(slots: _Slots, x: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """y[i] = the sum of vals * x[index] over i's slots, then its tail, from
+    its first slot on in entry order: one gather into `buffer` (the shape of
+    the slots), one multiply in place and one sum along axis 0, which adds
+    slot after slot (a sum along axis 1 would go pairwise)."""
+    x.take(slots.index, out=buffer, mode="clip")  # "raise" would gather through a second buffer
+    if slots.swap:
+        np.multiply(buffer, slots.vals, out=buffer)
+    else:
+        np.multiply(slots.vals, buffer, out=buffer)
+    y = buffer.sum(axis=0)
+    at, index, vals = slots.tail
+    if len(at):
+        gathered = x[index]
+        np.add.at(y, at, np.multiply(gathered, vals) if slots.swap else np.multiply(vals, gathered))
+    return y
+
+
 def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, seed: int = 0) -> float:
     """Power-iteration lower bound on the operator norm, computed on the
     window of configurations whose support and head lie inside [-w, w] on
@@ -136,33 +216,40 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     never exceeds the true norm; it is exact (=1) for tables that pass the
     unitarity conditions, because interior window states are fixed points of
     the compressed normal operator.  A window of more than
-    `MAX_WINDOW_CONFIGS` configurations is refused with ValueError.
+    `MAX_WINDOW_CONFIGS` configurations is refused with ValueError, and a
+    radius or iteration count that is not a positive integer (a float or a
+    bool included) with ValueError too.
 
-    Each iteration forms A v and then A^H w.  Each of the two adds its
-    entry products into a zero vector one at a time, in entry order: window
-    column by window column, each column in `step_operator` order.  The
-    products are numpy complex products, which may fuse multiply-adds, so
-    the last bits of the estimate can differ between hosts.
+    Each iteration forms A v and then A^H w.  Each sum adds its entry
+    products in entry order (window column by window column, each column
+    in `step_operator` order), from the first product on.  For each half
+    the entries are laid out once per estimate in slot matrices of shape
+    (width, n): slot j of window position i holds i's j-th entry, padded
+    with 0, so an iteration is one gather, one complex multiply in place
+    and one sum along axis 0, which adds slot after slot.  The width is
+    capped so the slots hold at most twice the entries; the entries past
+    it are added after the slots by one `np.add.at`, in entry order.  The
+    products keep the operand order of `vals * v[cols]` and
+    `np.multiply(conj(vals), w[rows])`, which numpy's temporary elision
+    swaps from `ELIDED_ENTRIES` entries on in the first.  v is normalized
+    by a real multiply with 1/||v||.  The products are numpy complex
+    products, which may fuse multiply-adds, so the last bits of the
+    estimate can differ between hosts.
     """
-    if window_radius < 1 or iterations < 1:
+    if not (_positive(window_radius) and _positive(iterations)):
         raise ValueError("window_radius and iterations must be positive")
     kernel = _Kernel.of(table)
     window = PackedWindow(kernel, window_radius)
     n = window.size
 
-    # the step operator compressed to the window, entries in step_operator order
-    cols, entries, vals = kernel.kept(window.terms, adjoint=False)
-    inside = window.index(entries)
-    keep = inside >= 0
-    rows, cols, vals = inside[keep], cols[keep], vals[keep]
-    del entries, inside, keep  # the power iteration needs only the kept entries
-
-    def gather(at, prod):
-        """The sums of `prod` at each index `at`, from +0 in entry order:
-        A v or A^H w."""
-        out = np.zeros(n, dtype=np.complex128)
-        np.add.at(out, at, prod)
-        return out
+    rows, cols, vals = _compressed(kernel, window)
+    # A v as `vals * v[cols]`, summed into rows; A^H w as
+    # `np.multiply(conj(vals), w[rows])`, summed into columns
+    forward = _slots(rows, cols, vals, n, swap=len(vals) >= ELIDED_ENTRIES)
+    backward = _slots(cols, rows, np.conjugate(vals, out=vals), n, swap=False)
+    del rows, cols, vals  # the power iteration needs only the slots
+    buffer = np.empty((max(len(forward.vals), len(backward.vals)), n), dtype=np.complex128)
+    forward_buffer, backward_buffer = buffer[:len(forward.vals)], buffer[:len(backward.vals)]
 
     v = np.zeros(n, dtype=np.complex128)
     v[window.interior()] = 1.0
@@ -174,18 +261,16 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     v += 0.01 * noise / np.linalg.norm(noise)
     v /= np.linalg.norm(v)
 
-    # numpy's complex multiply is not bitwise commutative, and from 16,384
-    # entries on `a * b[i]` reuses the temporary b[i] and multiplies
-    # b[i] * a.  `vals * v[cols]` is kept as written; np.multiply keeps
-    # conj(A) on the left, so A^H w has the bits of `vals.conj() * w[rows]`.
-    cvals = vals.conj()
     estimate = 0.0
     for _ in range(iterations):
-        w = gather(rows, vals * v[cols])
+        w = _half_step(forward, v, forward_buffer)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         estimate = norm_w
-        v = gather(cols, np.multiply(cvals, w[rows]))
-        v /= np.linalg.norm(v)
+        v = _half_step(backward, w, backward_buffer)
+        # numpy divides a complex by a real as a multiply by its reciprocal,
+        # so v /= ||v|| has the bits of one real multiply on the float64 view
+        parts = v.view(np.float64)
+        parts *= 1.0 / np.linalg.norm(v)
     return estimate

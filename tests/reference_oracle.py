@@ -452,8 +452,8 @@ def reference_estimate_norm(table: TransitionTable, window_radius: int, iteratio
 
     interior = np.array(
         [i for i, c in enumerate(window)
-         if abs(c.heads[0]) <= window_radius - 1
-         and all(abs(m) <= window_radius - 1 for m in c.tapes[0].support)],
+         if all(abs(h) <= window_radius - 1 for h in c.heads)
+         and all(abs(m) <= window_radius - 1 for t in c.tapes for m in t.support)],
         dtype=np.intp,
     )
     v = np.zeros(n, dtype=np.complex128)

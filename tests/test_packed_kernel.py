@@ -2,8 +2,9 @@
 `step_operator` against `reference_step_operator` (the per-configuration
 `_Rules`/`_expand` loop), and `run` plus `apply_adjoint`, step by step,
 against the per-term dict loops `reference_apply` and `reference_adjoint`.
-Also: positions far apart or out of range, and the accounting of the
-amplitude that pruning drops."""
+Also: the adjoint on tables that use few or no move vectors, positions far
+apart or out of range, and the accounting of the amplitude that pruning
+drops."""
 import json
 import tracemalloc
 
@@ -17,7 +18,7 @@ from qturing.cli import bundled_machine_path, main
 from qturing.evolution import _Kernel
 
 from conftest import random_table
-from reference_oracle import reference_adjoint, reference_apply, reference_step_operator
+from reference_oracle import reference_adjoint, reference_apply, reference_gram_check, reference_step_operator
 
 
 def _bits(psi):
@@ -207,6 +208,38 @@ def test_counterexample_walk_spreads_140_cells():
     heads = [c.heads[0] for c in result.final.configurations()]
     assert (min(heads), max(heads), len(heads)) == (-140, 140, 561)
     assert 0.0 < sum(result.pruned_mass) < 1e-27
+
+
+# ---------------------------------------------------------------------------
+# the adjoint along the move vectors in use
+# ---------------------------------------------------------------------------
+
+ADJOINT_TABLES = {
+    # every rule moves left: the adjoint looks back along one move vector of three
+    "all-left Q3S1": (lambda: qt.pair_unitary_machine(
+        qt.simple_frame(3, 1), qt.random_unitary(3, np.random.default_rng(8)), [-1, -1, -1]), 1),
+    # no rule at all: no move vector is in use
+    "zero Q2S2": (lambda: qt.TransitionTable.zeros(qt.simple_frame(2, 2)), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_TABLES))
+def test_adjoint_along_moves_in_use_matches_reference(name):
+    build, in_use = ADJOINT_TABLES[name]
+    table = build()
+    assert len(_Kernel.of(table).used_moves) == in_use
+    window = qt.radius_window(table.frame, 2)
+    _assert_same_operator(table, window, adjoint=True)
+    psi = ref = qt.Superposition({c: complex(1 + j % 5, j % 3 - 1) / 8 for j, c in enumerate(window[::7])})
+    for _ in range(3):
+        psi, ref = qt.apply_adjoint(table, psi), reference_adjoint(table, ref)
+        assert _bits(psi) == _bits(ref)
+    check = qt.row_gram_check(table, 2)
+    expected = reference_gram_check(table, 2, check.tolerance, "rows")
+    assert (check.diagonal_residual.hex(), check.offdiagonal_residual.hex()) == \
+        (expected.diagonal_residual.hex(), expected.offdiagonal_residual.hex())
+    assert (check.witness, check.pair_count, check.config_count) == \
+        (expected.witness, expected.pair_count, expected.config_count)
 
 
 # ---------------------------------------------------------------------------

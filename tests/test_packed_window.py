@@ -146,6 +146,48 @@ def test_estimate_norm_matches_dict_route(counterexample, name, radius):
         assert got.hex() == reference_estimate_norm(table, radius, 200, seed=seed).hex()
 
 
+def _skewed_table() -> qt.TransitionTable:
+    """Q3S2 whose read (q0, B) has a rule to every (p, tau, d) and whose only
+    other rule reads (q1, s1): a window column holds up to 18 entries and
+    most hold none, so the slot width is capped below the widest column."""
+    frame = qt.simple_frame(3, 2)
+    amps = np.zeros(frame.table_shape, dtype=np.complex128)
+    rng = np.random.default_rng(4)
+    amps[0, 0] = rng.standard_normal(amps.shape[2:]) + 1j * rng.standard_normal(amps.shape[2:])
+    amps[1, 1, 2, 0, 1] = 0.5
+    return qt.TransitionTable(frame, amps)
+
+
+# slot layouts the tables above leave out: a capped width with an add.at
+# tail, products past numpy's elision size, and two tapes
+SLOT_LAYOUTS = {
+    "skewed r2": (_skewed_table, 2),
+    "dense Q2S2 r3": (lambda: random_table(qt.simple_frame(2, 2), np.random.default_rng(3), density=1.0), 3),
+    "two-tape r1": (lambda: random_table(qt.simple_frame(1, 2, 2), np.random.default_rng(12), density=0.6), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_LAYOUTS))
+def test_estimate_norm_matches_dict_route_on_more_layouts(name):
+    build, radius = SLOT_LAYOUTS[name]
+    table = build()
+    kernel = _Kernel.of(table)
+    window = windows.PackedWindow(kernel, radius)
+    rows, cols, vals = windows._compressed(kernel, window)
+    forward = windows._slots(rows, cols, vals, window.size, swap=False)
+    backward = windows._slots(cols, rows, vals, window.size, swap=False)
+    # the slot matrices hold at most twice the kept entries
+    assert forward.vals.size <= 2 * len(vals) and backward.vals.size <= 2 * len(vals)
+    assert forward.vals.size + len(forward.tail[0]) >= len(vals)
+    tails = len(forward.tail[0]) + len(backward.tail[0])
+    assert (tails > 0) == (name == "skewed r2")
+    assert (len(vals) >= windows.ELIDED_ENTRIES) == (name == "dense Q2S2 r3")
+    assert table.frame.tape_count == (2 if name == "two-tape r1" else 1)
+    for seed in (0, 1):
+        got = qt.estimate_norm(table, radius, 200, seed=seed)
+        assert got.hex() == reference_estimate_norm(table, radius, 200, seed=seed).hex()
+
+
 # ---------------------------------------------------------------------------
 # the window-size cap
 # ---------------------------------------------------------------------------
@@ -159,6 +201,24 @@ def test_window_size_law():
         assert windows.window_size(frame, radius) == law
     with pytest.raises(ValueError, match="positive"):
         windows.window_size(qt.simple_frame(1, 1), 0)
+
+
+@pytest.mark.parametrize("radius", [2.0, 2.5, True])
+def test_window_radius_must_be_a_positive_integer(counterexample, radius):
+    for call in _window_calls(counterexample, radius):
+        with pytest.raises(ValueError, match="positive"):
+            call()
+    # numpy integers count as integers
+    frame = counterexample.frame
+    assert windows.window_size(frame, np.int64(3)) == windows.window_size(frame, 3)
+    assert qt.column_gram_check(counterexample, np.int32(2)) == qt.column_gram_check(counterexample, 2)
+
+
+@pytest.mark.parametrize("iterations", [10.0, True, 0])
+def test_estimate_norm_iterations_must_be_a_positive_integer(counterexample, iterations):
+    with pytest.raises(ValueError, match="must be positive"):
+        qt.estimate_norm(counterexample, 2, iterations)
+    assert qt.estimate_norm(counterexample, np.int64(2), np.int32(10)) == qt.estimate_norm(counterexample, 2, 10)
 
 
 def test_window_cap_boundary(monkeypatch, counterexample):
