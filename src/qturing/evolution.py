@@ -53,7 +53,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE, ValidationReport
-from .frame import Configuration, TuringFrame, _config_unchecked, _tape_unchecked
+from .frame import Configuration, TuringFrame, _config_unchecked, _GcPaused, _tape_unchecked
 from .ktape import check_auto
 from .table import TransitionTable
 
@@ -277,27 +277,28 @@ class _Layout:
     def configurations(self, terms: _Terms) -> list[Configuration]:
         """Decode packed terms, reading only non-blank cells and building one
         Tape per distinct tape."""
-        n, cols = len(terms.state), terms.cols
-        per_tape = []
-        for i, (blank, size) in enumerate(zip(self.frame.blanks, self.frame.symbol_counts)):
-            rows = np.ascontiguousarray(terms.cells[:, i, :])
-            data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
-            ids: dict = {}
-            index = [ids.setdefault(data[j * width:(j + 1) * width], len(ids)) for j in range(n)]
-            distinct = np.frombuffer(b"".join(ids), dtype=rows.dtype).reshape(len(ids), rows.shape[1])
-            filled = distinct != blank
-            at, col = np.nonzero(filled)
-            # one (cell, symbol) tuple per distinct pair, shared by the tapes
-            code = col * size + distinct[at, col]
-            order, starts, run = _runs(code)
-            col, sym = np.divmod(code[order[starts]], size)
-            shared = list(zip(cols[col].tolist(), sym.tolist()))
-            pairs = list(map(shared.__getitem__, run.tolist()))
-            ends = np.cumsum(filled.sum(axis=1)).tolist()
-            tapes = [_tape_unchecked(blank, tuple(pairs[a:b])) for a, b in zip([0] + ends, ends)]
-            per_tape.append([tapes[j] for j in index])
-        return [_config_unchecked(q, t, tuple(h)) for q, t, h in
-                zip(terms.state.tolist(), zip(*per_tape), cols[terms.heads].tolist())]
+        with _GcPaused():
+            n, cols = len(terms.state), terms.cols
+            per_tape = []
+            for i, (blank, size) in enumerate(zip(self.frame.blanks, self.frame.symbol_counts)):
+                rows = np.ascontiguousarray(terms.cells[:, i, :])
+                data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+                ids: dict = {}
+                index = [ids.setdefault(data[j * width:(j + 1) * width], len(ids)) for j in range(n)]
+                distinct = np.frombuffer(b"".join(ids), dtype=rows.dtype).reshape(len(ids), rows.shape[1])
+                filled = distinct != blank
+                at, col = np.nonzero(filled)
+                # one (cell, symbol) tuple per distinct pair, shared by the tapes
+                code = col * size + distinct[at, col]
+                order, starts, run = _runs(code)
+                col, sym = np.divmod(code[order[starts]], size)
+                shared = list(zip(cols[col].tolist(), sym.tolist()))
+                pairs = list(map(shared.__getitem__, run.tolist()))
+                ends = np.cumsum(filled.sum(axis=1)).tolist()
+                tapes = [_tape_unchecked(blank, tuple(pairs[a:b])) for a, b in zip([0] + ends, ends)]
+                per_tape.append([tapes[j] for j in index])
+            return [_config_unchecked(q, t, tuple(h)) for q, t, h in
+                    zip(terms.state.tolist(), zip(*per_tape), cols[terms.heads].tolist())]
 
 
 class _Kernel(_Layout):

@@ -7,6 +7,7 @@ states are handled as integer indices into the frame's name tables.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -228,6 +229,22 @@ def _config_unchecked(state: int, tapes: tuple[Tape, ...], heads: tuple[int, ...
     config = object.__new__(Configuration)
     object.__setattr__(config, "__dict__", {"state": state, "tapes": tapes, "heads": heads})
     return config
+
+
+class _GcPaused:
+    """`with _GcPaused():` runs a block with the cyclic garbage collector off,
+    then restores the caller's setting, also when the block raises.  For
+    blocks that build many objects and no reference cycles (decoded JSON,
+    decoded configurations), whose allocations would otherwise set off
+    collections that find nothing."""
+
+    def __enter__(self):
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self._enabled:
+            gc.enable()
 
 
 def blank_configuration(frame: TuringFrame, state: int = 0) -> Configuration:

@@ -7,15 +7,25 @@ All condition sets are slices of three kinds of matrix product on
 * the read Gram G = M M^H over reads (q, sigma);
 * the written Gram W = M^T conj(M) over targets (p, tau, d);
 * one displacement product X Y^H per D, which pairs move vectors d, d'
-  with a fixed difference D = d - d': X and Y gather the entries of every
-  move-pair choice in one fancy index, each tape's pairs read from one
-  table per component and broadcast on an axis of their own, with rows
-  (q, sigma, writes on the displaced tapes) and columns (choice, p, writes
-  on the other tapes).
+  with a fixed difference D = d - d', with rows (q, sigma, writes on the
+  displaced tapes) and columns (choice, p, writes on the other tapes).
 
-Every sum is a `@` product, which numpy hands to BLAS.  The summation order
-is BLAS's, so residual bits follow it, and the tests pin that one BLAS
-thread gives the same bits as several.
+A D that no two move vectors used by the table realize (D not in U - U)
+has a zero factor in every term of its sum, so it holds exactly, as the
+characterization says: it is reported with residual 0.0 and the index-0
+witness, and no product is formed.  The others are evaluated a |D|
+pattern at a time.  The products of one pattern share their shape, so its
+sign variants are gathered by one fancy index on the flat move axis and
+multiplied by one stacked `matmul`, with one `abs` and one row-wise
+`argmax`; there are 3^k - 1 patterns against (5^k - 1)/2 displacements.
+Products of many entries are stacked a few at a time (`_BATCH_ENTRIES`),
+so that a stack holds about as much memory as one product.
+
+Every sum is a BLAS product: `@`, or a stacked `matmul`, which numpy hands
+to BLAS one slice at a time as it would hand that slice's own `@`.  The
+summation order is BLAS's, so residual bits follow it, and the tests pin
+that one BLAS thread gives the same bits as several, and that every
+displacement has the bits of its own `@`.
 
 The generated k-tape set is one catalog, indexed by head-displacement
 vectors D in {0,+-1,+-2}^k whose first nonzero component is positive:
@@ -51,6 +61,7 @@ one einsum per move-pair choice, live in the tests
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -65,12 +76,17 @@ from .conditions import (
 from .frame import MOVES, TuringFrame
 from .table import TransitionTable
 
-# The generated set has 1 + (5^k + 1)/2 conditions, one matrix product each.
-# On a Q1 table with one 2-symbol tape and k - 1 one-symbol tapes, check_ktape
-# takes about 0.1-0.2, 0.4-0.7, 2-4, 12-21, 87-126 and 540-690 ms for k = 1..6
-# (2-vCPU Xeon, numpy 2.4.6), five- to sixfold per tape from four tapes on;
-# past six tapes it is refused.
+# The generated set has 1 + (5^k + 1)/2 conditions.  On a Q1 table with one
+# 2-symbol tape and k - 1 one-symbol tapes, check_ktape takes about 0.1,
+# 0.1-0.15, 0.3, 0.6-0.9, 4 and 13-22 ms for k = 1..6 when the table is
+# pair-unitary (one move vector, so no displacement is in reach) and 0.15,
+# 0.4-0.5, 1.3-1.4, 3, 11-19 and 54-56 ms when it is dense (2-vCPU Xeon,
+# numpy 2.4.6, best to median), three- to sixfold per tape; past six tapes
+# it is refused.
 MAX_TAPES = 6
+
+# Gram entries per stacked product of displacements (384 KiB with their moduli)
+_BATCH_ENTRIES = 2 ** 14
 
 
 def displacement_label(displacement: tuple[int, ...], part: str | None = None) -> str:
@@ -107,9 +123,14 @@ def generate_ktape_conditions(frame: TuringFrame) -> list[ConditionId]:
     k = frame.tape_count
     if k > MAX_TAPES:
         raise ValueError(f"supported tape counts are 1..{MAX_TAPES}")
+    return list(_catalog(k))
+
+
+@functools.cache
+def _catalog(k: int) -> tuple[ConditionId, ...]:
     zero = (0,) * k
     ids = [ConditionId("ktape", displacement_label(zero, part), zero, part) for part in ("norm", "orth")]
-    return ids + [ConditionId("ktape", displacement_label(vec), vec) for vec in _valid_displacements(k)]
+    return tuple(ids + [ConditionId("ktape", displacement_label(vec), vec) for vec in _valid_displacements(k)])
 
 
 def condition_count(k: int) -> int:
@@ -117,21 +138,39 @@ def condition_count(k: int) -> int:
     return 1 + (5 ** k + 1) // 2
 
 
-def _move_pairs(delta: int) -> list[tuple[int, int]]:
-    return [(d, d2) for d in MOVES for d2 in MOVES if d - d2 == delta]
-
-
-# per component delta: move-axis indices d + 1 and d' + 1 (rows) of its pairs d - d' = delta
-_PAIR_MOVES = {delta: np.array(_move_pairs(delta)).T + 1 for delta in range(-2, 3)}
-
-
-def _split_amplitudes(table: TransitionTable) -> np.ndarray:
-    """View with the write vector and move vector split into per-tape axes:
-    (Q, S, Q, T1..Tk, 3..3)."""
-    frame = table.frame
-    shape = (frame.state_count, frame.symbol_block, frame.state_count)
-    shape += frame.symbol_counts + (3,) * frame.tape_count
-    return table.amplitudes.reshape(shape)
+@functools.cache
+def _plan(k: int) -> tuple:
+    """The catalog's displacements grouped by |D|: each one's balanced
+    base-5 code sum_i D_i 5^(k-1-i), the same code of each move vector by
+    flat move index, each displacement's pattern number, the patterns, and
+    each displacement's displaced tapes.  A pattern is its displacements'
+    positions, their X and their Y move indices on the flat move axis as
+    (2, displacements, choices), its displaced tapes and the axis order that
+    takes a gather (q, s, p, tau_1..tau_k, X or Y, displacement, choice) to
+    (X or Y, displacement, rows, columns).  Tape i offers 3 - |D_i| move pairs
+    (d_i, d_i - D_i), choice j_i pairing d_i = max(0, D_i) - 1 + j_i, so a
+    displacement's move indices are its own offset plus its pattern's grid."""
+    shifts = [cid.displacement for cid in _catalog(k)[2:]]
+    vectors = np.array(shifts).reshape(-1, k)
+    place3, place5 = 3 ** np.arange(k - 1, -1, -1), 5 ** np.arange(k - 1, -1, -1)
+    grouped: dict[tuple[int, ...], list[int]] = {}
+    for position, vec in enumerate(shifts):
+        grouped.setdefault(tuple(map(abs, vec)), []).append(position)
+    pattern_of = np.empty(len(shifts), dtype=np.intp)
+    patterns = []
+    for number, (size, positions) in enumerate(grouped.items()):
+        pattern_of[positions] = number
+        vecs = vectors[positions]
+        # choice axes in tape order, flattening as `itertools.product` lists the choices
+        grid = sum(np.arange(3 - a).reshape((-1,) + (1,) * (k - 1 - i)) * place3[i] for i, a in enumerate(size))
+        starts = np.concatenate((np.maximum(vecs, 0), np.maximum(-vecs, 0))) @ place3
+        independent = tuple(i for i in range(k) if size[i])
+        shared = tuple(i for i in range(k) if not size[i])
+        order = (3 + k, 4 + k, 0, 1, *(3 + i for i in independent), 5 + k, 2, *(3 + i for i in shared))
+        patterns.append((np.array(positions), starts.reshape(2, -1, 1) + np.ravel(grid), independent, order))
+    move_codes = np.array(list(itertools.product(MOVES, repeat=k))) @ place5
+    independent_of = [patterns[number][2] for number in pattern_of.tolist()]
+    return vectors @ place5, move_codes, pattern_of, patterns, independent_of
 
 
 def _require_tapes(table: TransitionTable, k: int, checker: str):
@@ -210,30 +249,63 @@ def _eval_zero(table: TransitionTable,
     return norm, (value, witness)
 
 
-def _eval_displacement(frame: TuringFrame, split: np.ndarray, displacement: tuple[int, ...],
-                       sigmas: tuple[str, ...]) -> tuple[float, tuple | None]:
-    """Residual and witness of one displacement D != 0 on the split table:
-    one matrix product whose rows are reads and independent writes
-    (q, sigma, tau_I) and whose columns are (choice, p, tau_shared);
-    `sigmas` are the frame's `_sigma_names`."""
-    k = len(displacement)
-    independent = [i for i in range(k) if displacement[i] != 0]
-    shared = [i for i in range(k) if displacement[i] == 0]
-    # tape i's move pairs on choice axis i, so one fancy index on the move axes gives
-    # (q, s, p, tau_1..tau_k, choice_1..choice_k), flattening in `itertools.product` order
-    d, d2 = zip(*(_PAIR_MOVES[delta].reshape((2,) + (1,) * i + (-1,) + (1,) * (k - 1 - i))
-                  for i, delta in enumerate(displacement)))
-    order = [0, 1, *(3 + i for i in independent), *range(3 + k, 3 + 2 * k), 2, *(3 + i for i in shared)]
-    side = split.shape[:2] + tuple(split.shape[3 + i] for i in independent)
-    xm = split[(Ellipsis,) + d].transpose(order).reshape(math.prod(side), -1)
-    ym = split[(Ellipsis,) + d2].transpose(order).reshape(xm.shape)
-    gram = (xm @ ym.conj().T).reshape(side + side)
-    value, idx = _first_max(np.abs(gram))
-    half = len(side)
-    witness = (_read_witness(frame, idx[0], idx[1], zip(independent, idx[2:half]), sigmas=sigmas)
-               + _read_witness(frame, idx[half], idx[half + 1], zip(independent, idx[half + 2:]),
-                               primed=True, sigmas=sigmas))
-    return value, witness
+def _eval_displacements(table: TransitionTable, sigmas: tuple[str, ...]) -> list[tuple[float, tuple]]:
+    """Residual and witness of every displacement D != 0, in catalog order;
+    `sigmas` are the frame's `_sigma_names`.
+
+    A D that no two used move vectors realize as d - d' has a zero X or Y
+    column in every choice, so its product is exactly zero: residual 0.0
+    and the index-0 witness, which depends only on the displaced tapes.
+    The others are evaluated a |D| pattern at a time: one gather of every
+    X and Y, one stacked `matmul`, which hands BLAS each product as its own
+    `@` would, one `abs` and one row-wise `argmax`."""
+    frame = table.frame
+    k, counts = frame.tape_count, frame.symbol_counts
+    codes, move_codes, pattern_of, patterns, independent_of = _plan(k)
+    # U, reduced over the reads first: numpy reduces a leading axis a row at
+    # a time, so rows of 3^k moves alone would cost one step per rule target
+    used = move_codes[table.amplitudes.reshape(frame.state_count * frame.symbol_block, -1).any(axis=0)
+                      .reshape(-1, frame.move_block).any(axis=0)]
+    # the 5^k balanced codes are the integers of modulus at most (5^k - 1)/2,
+    # so with numpy's wrapping of negative indices each has its own slot
+    reach = np.zeros(5 ** k, dtype=bool)
+    reach[np.subtract.outer(used, used)] = True
+    live = reach[codes]
+    split = table.amplitudes.reshape(frame.table_shape[:3] + counts + (frame.move_block,))
+    witnesses: dict = {}  # by (displaced tapes, index); many displacements share one
+
+    def witness(independent: tuple[int, ...], idx: tuple[int, ...]) -> tuple:
+        found = witnesses.get((independent, idx))
+        if found is None:
+            half = len(idx) // 2
+            found = witnesses[independent, idx] = (
+                _read_witness(frame, idx[0], idx[1], zip(independent, idx[2:half]), sigmas=sigmas)
+                + _read_witness(frame, idx[half], idx[half + 1], zip(independent, idx[half + 2:]),
+                                primed=True, sigmas=sigmas))
+        return found
+
+    out: list = [None] * len(live)
+    for number in np.flatnonzero(np.bincount(pattern_of[live], minlength=len(patterns))).tolist():
+        positions, moves, independent, order = patterns[number]
+        side = (frame.state_count, frame.symbol_block) + tuple(counts[i] for i in independent)
+        rows = math.prod(side)
+        picked = live[positions].nonzero()[0]
+        # large products are stacked a few at a time, so that a batch holds
+        # about as much memory as one product
+        step = max(1, _BATCH_ENTRIES // rows ** 2)
+        for at in range(0, len(picked), step):
+            batch = picked[at:at + step]
+            n = len(batch)
+            stacked = split[..., moves[:, batch]].transpose(order).reshape(2 * n, rows, -1)
+            gram = np.abs(np.matmul(stacked[:n], stacked[n:].conj().transpose(0, 2, 1))).reshape(n, -1)
+            flat = gram.argmax(axis=1)
+            for position, value, idx in zip(positions[batch].tolist(), gram[np.arange(n), flat].tolist(),
+                                            zip(*(i.tolist() for i in np.unravel_index(flat, side + side)))):
+                out[position] = (value, witness(independent, idx))
+    for position, independent in enumerate(independent_of):
+        if out[position] is None:
+            out[position] = (0.0, witness(independent, (0,) * (4 + 2 * len(independent))))
+    return out
 
 
 def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
@@ -242,9 +314,7 @@ def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) ->
     sigmas = _sigma_names(table.frame)  # once per table, not once per condition
     norm, orth = _eval_zero(table, sigmas)
     residuals = [ConditionResidual(norm_id, *norm), ConditionResidual(orth_id, *orth)]
-    split = _split_amplitudes(table)
-    residuals += [ConditionResidual(cid, *_eval_displacement(table.frame, split, cid.displacement, sigmas))
-                  for cid in shifts]
+    residuals += [ConditionResidual(cid, *found) for cid, found in zip(shifts, _eval_displacements(table, sigmas))]
     return ValidationReport("ktape", tolerance, tuple(residuals))
 
 

@@ -34,7 +34,11 @@ failing check.  Parse times of the validate benchmark's documents against
 the per-rule loop this pass replaced (2-vCPU Xeon, best of interleaved
 runs, two runs): 4 rules 0.05-0.09 ms either way, 256 rules (Q4S4)
 0.93-1.04 -> 0.78-0.82 ms, 6,912 rules (Q2 S(2,2,2)) 29-38 -> 25-27 ms,
-of which `json.loads` takes 17-19 ms.
+of which `json.loads` takes 17-19 ms.  The cyclic garbage collector is
+paused while a document is parsed: the decoded JSON and the column pass
+make many objects and no cycles, so its collections there found nothing
+and took about a fifth of a large parse (Q2 S(2,2,2): 36 -> 29 ms, median
+of 15 interleaved runs in a process holding the validate workload).
 
 `serialize_machine` writes the nonzero rules in table order as the text of
 `json.dumps(doc, indent=2)` plus a newline, formatted directly rather than
@@ -53,7 +57,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .frame import TuringFrame
+from .frame import TuringFrame, _GcPaused
 from .table import _MAX_MODULUS, TransitionTable, _sealed
 
 
@@ -193,6 +197,11 @@ def _rule_columns(rules: list, state_index: dict, symbol_codes: _Codes, move_cod
 
 
 def parse_document(text: str) -> MachineDocument:
+    with _GcPaused():
+        return _parse_document(text)
+
+
+def _parse_document(text: str) -> MachineDocument:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

@@ -21,6 +21,7 @@ window position by one lookup, so images are located without decoding
 """
 from __future__ import annotations
 
+import math
 import numbers
 from typing import NamedTuple
 
@@ -207,6 +208,14 @@ def _half_step(slots: _Slots, x: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     return y
 
 
+def _norm(x: np.ndarray) -> float:
+    """`np.linalg.norm(x)` of a complex vector, as the sums numpy 2.4.6
+    forms for it, without its dispatch: the same bits, about 1.3 against
+    1.8 us a call on a 2-vCPU Xeon."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, seed: int = 0) -> float:
     """Power-iteration lower bound on the operator norm, computed on the
     window of configurations whose support and head lie inside [-w, w] on
@@ -253,18 +262,18 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
 
     v = np.zeros(n, dtype=np.complex128)
     v[window.interior()] = 1.0
-    norm_v = np.linalg.norm(v)
+    norm_v = _norm(v)
     if norm_v > 0:
         v /= norm_v
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v += 0.01 * noise / np.linalg.norm(noise)
-    v /= np.linalg.norm(v)
+    v += 0.01 * noise / _norm(noise)
+    v /= _norm(v)
 
     estimate = 0.0
     for _ in range(iterations):
         w = _half_step(forward, v, forward_buffer)
-        norm_w = float(np.linalg.norm(w))
+        norm_w = _norm(w)
         if norm_w == 0.0:
             return 0.0
         estimate = norm_w
@@ -272,5 +281,5 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
         # numpy divides a complex by a real as a multiply by its reciprocal,
         # so v /= ||v|| has the bits of one real multiply on the float64 view
         parts = v.view(np.float64)
-        parts *= 1.0 / np.linalg.norm(v)
+        parts *= 1.0 / _norm(v)
     return estimate

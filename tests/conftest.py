@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,15 @@ def naive_step(table: qt.TransitionTable, terms: dict) -> dict:
                     image = qt.Configuration(p, tapes, heads)
                     out[image] = out.get(image, 0j) + amp * coef
     return {c: a for c, a in out.items() if a != 0}
+
+
+@pytest.fixture
+def collector():
+    """A setter for the cyclic garbage collector's state; the state before
+    the test comes back after it."""
+    was = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if was:
+        gc.enable()
+    else:
+        gc.disable()

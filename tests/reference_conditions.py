@@ -32,15 +32,26 @@ from qturing.conditions import DEFAULT_TOLERANCE, ConditionId, ConditionResidual
 from qturing.frame import MOVES
 from qturing.ktape import (
     _first_max,
-    _move_pairs,
     _read_witness,
     _require_tapes,
-    _split_amplitudes,
     generate_ktape_conditions,
 )
 from qturing.table import TransitionTable
 
 NEAR_MAX = 1e-12
+
+
+def _move_pairs(delta: int) -> list[tuple[int, int]]:
+    return [(d, d2) for d in MOVES for d2 in MOVES if d - d2 == delta]
+
+
+def _split_amplitudes(table: TransitionTable) -> np.ndarray:
+    """View with the write vector and move vector split into per-tape axes:
+    (Q, S, Q, T1..Tk, 3..3)."""
+    frame = table.frame
+    shape = (frame.state_count, frame.symbol_block, frame.state_count)
+    shape += frame.symbol_counts + (3,) * frame.tape_count
+    return table.amplitudes.reshape(shape)
 
 
 @dataclass(frozen=True)

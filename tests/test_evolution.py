@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import warnings
@@ -312,6 +313,20 @@ class TestEstimateNorm:
         table = qt.pair_unitary_machine(frame, qt.random_unitary(4, rng), [(1, 0), (-1, 1)])
         assert qt.check_auto(table).passed
         assert abs(qt.estimate_norm(table, 2, 50) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_decoding_pauses_the_collector_and_restores_its_state(counterexample, collector, monkeypatch, enabled):
+    """The collector is off while packed terms are decoded into
+    configurations, and afterwards it is as the caller left it."""
+    final = qt.run(counterexample, qt.Superposition.basis(blank(counterexample)), 3).final
+    seen = []
+    tape = evolution._tape_unchecked
+    monkeypatch.setattr(evolution, "_tape_unchecked", lambda *args: seen.append(gc.isenabled()) or tape(*args))
+    collector(enabled)
+    assert len(final.items()) == len(final)
+    assert seen and not any(seen)
+    assert gc.isenabled() is enabled
 
 
 class TestSuperposition:

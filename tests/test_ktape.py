@@ -6,9 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qturing as qt
 import reference_conditions
+from qturing import ktape
 from qturing.ktape import MAX_TAPES, displacement_label
 
 from conftest import MULTI_COMPONENT_BREAKS, random_table
@@ -126,8 +129,8 @@ class TestEvaluation:
     def test_many_tape_corpus_breaks_four_component_displacements(self, many_tape_corpus):
         """The `moved` tables on four and six tapes name displacements with
         four nonzero components; each fails, of all conditions, only that
-        one.  The six-tape `check_ktape` evaluates 7,814 conditions in about
-        0.5-0.8 s on a 2-vCPU Xeon."""
+        one.  The six-tape `check_ktape` reports 7,814 conditions in tens of
+        milliseconds on a 2-vCPU Xeon."""
         moved = [entry for entry in many_tape_corpus if entry.label.startswith("moved")]
         assert [entry.table.frame.tape_count for entry in moved] == [4, 6]
         broken = [entry.label.split()[-1] for entry in moved]
@@ -144,6 +147,93 @@ class TestEvaluation:
         frame3 = qt.simple_frame(1, 1, 1, 1)
         t3 = qt.TransitionTable.from_rules(frame3, [(0, (0, 0, 0), 0, (0, 0, 0), (0, 0, 0), 1.0)])
         assert qt.check_auto(t3).checker == "ktape"
+
+
+@st.composite
+def move_subset_tables(draw) -> qt.TransitionTable:
+    """A table on one to four tapes whose rules use a drawn subset of the
+    move vectors, from one vector up to all of them.  Its entries are
+    complex Gaussians or, for exact sums and tied maxima, 0 and +-1/2 and
+    +-i/2; an unused move vector holds +0 or, on some draws, -0."""
+    k = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k).filter(lambda c: np.prod(c) <= 4))
+    frame = qt.simple_frame(draw(st.integers(1, 2)), *counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(1, frame.move_block) | st.just(frame.move_block))
+    used = rng.choice(frame.move_block, size=size, replace=False)
+    shape = frame.table_shape
+    if draw(st.booleans()):
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    else:
+        amps = rng.choice(np.array([0, 0.5, -0.5, 0.5j, -0.5j]), size=shape)
+    amps[rng.random(shape) >= draw(st.floats(0.05, 1.0))] = 0
+    # every drawn move vector keeps a nonzero entry
+    amps.reshape(-1, frame.move_block)[rng.integers(np.prod(shape[:4]), size=len(used)), used] = 0.5
+    unused = np.setdiff1d(np.arange(frame.move_block), used)
+    amps[..., unused] = complex(-0.0, -0.0) if draw(st.booleans()) else 0
+    return qt.TransitionTable(frame, amps)
+
+
+def _index_0_witness(frame: qt.TuringFrame, displacement: tuple[int, ...]) -> tuple:
+    """State 0 reading symbol 0 on every tape and, on every displaced tape,
+    writing symbol 0: unprimed, then primed."""
+    sigma = frame.alphabets[0][0] if frame.tape_count == 1 else "(" + ",".join(a[0] for a in frame.alphabets) + ")"
+    halves = []
+    for mark in ("", "'"):
+        halves += [("q" + mark, frame.states[0]), ("sigma" + mark, sigma)]
+        halves += [(f"tau_{i + 1}{mark}", frame.alphabets[i][0]) for i, d in enumerate(displacement) if d]
+    return tuple(halves)
+
+
+class TestReach:
+    """A displacement D that no two used move vectors realize as d - d'
+    holds exactly: every term of its sum has a zero factor."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(table=move_subset_tables())
+    def test_drawn_move_subsets_match_first_gather_bit_for_bit(self, table):
+        got, ref = qt.check_ktape(table).residuals[2:], reference_conditions.gather_displacements(table)
+        assert [r.id for r in got] == [r.id for r in ref]
+        assert [(r.residual, r.witness) for r in got] == [(r.residual, r.witness) for r in ref]
+
+    @staticmethod
+    def _assert_unreachable_are_zero_at_index_0(table: qt.TransitionTable) -> int:
+        frame = table.frame
+        moves = list(itertools.product((-1, 0, 1), repeat=frame.tape_count))
+        used = [m for i, m in enumerate(moves) if np.any(table.amplitudes[..., i])]
+        reachable = {tuple(a - b for a, b in zip(d, d2)) for d in used for d2 in used}
+        unreachable = [r for r in qt.check_ktape(table).residuals[2:] if r.id.displacement not in reachable]
+        for r in unreachable:
+            assert repr(r.residual) == "0.0", r.id
+            assert r.witness == _index_0_witness(frame, r.id.displacement), r.id
+        return len(unreachable)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(table=move_subset_tables())
+    def test_drawn_unreachable_displacements_are_zero_at_index_0(self, table):
+        self._assert_unreachable_are_zero_at_index_0(table)
+
+    def test_many_tape_corpus_unreachable_displacements_are_zero_at_index_0(self, many_tape_corpus):
+        """Four to six tapes; the six-tape table is a one-state pair-unitary
+        machine, which uses one move vector, so no displacement is in reach."""
+        skipped = [self._assert_unreachable_are_zero_at_index_0(entry.table) for entry in many_tape_corpus]
+        assert skipped[-1] == (5 ** 6 - 1) // 2
+
+
+@pytest.mark.parametrize("entries", [1, 64, ktape._BATCH_ENTRIES])
+def test_batches_of_any_size_keep_each_displacements_bits(monkeypatch, three_tape_corpus, entries):
+    """Large products are stacked a few at a time; a stack of any size gives
+    every displacement the bits of its own product.  At the default size the
+    dense Q2 S(3,3) and Q2 S(2,2,2) tables stack their largest products (162
+    and 128 rows) one at a time and their smaller ones together."""
+    monkeypatch.setattr(ktape, "_BATCH_ENTRIES", entries)
+    rng = np.random.default_rng(36)
+    tables = [random_table(qt.simple_frame(2, 3, 3), rng, density=1.0),
+              random_table(qt.simple_frame(2, 2, 2, 2), rng, density=1.0)]
+    tables += [entry.table for entry in three_tape_corpus[-2:]]
+    for table in tables:
+        got, ref = qt.check_ktape(table).residuals[2:], reference_conditions.gather_displacements(table)
+        assert [(r.id, r.residual, r.witness) for r in got] == [(r.id, r.residual, r.witness) for r in ref]
 
 
 # Residual and witness reprs of check_ktape on k = 1..4 and of check_row and

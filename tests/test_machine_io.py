@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qturing as qt
+from qturing import machine_io
 from qturing.cli import bundled_machine_path
 from qturing.machine_io import MAX_TABLE_ENTRIES, table_entries
 
@@ -240,3 +242,23 @@ def test_malformed_rule_field_is_schema_error(field, value):
     with pytest.raises(qt.MachineParseError) as err:
         qt.parse_document(text)
     assert err.value.code == "schema"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text, code", [(read_bundled("counterexample"), None), ("{", "syntax"),
+                                        ('{"states": []}', "schema")])
+def test_parse_pauses_the_collector_and_restores_its_state(collector, monkeypatch, enabled, text, code):
+    """The collector is off while the JSON is decoded, and afterwards it is
+    as the caller left it, also when parsing raises."""
+    seen = []
+    loads = machine_io.json.loads
+    monkeypatch.setattr(machine_io.json, "loads", lambda doc: seen.append(gc.isenabled()) or loads(doc))
+    collector(enabled)
+    if code is None:
+        qt.parse_document(text)
+    else:
+        with pytest.raises(qt.MachineParseError) as err:
+            qt.parse_document(text)
+        assert err.value.code == code
+    assert seen == [False]
+    assert gc.isenabled() is enabled
