@@ -17,18 +17,20 @@ written symbols and sums amp * coef per image with `np.bincount`.
 
 Each image has one sort key (`_Layout.keys`) whose order is
 `Configuration.sort_key` order and which is equal only for equal images, so
-one stable sort (`_runs`) both merges and orders the images.  The key is
-the mixed-radix value of the image's varying digit columns as one uint64
-when their radices multiply to less than 2**64, and otherwise those columns
-big-endian as one void scalar, compared as unsigned bytes; numpy sorts the
-integer form several times faster.  Every order
-matches the per-configuration loop the kernel replaced, so results are
-bit-reproducible: terms in `sort_key` order, forward rules grouped by
-written vector in first-appearance order, then (p, tau, d), adjoint hits
-move by move, then (q, sigma).  `_Kernel.operator` numbers the images of
-packed basis states for the Gram oracle, and `step_operator` decodes them;
-`windows.estimate_norm` locates each entry of `_Kernel.kept` in its packed
-window without decoding.  `windows` and `oracle` build on this module.
+one stable sort (`_runs`) both merges and orders the images.  Its digits
+are the state and the heads, whose radices |Q| and W are known, then the
+cell columns that vary, whose radices a scan finds (a one-symbol frame has
+none).  The key is their mixed-radix value as one uint64 when the radices
+multiply to less than 2**64, and otherwise the digits big-endian as one
+void scalar, compared as unsigned bytes; numpy sorts the integer form
+several times faster.  Every order matches the loop the kernel replaced, so
+results are bit-reproducible: terms in `sort_key` order, forward rules
+grouped by written vector in first-appearance order, then (p, tau, d),
+adjoint hits move by move, then (q, sigma).  `_Kernel.operator` numbers the
+images of packed basis states for the Gram oracle, and `step_operator`
+decodes them; `windows.estimate_norm` locates each entry of `_Kernel.kept`
+in its packed window without decoding.  `windows` and `oracle` build on
+this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
 stays packed: a `Superposition` holds its terms in `sort_key` order plus
@@ -187,16 +189,11 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     new = np.empty(len(order), dtype=bool)
     new[:1] = True
     new[1:] = ordered[1:] != ordered[:-1]
+    starts = new.nonzero()[0]
+    new[:1] = False  # so the running count numbers the runs from 0
     run = np.empty(len(order), dtype=np.intp)
-    run[order] = new.cumsum() - 1
-    return order, np.flatnonzero(new), run
-
-
-def _csr(keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First index and length of each key's run in sorted `keys`, for keys
-    0..count-1."""
-    ptr = np.searchsorted(keys, np.arange(count + 1))
-    return ptr[:-1], np.diff(ptr)
+    run[order] = new.cumsum()
+    return order, starts, run
 
 
 class _Terms(NamedTuple):
@@ -237,17 +234,19 @@ class _Layout:
 
     def keys(self, terms: _Terms) -> np.ndarray:
         """One key per term, in `Configuration.sort_key` order and equal only
-        for equal terms: state, heads, then per tape a symbol s as s+1 and a
-        blank as 0, or as `top` when a non-blank cell follows it on its tape.
-        Columns blank in every term go, then columns equal in all terms.
-        When the product of the kept columns' radices (column max + 1) is
-        below 2**64, the key is their mixed-radix value as one uint64;
-        otherwise it is one void scalar of the columns big-endian, compared
-        as unsigned bytes."""
+        for equal terms: the digits state (radix |Q|), heads (radix W), then
+        per tape a symbol s as s+1 and a blank as 0, or as `top` when a
+        non-blank cell follows it on its tape.  Only cell columns that vary
+        between terms are kept, each with radix max + 1.  When the radices
+        multiply to less than 2**64, the key is the digits' mixed-radix value
+        as one uint64; otherwise it is one void scalar of the digits
+        big-endian, compared as unsigned bytes."""
         if not len(terms.state):
             return np.zeros(0, dtype=np.uint64)
-        dtype = np.min_scalar_type(max(self.frame.state_count, len(terms.cols), self.top))
-        rows = [terms.state[None, :], terms.heads.T]
+        width = len(terms.cols)
+        dtype = np.min_scalar_type(max(self.frame.state_count, width, self.top))
+        # digit rows and each digit's highest value, known for the state and heads
+        rows, highs = [terms.state[None, :], terms.heads.T], [self.frame.state_count - 1] + [width - 1] * self.k
         if self.S > 1:  # with one symbol per tape every cell is blank
             # one copy as (tape, column, term), so every pass runs along the terms
             cells = np.ascontiguousarray(terms.cells.transpose(1, 2, 0))
@@ -258,16 +257,16 @@ class _Layout:
                 # a blank counts as `top` before its tape's last non-blank cell
                 position = np.arange(1, len(full) + 1, dtype=dtype)[:, None]
                 later = (position < np.max(full * position, axis=0, initial=0)) & ~full
-                rows.append(full * (cells[i, used[i]] + dtype.type(1)) + later * dtype.type(self.top))
+                digits = full * (cells[i, used[i]] + dtype.type(1)) + later * dtype.type(self.top)
+                high = digits.max(axis=1)
+                vary = high != digits.min(axis=1)
+                rows.append(digits[vary])
+                highs += high[vary].tolist()
         rows = np.concatenate(rows, axis=0, dtype=dtype, casting="unsafe")
-        high = rows.max(axis=1)
-        vary = high != rows.min(axis=1)
-        vary[0] = True  # a key keeps one column when no column varies
-        rows = rows[vary]
-        place, total = [], 1  # mixed-radix place values, last column first
-        for digit in reversed(high[vary].tolist()):
+        place, total = [], 1  # mixed-radix place values, last digit first
+        for high in reversed(highs):
             place.append(total)
-            total *= digit + 1
+            total *= high + 1
         if total < 2 ** 64:
             # einsum casts in small buffers; `@` would copy all digits to uint64
             return np.einsum("c,cn->n", np.array(place[::-1], dtype=np.uint64), rows)
@@ -308,7 +307,7 @@ class _Kernel(_Layout):
     `forward` indexes the rules by read (q, sigma): grouped by written
     vector in the order each first appears, then in (p, tau, d) order.
     `adjoint` indexes the hits by (p, written, move) in (q, sigma) order,
-    conjugated.  Each is (first rule, rule count) per key, then the state,
+    conjugated.  Each is (rule end, rule count) per key, then the state,
     written symbols, moves (forward only) and coefficient per rule.  Every
     nonzero rule is kept; `kept` drops the entries below PRUNE_THRESHOLD.
     `verdicts` holds `run`'s `check_auto` report per tolerance."""
@@ -331,13 +330,16 @@ class _Kernel(_Layout):
         # forward: each (read, tau) group sorts by its first rule, stably
         order, starts, run = _runs(read * S + t)
         order = np.argsort(order[starts][run], kind="stable")
-        self.forward = (*_csr(read[order], reads), p[order], self._symbols(t[order]),
+        count = np.bincount(read, minlength=reads)
+        self.forward = (count.cumsum(), count, p[order], self._symbols(t[order]),
                         self.moves[target[order] % M], coef[order])
         order = np.argsort(target, kind="stable")
         q, s = np.divmod(read[order], S)
-        self.adjoint = (*_csr(target[order], reads * M), q, self._symbols(s), None, coef[order].conj())
+        count = np.bincount(target, minlength=reads * M)
+        self.adjoint = (count.cumsum(), count, q, self._symbols(s), None, coef[order].conj())
         # the move vectors some rule uses, ascending: the adjoint looks back only along these
         self.used_moves = np.flatnonzero(np.bincount(target % M, minlength=M))
+        self.back = self.moves[self.used_moves]
         self.verdicts: dict[float, ValidationReport] = {}
 
     @classmethod
@@ -390,35 +392,36 @@ class _Kernel(_Layout):
         some rule uses, since no hit lies along the others.  A head moves at
         most one column, so the images keep one column less slack.  More than
         MAX_STEP_SYMBOLS packed image symbols raise ValueError."""
-        starts, counts, to_state, to_write, to_move, to_coef = self.adjoint if adjoint else self.forward
+        stops, counts, to_state, to_write, to_move, to_coef = self.adjoint if adjoint else self.forward
         state, heads, cells = terms.state, terms.heads, terms.cells
-        n, k, M, tapes, used = len(state), self.k, self.M, self.tapes, self.used_moves
-        # with one symbol per tape (S = 1) every read and every write is blank
+        n, k, S, M, tapes = len(state), self.k, self.S, self.M, self.tapes
+        # the rule keys; with one symbol per tape (S = 1) every read and write is blank
         if adjoint:
-            source = heads[:, None, :] - self.moves[used]  # (n, moves in use, k)
-            read = 0 if self.S == 1 else cells[np.arange(n)[:, None, None], tapes, source] @ self.strides
-            key = ((state[:, None] * self.S + read) * M + used).ravel()
+            source = heads[:, None, :] - self.back  # (n, moves in use, k)
+            key = state[:, None] * (S * M) + self.used_moves
+            if S > 1:
+                key += cells[np.arange(n)[:, None, None], tapes, source] @ self.strides * M
         else:
-            read = 0 if self.S == 1 else cells[np.arange(n)[:, None], tapes, heads] @ self.strides
-            key = state * self.S + read
-        start, count = starts[key], counts[key]
+            key = state if S == 1 else state * S + cells[np.arange(n)[:, None], tapes, heads] @ self.strides
+        key = key.ravel()
+        stop, count = stops[key], counts[key]
         ends = count.cumsum()
         entries = int(ends[-1]) if len(ends) else 0
         if entries * k * len(terms.cols) > MAX_STEP_SYMBOLS:
             raise ValueError(f"a step of {entries} entries on {len(terms.cols)} columns per tape exceeds "
                              f"the {MAX_STEP_SYMBOLS} packed symbols a step may hold")
         slot = np.arange(len(key)).repeat(count)
-        rule = np.arange(len(slot)) + (start - ends + count)[slot]
+        rule = (stop - ends)[slot] + np.arange(entries)
         if adjoint:
-            parent = slot // max(len(used), 1)  # a table without rules has no slot
+            parent = slot // max(len(self.back), 1)  # a table without rules has no slot
             at = moved = source.reshape(-1, k)[slot]
         else:
             parent = slot
-            at = heads[parent]
+            at = heads[slot]
             moved = at + to_move[rule]
         images = cells[parent]
-        if self.S > 1:
-            images[np.arange(len(slot))[:, None], tapes, at] = to_write[rule]
+        if S > 1:
+            images[np.arange(entries)[:, None], tapes, at] = to_write[rule]
         return parent, _Terms(to_state[rule], moved, images, terms.cols, None,
                               max(terms.slack - 1, 0)), to_coef[rule]
 
@@ -426,7 +429,7 @@ class _Kernel(_Layout):
         """`expand` without the entries below PRUNE_THRESHOLD: the matrix
         entries of `step_operator` and the windowed norm estimate."""
         parent, entries, coef = self.expand(terms, adjoint)
-        keep = np.hypot(coef.real, coef.imag) >= PRUNE_THRESHOLD
+        keep = np.abs(coef) >= PRUNE_THRESHOLD
         if keep.all():
             return parent, entries, coef
         return parent[keep], entries.take(keep), coef[keep]
@@ -443,14 +446,14 @@ class _Kernel(_Layout):
         first = order[starts]  # each image's first entry
         amps = terms.amps[parent]
         ar, ai, cr, ci = amps.real, amps.imag, coef.real, coef.imag
-        re = np.bincount(ids, weights=ar * cr - ai * ci, minlength=len(first))
-        im = np.bincount(ids, weights=ar * ci + ai * cr, minlength=len(first))
-        vals = re + 1j * im
-        keep = np.hypot(vals.real, vals.imag) >= PRUNE_THRESHOLD
+        # every image has an entry, so the sums need no minlength
+        vals = np.bincount(ids, weights=ar * cr - ai * ci).astype(np.complex128)
+        vals.imag = np.bincount(ids, weights=ar * ci + ai * cr)
+        keep = np.abs(vals) >= PRUNE_THRESHOLD
         dropped = 0.0
         if np.count_nonzero(keep) < len(keep):
             lost = vals[~keep][first[~keep].argsort(kind="stable")]
-            dropped = float(np.sum(lost.real * lost.real + lost.imag * lost.imag))
+            dropped = float((lost.real * lost.real + lost.imag * lost.imag).sum())
             first, vals = first[keep], vals[keep]
         images = _Terms(entries.state[first], entries.heads[first], entries.cells[first], entries.cols,
                         vals, entries.slack)
@@ -572,7 +575,7 @@ class RunResult:
 
 def _norm(amps: np.ndarray) -> float:
     """`Superposition.norm` of amplitudes in dict order: a Python float sum."""
-    return float(np.sqrt(sum((amps.real * amps.real + amps.imag * amps.imag).tolist())))
+    return math.sqrt(sum((amps.real * amps.real + amps.imag * amps.imag).tolist()))
 
 
 def run(
@@ -614,16 +617,12 @@ def run(
                 f"(max residual {report.max_residual:.3e}); pass unchecked=True to run anyway"
             )
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = initial
-        norms, pruned, terms, width = [initial.norm()], [0.0], [len(initial)], [0]
+        psi, log = initial, [(initial.norm(), 0.0, len(initial), 0)]  # (norm, pruned, terms, width) per step
         for t in range(steps + 1):
             if t:
                 psi, dropped = _step(table, psi, adjoint=False)
-                norms.append(psi.norm())
-                pruned.append(dropped)
-                terms.append(len(psi))
-                width.append(len(psi._packed[1].cols))
-            if not (math.isfinite(norms[t]) and math.isfinite(pruned[t])):
+                log.append((psi.norm(), dropped, len(psi), len(psi._packed[1].cols)))
+            if not (math.isfinite(log[t][0]) and math.isfinite(log[t][1])):
                 raise ValueError(f"the norm is not finite after step {t}: the amplitudes overflow")
-    return RunResult(final=psi, norms=tuple(norms), pruned_mass=tuple(pruned),
-                     terms=tuple(terms), width=tuple(width))
+    norms, pruned, terms, width = zip(*log)
+    return RunResult(final=psi, norms=norms, pruned_mass=pruned, terms=terms, width=width)

@@ -58,7 +58,7 @@ from operator import itemgetter
 import numpy as np
 
 from .frame import TuringFrame, _GcPaused
-from .table import _MAX_MODULUS, TransitionTable, _sealed
+from .table import _MAX_MODULUS, TransitionTable
 
 
 class MachineParseError(Exception):
@@ -265,7 +265,7 @@ def _parse_document(text: str) -> MachineDocument:
         raise MachineParseError("range", f"rule {big[0] + 1}: amp modulus must be at most 2**100")
     amps = np.zeros(shape, dtype=np.complex128)
     amps.reshape(-1)[index] = values
-    return MachineDocument(name=name, frame=frame, table=TransitionTable(frame, _sealed(amps)))
+    return MachineDocument(name=name, frame=frame, table=TransitionTable._from_bounded(frame, amps))
 
 
 def parse_machine(text: str) -> TransitionTable:

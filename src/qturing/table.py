@@ -79,6 +79,17 @@ class TransitionTable:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
+    def _from_bounded(cls, frame: TuringFrame, amps: np.ndarray) -> "TransitionTable":
+        """A table on a fresh complex128 array of the frame's shape whose
+        moduli the caller has already bounded by 2**100, as the parser does:
+        sealed and taken over without the scan of `__post_init__`."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "frame", frame)
+        object.__setattr__(table, "amplitudes", _sealed(amps))
+        object.__setattr__(table, "_kernel", None)
+        return table
+
+    @classmethod
     def zeros(cls, frame: TuringFrame) -> "TransitionTable":
         return cls(frame, _sealed(np.zeros(frame.table_shape, dtype=np.complex128)))
 

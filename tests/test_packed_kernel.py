@@ -47,6 +47,24 @@ def _wide_alphabet(symbols=200):
     return qt.TransitionTable.from_rules(frame, rules)
 
 
+def _six_one_symbol_tapes():
+    """Q3 on six one-symbol tapes, a pair-unitary table whose three move
+    vectors spread the heads apart: keys of the state and six heads only."""
+    unitary = qt.random_unitary(3, np.random.default_rng(13))
+    moves = [(1, -1, 0, 1, 0, -1), (0, 1, 1, -1, 0, 0), (-1, 0, -1, 0, 1, 1)]
+    return qt.pair_unitary_machine(qt.simple_frame(3, *[1] * 6), unitary, moves)
+
+
+def _skewed():
+    """Q2S2 where the read (q0, B) holds 12 of the 15 rules (every target)
+    and each other read one."""
+    rng = np.random.default_rng(14)
+    rules = [(0, 0, p, t, d, complex(*rng.standard_normal(2)) / 5)
+             for p in range(2) for t in range(2) for d in (-1, 0, 1)]
+    rules += [(0, 1, 1, 1, 1, 0.6), (1, 0, 0, 1, -1, 0.8j), (1, 1, 1, 0, 0, -1.0)]
+    return qt.TransitionTable.from_rules(qt.simple_frame(2, 2), rules)
+
+
 def _start(table, terms):
     """A superposition of (state, heads, {cell: symbol} per tape, amp) terms."""
     frame = table.frame
@@ -173,6 +191,9 @@ RUN_CASES = {
     "200 symbols": (
         _wide_alphabet, [(0, (0,), ({-1: 199, 0: 130, 2: 5},), 0.6), (0, (3,), ({3: 128},), 0.8)], 6, 6),
     "empty": (lambda: _machine("counterexample"), [], 3, 3),
+    "six one-symbol tapes": (
+        _six_one_symbol_tapes, [(0, (0,) * 6, ({},) * 6, 0.6), (2, (3, -2, 0, 5, 1, -4), ({},) * 6, 0.8j)], 10, 2),
+    "skewed Q2S2": (_skewed, [(0, (0,), ({0: 1, 2: 1},), 0.6), (1, (1,), ({},), 0.8)], 8, 8),
 }
 
 

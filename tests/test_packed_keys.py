@@ -2,9 +2,10 @@
 shared columns get keys whose order is their `sort_key` order and which are
 equal exactly when the configurations are.  A key is a uint64 mixed-radix
 value when the kept columns' radices multiply to less than 2**64 and a void
-scalar compared as unsigned bytes otherwise; the corpus reaches both forms.
-The frames reach past one byte in every part of the key: symbol codes,
-states, heads and columns."""
+scalar compared as unsigned bytes otherwise; the corpus reaches both forms,
+also on one-symbol frames, whose keys hold no cell digits.  The frames reach
+past one byte in every part of the key: symbol codes, states, heads and
+columns."""
 import functools
 import itertools
 
@@ -25,6 +26,10 @@ FRAMES = {
     "300 symbols": (qt.simple_frame(2, 300), 4, st.integers(0, 1)),
     "300 states": (qt.simple_frame(300, 2), 4, st.one_of(st.integers(0, 2), st.integers(253, 299))),
     "over 256 columns": (qt.simple_frame(2, 3), 500, st.integers(0, 1)),
+    # one-symbol tapes: every cell is blank and the key is the state and heads
+    "Q3S1": (qt.simple_frame(3, 1), 4, st.integers(0, 2)),
+    "six one-symbol tapes": (qt.simple_frame(2, *[1] * 6), 2000, st.integers(0, 1)),
+    "S(2,1)": (qt.simple_frame(2, 2, 1), 4, st.integers(0, 1)),
 }
 
 
@@ -40,7 +45,7 @@ def configurations(draw, name: str) -> qt.Configuration:
     tapes = []
     for blank, size in zip(frame.blanks, frame.symbol_counts):
         symbols = st.integers(0, size - 1).filter(lambda s, blank=blank: s != blank)
-        cells = draw(st.dictionaries(positions, symbols, max_size=5))
+        cells = draw(st.dictionaries(positions, symbols, max_size=5 if size > 1 else 0))
         tapes.append(qt.Tape(blank, tuple(cells.items())))
     heads = tuple(draw(positions) for _ in frame.blanks)
     return qt.Configuration(draw(states), tuple(tapes), heads)
@@ -97,7 +102,7 @@ def test_a_few_cells_give_integer_keys(name):
     tapes = []
     for blank, size in zip(frame.blanks, frame.symbol_counts):
         symbols = [s for s in range(size) if s != blank]
-        tapes.append(qt.Tape(blank, ((-1, symbols[0]), (2, symbols[-1]))))
+        tapes.append(qt.Tape(blank, ((-1, symbols[0]), (2, symbols[-1])) if symbols else ()))
     configs = [qt.blank_configuration(frame),
                qt.Configuration(frame.state_count - 1, tuple(tapes), (3,) * len(tapes))]
     assert kernel(name).keys(kernel(name).pack(configs)).dtype == np.uint64
@@ -111,6 +116,19 @@ def test_the_comb_gives_void_keys():
     configs = [qt.blank_configuration(FRAMES[name][0]), comb(name)]
     assert kernel(name).keys(kernel(name).pack(configs)).dtype.kind == "V"
     assert_keys_follow_sort_key(name, configs)
+
+
+def test_six_tape_heads_give_both_key_forms():
+    """Six one-symbol tapes: the key is the state and six heads of radix W,
+    an integer while 2 * W**6 < 2**64 and a void scalar past it, here at 90
+    heads 40 cells apart (W = 1,530, so 2 * W**6 is about 1.4 * 2**64)."""
+    name = "six one-symbol tapes"
+    blank = tuple(qt.Tape(0) for _ in range(6))
+    configs = [qt.Configuration(j % 2, blank, tuple(40 * (6 * j + i) for i in range(6))) for j in range(15)]
+    for count, kind in ((2, "u"), (15, "V")):
+        terms = kernel(name).pack(configs[:count])
+        assert (len(terms.cols), kernel(name).keys(terms).dtype.kind) == (204 if count == 2 else 1530, kind)
+        assert_keys_follow_sort_key(name, configs[:count] + configs[:count:3])
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))

@@ -169,6 +169,45 @@ class TestFromRulesDuplicates:
             qt.TransitionTable.from_rules(frame, rules + [rules[0]])
 
 
+class TestModulusScan:
+    """The parser bounds every listed amplitude by 2**100 and hands its
+    array over without `__post_init__`'s scan; every other way of building
+    a table still scans."""
+
+    BIG = 2.0 ** 100 + 2.0 ** 60
+
+    @staticmethod
+    def document(amp):
+        table = qt.TransitionTable.from_rules(qt.simple_frame(1, 2), [(0, 0, 0, 1, 1, 0.5j), (0, 1, 0, 0, -1, 1.0)])
+        return qt.serialize_machine(table).replace('0.5\n', f"{amp!r}\n", 1)
+
+    def test_parsed_table_skips_the_scan(self, monkeypatch):
+        def refuse(table):
+            raise AssertionError("the parsed table was scanned")
+
+        at_bound, above = self.document(2.0 ** 100), self.document(self.BIG)
+        monkeypatch.setattr(qt.TransitionTable, "__post_init__", refuse)
+        table = qt.parse_machine(at_bound)
+        assert qt.amplitude(table, 0, 0, 0, 1, 1) == 2.0 ** 100 * 1j
+        assert qt.amplitude(table, 0, 1, 0, 0, -1) == 1.0
+        assert table.amplitudes.flags.owndata and not table.amplitudes.flags.writeable
+        assert table._kernel is None and len(table.nonzero_rules()) == 2
+        with pytest.raises(qt.MachineParseError, match=r"^range: rule 1: amp modulus must be at most 2\*\*100$"):
+            qt.parse_machine(above)
+
+    def test_every_other_route_scans(self):
+        frame = qt.simple_frame(1, 2)
+        amps = np.zeros(frame.table_shape, dtype=complex)
+        amps[0, 1, 0, 0, 0] = self.BIG
+        zeros = qt.TransitionTable.zeros(frame)
+        for build in (lambda: qt.TransitionTable(frame, amps), lambda: qt.TransitionTable(frame, amps[:]),
+                      lambda: qt.TransitionTable.from_rules(frame, [(0, 1, 0, 0, 0, self.BIG)]),
+                      lambda: zeros.with_entry(0, 1, 0, 0, 0, self.BIG),
+                      lambda: qt.perturb(zeros, (0, 1, 0, 0, 0), self.BIG)):
+            with pytest.raises(ValueError, match=r"^amplitudes must be finite with modulus at most 2\*\*100$"):
+                build()
+
+
 class TestOwnership:
     def test_callers_array_is_copied(self):
         frame = qt.simple_frame(1, 2)
