@@ -33,16 +33,16 @@ in its packed window without decoding.  `windows` and `oracle` build on
 this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
-stays packed: a `Superposition` holds its terms in `sort_key` order plus
-their first-reached order, and the next step takes them back without
-decoding or sorting.  Terms carry their head slack (`_Terms.slack`, the
-adjacent columns every head has on each side): packing and re-framing set
-it to their margin and each step lowers it by one, so a step scans the
-columns for a head at the edge only once the slack is spent.
-Configurations are decoded only when asked for: `items()` and
-`configurations()` in `sort_key` order, and the dict that `amplitude`,
-`in`, `==`, `inner`, `scaled`, `plus` and `distance` build once in
-first-reached order; `len`, `norm` and `repr` read the arrays.
+stays packed: a `Superposition` holds its amplitudes in `sort_key` order
+plus their first-reached order, and a stepped one also its packed terms,
+which the next step takes back without decoding or sorting.  Terms carry
+their head slack (`_Terms.slack`, the adjacent columns every head has on
+each side): packing and re-framing set it to their margin and each step
+lowers it by one, so a step scans the columns for a head at the edge only
+once the slack is spent.  `len`, `norm` and `repr` read the amplitudes;
+the configurations are decoded once, when first asked for, and `items()`,
+`configurations()` and the lookup dict of `amplitude`, `in`, `==`, `plus`
+and `distance` all read that one decoding.
 """
 from __future__ import annotations
 
@@ -74,15 +74,16 @@ MAX_STEP_SYMBOLS = 2 ** 26
 class Superposition:
     """Finite map Configuration -> complex amplitude, pruned and immutable.
 
-    A superposition holds one of two forms: its dict (built by the
-    constructor), or, as the output of `apply`, `apply_adjoint` and `run`,
-    the frame's `_Layout`, packed `_Terms` with amplitudes in `sort_key`
-    order and their first-reached order.  The packed form is decoded only
-    when configurations are asked for: `items()` decodes the terms in
-    `sort_key` order, and the methods that look terms up build the dict
-    (`_terms`) once, in first-reached order, and keep it."""
+    Every superposition holds its amplitudes as one complex128 array in
+    `sort_key` order and `reached`, the permutation that lists them in
+    first-reached order (insertion order for a constructed one).  Only the
+    source of its configurations differs: the constructor keeps the sorted
+    list it builds; the output of `apply`, `apply_adjoint` and `run` keeps
+    the frame's `_Layout` and packed `_Terms`, decoded once, on first
+    request.  The methods that look terms up build the dict (`_terms`) once,
+    in first-reached order, from those configurations."""
 
-    __slots__ = ("_dict", "_packed")
+    __slots__ = ("_amps", "_reached", "_configs", "_packed", "_dict")
 
     def __init__(self, terms: dict[Configuration, complex] | Iterable | None = None):
         acc: dict[Configuration, complex] = {}
@@ -94,8 +95,12 @@ class Superposition:
                     acc[config] += amp
                 else:
                     acc[config] = amp
-        self._dict = {c: a for c, a in acc.items() if abs(a) >= PRUNE_THRESHOLD}
-        self._packed = None
+        kept = [(c, a) for c, a in acc.items() if abs(a) >= PRUNE_THRESHOLD]
+        order = sorted(range(len(kept)), key=lambda j: kept[j][0].sort_key())
+        self._amps = np.array([kept[j][1] for j in order], dtype=np.complex128)
+        self._reached = np.argsort(order, kind="stable")
+        self._configs = [kept[j][0] for j in order]
+        self._packed = self._dict = None
 
     @classmethod
     def basis(cls, config: Configuration, amplitude: complex = 1.0) -> "Superposition":
@@ -106,32 +111,36 @@ class Superposition:
         """From distinct packed terms in `sort_key` order, their amplitudes
         already pruned, and `reached`, their first-reached order."""
         psi = object.__new__(cls)
-        psi._dict = None
-        psi._packed = (layout, terms, reached)
+        psi._amps, psi._reached, psi._packed = terms.amps, reached, (layout, terms)
+        psi._configs = psi._dict = None
         return psi
+
+    def _configurations(self) -> list[Configuration]:
+        """The configurations in `sort_key` order, decoded on first request."""
+        if self._configs is None:
+            layout, terms = self._packed
+            self._configs = layout.configurations(terms)
+        return self._configs
 
     @property
     def _terms(self) -> dict[Configuration, complex]:
         if self._dict is None:
-            layout, terms, reached = self._packed
-            terms = terms.take(reached)
-            self._dict = dict(zip(layout.configurations(terms), terms.amps.tolist()))
+            configs = self._configurations()
+            self._dict = dict(zip(map(configs.__getitem__, self._reached.tolist()),
+                                  self._amps[self._reached].tolist()))
         return self._dict
 
     def amplitude(self, config: Configuration) -> complex:
         return self._terms.get(config, 0j)
 
     def items(self) -> list[tuple[Configuration, complex]]:
-        if self._packed is None:
-            return sorted(self._dict.items(), key=lambda kv: kv[0].sort_key())
-        layout, terms, _ = self._packed
-        return list(zip(layout.configurations(terms), terms.amps.tolist()))
+        return list(zip(self._configurations(), self._amps.tolist()))
 
     def configurations(self) -> list[Configuration]:
-        return [c for c, _ in self.items()]
+        return list(self._configurations())
 
     def __len__(self) -> int:
-        return len(self._dict) if self._packed is None else len(self._packed[1].state)
+        return len(self._amps)
 
     def __contains__(self, config: Configuration) -> bool:
         return config in self._terms
@@ -143,28 +152,7 @@ class Superposition:
         return f"Superposition({len(self)} terms, norm={self.norm():.6g})"
 
     def norm(self) -> float:
-        if self._packed is not None:
-            _, terms, reached = self._packed
-            return _norm(terms.amps[reached])
-        return float(np.sqrt(sum((a * a.conjugate()).real for a in self._dict.values())))
-
-    def inner(self, other: "Superposition") -> complex:
-        """<self|other>, conjugating self's amplitudes."""
-        small, big, conj_small = (
-            (self._terms, other._terms, True)
-            if len(self._terms) <= len(other._terms)
-            else (other._terms, self._terms, False)
-        )
-        total = 0j
-        for config, amp in small.items():
-            hit = big.get(config)
-            if hit is None:
-                continue
-            total += amp.conjugate() * hit if conj_small else hit.conjugate() * amp
-        return total
-
-    def scaled(self, factor: complex) -> "Superposition":
-        return Superposition({c: a * factor for c, a in self._terms.items()})
+        return _norm(self._amps[self._reached])
 
     def plus(self, other: "Superposition") -> "Superposition":
         acc = dict(self._terms)
@@ -498,12 +486,11 @@ class _Kernel(_Layout):
         while its slack is at least 1.  At slack 0 its columns are scanned,
         and it is reframed with RUN_MARGIN only when some head lacks such a
         neighbour (it drifted to the edge of a run of adjacent columns).  Any
-        other psi is packed from `items()`, which checks it against the
-        frame."""
+        other psi is packed from its configurations and amplitude array,
+        which `pack` checks against the frame."""
         packed = psi._packed
         if packed is None or packed[0].frame != self.frame:
-            terms = psi.items()
-            return self.pack([c for c, _ in terms], [a for _, a in terms])
+            return self.pack(psi._configurations(), psi._amps)
         terms = packed[1]
         if terms.slack:
             return terms

@@ -8,6 +8,8 @@ next to both heads for rows), so pair enumeration is restricted to that
 pattern.  The package itself forms the Gram matrix over the whole window
 from the step operator instead, as its upper half (see `qturing.oracle`).
 
+`reference_inner` and `reference_scaled` are the inner product and scaling
+that `Superposition` carried as methods.
 `reference_apply` and `reference_adjoint` are the per-term dict loops that
 `apply` and `apply_adjoint` replaced, and `reference_step_operator` is the
 per-configuration expansion loop (`_Rules` and `_expand`) that the packed
@@ -126,6 +128,17 @@ def _sparse_inner(a: dict, b: dict) -> complex:
         if hit is not None:
             total += amp.conjugate() * hit
     return total
+
+
+def reference_inner(psi: Superposition, phi: Superposition) -> complex:
+    """<psi|phi>, conjugating psi's amplitudes, over both terms' dicts in
+    first-reached order."""
+    return _sparse_inner(psi._terms, phi._terms)
+
+
+def reference_scaled(psi: Superposition, factor: complex) -> Superposition:
+    """factor * psi, pruned, in psi's first-reached order."""
+    return Superposition({c: a * factor for c, a in psi._terms.items()})
 
 
 def gram_columns(

@@ -2,15 +2,19 @@
 method gives the same result on both, chains of `apply`, `apply_adjoint` and
 `run` equal the per-term dict loops bit for bit (reframes and empty states
 included), a packed state on another frame is checked as a dict state is,
-and a chain decodes no configuration until one is asked for."""
+a chain decodes no configuration until one is asked for and then decodes
+once, and a constructed superposition's norm keeps the bits of the dict sum
+in insertion order."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qturing as qt
 from qturing.cli import bundled_machine_path
-from qturing.evolution import RUN_MARGIN, _Kernel, _Layout
+from qturing.evolution import PRUNE_THRESHOLD, RUN_MARGIN, _Kernel, _Layout
 
-from reference_oracle import reference_adjoint, reference_apply
+from reference_oracle import reference_adjoint, reference_apply, reference_inner, reference_scaled
 
 
 def _bits(psi):
@@ -24,9 +28,9 @@ def _hex(z):
 
 
 def _fresh(psi):
-    """A packed copy of a packed superposition, its dict not yet built."""
+    """A packed copy of a packed superposition, not yet decoded."""
     assert psi._packed is not None
-    return qt.Superposition._from_packed(*psi._packed)
+    return qt.Superposition._from_packed(*psi._packed, psi._reached)
 
 
 def _machine(name):
@@ -115,14 +119,64 @@ def test_every_method_matches_a_dict_built_copy(name):
     assert _fresh(psi) == ref and ref == _fresh(psi) and _fresh(psi) == _fresh(psi)
     assert _fresh(psi) != other
     for a in (other, ref):
-        assert _hex(_fresh(psi).inner(a)) == _hex(ref.inner(a))
-        assert _hex(a.inner(_fresh(psi))) == _hex(a.inner(ref))
+        assert _hex(reference_inner(_fresh(psi), a)) == _hex(reference_inner(ref, a))
+        assert _hex(reference_inner(a, _fresh(psi))) == _hex(reference_inner(a, ref))
         assert _bits(_fresh(psi).plus(a)) == _bits(ref.plus(a))
         assert _bits(a.plus(_fresh(psi))) == _bits(a.plus(ref))
         assert _fresh(psi).distance(a).hex() == ref.distance(a).hex()
         assert a.distance(_fresh(psi)).hex() == a.distance(ref).hex()
-    assert _bits(_fresh(psi).scaled(0.5 - 0.25j)) == _bits(ref.scaled(0.5 - 0.25j))
+    assert _bits(reference_scaled(_fresh(psi), 0.5 - 0.25j)) == _bits(reference_scaled(ref, 0.5 - 0.25j))
     assert _fresh(psi).distance(_fresh(psi)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the bits of a constructed superposition's norm
+# ---------------------------------------------------------------------------
+
+# distinct configurations listed out of `sort_key` order, so that insertion
+# order and `sort_key` order differ
+_POOL_FRAME = qt.simple_frame(2, 2)
+_POOL = [qt.Configuration(q, (qt.Tape(0, cells),), (head,)) for q, head, cells in (
+    (1, 3, ()), (0, -1, ((0, 1),)), (1, -2, ((-2, 1), (4, 1))), (0, 0, ()), (0, 5, ((5, 1),)), (1, 0, ((1, 1),)))]
+_POOL_TABLE = qt.pair_unitary_machine(_POOL_FRAME, np.eye(4), [1, 1])
+
+# parts with magnitudes from 1e-8 to 1e8, exact quarters and signed zeros
+_PART = st.one_of(
+    st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-8, 8), st.sampled_from([1.0, -1.0])),
+    st.integers(-40, 40).map(lambda k: k / 4),
+    st.sampled_from([0.0, -0.0]),
+)
+# whole amplitudes below PRUNE_THRESHOLD, so the term is dropped
+_TINY = st.builds(complex, st.floats(-6e-16, 6e-16), st.floats(-6e-16, 6e-16))
+
+
+@st.composite
+def _pool_terms(draw):
+    """(pool index, amplitude) pairs with repeated configurations, some of
+    them cancelling exactly, and amplitudes pruned away."""
+    terms = draw(st.lists(st.tuples(st.integers(0, len(_POOL) - 1),
+                                    st.one_of(st.builds(complex, _PART, _PART), _TINY)), max_size=14))
+    cancel = draw(st.lists(st.integers(0, max(len(terms) - 1, 0)), max_size=3)) if terms else []
+    return terms + [(terms[j][0], -terms[j][1]) for j in cancel]
+
+
+def _dict_norm(terms):
+    """The norm as a dict accumulated in insertion order sums it."""
+    acc = {}
+    for i, amp in terms:
+        acc[_POOL[i]] = acc[_POOL[i]] + amp if _POOL[i] in acc else amp
+    return float(np.sqrt(sum((a * a.conjugate()).real for a in acc.values() if abs(a) >= PRUNE_THRESHOLD)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(terms=_pool_terms())
+@example(terms=[(2, complex(1e8, -1e-8)), (0, complex(-0.0, 0.25)), (2, complex(-1e8, 0.0)), (4, 1e-16j)])
+@example(terms=[(5, complex(0.1, 0.2)), (5, complex(-0.1, -0.2)), (1, complex(-0.0, -0.0))])
+def test_a_constructed_norm_keeps_its_dict_bits(terms):
+    psi = qt.Superposition([(_POOL[i], amp) for i, amp in terms])
+    expected = _dict_norm(terms).hex()
+    assert psi.norm().hex() == expected
+    assert qt.run(_POOL_TABLE, psi, 0).norms[0].hex() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +320,10 @@ def test_an_adjoint_chain_decodes_nothing_until_items(calls, counterexample):
     assert calls["decode"] == 0
     assert psi.items() == ref.items()
     assert calls["decode"] == 1
-    assert _bits(psi) == _bits(ref)  # builds the dict: one more decode
-    assert psi == ref and calls["decode"] == 2
+    assert psi.configurations() == ref.configurations()
+    assert _bits(psi) == _bits(ref)  # builds the dict from the same decoding
+    assert all(psi.amplitude(c) == a and c in psi for c, a in ref.items())
+    assert psi == ref and calls["decode"] == 1
 
 
 # ---------------------------------------------------------------------------
