@@ -447,10 +447,12 @@ class _Kernel(_Layout):
                         vals, entries.slack)
         return images, first.argsort(kind="stable"), dropped
 
-    def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms]:
+    def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms, np.ndarray]:
         """The packed core of `step_operator`: (rows, cols, vals) on the
-        basis states `terms`, and the packed images that `rows` indexes,
-        numbered by first column, then `sort_key`."""
+        basis states `terms`, the packed entries, and the entry that holds
+        each image `rows` indexes (images numbered by first column, then
+        `sort_key`).  `step_operator` takes the image terms from these; the
+        Gram check needs none."""
         parent, entries, vals = self.kept(terms, adjoint)
         order, starts, ids = _runs(self.keys(entries))
         first = order[starts]
@@ -461,7 +463,7 @@ class _Kernel(_Layout):
         by_column = parent[first].argsort(kind="stable")
         rank = np.empty(len(first), dtype=np.intp)
         rank[by_column] = np.arange(len(first), dtype=np.intp)
-        return rank[ids], parent, vals, entries.take(first[by_column])
+        return rank[ids], parent, vals, entries, first[by_column]
 
     def reframe(self, terms: _Terms, margin: int) -> _Terms:
         """The same terms on the columns that are non-blank in some term or
@@ -518,8 +520,8 @@ def step_operator(
     Tape.
     """
     kernel = _Kernel.of(table)
-    rows, cols, vals, images = kernel.operator(kernel.pack(list(configs)), adjoint)
-    return rows, cols, vals, tuple(kernel.configurations(images))
+    rows, cols, vals, entries, images = kernel.operator(kernel.pack(list(configs)), adjoint)
+    return rows, cols, vals, tuple(kernel.configurations(entries.take(images)))
 
 
 def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> tuple[Superposition, float]:

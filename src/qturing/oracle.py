@@ -7,8 +7,14 @@ oracle bug would have to coincide to hide a wrong verdict.  Two columns of A
 overlap only where they share an image configuration, so the product is a
 self-join of A's entries on image id; every other Gram entry is a structural
 zero.  Only the upper half is formed, since the lower half is its exact
-conjugate.  The window and its images stay packed arrays
-(`windows.PackedWindow`); only the witness configurations are decoded.
+conjugate.  The self-join runs in blocks of whole left columns of at most
+`_GRAM_BLOCK_PAIRS` image pairs, and each block's residuals are folded
+into one running result, so memory follows the operator's entries and not
+the pair count (which grows with the square of an image's entries).  Each
+Gram entry still adds its terms in image order and the blocks come in key
+order, so the residuals and the witness keep their bits at any budget.  The
+window and its images stay packed arrays (`windows.PackedWindow`); only the
+witness configurations are decoded.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -26,6 +32,10 @@ from .frame import MOVES, Configuration, TuringFrame
 from .ktape import check_column
 from .table import TransitionTable, _sealed, amplitude
 from .windows import PackedWindow
+
+# The most image pairs one block of the Gram self-join forms: a block's
+# arrays peak at about 90 bytes a pair (tracemalloc), so about 1.5 MiB.
+_GRAM_BLOCK_PAIRS = 2 ** 14
 
 __all__ = [
     "GramCheck",
@@ -78,22 +88,62 @@ def _gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     """The upper half of A^H A for the COO matrix A with n columns, whose
     entries come column by column and reach each row at most once per
     column: sorted keys i*n + j with i <= j and the entry sums
-    G[i, j] = sum_k conj(A[k, i]) A[k, j].
+    G[i, j] = sum_k conj(A[k, i]) A[k, j].  These are the blocks of
+    `_gram_blocks` joined; the Gram check folds the blocks one by one
+    instead (`_gram_residuals`).
 
     Entries are stable-sorted by row (an image), so each image lists its
     columns in increasing order, and every entry is paired with itself and
-    the entries after it in its image.  The pairs run by image id, then
-    column, and each G[i, j] adds its terms in image-id order.  Each product
-    is done in real arithmetic with one rounding, so the lower half is the
-    conjugate of the upper half bit for bit: G[j, i] = conj(G[i, j]).
+    the entries after it in its image: the left entry at sorted position p
+    has `image end - p` pairs, so every pair count is known before a pair
+    is formed.  G[i, j] sums the pairs whose left entry is in column i, so
+    the self-join splits into blocks of whole left columns.  Up to
+    `_GRAM_BLOCK_PAIRS` pairs in all, one block takes the left entries in
+    image order.  Beyond it, the left entries are taken in stable column
+    order (which keeps image order within a column) and cut at column
+    boundaries into blocks of at most `_GRAM_BLOCK_PAIRS` pairs, a larger
+    column making a block of its own; so memory is bounded by the budget,
+    not by the pair count.  Either way each G[i, j] adds its terms in
+    image order, and the blocks come in increasing i, so their keys follow
+    one another in key order: the sums, and the residuals folded from them,
+    keep their bits whatever the budget.  Each product is done in real
+    arithmetic with one rounding, so the lower half is the conjugate of the
+    upper half bit for bit: G[j, i] = conj(G[i, j]).
     """
+    keys, sums = zip(*_gram_blocks(rows, cols, vals, n))
+    return np.concatenate(keys), np.concatenate(sums)
+
+
+def _gram_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """The (keys, sums) of `_gram_product` block by block, in key order."""
     order, starts, _ = _runs(rows)
     cols, vals = cols[order], vals[order]
     sizes = np.diff(starts, append=rows.size)
     count = np.repeat(starts + sizes, sizes) - np.arange(rows.size)  # pairs per left entry
-    left = np.repeat(np.arange(rows.size), count)
+    if count.sum() <= _GRAM_BLOCK_PAIRS:
+        yield _gram_pairs(cols, vals, np.arange(rows.size), count, n)
+        return
+    by_column = cols.argsort(kind="stable")
+    last = np.flatnonzero(np.diff(cols[by_column], append=n))  # each column's last left entry
+    through = np.cumsum(count[by_column])[last]  # pairs up to the end of each column
+    column = 0
+    while column < len(last):
+        start = last[column - 1] + 1 if column else 0
+        # the most whole columns within the budget, and at least one
+        budget = (through[column - 1] if column else 0) + _GRAM_BLOCK_PAIRS
+        column = max(int(np.searchsorted(through, budget, "right")), column + 1)
+        left = by_column[start:last[column - 1] + 1]
+        yield _gram_pairs(cols, vals, left, count[left], n)
+
+
+def _gram_pairs(cols: np.ndarray, vals: np.ndarray, left: np.ndarray, count: np.ndarray, n: int):
+    """The sorted keys and the sums of the pairs of the left entries `left`
+    (positions in image order, each paired with itself and the `count - 1`
+    entries after it), each key's terms added in the order of `left`."""
     first = np.cumsum(count) - count  # each left entry's first pair, which pairs it with itself
-    right = np.arange(left.size) - np.repeat(first - np.arange(rows.size), count)
+    shift = np.repeat(first - left, count)
+    left = np.repeat(left, count)
+    right = np.arange(left.size) - shift
     keys = cols[left] * n + cols[right]
     order, starts, inverse = _runs(keys)
     keys = keys[order[starts]]
@@ -110,25 +160,29 @@ def _gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     return keys, sums
 
 
-def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int):
+def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int, into=None):
     """From the upper half of G, as `_gram_product` gives it: the diagonal
     residuals |G[i, i] - 1|, the largest off-diagonal modulus, the first
     (i, j) in key order that attains it (None without off-diagonal keys) and
-    the number of off-diagonal pairs.
+    the number of off-diagonal pairs.  `into`, the result of this function
+    on the blocks before `keys` in key order, is updated in place with this
+    block (a block's keys must not occur in another).
 
     Each off-diagonal key stands for two pairs of equal modulus, G[i, j] and
     G[j, i] = conj(G[i, j]); the first tie in key order is the first of the
     whole matrix too, because the mirror (j, i) of a tie comes after it."""
+    diagonal, largest, tie, pairs = (np.ones(n), 0.0, None, 0) if into is None else into
     i, j = np.divmod(keys, n)
     on_diag = i == j
-    diagonal = np.zeros(n, dtype=np.complex128)
-    diagonal[i[on_diag]] = sums[on_diag]
+    diagonal[i[on_diag]] = np.abs(sums[on_diag] - 1.0)  # a missing G[i, i] is 0: residual 1
     off_i, off_j, off_abs = i[~on_diag], j[~on_diag], np.abs(sums[~on_diag])
-    if not off_abs.size:
-        return np.abs(diagonal - 1.0), 0.0, None, 0
-    off = off_abs.max()
-    first = np.flatnonzero(off_abs == off)[0]
-    return np.abs(diagonal - 1.0), float(off), (int(off_i[first]), int(off_j[first])), 2 * off_abs.size
+    if off_abs.size:
+        top = off_abs.max()
+        if tie is None or top > largest:  # a tie in a later block comes later in key order
+            first = np.flatnonzero(off_abs == top)[0]
+            largest, tie = float(top), (int(off_i[first]), int(off_j[first]))
+        pairs += 2 * off_abs.size
+    return diagonal, largest, tie, pairs
 
 
 def _gram_check(table, radius, tolerance, side) -> GramCheck:
@@ -139,8 +193,11 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     kernel = _Kernel.of(table)
     window = PackedWindow(kernel, radius)
     n = window.size
-    rows, cols, vals, _ = kernel.operator(window.terms, adjoint=side == "rows")
-    diag_resid, off, tie, pairs = _gram_residuals(*_gram_product(rows, cols, vals, n), n)
+    rows, cols, vals = kernel.operator(window.terms, adjoint=side == "rows")[:3]
+    residuals = None
+    for keys, sums in _gram_blocks(rows, cols, vals, n):
+        residuals = _gram_residuals(keys, sums, n, residuals)
+    diag_resid, off, tie, pairs = residuals
     diag = float(diag_resid.max())
 
     # only the witnesses are decoded into configurations
