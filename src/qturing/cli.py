@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .conditions import DEFAULT_TOLERANCE, ValidationReport
 from .evolution import MAX_POSITION, Superposition, run as run_evolution
-from .frame import Configuration, Tape, TuringFrame
+from .frame import Configuration, Tape, TuringFrame, _is_integer
 from .ktape import (
     MAX_TAPES,
     check_auto,
@@ -202,12 +202,8 @@ def _parse_basis_spec(frame: TuringFrame, text: str) -> Configuration:
     return Configuration(state, tapes, heads)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_position(value) -> bool:
-    return _is_int(value) and -MAX_POSITION <= value <= MAX_POSITION
+    return _is_integer(value) and -MAX_POSITION <= value <= MAX_POSITION
 
 
 def _is_finite(value) -> bool:

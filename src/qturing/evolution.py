@@ -55,7 +55,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE, ValidationReport
-from .frame import Configuration, TuringFrame, _config_unchecked, _GcPaused, _tape_unchecked
+from .frame import Configuration, TuringFrame, _config_unchecked, _GcPaused, _is_integer, _tape_unchecked
 from .ktape import check_auto
 from .table import TransitionTable
 
@@ -577,7 +577,8 @@ def run(
 ) -> RunResult:
     """Apply the evolution operator `steps` times, logging per step the
     norm, the squared amplitude the prune dropped, the term count and the
-    column count.
+    column count.  `steps` must be a nonnegative Python or numpy integer
+    (ValueError otherwise, a float or a bool included).
 
     The table is validated first unless `unchecked`.  The `check_auto`
     report is kept on the table's kernel per tolerance, so a table is
@@ -593,8 +594,8 @@ def run(
     stops with ValueError at the first step whose norm or pruned mass is not
     finite, without numpy's overflow warnings.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    if not (_is_integer(steps) and steps >= 0):
+        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     if not unchecked:
         verdicts = _Kernel.of(table).verdicts
         report = verdicts.get(tolerance)

@@ -16,6 +16,19 @@ from typing import Iterator, Sequence
 MOVES = (-1, 0, 1)
 
 
+def _is_integer(value) -> bool:
+    """Whether `value` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int; ValueError unless `_is_integer(value)`, so a
+    float is refused rather than truncated."""
+    if not _is_integer(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_vector(value, k: int, what: str) -> tuple[int, ...]:
     """Normalize an integer scalar (k=1 convenience) or a sequence of integers
     to a length-k tuple; ValueError for any non-integer component."""
@@ -146,18 +159,22 @@ class Tape:
     """Finite-support tape: blank everywhere except the stored cells.
 
     Canonical form: `cells` is sorted by cell index and never stores the
-    blank, so two tapes are equal iff their supports are equal.
+    blank, so two tapes are equal iff their supports are equal.  The blank,
+    cells and symbols must be Python or numpy integers (ValueError
+    otherwise, a float or a bool included).
     """
 
     blank: int
     cells: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        cells = tuple(sorted((int(m), int(s)) for m, s in self.cells))
-        if any(s == self.blank for _, s in cells):
+        blank = _integer(self.blank, "tape blank")
+        cells = tuple(sorted((_integer(m, "tape cell"), _integer(s, "tape symbol")) for m, s in self.cells))
+        if any(s == blank for _, s in cells):
             raise ValueError("canonical tape never stores the blank")
         if len({m for m, _ in cells}) != len(cells):
             raise ValueError("duplicate cell in tape support")
+        object.__setattr__(self, "blank", blank)
         object.__setattr__(self, "cells", cells)
 
     def read(self, cell: int) -> int:
@@ -169,7 +186,8 @@ class Tape:
         return self.blank
 
     def write(self, cell: int, symbol: int) -> "Tape":
-        # Linear merge keeps the support sorted, so validation can be skipped.
+        # Linear merge keeps the support canonical, so its checks can be skipped.
+        cell, symbol = _integer(cell, "tape cell"), _integer(symbol, "tape symbol")
         out = []
         placed = symbol == self.blank
         for m, s in self.cells:
@@ -197,15 +215,18 @@ def _tape_unchecked(blank: int, cells: tuple[tuple[int, int], ...]) -> Tape:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Processor state, one finite-support tape per track, one head per track."""
+    """Processor state, one finite-support tape per track, one head per
+    track.  The state and heads must be Python or numpy integers (ValueError
+    otherwise, a float or a bool included)."""
 
     state: int
     tapes: tuple[Tape, ...]
     heads: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "state", _integer(self.state, "configuration state"))
         object.__setattr__(self, "tapes", tuple(self.tapes))
-        object.__setattr__(self, "heads", tuple(int(h) for h in self.heads))
+        object.__setattr__(self, "heads", tuple(_integer(h, "head") for h in self.heads))
         if len(self.tapes) != len(self.heads):
             raise ValueError("tape count and head count must agree")
         if not self.tapes:

@@ -204,12 +204,12 @@ def _sigma_names(frame: TuringFrame) -> tuple[str, ...]:
     return tuple("(" + ",".join(names) + ")" for names in itertools.product(*frame.alphabets))
 
 
-def _read_witness(frame: TuringFrame, q: int, sflat: int, writes=(), primed: bool = False,
-                  sigmas: tuple[str, ...] | None = None):
+def _read_witness(frame: TuringFrame, q: int, sflat: int, writes=(), primed: bool = False, *,
+                  sigmas: tuple[str, ...]):
     """Witness half: read (q, sigma), then `tau_i` for each (tape i, symbol) in
-    `writes`.  `sigmas` are the frame's `_sigma_names`, built here if not given."""
+    `writes`.  `sigmas` are the frame's `_sigma_names`."""
     mark = "'" if primed else ""
-    sigma = (sigmas or _sigma_names(frame))[sflat]
+    sigma = sigmas[sflat]
     taus = tuple((f"tau_{i + 1}{mark}", frame.alphabets[i][t]) for i, t in writes)
     return (("q" + mark, frame.states[q]), ("sigma" + mark, sigma)) + taus
 

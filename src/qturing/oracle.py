@@ -84,13 +84,13 @@ class GramCheck:
         return "pass" if self.passed else "fail"
 
 
-def _gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+def _gram_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     """The upper half of A^H A for the COO matrix A with n columns, whose
     entries come column by column and reach each row at most once per
-    column: sorted keys i*n + j with i <= j and the entry sums
-    G[i, j] = sum_k conj(A[k, i]) A[k, j].  These are the blocks of
-    `_gram_blocks` joined; the Gram check folds the blocks one by one
-    instead (`_gram_residuals`).
+    column, block by block: each block's sorted keys i*n + j with i <= j
+    and its entry sums G[i, j] = sum_k conj(A[k, i]) A[k, j], the blocks in
+    key order.  The Gram check folds the blocks one by one
+    (`_gram_residuals`).
 
     Entries are stable-sorted by row (an image), so each image lists its
     columns in increasing order, and every entry is paired with itself and
@@ -110,12 +110,6 @@ def _gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     arithmetic with one rounding, so the lower half is the conjugate of the
     upper half bit for bit: G[j, i] = conj(G[i, j]).
     """
-    keys, sums = zip(*_gram_blocks(rows, cols, vals, n))
-    return np.concatenate(keys), np.concatenate(sums)
-
-
-def _gram_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
-    """The (keys, sums) of `_gram_product` block by block, in key order."""
     order, starts, _ = _runs(rows)
     cols, vals = cols[order], vals[order]
     sizes = np.diff(starts, append=rows.size)
@@ -161,7 +155,7 @@ def _gram_pairs(cols: np.ndarray, vals: np.ndarray, left: np.ndarray, count: np.
 
 
 def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int, into=None):
-    """From the upper half of G, as `_gram_product` gives it: the diagonal
+    """From the upper half of G, as `_gram_blocks` gives it: the diagonal
     residuals |G[i, i] - 1|, the largest off-diagonal modulus, the first
     (i, j) in key order that attains it (None without off-diagonal keys) and
     the number of off-diagonal pairs.  `into`, the result of this function

@@ -22,13 +22,12 @@ window position by one lookup, so images are located without decoding
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .evolution import MAX_STEP_SYMBOLS, _Kernel, _Layout, _Terms, _runs
-from .frame import Configuration, TuringFrame
+from .frame import Configuration, TuringFrame, _is_integer
 from .table import TransitionTable
 
 # The largest window built: Q2S2 at r=4 has 9,216 configurations.  A
@@ -41,7 +40,7 @@ MAX_WINDOW_CONFIGS = 2 ** 20
 def _positive(value) -> bool:
     """Whether `value` is a positive Python or numpy integer, a bool not
     counting as one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    return _is_integer(value) and value >= 1
 
 
 def window_size(frame: TuringFrame, radius: int) -> int:
@@ -169,26 +168,12 @@ def _compressed(kernel: _Kernel, window: PackedWindow) -> tuple[np.ndarray, np.n
     return inside[keep], cols[keep], vals[keep]
 
 
-# A half-step costs about TAIL_CELLS slot cells per tail entry, and the one
-# `np.add.at` call of a tail about ADD_AT_CELLS cells on its own (numpy 2.4.6
-# on a 2-vCPU Xeon: 4-12 ns a cell, 6-14 ns a tail entry, 0.9 us a call).
-TAIL_CELLS = 2
-ADD_AT_CELLS = 512
-
-
 def _slots(at: np.ndarray, index: np.ndarray, vals: np.ndarray, n: int, swap: bool) -> _Slots:
-    """The entries (at, index, vals) in slots of the width that costs least,
-    counting each slot cell, TAIL_CELLS per entry past the last slot and
-    ADD_AT_CELLS for a tail at all; the widest of equal costs, and at most
-    2 * entries // n, so the slot matrices hold at most twice the entries."""
+    """The entries (at, index, vals) in slots of the widest position's width,
+    but at most 2 * entries // n, so the slot matrices hold at most twice
+    the entries; the entries past the last slot make the tail."""
     counts = np.bincount(at, minlength=n)
-    cap = min(int(counts.max(initial=0)), 2 * len(at) // n)
-    # tail[w], the entries past w slots: each slot takes one entry from
-    # every position that has more
-    over = n - np.bincount(counts, minlength=cap + 1)[:cap].cumsum()
-    tail = len(at) - np.concatenate(([0], over.cumsum()))
-    cost = np.arange(cap + 1) * n + TAIL_CELLS * tail + ADD_AT_CELLS * (tail > 0)
-    width = cap - int(np.argmin(cost[::-1]))
+    width = min(int(counts.max(initial=0)), 2 * len(at) // n)
     order = np.argsort(at, kind="stable")  # grouped by window position, in entry order
     # each entry of `order` at flat slot (rank in its group) * n + position
     slot = np.arange(len(at)) - np.repeat(counts.cumsum() - counts, counts)
@@ -251,11 +236,10 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     (width, n): slot j of window position i holds i's j-th entry, padded
     with 0, so an iteration is one gather, one complex multiply in place
     and one sum along axis 0, which adds slot after slot.  The width is
-    the one of least cost (slot cells against a weighted tail, `_slots`),
-    capped so the slots hold at most twice the entries; the entries past
-    it are added after the slots by one `np.add.at`, in entry order, so
-    the estimate's bits do not depend on the width.  The
-    products keep the operand order of `vals * v[cols]` and
+    the widest position's, capped so the slots hold at most twice the
+    entries; the entries past it are added after the slots by one
+    `np.add.at`, in entry order, so the estimate's bits do not depend on
+    the width.  The products keep the operand order of `vals * v[cols]` and
     `np.multiply(conj(vals), w[rows])`, which numpy's temporary elision
     swaps from `ELIDED_ENTRIES` entries on in the first.  v is normalized
     by a real multiply with 1/||v||.  The products are numpy complex

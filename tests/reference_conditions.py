@@ -32,13 +32,19 @@ from qturing.conditions import DEFAULT_TOLERANCE, ConditionId, ConditionResidual
 from qturing.frame import MOVES
 from qturing.ktape import (
     _first_max,
-    _read_witness,
+    _read_witness as _ktape_read_witness,
     _require_tapes,
+    _sigma_names,
     generate_ktape_conditions,
 )
 from qturing.table import TransitionTable
 
 NEAR_MAX = 1e-12
+
+
+def _read_witness(frame, q: int, sflat: int, primed: bool = False):
+    """`ktape._read_witness` with no writes, the sigma names built per call."""
+    return _ktape_read_witness(frame, q, sflat, primed=primed, sigmas=_sigma_names(frame))
 
 
 def _move_pairs(delta: int) -> list[tuple[int, int]]:

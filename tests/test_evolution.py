@@ -248,6 +248,16 @@ class TestRun:
         with pytest.raises(ValueError):
             qt.run(identity_machine, qt.Superposition.basis(blank(identity_machine)), -1)
 
+    @pytest.mark.parametrize("steps", [True, False, 2.0, 1.5, np.float64(1.0), "2", None], ids=repr)
+    def test_step_count_must_be_a_nonnegative_integer(self, identity_machine, steps):
+        psi = qt.Superposition.basis(blank(identity_machine))
+        with pytest.raises(ValueError, match="^steps must be a nonnegative integer, got "):
+            qt.run(identity_machine, psi, steps)
+
+    def test_numpy_step_count_is_accepted(self, counterexample):
+        psi = qt.Superposition.basis(blank(counterexample))
+        assert qt.run(counterexample, psi, np.int64(2)) == qt.run(counterexample, psi, 2)
+
     def test_stops_at_the_first_non_finite_norm(self, counterexample):
         """Amplitudes inside the 2**100 bound still overflow over a chain:
         norm[6] would be inf.  The run stops there, without numpy warnings."""

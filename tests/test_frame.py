@@ -29,10 +29,26 @@ def make_frame(states=2, symbols=2):
     (lambda: qt.Tape(0, ((3, 1), (3, 2))), "duplicate cell in tape support"),
     (lambda: qt.Configuration(0, (qt.Tape(0),), (0, 1)), "tape count and head count must agree"),
     (lambda: qt.Configuration(0, (), ()), "a configuration needs at least one tape"),
+    # a float is refused, not truncated; a bool or a string is not an integer
+    (lambda: qt.Tape(0, ((1.9, 1),)), "tape cell must be an integer, got 1.9"),
+    (lambda: qt.Tape(0, ((1, True),)), "tape symbol must be an integer, got True"),
+    (lambda: qt.Tape(np.float64(0.0)), "tape blank must be an integer, got np.float64(0.0)"),
+    (lambda: qt.Tape(0).write(1.5, 1), "tape cell must be an integer, got 1.5"),
+    (lambda: qt.Tape(0).write(1, "1"), "tape symbol must be an integer, got '1'"),
+    (lambda: qt.Configuration(2.0, (qt.Tape(0),), (0,)), "configuration state must be an integer, got 2.0"),
+    (lambda: qt.Configuration(0, (qt.Tape(0),), (2.7,)), "head must be an integer, got 2.7"),
+    (lambda: qt.Configuration(0, (qt.Tape(0),), (np.bool_(False),)), "head must be an integer, got np.False_"),
 ])
 def test_constructor_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_numpy_integers_are_accepted_as_ints():
+    tape = qt.Tape(np.int8(0), ((np.int64(-2), np.uint8(1)),)).write(np.int32(3), np.int16(2))
+    config = qt.Configuration(np.int64(1), (tape,), (np.uint16(4),))
+    assert config == qt.Configuration(1, (qt.Tape(0, ((-2, 1), (3, 2))),), (4,))
+    assert [type(v) for v in (tape.blank, *itertools.chain(*tape.cells), config.state, *config.heads)] == [int] * 7
 
 
 class TestTape:

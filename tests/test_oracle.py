@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qturing as qt
-from qturing.oracle import _gram_product, _gram_residuals
+from qturing.oracle import _gram_blocks, _gram_residuals
 
 from conftest import random_configuration, random_table
 from reference_frame import ConfigurationWindow, locally_like
@@ -145,7 +145,7 @@ def test_upper_half_gram_product_mirrors_the_whole(n, sizes, seed, exact):
     bits; it counts every off-diagonal pair twice, and its first tie for the
     largest off-diagonal modulus is the whole product's."""
     rows, cols, vals = _random_coo(n, sizes, seed, exact)
-    keys, sums = _gram_product(rows, cols, vals, n)
+    keys, sums = map(np.concatenate, zip(*_gram_blocks(rows, cols, vals, n)))
     whole_keys, whole_sums = reference_gram_product(rows, cols, vals, n)
     i, j = np.divmod(keys, n)
     assert np.all(i <= j)
@@ -163,6 +163,21 @@ def test_upper_half_gram_product_mirrors_the_whole(n, sizes, seed, exact):
     assert tie == ref_tie
     assert pairs == ref_pairs == 2 * int(off.sum())
     assert pairs % 2 == 0
+
+
+@pytest.mark.parametrize("name", ["corpus", "two_tape_corpus", "three_tape_corpus", "many_tape_corpus"])
+def test_gram_residuals_equal_the_condition_residuals(request, name):
+    """On the r=1 window, which realizes every head displacement, the Gram
+    entries are the condition sums: the largest column Gram residual is
+    `check_auto`'s, and on one tape the largest row Gram residual is
+    `check_row`'s, to rounding."""
+    for entry in request.getfixturevalue(name):
+        pairs = [(qt.column_gram_check(entry.table, 1), qt.check_auto(entry.table))]
+        if entry.table.frame.tape_count == 1:
+            pairs.append((qt.row_gram_check(entry.table, 1), qt.check_row(entry.table)))
+        for gram, report in pairs:
+            assert abs(gram.residual - report.max_residual) <= 1e-12 * max(1.0, gram.residual), \
+                (entry.label, gram.side, gram.residual, report.max_residual)
 
 
 class TestGramRows:

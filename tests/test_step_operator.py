@@ -6,7 +6,7 @@ import pytest
 
 import qturing as qt
 from qturing.cli import bundled_machine_path, main
-from qturing.oracle import _gram_product
+from qturing.oracle import _gram_blocks
 
 from conftest import random_table
 from reference_frame import alpha, beta, matrix_element
@@ -116,7 +116,8 @@ def test_gram_product_matches_dense(case, adjoint):
     table, window, (_, forward), (_, backward) = case
     a = backward if adjoint else forward
     n = len(window)
-    keys, sums = _gram_product(*qt.step_operator(table, window, adjoint=adjoint)[:3], n)
+    blocks = _gram_blocks(*qt.step_operator(table, window, adjoint=adjoint)[:3], n)
+    keys, sums = map(np.concatenate, zip(*blocks))
     assert np.all(np.diff(keys) > 0)
     # the upper half, mirrored, is the whole product
     i, j = np.divmod(keys, n)

@@ -1,7 +1,8 @@
-"""The package's import structure, read from its source with `ast`: the
-relative imports at module level form an acyclic graph, and no function or
-method imports anything, so every dependency between modules shows at the
-top of a module and importing one module never runs another's body twice."""
+"""The package's structure, read from its source with `ast`: the relative
+imports at module level form an acyclic graph, and no function or method
+imports anything, so every dependency between modules shows at the top of a
+module and importing one module never runs another's body twice; and every
+module-level function is used by the package or exported by it."""
 import ast
 import graphlib
 from pathlib import Path
@@ -49,3 +50,34 @@ def test_no_function_body_imports(name):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not nested, nested
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """The names, attribute names and imported names under `node`."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            names.update(alias.name for alias in child.names)
+    return names
+
+
+def test_every_module_level_function_is_used_in_the_package():
+    """A module-level function must be referenced by name somewhere in the
+    package outside its own body, an import counting (so a name that
+    `__init__.py` exports is used), so no code that only the tests call
+    lives in the package."""
+    used = set()
+    for tree in MODULES.values():
+        for node in tree.body:
+            names = _names_used(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.discard(node.name)  # a recursive call is no use from outside
+            used |= names
+    unused = [f"{name}.py:{node.lineno} {node.name}"
+              for name, tree in MODULES.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in used]
+    assert not unused, unused
