@@ -12,8 +12,10 @@ non-blank in some term or within a few cells of some head, so W is bounded
 by the data, never by the coordinates: heads at 0 and 10**12 take a few
 dozen columns.  Positions must lie within +-2**62 (`MAX_POSITION`).  The
 rules are CSR arrays read off the table's nonzero amplitudes once per
-table.  A step repeats every term once per matching rule, scatters the
-written symbols and sums amp * coef per image with `np.bincount`.
+table.  A step is the rule walk (`_Kernel.walk`: every term once per
+matching rule, as parent, rule and slot), then the image build (the
+written symbols scattered into copies of the parent cells; the two make
+`_Kernel.expand`), then amp * coef summed per image with `np.bincount`.
 
 Each image has one sort key (`_Layout.keys`) whose order is
 `Configuration.sort_key` order and which is equal only for equal images, so
@@ -27,10 +29,11 @@ several times faster.  Every order matches the loop the kernel replaced, so
 results are bit-reproducible: terms in `sort_key` order, forward rules
 grouped by written vector in first-appearance order, then (p, tau, d),
 adjoint hits move by move, then (q, sigma).  `_Kernel.operator` numbers the
-images of packed basis states for the Gram oracle, and `step_operator`
-decodes them; `windows.estimate_norm` locates each entry of `_Kernel.kept`
-in its packed window without decoding.  `windows` and `oracle` build on
-this module.
+images of packed basis states, and `step_operator` decodes them.  The
+window routes (the Gram oracle and `windows.estimate_norm`) take only the
+rule walk of `_Kernel.kept`: they name each image by its window code and
+rank it with `_Kernel.image_order`, and never build image cells.
+`windows` and `oracle` build on this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
 stays packed: a `Superposition` holds its amplitudes in `sort_key` order
@@ -203,6 +206,27 @@ class _Terms(NamedTuple):
                       None if self.amps is None else self.amps[index], self.slack)
 
 
+class _Walk(NamedTuple):
+    """The entries of M (or M^dagger) on packed basis states from the rule
+    walk, in rule order: per entry its parent term, rule, slot and
+    coefficient.  A slot is a term read once: forward, term t at its heads
+    is slot t; adjoint, term t read along the m-th move vector in use is
+    slot t * (moves in use) + m.  Per slot, `columns` are the columns its
+    images write at and put their heads on before any move, and `read` the
+    symbols there (None with one symbol per tape)."""
+
+    parent: np.ndarray  # (entries,) intp
+    rule: np.ndarray  # (entries,) intp
+    slot: np.ndarray  # (entries,) intp
+    coef: np.ndarray  # (entries,) complex128
+    columns: np.ndarray  # (slots, k) intp
+    read: np.ndarray | None  # (slots, k) unsigned symbols
+
+    def take(self, index: np.ndarray) -> "_Walk":
+        return self._replace(parent=self.parent[index], rule=self.rule[index], slot=self.slot[index],
+                             coef=self.coef[index])
+
+
 _STATE = operator.attrgetter("state")
 _HEADS = operator.attrgetter("heads")
 
@@ -373,24 +397,32 @@ class _Kernel(_Layout):
         return _Terms(np.array(states, dtype=np.intp), np.searchsorted(cols, heads), cells, cols,
                       None if amps is None else np.array(amps, dtype=np.complex128), RUN_MARGIN)
 
-    def expand(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
-        """Every entry of M (or M^dagger) on the packed basis states, term by
-        term in rule order: (parent term, images, coefficients).  The adjoint
-        reads and keys each term only along `used_moves`, the move vectors
-        some rule uses, since no hit lies along the others.  A head moves at
-        most one column, so the images keep one column less slack.  More than
-        MAX_STEP_SYMBOLS packed image symbols raise ValueError."""
-        stops, counts, to_state, to_write, to_move, to_coef = self.adjoint if adjoint else self.forward
+    def walk(self, terms: _Terms, adjoint: bool) -> tuple:
+        """The rule walk: every entry of M (or M^dagger) on the packed basis
+        states, term by term in rule order, as the first five fields of a
+        `_Walk` (parent, rule, slot, columns, read).  The adjoint reads and
+        keys each term only along `used_moves`, the move vectors some rule
+        uses, since no hit lies along the others.  More than
+        MAX_STEP_SYMBOLS packed image symbols (entries x tapes x columns)
+        raise ValueError, before any array of the entries is allocated."""
+        stops, counts = (self.adjoint if adjoint else self.forward)[:2]
         state, heads, cells = terms.state, terms.heads, terms.cells
         n, k, S, M, tapes = len(state), self.k, self.S, self.M, self.tapes
         # the rule keys; with one symbol per tape (S = 1) every read and write is blank
+        read = None
         if adjoint:
-            source = heads[:, None, :] - self.back  # (n, moves in use, k)
+            columns = heads[:, None, :] - self.back  # (n, moves in use, k)
             key = state[:, None] * (S * M) + self.used_moves
             if S > 1:
-                key += cells[np.arange(n)[:, None, None], tapes, source] @ self.strides * M
+                read = cells[np.arange(n)[:, None, None], tapes, columns]
+                key += read @ self.strides * M
+                read = read.reshape(-1, k)
+            columns = columns.reshape(-1, k)
         else:
-            key = state if S == 1 else state * S + cells[np.arange(n)[:, None], tapes, heads] @ self.strides
+            columns, key = heads, state
+            if S > 1:
+                read = cells[np.arange(n)[:, None], tapes, heads]
+                key = state * S + read @ self.strides
         key = key.ravel()
         stop, count = stops[key], counts[key]
         ends = count.cumsum()
@@ -400,27 +432,71 @@ class _Kernel(_Layout):
                              f"the {MAX_STEP_SYMBOLS} packed symbols a step may hold")
         slot = np.arange(len(key)).repeat(count)
         rule = (stop - ends)[slot] + np.arange(entries)
-        if adjoint:
-            parent = slot // max(len(self.back), 1)  # a table without rules has no slot
-            at = moved = source.reshape(-1, k)[slot]
-        else:
-            parent = slot
-            at = heads[slot]
-            moved = at + to_move[rule]
-        images = cells[parent]
-        if S > 1:
-            images[np.arange(entries)[:, None], tapes, at] = to_write[rule]
-        return parent, _Terms(to_state[rule], moved, images, terms.cols, None,
+        parent = slot // max(len(self.back), 1) if adjoint else slot  # a table without rules has no slot
+        return parent, rule, slot, columns, read
+
+    def expand(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
+        """Every entry of M (or M^dagger) on the packed basis states, term by
+        term in rule order: (parent term, images, coefficients).  The rule
+        walk, then the image build: each image is its parent's cells with
+        the rule's symbols written at its slot's columns.  A head moves at
+        most one column, so the images keep one column less slack."""
+        parent, rule, slot, columns, _ = self.walk(terms, adjoint)
+        _, _, to_state, to_write, to_move, to_coef = self.adjoint if adjoint else self.forward
+        at = columns[slot]
+        images = terms.cells[parent]
+        if self.S > 1:
+            images[np.arange(len(rule))[:, None], self.tapes, at] = to_write[rule]
+        return parent, _Terms(to_state[rule], at if adjoint else at + to_move[rule], images, terms.cols, None,
                               max(terms.slack - 1, 0)), to_coef[rule]
 
-    def kept(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
-        """`expand` without the entries below PRUNE_THRESHOLD: the matrix
-        entries of `step_operator` and the windowed norm estimate."""
-        parent, entries, coef = self.expand(terms, adjoint)
-        keep = np.abs(coef) >= PRUNE_THRESHOLD
-        if keep.all():
-            return parent, entries, coef
-        return parent[keep], entries.take(keep), coef[keep]
+    def kept(self, terms: _Terms, adjoint: bool) -> "_Walk":
+        """The rule walk without the entries below PRUNE_THRESHOLD: the
+        matrix entries of the Gram check and the windowed norm estimate,
+        which never build their images."""
+        parent, rule, slot, columns, read = self.walk(terms, adjoint)
+        coef = (self.adjoint if adjoint else self.forward)[5]
+        walk = _Walk(parent, rule, slot, coef[rule], columns, read)
+        small = np.abs(coef) < PRUNE_THRESHOLD  # per rule
+        return walk.take(~small[rule]) if small.any() else walk
+
+    def image_order(self, terms: _Terms, walk: "_Walk", entries: np.ndarray, adjoint: bool) -> np.ndarray:
+        """A key for each of the `entries` of `walk`: by parent term, then
+        the parent's images in `sort_key` order, without building them.
+        The images of one parent (one per entry) differ only in their
+        state, their head move and the symbols written at their slot's
+        columns, so they compare by state, then by move vector (as their
+        heads do; an adjoint image moves back by its slot's move vector),
+        then tape by tape by the written symbol: s as s + 1, and a blank as
+        0, or as `top` when a non-blank cell follows it on its tape (as in
+        `keys`)."""
+        _, _, to_state, to_write, to_move, _ = self.adjoint if adjoint else self.forward
+        slot, rule = walk.slot[entries], walk.rule[entries]
+        varied = [i for i, symbols in enumerate(self.frame.symbol_counts) if symbols > 1]
+        radix = (self.top + 1) ** len(varied)
+        per_state = self.M * radix
+        per_parent = self.frame.state_count * per_state
+        if adjoint:  # moving back by d moves the heads by -d, whose index is M - 1 - d's
+            moves = len(self.used_moves)
+            key = slot // moves * per_parent + ((self.M - 1 - self.used_moves) * radix)[slot % moves]
+            per_rule = to_state * per_state
+        else:
+            key = slot * per_parent
+            per_rule = to_state * per_state + (to_move + 1) @ 3 ** np.arange(self.k - 1, -1, -1) * radix
+        if varied:
+            # the last non-blank column of each parent tape (-1 for none)
+            filled = terms.cells != self.blanks[:, None]
+            last = np.max(filled * np.arange(1, filled.shape[2] + 1), axis=2) - 1
+            parent = slot // len(self.used_moves) if adjoint else slot
+            for j, i in enumerate(varied):
+                weight = (self.top + 1) ** (len(varied) - 1 - j)
+                symbol = to_write[:, i].astype(np.int64)
+                blank = symbol == self.blanks[i]
+                per_rule += np.where(blank, 0, (symbol + 1) * weight)
+                after = last[parent, i] > walk.columns[slot, i]
+                key += blank[rule] * after * (self.top * weight)
+        key += per_rule[rule]
+        return key
 
     def step(self, terms: _Terms, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
         """M|psi> (or M^dagger|psi>) on packed terms with amplitudes: the
@@ -447,23 +523,24 @@ class _Kernel(_Layout):
                         vals, entries.slack)
         return images, first.argsort(kind="stable"), dropped
 
-    def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms, np.ndarray]:
+    def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms]:
         """The packed core of `step_operator`: (rows, cols, vals) on the
-        basis states `terms`, the packed entries, and the entry that holds
-        each image `rows` indexes (images numbered by first column, then
-        `sort_key`).  `step_operator` takes the image terms from these; the
-        Gram check needs none."""
-        parent, entries, vals = self.kept(terms, adjoint)
+        basis states `terms`, and the packed images that `rows` numbers, by
+        first column, then `sort_key`."""
+        parent, entries, vals = self.expand(terms, adjoint)
+        keep = np.abs(vals) >= PRUNE_THRESHOLD
+        if not keep.all():
+            parent, entries, vals = parent[keep], entries.take(keep), vals[keep]
         order, starts, ids = _runs(self.keys(entries))
         first = order[starts]
-        # A Gram entry adds its terms in image-id order, so the numbering fixes
-        # its rounding; (first column, sort key) keeps it independent of rule
-        # order.  Entries come column by column, so an image's first entry
-        # holds its first column.
+        # A Gram entry adds its terms in image-number order, so the numbering
+        # fixes its rounding; (first column, sort key) keeps it independent
+        # of rule order.  Entries come column by column, so an image's first
+        # entry holds its first column.
         by_column = parent[first].argsort(kind="stable")
-        rank = np.empty(len(first), dtype=np.intp)
-        rank[by_column] = np.arange(len(first), dtype=np.intp)
-        return rank[ids], parent, vals, entries, first[by_column]
+        number = np.empty(len(first), dtype=np.intp)
+        number[by_column] = np.arange(len(first), dtype=np.intp)
+        return number[ids], parent, vals, entries.take(first[by_column])
 
     def reframe(self, terms: _Terms, margin: int) -> _Terms:
         """The same terms on the columns that are non-blank in some term or
@@ -520,8 +597,8 @@ def step_operator(
     Tape.
     """
     kernel = _Kernel.of(table)
-    rows, cols, vals, entries, images = kernel.operator(kernel.pack(list(configs)), adjoint)
-    return rows, cols, vals, tuple(kernel.configurations(entries.take(images)))
+    rows, cols, vals, images = kernel.operator(kernel.pack(list(configs)), adjoint)
+    return rows, cols, vals, tuple(kernel.configurations(images))
 
 
 def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> tuple[Superposition, float]:

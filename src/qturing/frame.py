@@ -31,8 +31,9 @@ def _integer(value, what: str) -> int:
 
 def _as_vector(value, k: int, what: str) -> tuple[int, ...]:
     """Normalize an integer scalar (k=1 convenience) or a sequence of integers
-    to a length-k tuple; ValueError for any non-integer component."""
-    if isinstance(value, numbers.Integral):
+    to a length-k tuple; ValueError for any component that is not
+    `_is_integer` (a float or a bool included)."""
+    if _is_integer(value):
         if k != 1:
             raise ValueError(f"{what} must be a length-{k} vector, got a scalar")
         return (int(value),)
@@ -40,7 +41,7 @@ def _as_vector(value, k: int, what: str) -> tuple[int, ...]:
         vec = tuple(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer or a sequence of integers, got {value!r}") from None
-    if not all(isinstance(v, numbers.Integral) for v in vec):
+    if not all(map(_is_integer, vec)):
         raise ValueError(f"{what} components must be integers, got {vec!r}")
     vec = tuple(int(v) for v in vec)
     if len(vec) != k:

@@ -13,8 +13,11 @@ into one running result, so memory follows the operator's entries and not
 the pair count (which grows with the square of an image's entries).  Each
 Gram entry still adds its terms in image order and the blocks come in key
 order, so the residuals and the witness keep their bits at any budget.  The
-window and its images stay packed arrays (`windows.PackedWindow`); only the
-witness configurations are decoded.
+window stays packed arrays (`windows.PackedWindow`), and its images are
+never built: each entry names its image by code, one `_runs` of the codes
+groups the entries by image, and each image is ranked among those of its
+first column by `_Kernel.image_order`.  Only the witness configurations
+are decoded, from their window codes.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -28,7 +31,7 @@ import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE
 from .evolution import _Kernel, _runs
-from .frame import MOVES, Configuration, TuringFrame
+from .frame import MOVES, Configuration, TuringFrame, _is_integer
 from .ktape import check_column
 from .table import TransitionTable, _sealed, amplitude
 from .windows import PackedWindow
@@ -51,9 +54,13 @@ __all__ = [
 
 
 def simple_frame(states: int, *symbol_counts: int) -> TuringFrame:
-    """A frame with generated names: states q0.., symbols B, s1, s2.. per tape."""
+    """A frame with generated names: states q0.., symbols B, s1, s2.. per tape.
+    The state count and every symbol count must be positive Python or numpy
+    integers (ValueError otherwise, a float or a bool included)."""
     if not symbol_counts:
         symbol_counts = (1,)
+    if not all(_is_integer(count) and count >= 1 for count in (states, *symbol_counts)):
+        raise ValueError(f"state and symbol counts must be positive integers, got {(states, *symbol_counts)!r}")
     alphabets = tuple(
         tuple(["B"] + [f"s{i}" for i in range(1, n)]) for n in symbol_counts
     )
@@ -179,6 +186,22 @@ def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int, into=None):
     return diagonal, largest, tie, pairs
 
 
+def _operator(kernel: _Kernel, window: PackedWindow, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of M (or M^dagger) on the window, numbered as
+    `_Kernel.operator` numbers them, without image cells: one `_runs` of
+    the image codes groups the entries by image, and each image is ranked
+    by its first entry's `image_order` key, whose parent is the image's
+    first column."""
+    walk = kernel.kept(window.terms, adjoint)
+    order, starts, ids = _runs(window.image_codes(kernel, walk, adjoint, edges=True))
+    first = order[starts]
+    del order
+    by_number = kernel.image_order(window.terms, walk, first, adjoint).argsort()  # the keys are distinct
+    number = np.empty(len(by_number), dtype=np.intp)
+    number[by_number] = np.arange(len(by_number), dtype=np.intp)
+    return number[ids], walk.parent, walk.coef
+
+
 def _gram_check(table, radius, tolerance, side) -> GramCheck:
     # The full Gram matrix over the window is one A^H A product, where the
     # columns of A are the step-operator expansions of the window basis
@@ -187,19 +210,19 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     kernel = _Kernel.of(table)
     window = PackedWindow(kernel, radius)
     n = window.size
-    rows, cols, vals = kernel.operator(window.terms, adjoint=side == "rows")[:3]
+    rows, cols, vals = _operator(kernel, window, adjoint=side == "rows")
     residuals = None
     for keys, sums in _gram_blocks(rows, cols, vals, n):
         residuals = _gram_residuals(keys, sums, n, residuals)
     diag_resid, off, tie, pairs = residuals
     diag = float(diag_resid.max())
 
-    # only the witnesses are decoded into configurations
+    # only the witnesses are decoded into configurations, from their codes
     if diag >= off:
-        (config,) = kernel.configurations(window.terms.take([np.argmax(diag_resid)]))
+        config = window.configuration(np.argmax(diag_resid))
         witness = (config, config)
     else:
-        witness = tuple(kernel.configurations(window.terms.take(list(tie))))
+        witness = tuple(map(window.configuration, tie))
 
     return GramCheck(
         side=side,

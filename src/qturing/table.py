@@ -8,22 +8,21 @@ flattened with tape 1 most significant (see TuringFrame helpers).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .frame import TuringFrame, _as_vector
+from .frame import TuringFrame, _as_vector, _is_integer
 
 
 def _entry_index(frame: TuringFrame, q: int, sigma, p: int, tau, moves) -> tuple[int, int, int, int, int]:
     """The amplitude-array index of rule (q, sigma, p, tau, moves): ValueError
-    for a non-integer state and IndexError for one outside 0..|Q|-1, then the
-    vector checks of `_as_vector`, `symbol_flat` and `move_flat`.
-    sigma/tau/moves may be scalars when the frame has a single tape."""
-    # int() also keeps a bool state from indexing numpy as a mask
-    if not (isinstance(q, numbers.Integral) and isinstance(p, numbers.Integral)):
+    for a state that is not `_is_integer` (a float or a bool included) and
+    IndexError for one outside 0..|Q|-1, then the vector checks of
+    `_as_vector`, `symbol_flat` and `move_flat`.  sigma/tau/moves may be
+    scalars when the frame has a single tape."""
+    if not (_is_integer(q) and _is_integer(p)):
         raise ValueError(f"state indices must be integers, got {q!r} and {p!r}")
     q, p = int(q), int(p)
     if not 0 <= q < frame.state_count or not 0 <= p < frame.state_count:

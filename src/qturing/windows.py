@@ -13,11 +13,17 @@ anything is allocated.
 
 `PackedWindow` enumerates that product straight into packed arrays on the
 columns [-r-1, r+1], where every one-step image of a window configuration
-still fits, and puts it in `Configuration.sort_key` order.  The mixed-radix
-code (state, then per tape tape code and head) of a packed term gives its
-window position by one lookup, so images are located without decoding
-(`PackedWindow.index`; `estimate_norm` starts from `.interior`).
-`radius_window` decodes the whole window into configurations.
+still fits, and puts it in `Configuration.sort_key` order, keeping each
+term's window code: the mixed-radix value of the state, then per tape the
+tape code and the head.  An image's code is its parent's code plus a
+per-entry delta of its rule at its slot (`PackedWindow.image_codes`), so
+images are named without building their cells.  A forward image whose
+heads stay in 1..W is in the window, and its window code finds its
+position with one lookup (`_compressed`, the operator of `estimate_norm`,
+which starts from `.interior`); the Gram oracle uses the code over the
+columns and heads 0..W+1, where every image lies.  `radius_window`
+decodes the whole window into configurations, and `.configuration` one
+term from its code.
 """
 from __future__ import annotations
 
@@ -26,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evolution import MAX_STEP_SYMBOLS, _Kernel, _Layout, _Terms, _runs
-from .frame import Configuration, TuringFrame, _is_integer
+from .evolution import MAX_STEP_SYMBOLS, _Kernel, _Layout, _Terms, _Walk, _runs
+from .frame import Configuration, TuringFrame, _config_unchecked, _is_integer, _tape_unchecked
 from .table import TransitionTable
 
 # The largest window built: Q2S2 at r=4 has 9,216 configurations.  A
@@ -76,12 +82,13 @@ class PackedWindow:
     """The radius window as packed terms in `sort_key` order.
 
     `terms` lies on the columns [-r-1, r+1], so tape cells sit in columns
-    1..2r+1 and heads index 1..2r+1 too; `position[code]` is the window
-    position of the term with mixed-radix code `code`."""
+    1..2r+1 and heads index 1..2r+1 too; `codes[j]` is the window code of
+    term j, and `position[code]` the window position of the term with
+    window code `code`."""
 
     def __init__(self, layout: _Layout, radius: int):
         self.size = window_size(layout.frame, radius)
-        self.layout = layout
+        self.layout, self.radius = layout, radius
         width = self.width = 2 * radius + 1
         symbol_counts = layout.frame.symbol_counts
         # per tape: the place value of each cell in the tape code
@@ -100,26 +107,66 @@ class PackedWindow:
             cells[:, i, 1:-1] = tape[:, None] // powers % symbols
         packed = _Terms(code, np.stack(heads, axis=1), cells,
                         np.arange(-radius - 1, radius + 2, dtype=np.int64))
-        order, _, self.position = _runs(layout.keys(packed))  # terms are distinct: run = position
-        self.terms = packed.take(order)
+        self.codes, _, self.position = _runs(layout.keys(packed))  # terms are distinct: run = position
+        self.terms = packed.take(self.codes)
 
-    def index(self, terms: _Terms) -> np.ndarray:
-        """The window position of every term on the window's columns, or -1
-        for a term outside it: one with a head or a non-blank cell on an
-        edge column."""
-        heads, cells, blanks, width = terms.heads, terms.cells, self.layout.blanks, self.width
-        inside = ((heads > 0) & (heads <= width) & (cells[:, :, 0] == blanks)
-                  & (cells[:, :, -1] == blanks)).all(axis=1)
-        # the mixed-radix code, each tape code read cell by cell (Horner) in
-        # place, so the symbol cells are never copied whole into int64
-        code = terms.state.astype(np.int64)
-        for i, symbols in enumerate(self.layout.frame.symbol_counts):
-            for column in range(1, width + 1):
-                code *= symbols
-                code += cells[:, i, column]
-            code *= width
-            code += heads[:, i] - 1
-        return np.where(inside, self.position[np.where(inside, code, 0)], -1)
+    def configuration(self, position: int) -> Configuration:
+        """The window term at `position`, decoded from its window code."""
+        code, tapes, heads = int(self.codes[position]), [], []
+        for symbols, blank in zip(reversed(self.layout.frame.symbol_counts), reversed(self.layout.frame.blanks)):
+            code, head = divmod(code, self.width)
+            code, tape = divmod(code, symbols ** self.width)
+            cells = []
+            for cell in range(self.radius, -self.radius - 1, -1):  # the last cell is the lowest digit
+                tape, symbol = divmod(tape, symbols)
+                if symbol != blank:
+                    cells.append((cell, symbol))
+            tapes.insert(0, _tape_unchecked(blank, tuple(reversed(cells))))
+            heads.insert(0, head - self.radius)
+        return _config_unchecked(code, tuple(tapes), tuple(heads))
+
+    def image_codes(self, kernel: _Kernel, walk: _Walk, adjoint: bool, edges: bool) -> np.ndarray:
+        """The code of every image of `walk`, a rule walk on the window's
+        terms: its parent's code plus its rule's delta at its slot.  The
+        delta is (p - q) P_state, plus per tape the written minus the read
+        symbol times the place value of the written column, plus the head
+        change times P_head.  Without `edges` this is the window code, valid
+        for a forward image whose heads all stay in 1..W (it writes only
+        there).  With `edges` the code runs over the columns and heads
+        0..W+1, which hold every one-step image of a window term; on a
+        window of at most MAX_WINDOW_CONFIGS configurations it stays below
+        2**33.  A one-symbol tape has no cell digit, so it adds no work."""
+        _, _, to_state, to_write, to_move, _ = kernel.adjoint if adjoint else kernel.forward
+        terms, counts = self.terms, kernel.frame.symbol_counts
+        first = 0 if edges else 1  # the first column and head the code covers
+        span = self.width + 2 - 2 * first
+        heads, tapes, place = [0] * kernel.k, [0] * kernel.k, 1  # place values, the last tape's first
+        for i in reversed(range(kernel.k)):
+            heads[i] = place
+            tapes[i] = place = place * span
+            place *= counts[i] ** span
+        # per slot: its parent's code less its state and the symbols it reads
+        base = terms.heads @ np.array(heads) - first * sum(heads)
+        written = []
+        for i, symbols in enumerate(counts):
+            if symbols > 1:
+                cells = tapes[i] * symbols ** np.arange(span - 1, -1, -1)  # by column from `first`
+                base += terms.cells[:, i, first:first + span] @ cells
+                written.append((i, cells[walk.columns[:, i] - first]))
+        if adjoint:
+            base = (base[:, None] - kernel.back @ heads).ravel()
+        for i, at in written:
+            base -= at * walk.read[:, i]
+        delta = to_state * place  # per rule: the new state and, forward, the move
+        if not adjoint:
+            delta += to_move @ heads
+        code = base[walk.slot]
+        code += delta[walk.rule]
+        for i, at in written:
+            product = to_write[:, i].astype(np.int64)[walk.rule]
+            product *= at[walk.slot]
+            code += product
+        return code
 
     def interior(self) -> np.ndarray:
         """Window positions of the configurations whose heads and non-blank
@@ -161,11 +208,15 @@ class _Slots(NamedTuple):
 
 def _compressed(kernel: _Kernel, window: PackedWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, vals): the entries of the step operator compressed to
-    the window, in `step_operator` order."""
-    cols, entries, vals = kernel.kept(window.terms, adjoint=False)
-    inside = window.index(entries)
-    keep = inside >= 0
-    return inside[keep], cols[keep], vals[keep]
+    the window, in `step_operator` order.  A forward image lies in the
+    window exactly when every head stays in 1..W, and then its window code
+    gives its position."""
+    walk = kernel.kept(window.terms, adjoint=False)
+    heads = walk.columns[walk.slot] + kernel.forward[4][walk.rule]
+    inside = ((heads > 0) & (heads <= window.width)).all(axis=1)
+    if not inside.all():
+        walk = walk.take(inside)
+    return window.position[window.image_codes(kernel, walk, False, edges=False)], walk.parent, walk.coef
 
 
 def _slots(at: np.ndarray, index: np.ndarray, vals: np.ndarray, n: int, swap: bool) -> _Slots:
@@ -190,7 +241,7 @@ def _slots(at: np.ndarray, index: np.ndarray, vals: np.ndarray, n: int, swap: bo
                   (at[tail], index[tail], vals[tail]), swap)
 
 
-def _half_step(slots: _Slots, x: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+def _half_step(slots: _Slots, x: np.ndarray, buffer: np.ndarray, y: np.ndarray) -> None:
     """y[i] = the sum of vals * x[index] over i's slots, then its tail, from
     its first slot on in entry order: one gather into `buffer` (the shape of
     the slots), one multiply in place and one sum along axis 0, which adds
@@ -200,12 +251,11 @@ def _half_step(slots: _Slots, x: np.ndarray, buffer: np.ndarray) -> np.ndarray:
         np.multiply(buffer, slots.vals, out=buffer)
     else:
         np.multiply(slots.vals, buffer, out=buffer)
-    y = buffer.sum(axis=0)
+    np.add.reduce(buffer, 0, None, y)
     at, index, vals = slots.tail
     if len(at):
         gathered = x[index]
         np.add.at(y, at, np.multiply(gathered, vals) if slots.swap else np.multiply(vals, gathered))
-    return y
 
 
 def _norm(x: np.ndarray) -> float:
@@ -248,6 +298,8 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     """
     if not (_positive(window_radius) and _positive(iterations)):
         raise ValueError("window_radius and iterations must be positive")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     kernel = _Kernel.of(table)
     window = PackedWindow(kernel, window_radius)
     n = window.size
@@ -271,16 +323,34 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     v += 0.01 * noise / _norm(noise)
     v /= _norm(v)
 
-    estimate = 0.0
+    # w and v are updated in place, through views made once; numpy divides
+    # a complex by a real as a multiply by its reciprocal, so v /= ||v|| has
+    # the bits of one real multiply on the float64 view
+    w = np.empty(n, dtype=np.complex128)
+    w_re, w_im, v_re, v_im, v_parts = w.real, w.imag, v.real, v.imag, v.view(np.float64)
+    sqrt, estimate = math.sqrt, 0.0
+    if len(forward.tail[0]) or len(backward.tail[0]):
+        for _ in range(iterations):
+            _half_step(forward, v, forward_buffer, w)
+            estimate = sqrt(w_re.dot(w_re) + w_im.dot(w_im))
+            if estimate == 0.0:
+                return 0.0
+            _half_step(backward, w, backward_buffer, v)
+            v_parts *= 1.0 / sqrt(v_re.dot(v_re) + v_im.dot(v_im))
+        return estimate
+    # the loop of `_half_step` without a tail, inlined
+    multiply, reduce = np.multiply, np.add.reduce
+    forward_index, backward_index, backward_vals = forward.index, backward.index, backward.vals
+    first, second = (forward_buffer, forward.vals) if forward.swap else (forward.vals, forward_buffer)
     for _ in range(iterations):
-        w = _half_step(forward, v, forward_buffer)
-        norm_w = _norm(w)
-        if norm_w == 0.0:
+        v.take(forward_index, out=forward_buffer, mode="clip")
+        multiply(first, second, forward_buffer)
+        reduce(forward_buffer, 0, None, w)
+        estimate = sqrt(w_re.dot(w_re) + w_im.dot(w_im))
+        if estimate == 0.0:
             return 0.0
-        estimate = norm_w
-        v = _half_step(backward, w, backward_buffer)
-        # numpy divides a complex by a real as a multiply by its reciprocal,
-        # so v /= ||v|| has the bits of one real multiply on the float64 view
-        parts = v.view(np.float64)
-        parts *= 1.0 / _norm(v)
+        w.take(backward_index, out=backward_buffer, mode="clip")
+        multiply(backward_vals, backward_buffer, backward_buffer)
+        reduce(backward_buffer, 0, None, v)
+        v_parts *= 1.0 / sqrt(v_re.dot(v_re) + v_im.dot(v_im))
     return estimate

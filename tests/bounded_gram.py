@@ -1,15 +1,15 @@
-"""One column Gram check on a dense random table, under an address-space
-limit.
+"""One Gram check on a dense random table, under an address-space limit.
 
-    OPENBLAS_NUM_THREADS=1 python tests/bounded_gram.py LIMIT_MIB RADIUS STATES SYMBOLS [SYMBOLS ...]
+    OPENBLAS_NUM_THREADS=1 python tests/bounded_gram.py LIMIT_MIB RADIUS STATES SYMBOLS [SYMBOLS ...] [--side rows]
 
-The table is `dense_table(STATES, *SYMBOLS)`.  Prints one JSON line: the
+The table is `dense_table(STATES, *SYMBOLS)`; the check is the column Gram
+check, or the row Gram check with `--side rows`.  Prints one JSON line: the
 check's repr, its time in seconds and the peak RSS in MiB.  A check that
 does not fit the limit exits 1 with a MemoryError.  One OpenBLAS thread
 keeps the other threads' buffers out of the address space.
 """
+import argparse
 import json
-import sys
 import time
 
 import numpy as np
@@ -29,10 +29,16 @@ def dense_table(*dims: int) -> qt.TransitionTable:
 if __name__ == "__main__":
     import resource  # Unix only: imported here so that dense_table imports anywhere
 
-    limit, radius, *dims = (int(arg) for arg in sys.argv[1:])
-    table = dense_table(*dims)
-    resource.setrlimit(resource.RLIMIT_AS, (limit << 20, limit << 20))
+    parser = argparse.ArgumentParser(description="one Gram check on a dense table under an address-space limit")
+    parser.add_argument("limit", type=int, help="address-space limit in MiB")
+    parser.add_argument("radius", type=int)
+    parser.add_argument("dims", type=int, nargs="+", help="the states, then the symbols of each tape")
+    parser.add_argument("--side", choices=("columns", "rows"), default="columns")
+    args = parser.parse_args()
+    table = dense_table(*args.dims)
+    check = qt.column_gram_check if args.side == "columns" else qt.row_gram_check
+    resource.setrlimit(resource.RLIMIT_AS, (args.limit << 20, args.limit << 20))
     start = time.perf_counter()
-    check = qt.column_gram_check(table, radius)
-    print(json.dumps({"repr": repr(check), "seconds": round(time.perf_counter() - start, 3),
+    result = check(table, args.radius)
+    print(json.dumps({"repr": repr(result), "seconds": round(time.perf_counter() - start, 3),
                       "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10}))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qturing as qt
+from qturing.ktape import displacement_label
 from qturing.oracle import _gram_blocks, _gram_residuals
 
 from conftest import random_configuration, random_table
@@ -178,6 +179,29 @@ def test_gram_residuals_equal_the_condition_residuals(request, name):
         for gram, report in pairs:
             assert abs(gram.residual - report.max_residual) <= 1e-12 * max(1.0, gram.residual), \
                 (entry.label, gram.side, gram.residual, report.max_residual)
+
+
+@pytest.mark.parametrize("name", ["corpus", "two_tape_corpus", "three_tape_corpus", "many_tape_corpus"])
+def test_gram_witness_names_the_condition_of_its_residual(request, name):
+    """On the r=1 window the column Gram witness pair's head displacement
+    +-D names a catalog condition (for D = 0 the normalization half on the
+    diagonal and the orthogonality half off it), and that condition's
+    `check_auto` residual is the Gram residual, to rounding: a witness
+    that named the wrong condition would fail where the residuals agree."""
+    named = set()
+    for entry in request.getfixturevalue(name):
+        gram, report = qt.column_gram_check(entry.table, 1), qt.check_auto(entry.table)
+        first, second = gram.witness
+        shift = tuple(b - a for a, b in zip(first.heads, second.heads))
+        if any(shift) and next(d for d in shift if d) < 0:
+            shift = tuple(-d for d in shift)
+        part = None if any(shift) else ("norm" if first == second else "orth")
+        label = displacement_label(shift, part)
+        residual = report.residual_for(label).residual
+        assert abs(gram.residual - residual) <= 1e-12 * max(1.0, gram.residual), \
+            (entry.label, label, gram.residual, residual)
+        named.add(label)
+    assert len(named) > 1
 
 
 class TestGramRows:

@@ -57,22 +57,69 @@ def test_radius_window_matches_reference(name):
         assert all(type(m) is int and type(s) is int for t in got.tapes for m, s in t.cells)
 
 
+def cell_codes(window: windows.PackedWindow, terms, edges: bool) -> np.ndarray:
+    """The mixed-radix code of packed terms on the window's columns, read
+    off their cells (Horner): the state, then per tape the tape code,
+    leftmost cell most significant, and the head, over the columns and
+    heads 1..W or, with `edges`, 0..W+1."""
+    first = 0 if edges else 1
+    span = window.width + 2 - 2 * first
+    code = terms.state.astype(np.int64)
+    for i, symbols in enumerate(window.layout.frame.symbol_counts):
+        for column in range(first, first + span):
+            code = code * symbols + terms.cells[:, i, column]
+        code = code * span + terms.heads[:, i] - first
+    return code
+
+
+def kept_images(kernel: _Kernel, terms, adjoint: bool):
+    """The images of the entries `kernel.kept` keeps, built by `expand`."""
+    _, images, coef = kernel.expand(terms, adjoint)
+    return images.take(np.abs(coef) >= qt.PRUNE_THRESHOLD)
+
+
+def outside(window: windows.PackedWindow, terms) -> np.ndarray:
+    """Whether each packed term has a head or a non-blank cell on an edge
+    column of the window."""
+    heads, cells, blanks = terms.heads, terms.cells, window.layout.blanks
+    return ((heads < 1) | (heads > window.width) | (cells[:, :, 0] != blanks)
+            | (cells[:, :, -1] != blanks)).any(axis=1)
+
+
 @pytest.mark.parametrize("name", sorted(WINDOW_FRAMES))
 def test_window_index_finds_every_member(name):
-    """Every window term indexes to its own position; shifting a head onto
-    an edge column, or writing there, leaves the window."""
+    """Every window term's code finds its own position.  On both sides the
+    code of every image is the code read off its cells; an image with a
+    head or a non-blank cell on an edge column is outside the window and
+    has a code no window term has, and every other image has the code of
+    the window term equal to it.  The norm's compressed operator keeps
+    exactly the forward images inside the window, each at its position."""
     frame, radius = WINDOW_FRAMES[name]
     kernel = _Kernel.of(random_table(frame, np.random.default_rng(3)))
     window = windows.PackedWindow(kernel, radius)
-    assert np.array_equal(window.index(window.terms), np.arange(window.size))
-    edge = window.terms.heads.copy()
-    edge[:, -1] = 0
-    assert (window.index(window.terms._replace(heads=edge)) == -1).all()
-    if frame.symbol_counts[0] > 1:
-        for column in (0, -1):
-            cells = window.terms.cells.copy()
-            cells[:, 0, column] = (kernel.blanks[0] + 1) % frame.symbol_counts[0]
-            assert (window.index(window.terms._replace(cells=cells)) == -1).all()
+    assert np.array_equal(window.position[window.codes], np.arange(window.size))
+    assert np.array_equal(cell_codes(window, window.terms, edges=False), window.codes)
+    members = cell_codes(window, window.terms, edges=True)
+    index = {config: j for j, config in enumerate(reference_radius_window(frame, radius))}
+    edge_cells = False
+    for adjoint in (False, True):
+        walk = kernel.kept(window.terms, adjoint)
+        images = kept_images(kernel, window.terms, adjoint)
+        codes = window.image_codes(kernel, walk, adjoint, edges=True)
+        assert np.array_equal(codes, cell_codes(window, images, edges=True))
+        out = outside(window, images)
+        assert out.any() and not out.all()
+        assert not any(config in index for config in kernel.configurations(images.take(out)))
+        assert not np.isin(codes[out], members).any()
+        found = [index[config] for config in kernel.configurations(images.take(~out))]
+        assert np.array_equal(codes[~out], members[found])
+        edge_cells |= bool((images.cells[:, :, [0, -1]] != kernel.blanks[:, None]).any())
+        if not adjoint:
+            rows, cols, vals = windows._compressed(kernel, window)
+            assert np.array_equal(rows, found)
+            assert np.array_equal(cols, walk.parent[~out]) and np.array_equal(vals, walk.coef[~out])
+    # an adjoint image writes on an edge column wherever a tape has a non-blank symbol
+    assert edge_cells == (max(frame.symbol_counts) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +156,18 @@ def test_gram_check_matches_reference_blank_one(side):
 
 def test_gram_check_decodes_only_witnesses(monkeypatch, corpus, counterexample):
     decoded = []
-    configurations = _Kernel.configurations
+    configurations, configuration = _Kernel.configurations, windows.PackedWindow.configuration
 
     def counting(self, terms):
         decoded.append(len(terms.state))
         return configurations(self, terms)
 
+    def counting_one(self, position):
+        decoded.append(1)
+        return configuration(self, position)
+
     monkeypatch.setattr(_Kernel, "configurations", counting)
+    monkeypatch.setattr(windows.PackedWindow, "configuration", counting_one)
     bad = qt.perturb(counterexample, (0, 0, 0, 0, 0), 0.1)
     # corpus valid-7 has an off-diagonal row witness, the others diagonal ones
     tables = [counterexample, bad, _q2s2_valid(), corpus[7].table,
@@ -125,7 +177,7 @@ def test_gram_check_decodes_only_witnesses(monkeypatch, corpus, counterexample):
         for check in (qt.column_gram_check, qt.row_gram_check):
             decoded.clear()
             result = check(table, 3)
-            assert sum(decoded) <= 2
+            assert sum(decoded) == (1 if result.witness[0] == result.witness[1] else 2)
             witnesses.add(result.witness[0] == result.witness[1])
     assert witnesses == {True, False}  # both the diagonal and the off-diagonal witness
 
@@ -219,6 +271,21 @@ def test_estimate_norm_iterations_must_be_a_positive_integer(counterexample, ite
     with pytest.raises(ValueError, match="must be positive"):
         qt.estimate_norm(counterexample, 2, iterations)
     assert qt.estimate_norm(counterexample, np.int64(2), np.int32(10)) == qt.estimate_norm(counterexample, 2, 10)
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, -1, "1", None, np.float64(2)])
+def test_estimate_norm_seed_must_be_a_nonnegative_integer(counterexample, seed):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        qt.estimate_norm(counterexample, 2, 10, seed=seed)
+
+
+def test_estimate_norm_keeps_its_bits_for_every_integer_seed(counterexample):
+    table = random_table(qt.simple_frame(2, 2), np.random.default_rng(11), density=0.6)
+    for seed in (0, 1, 2 ** 70):
+        expected = reference_estimate_norm(table, 2, 50, seed=seed).hex()
+        assert qt.estimate_norm(table, 2, 50, seed=seed).hex() == expected
+        if seed < 2 ** 63:
+            assert qt.estimate_norm(table, 2, 50, seed=np.int64(seed)).hex() == expected
 
 
 def test_window_cap_boundary(monkeypatch, counterexample):

@@ -93,6 +93,52 @@ class TestIntegerComponents:
         assert qt.amplitude(qt.perturb(table, (0, (np.int64(0),), 0, 0, 0), 0.5), 0, 0, 0, 0, 0) == 0.75
 
 
+# (q, sigma, p, tau, moves) with one bool index, scalar or in a vector, on
+# the two-state two-symbol frame; each used to index as 0 or 1, so
+# with_entry(True, 0, 0, 1, True, 0.5) set (q1, 0, q0, 1, +1)
+BOOL_INDICES = [(True, 0, 0, 1, 1), (0, True, 0, 1, 1), (0, 0, False, 1, 1), (0, 0, 0, True, 1),
+                (0, 0, 0, 1, True), (0, (False,), 0, 1, 1), (0, 0, 0, 1, (True,))]
+
+
+class TestBoolIndices:
+    @pytest.fixture
+    def table(self):
+        return random_table(qt.simple_frame(2, 2), np.random.default_rng(5), density=1.0)
+
+    @pytest.mark.parametrize("index", BOOL_INDICES)
+    def test_amplitude_refuses_a_bool(self, table, index):
+        with pytest.raises(ValueError, match="integer"):
+            qt.amplitude(table, *index)
+
+    @pytest.mark.parametrize("index", BOOL_INDICES)
+    def test_with_entry_refuses_a_bool(self, table, index):
+        with pytest.raises(ValueError, match="integer"):
+            table.with_entry(*index, 0.5)
+
+    @pytest.mark.parametrize("index", BOOL_INDICES)
+    def test_from_rules_and_perturb_refuse_a_bool(self, table, index):
+        with pytest.raises(ValueError, match="integer"):
+            qt.TransitionTable.from_rules(table.frame, [(*index, 0.5)])
+        with pytest.raises(ValueError, match="integer"):
+            qt.perturb(table, index, 0.1)
+
+    def test_numpy_integers_still_index(self, table):
+        index = (np.int64(1), np.int8(0), np.int32(0), (np.uint8(1),), np.int16(1))
+        assert qt.amplitude(table, *index) == qt.amplitude(table, 1, 0, 0, 1, 1)
+        assert qt.amplitude(table.with_entry(*index, 0.5), 1, 0, 0, 1, 1) == 0.5
+
+
+@pytest.mark.parametrize("counts", [(True, 2), (2, True), (2, 2, False), (2.0, 2), (2, 1.5), (0, 2), (2, 0), ("2", 2)])
+def test_simple_frame_refuses_a_count_that_is_not_a_positive_integer(counts):
+    with pytest.raises(ValueError, match="must be positive integers"):
+        qt.simple_frame(*counts)
+
+
+def test_simple_frame_takes_numpy_integers():
+    assert qt.simple_frame(np.int64(2), np.int32(3), np.uint8(1)) == qt.simple_frame(2, 3, 1)
+    assert qt.simple_frame(3).symbol_counts == (1,)
+
+
 # (q, p) pairs with one state index out of range, on a two-state frame
 BAD_STATES = [(-1, 0), (2, 0), (0, -1), (0, 2)]
 
@@ -138,12 +184,14 @@ class TestStateRange:
             with pytest.raises(ValueError, match="state indices must be integers"):
                 access()
 
-    def test_bool_state_is_an_index_not_a_mask(self, table):
-        # numpy reads a bool in an index tuple as a mask: True used to write
-        # the entries of a different read, False none at all
-        one = table.with_entry(True, 0, False, 0, 0, 0.25)
-        assert np.array_equal(one.amplitudes, table.with_entry(1, 0, 0, 0, 0, 0.25).amplitudes)
-        assert qt.amplitude(one, True, 0, False, 0, 0) == 0.25
+    def test_bool_state_is_refused(self, table):
+        # numpy reads a bool in an index tuple as a mask, and int() reads it
+        # as 0 or 1: neither names a state
+        for q, p in ((True, 0), (0, False)):
+            with pytest.raises(ValueError, match="state indices must be integers"):
+                table.with_entry(q, 0, p, 0, 0, 0.25)
+            with pytest.raises(ValueError, match="state indices must be integers"):
+                qt.amplitude(table, q, 0, p, 0, 0)
 
     def test_from_rules_checks_states_before_vectors(self, table):
         # a bad state and a non-integer symbol in one rule: the state is reported
