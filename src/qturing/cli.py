@@ -12,7 +12,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .conditions import DEFAULT_TOLERANCE, ValidationReport
+from .conditions import DEFAULT_TOLERANCE, ValidationReport, _is_tolerance
 from .evolution import MAX_POSITION, Superposition, run as run_evolution
 from .frame import Configuration, Tape, TuringFrame, _is_integer
 from .ktape import (
@@ -123,7 +123,7 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
+    if not _is_tolerance(value):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 

@@ -15,9 +15,24 @@ and deterministic, so identical tables always yield identical reports.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 DEFAULT_TOLERANCE = 1e-9
+
+
+def _is_tolerance(value) -> bool:
+    """Whether `value` is a finite real number >= 0, Python or numpy; a
+    bool, NaN, an infinity and a string are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value < math.inf
+
+
+def _require_tolerance(value) -> None:
+    """ValueError unless `_is_tolerance(value)`: every checker's and Gram
+    check's tolerance, and `run`'s."""
+    if not _is_tolerance(value):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .conditions import DEFAULT_TOLERANCE, ValidationReport
+from .conditions import DEFAULT_TOLERANCE, ValidationReport, _require_tolerance
 from .frame import Configuration, TuringFrame, _config_unchecked, _GcPaused, _is_integer, _tape_unchecked
 from .ktape import check_auto
 from .table import TransitionTable
@@ -322,7 +322,10 @@ class _Kernel(_Layout):
     conjugated.  Each is (rule end, rule count) per key, then the state,
     written symbols, moves (forward only) and coefficient per rule.  Every
     nonzero rule is kept; `kept` drops the entries below PRUNE_THRESHOLD.
-    `verdicts` holds `run`'s `check_auto` report per tolerance."""
+    `verdicts` holds `run`'s `check_auto` report per tolerance, and
+    `window` the one radius window `windows.PackedWindow.of` keeps for the
+    Gram checks and `estimate_norm`: read-only, for the last radius asked
+    for, and freed with the table, since it refers to no kernel."""
 
     def __init__(self, table: TransitionTable):
         super().__init__(table.frame)
@@ -353,6 +356,7 @@ class _Kernel(_Layout):
         self.used_moves = np.flatnonzero(np.bincount(target % M, minlength=M))
         self.back = self.moves[self.used_moves]
         self.verdicts: dict[float, ValidationReport] = {}
+        self.window = None
 
     @classmethod
     def of(cls, table: TransitionTable) -> "_Kernel":
@@ -673,6 +677,7 @@ def run(
     """
     if not (_is_integer(steps) and steps >= 0):
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
+    _require_tolerance(tolerance)
     if not unchecked:
         verdicts = _Kernel.of(table).verdicts
         report = verdicts.get(tolerance)

@@ -72,6 +72,7 @@ from .conditions import (
     ConditionId,
     ConditionResidual,
     ValidationReport,
+    _require_tolerance,
 )
 from .frame import MOVES, TuringFrame
 from .table import TransitionTable
@@ -310,6 +311,7 @@ def _eval_displacements(table: TransitionTable, sigmas: tuple[str, ...]) -> list
 
 def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """Evaluate the frame's whole condition catalog."""
+    _require_tolerance(tolerance)
     norm_id, orth_id, *shifts = generate_ktape_conditions(table.frame)
     sigmas = _sigma_names(table.frame)  # once per table, not once per condition
     norm, orth = _eval_zero(table, sigmas)
@@ -363,6 +365,7 @@ def check_row(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> V
     sums read delta(q, sigma, p, tau_d, d) with tau_d drawn from the
     quantified triple (tau_-1, tau_0, tau_1).
     """
+    _require_tolerance(tolerance)
     _require_tapes(table, 1, "row")
     frame = table.frame
     Q, S = frame.state_count, frame.symbol_block
@@ -410,6 +413,7 @@ def check_row(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> V
 def check_hirvensalo(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """Hirvensalo's conditions (H-a)-(H-d) for a single-tape table:
     sufficient for unitarity but not necessary."""
+    _require_tolerance(tolerance)
     _require_tapes(table, 1, "hirvensalo")
     frame = table.frame
     Q, S = frame.state_count, frame.symbol_block

@@ -13,11 +13,14 @@ into one running result, so memory follows the operator's entries and not
 the pair count (which grows with the square of an image's entries).  Each
 Gram entry still adds its terms in image order and the blocks come in key
 order, so the residuals and the witness keep their bits at any budget.  The
-window stays packed arrays (`windows.PackedWindow`), and its images are
-never built: each entry names its image by code, one `_runs` of the codes
-groups the entries by image, and each image is ranked among those of its
-first column by `_Kernel.image_order`.  Only the witness configurations
-are decoded, from their window codes.
+window stays packed arrays (`windows.PackedWindow`), kept on the table's
+kernel (`PackedWindow.of`: one read-only window per table, for the last
+radius asked for, freed with the table), so the column and the row check
+at one radius build it once.  Its images are never built: each entry
+names its image by code, one `_runs` of the codes groups the entries by
+image, and each image is ranked among those of its first column by
+`_Kernel.image_order`.  Only the witness configurations are decoded, from
+their window codes.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import DEFAULT_TOLERANCE
+from .conditions import DEFAULT_TOLERANCE, _require_tolerance
 from .evolution import _Kernel, _runs
 from .frame import MOVES, Configuration, TuringFrame, _is_integer
 from .ktape import check_column
@@ -207,8 +210,9 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     # columns of A are the step-operator expansions of the window basis
     # states.  Every key the self-join produces is a structural overlap, so
     # the off-diagonal keys count the pairs even where values cancel exactly.
+    _require_tolerance(tolerance)
     kernel = _Kernel.of(table)
-    window = PackedWindow(kernel, radius)
+    window = PackedWindow.of(kernel, radius)
     n = window.size
     rows, cols, vals = _operator(kernel, window, adjoint=side == "rows")
     residuals = None

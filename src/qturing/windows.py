@@ -24,6 +24,12 @@ which starts from `.interior`); the Gram oracle uses the code over the
 columns and heads 0..W+1, where every image lies.  `radius_window`
 decodes the whole window into configurations, and `.configuration` one
 term from its code.
+
+The window depends only on the frame and the radius, so the Gram checks
+and `estimate_norm` take it from `PackedWindow.of`, which keeps one window
+per table on its kernel: the last radius asked for.  Its arrays are
+read-only, and it is built on its own `_Layout`, so it holds no reference
+to the kernel and is freed with its table by reference counting.
 """
 from __future__ import annotations
 
@@ -84,7 +90,8 @@ class PackedWindow:
     `terms` lies on the columns [-r-1, r+1], so tape cells sit in columns
     1..2r+1 and heads index 1..2r+1 too; `codes[j]` is the window code of
     term j, and `position[code]` the window position of the term with
-    window code `code`."""
+    window code `code`.  Every array is read-only, so one window can be
+    shared by every check on its table (`of`)."""
 
     def __init__(self, layout: _Layout, radius: int):
         self.size = window_size(layout.frame, radius)
@@ -109,6 +116,20 @@ class PackedWindow:
                         np.arange(-radius - 1, radius + 2, dtype=np.int64))
         self.codes, _, self.position = _runs(layout.keys(packed))  # terms are distinct: run = position
         self.terms = packed.take(self.codes)
+        for array in (self.codes, self.position, *self.terms[:4]):
+            array.flags.writeable = False
+
+    @classmethod
+    def of(cls, kernel: _Kernel, radius: int) -> "PackedWindow":
+        """The radius window of the kernel's table, built on first use and
+        kept in the kernel's one `window` slot until another radius replaces
+        it.  It is built on its own `_Layout` of the frame, so it holds no
+        reference back to the kernel, and it goes with its table."""
+        window_size(kernel.frame, radius)  # a kept window does not excuse a radius its build would refuse
+        window = kernel.window
+        if window is None or window.radius != radius:
+            window = kernel.window = cls(_Layout(kernel.frame), radius)
+        return window
 
     def configuration(self, position: int) -> Configuration:
         """The window term at `position`, decoded from its window code."""
@@ -279,9 +300,14 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     radius or iteration count that is not a positive integer (a float or a
     bool included) with ValueError too.
 
-    Each iteration forms A v and then A^H w.  Each sum adds its entry
-    products in entry order (window column by window column, each column
-    in `step_operator` order), from the first product on.  For each half
+    The window is the one kept on the table's kernel (`PackedWindow.of`).
+    Each iteration forms w = A v, then A^H w into v, then normalizes v.
+    No iteration forms ||w||: the estimate is ||w|| of the last iteration,
+    formed once after the loop.  The loop stops early only when ||A^H w||^2
+    is exactly 0, which an all-zero table reaches at once (its estimate is
+    0.0).  Each sum adds its entry products in entry order (window column
+    by window column, each column in `step_operator` order), from the
+    first product on.  For each half
     the entries are laid out once per estimate in slot matrices of shape
     (width, n): slot j of window position i holds i's j-th entry, padded
     with 0, so an iteration is one gather, one complex multiply in place
@@ -301,7 +327,7 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     if not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     kernel = _Kernel.of(table)
-    window = PackedWindow(kernel, window_radius)
+    window = PackedWindow.of(kernel, window_radius)
     n = window.size
 
     rows, cols, vals = _compressed(kernel, window)
@@ -327,17 +353,16 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     # a complex by a real as a multiply by its reciprocal, so v /= ||v|| has
     # the bits of one real multiply on the float64 view
     w = np.empty(n, dtype=np.complex128)
-    w_re, w_im, v_re, v_im, v_parts = w.real, w.imag, v.real, v.imag, v.view(np.float64)
-    sqrt, estimate = math.sqrt, 0.0
+    v_re, v_im, v_parts, sqrt = v.real, v.imag, v.view(np.float64), math.sqrt
     if len(forward.tail[0]) or len(backward.tail[0]):
         for _ in range(iterations):
             _half_step(forward, v, forward_buffer, w)
-            estimate = sqrt(w_re.dot(w_re) + w_im.dot(w_im))
-            if estimate == 0.0:
-                return 0.0
             _half_step(backward, w, backward_buffer, v)
-            v_parts *= 1.0 / sqrt(v_re.dot(v_re) + v_im.dot(v_im))
-        return estimate
+            square = v_re.dot(v_re) + v_im.dot(v_im)
+            if square == 0.0:
+                break
+            v_parts *= 1.0 / sqrt(square)
+        return _norm(w)
     # the loop of `_half_step` without a tail, inlined
     multiply, reduce = np.multiply, np.add.reduce
     forward_index, backward_index, backward_vals = forward.index, backward.index, backward.vals
@@ -346,11 +371,11 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
         v.take(forward_index, out=forward_buffer, mode="clip")
         multiply(first, second, forward_buffer)
         reduce(forward_buffer, 0, None, w)
-        estimate = sqrt(w_re.dot(w_re) + w_im.dot(w_im))
-        if estimate == 0.0:
-            return 0.0
         w.take(backward_index, out=backward_buffer, mode="clip")
         multiply(backward_vals, backward_buffer, backward_buffer)
         reduce(backward_buffer, 0, None, v)
-        v_parts *= 1.0 / sqrt(v_re.dot(v_re) + v_im.dot(v_im))
-    return estimate
+        square = v_re.dot(v_re) + v_im.dot(v_im)
+        if square == 0.0:
+            break
+        v_parts *= 1.0 / sqrt(square)
+    return _norm(w)

@@ -1,12 +1,16 @@
 """One Gram check on a dense random table, under an address-space limit.
 
-    OPENBLAS_NUM_THREADS=1 python tests/bounded_gram.py LIMIT_MIB RADIUS STATES SYMBOLS [SYMBOLS ...] [--side rows]
+    OPENBLAS_NUM_THREADS=1 python tests/bounded_gram.py LIMIT_MIB RADIUS STATES SYMBOLS [SYMBOLS ...] \
+        [--side rows|both]
 
 The table is `dense_table(STATES, *SYMBOLS)`; the check is the column Gram
-check, or the row Gram check with `--side rows`.  Prints one JSON line: the
-check's repr, its time in seconds and the peak RSS in MiB.  A check that
-does not fit the limit exits 1 with a MemoryError.  One OpenBLAS thread
-keeps the other threads' buffers out of the address space.
+check, or the row Gram check with `--side rows`.  With `--side both` the
+column check and then the row check run on the one table, as `qturing gram`
+runs them by default, so the second reuses the window the first kept on
+the table.  Prints one JSON line per check: its repr, its time in seconds
+and the process's peak RSS in MiB so far.  A check that does not fit the
+limit exits 1 with a MemoryError.  One OpenBLAS thread keeps the other
+threads' buffers out of the address space.
 """
 import argparse
 import json
@@ -33,12 +37,14 @@ if __name__ == "__main__":
     parser.add_argument("limit", type=int, help="address-space limit in MiB")
     parser.add_argument("radius", type=int)
     parser.add_argument("dims", type=int, nargs="+", help="the states, then the symbols of each tape")
-    parser.add_argument("--side", choices=("columns", "rows"), default="columns")
+    parser.add_argument("--side", choices=("columns", "rows", "both"), default="columns")
     args = parser.parse_args()
     table = dense_table(*args.dims)
-    check = qt.column_gram_check if args.side == "columns" else qt.row_gram_check
+    checks = {"columns": [qt.column_gram_check], "rows": [qt.row_gram_check],
+              "both": [qt.column_gram_check, qt.row_gram_check]}[args.side]
     resource.setrlimit(resource.RLIMIT_AS, (args.limit << 20, args.limit << 20))
-    start = time.perf_counter()
-    result = check(table, args.radius)
-    print(json.dumps({"repr": repr(result), "seconds": round(time.perf_counter() - start, 3),
-                      "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10}))
+    for check in checks:
+        start = time.perf_counter()
+        result = check(table, args.radius)
+        print(json.dumps({"repr": repr(result), "seconds": round(time.perf_counter() - start, 3),
+                          "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10}), flush=True)

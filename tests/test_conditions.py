@@ -169,6 +169,37 @@ def test_verdict_matches_tolerance(counterexample):
     assert qt.check_column(table, tolerance=1e-6).passed
 
 
+def _tolerance_calls(counterexample, two_tape_counterexample):
+    """Every public callable that takes a tolerance, as tolerance -> result."""
+    psi = qt.Superposition.basis(qt.blank_configuration(counterexample.frame))
+    calls = {name: lambda tolerance, check=getattr(qt, name): check(counterexample, tolerance)
+             for name in ("check_ktape", "check_column", "check_row", "check_hirvensalo", "check_auto")}
+    calls["check_two_tape"] = lambda tolerance: qt.check_two_tape(two_tape_counterexample, tolerance)
+    calls["run"] = lambda tolerance: qt.run(counterexample, psi, 1, tolerance=tolerance).norms
+    calls["column_gram_check"] = lambda tolerance: qt.column_gram_check(counterexample, 1, tolerance)
+    calls["row_gram_check"] = lambda tolerance: qt.row_gram_check(counterexample, 1, tolerance)
+    return calls
+
+
+TOLERANCE_CALLS = ("check_ktape", "check_column", "check_two_tape", "check_row", "check_hirvensalo",
+                   "check_auto", "run", "column_gram_check", "row_gram_check")
+
+
+@pytest.mark.parametrize("value", [True, np.nan, np.inf, -1.0, "1e-9"], ids=repr)
+@pytest.mark.parametrize("name", TOLERANCE_CALLS)
+def test_tolerance_must_be_finite_and_nonnegative(counterexample, two_tape_counterexample, name, value):
+    call = _tolerance_calls(counterexample, two_tape_counterexample)[name]
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", TOLERANCE_CALLS)
+def test_numpy_float_tolerance_is_accepted(counterexample, two_tape_counterexample, name):
+    call = _tolerance_calls(counterexample, two_tape_counterexample)[name]
+    assert call(np.float64(1e-9)) == call(1e-9)
+    assert call(0) == call(0.0)
+
+
 def test_report_shape(counterexample):
     report = qt.check_column(counterexample)
     assert report.checker == "column"

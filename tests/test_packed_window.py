@@ -1,8 +1,10 @@
 """The packed radius window against the `Configuration`-by-`Configuration`
 enumeration, the Gram check and the norm estimate on it against the routes
 that decode the whole window, and the window-size cap."""
+import gc
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -238,6 +240,137 @@ def test_estimate_norm_matches_dict_route_on_more_layouts(name):
     for seed in (0, 1):
         got = qt.estimate_norm(table, radius, 200, seed=seed)
         assert got.hex() == reference_estimate_norm(table, radius, 200, seed=seed).hex()
+
+
+# estimate_norm(...).hex() at iterations 1, 2 and 200, computed before the
+# power iteration formed its estimate once after the loop
+PINNED_CORPUS_NORMS = {
+    ("corpus", 0, 3): ("0x1.ffff79f41f1f8p-1", "0x1.fffffffffffffp-1", "0x1.0000000000000p+0"),
+    ("corpus", 51, 3): ("0x1.21334b78eefe2p+0", "0x1.36d90090dc96bp+0", "0x1.546b3ab2e2c22p+0"),
+    ("two_tape_corpus", 0, 1): ("0x1.fffc477e15bdfp-1", "0x1.ffffffffffffep-1", "0x1.0000000000001p+0"),
+    ("two_tape_corpus", 25, 1): ("0x1.017e5f7ba0e21p+0", "0x1.019af89ecd9d9p+0", "0x1.156dbfa4102cdp+0"),
+    ("three_tape_corpus", 0, 1): ("0x1.fffb58a3419c5p-1", "0x1.0000000000000p+0", "0x1.0000000000001p+0"),
+    ("three_tape_corpus", 15, 1): ("0x1.000eacf41cbdap+0", "0x1.0030caf03c665p+0", "0x1.0830c7d4d4ba7p+0"),
+    ("many_tape_corpus", 0, 1): ("0x1.fffaa925f9e79p-1", "0x1.0000000000000p+0", "0x1.fffffffffffffp-1"),
+    ("many_tape_corpus", 5, 1): ("0x1.03286c7bc53f2p+0", "0x1.03a351879d178p+0", "0x1.1b8851cda02cfp+0"),
+}
+
+# the same per SLOT_LAYOUTS entry, seed 0 then seed 1
+PINNED_LAYOUT_NORMS = {
+    "dense Q2S2 r3": ("0x1.2306961c59af3p+2", "0x1.d6b9038065f25p+2", "0x1.39adaa3b37c62p+3",
+                      "0x1.231797fa9d1efp+2", "0x1.d6ca46815c75dp+2", "0x1.39af13663fbfcp+3"),
+    "skewed r2": ("0x1.4d517edde64aap+1", "0x1.a0be50a0dfbc2p+2", "0x1.0efb89612cae0p+3",
+                  "0x1.4d4a89f8ef95cp+1", "0x1.a0d7acb4b1211p+2", "0x1.0efb892fb7962p+3"),
+    "two-tape r1": ("0x1.ce88d05f84013p+2", "0x1.2ce51f017ed14p+3", "0x1.68acd557be2eep+3",
+                    "0x1.ce9dc5b454d3fp+2", "0x1.2cf29b28d1a82p+3", "0x1.68acd555ff798p+3"),
+}
+
+
+@pytest.mark.parametrize("name, index, radius", sorted(PINNED_CORPUS_NORMS))
+def test_estimate_norm_keeps_its_pinned_bits_on_the_corpora(request, name, index, radius):
+    table = request.getfixturevalue(name)[index].table
+    got = tuple(qt.estimate_norm(table, radius, iterations).hex() for iterations in (1, 2, 200))
+    assert got == PINNED_CORPUS_NORMS[name, index, radius]
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_LAYOUTS))
+def test_estimate_norm_keeps_its_pinned_bits_on_more_layouts(name):
+    build, radius = SLOT_LAYOUTS[name]
+    table = build()
+    got = tuple(qt.estimate_norm(table, radius, iterations, seed=seed).hex()
+                for seed in (0, 1) for iterations in (1, 2, 200))
+    assert got == PINNED_LAYOUT_NORMS[name]
+
+
+def test_estimate_norm_of_an_all_zero_table_is_zero():
+    for frame in (qt.simple_frame(2, 1), qt.simple_frame(2, 2)):
+        table = qt.TransitionTable(frame, np.zeros(frame.table_shape, dtype=np.complex128))
+        for iterations in (1, 200):
+            assert qt.estimate_norm(table, 2, iterations) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the window kept on the table's kernel
+# ---------------------------------------------------------------------------
+
+def _count_builds(monkeypatch) -> list:
+    """The radius of every `PackedWindow` constructed from here on."""
+    built, init = [], windows.PackedWindow.__init__
+
+    def counting(self, layout, radius):
+        built.append(radius)
+        init(self, layout, radius)
+
+    monkeypatch.setattr(windows.PackedWindow, "__init__", counting)
+    return built
+
+
+def test_one_window_per_table_and_radius(monkeypatch):
+    table = _q2s2_valid()
+    built = _count_builds(monkeypatch)
+    qt.column_gram_check(table, 2)
+    qt.row_gram_check(table, 2)
+    qt.estimate_norm(table, 2, 10)
+    assert built == [2]
+    kept = _Kernel.of(table).window
+    assert kept.radius == 2
+    # another radius replaces the kept window
+    qt.estimate_norm(table, 1, 10)
+    qt.row_gram_check(table, 1)
+    assert built == [2, 1]
+    assert _Kernel.of(table).window is not kept and _Kernel.of(table).window.radius == 1
+    qt.column_gram_check(table, 2)
+    assert built == [2, 1, 2]
+
+
+def test_kept_window_gives_the_results_of_a_fresh_table():
+    """Calls that alternate radii on one table give the reprs and bits the
+    same calls give on a fresh, equal table each."""
+    for build in (_q2s2_valid, _blank_one_table):
+        table = build()
+        for radius in (2, 1, 1, 2, 2):
+            fresh = build()
+            assert repr(qt.column_gram_check(table, radius)) == repr(qt.column_gram_check(fresh, radius))
+            fresh = build()
+            assert repr(qt.row_gram_check(table, radius)) == repr(qt.row_gram_check(fresh, radius))
+            fresh = build()
+            assert qt.estimate_norm(table, radius, 20).hex() == qt.estimate_norm(fresh, radius, 20).hex()
+
+
+def test_kept_window_is_read_only():
+    table = _blank_one_table()
+    qt.column_gram_check(table, 2)
+    window = _Kernel.of(table).window
+    arrays = [value for value in vars(window).values() if isinstance(value, np.ndarray)]
+    arrays += [value for value in window.terms if isinstance(value, np.ndarray)]
+    assert len(arrays) == 6
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_kept_window_goes_with_its_table():
+    """The window holds no reference back to its kernel or table, so
+    reference counting alone frees it with the table."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table = _q2s2_valid()
+        qt.row_gram_check(table, 2)
+        window = weakref.ref(_Kernel.of(table).window)
+        assert window() is not None
+        del table
+        assert window() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_cli_gram_builds_one_window(monkeypatch, capsys):
+    built = _count_builds(monkeypatch)
+    assert main(["gram", "counterexample"]) == 0
+    assert "columns:" in capsys.readouterr().out
+    assert built == [3]
 
 
 # ---------------------------------------------------------------------------
