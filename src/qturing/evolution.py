@@ -7,7 +7,9 @@ One packed kernel expands basis states through the step operator or its
 adjoint.  Terms are packed as arrays: `state (n,)`, `heads (n, k)` and
 `cells (n, k, W)`, where `heads` index a sorted array of W cell positions
 shared by all terms and `cells` holds symbols in the smallest unsigned
-dtype that fits the alphabets.  The columns are the cells that are
+dtype that fits the alphabets.  A frame with one symbol per tape stores no
+cells (`cells` is (n, k, 0)): its terms are their states and heads, and a
+step reads and writes nothing else.  The columns are the cells that are
 non-blank in some term or within a few cells of some head, so W is bounded
 by the data, never by the coordinates: heads at 0 and 10**12 take a few
 dozen columns.  Positions must lie within +-2**62 (`MAX_POSITION`).  The
@@ -21,19 +23,21 @@ Each image has one sort key (`_Layout.keys`) whose order is
 `Configuration.sort_key` order and which is equal only for equal images, so
 one stable sort (`_runs`) both merges and orders the images.  Its digits
 are the state and the heads, whose radices |Q| and W are known, then the
-cell columns that vary, whose radices a scan finds (a one-symbol frame has
-none).  The key is their mixed-radix value as one uint64 when the radices
-multiply to less than 2**64, and otherwise the digits big-endian as one
-void scalar, compared as unsigned bytes; numpy sorts the integer form
-several times faster.  Every order matches the loop the kernel replaced, so
-results are bit-reproducible: terms in `sort_key` order, forward rules
-grouped by written vector in first-appearance order, then (p, tau, d),
-adjoint hits move by move, then (q, sigma).  `_Kernel.operator` numbers the
-images of packed basis states, and `step_operator` decodes them.  The
-window routes (the Gram oracle and `windows.estimate_norm`) take only the
-rule walk of `_Kernel.kept`: they name each image by its window code and
-rank it with `_Kernel.image_order`, and never build image cells.
-`windows` and `oracle` build on this module.
+cell columns that vary, whose radices a scan finds.  The key is their
+mixed-radix value as one uint64 when the radices multiply to less than
+2**64, and otherwise the digits big-endian as one void scalar, compared as
+unsigned bytes; numpy sorts the integer form several times faster.  A
+one-symbol frame has no cell digits, and its key is formed directly from
+the state and heads while |Q| * W**k < 2**63.  Every order matches the
+loop the kernel replaced, so results are bit-reproducible: terms in
+`sort_key` order, forward rules grouped by written vector in
+first-appearance order, then (p, tau, d), adjoint hits move by move, then
+(q, sigma).  `_Kernel.operator` numbers the images of packed basis
+states, and `step_operator` decodes them.  The window routes (the Gram
+oracle and `windows.estimate_norm`) take only the rule walk of
+`_Kernel.kept`: they name each image by its window code and rank it with
+`_Kernel.image_order`, and never build image cells.  `windows` and
+`oracle` build on this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
 stays packed: a `Superposition` holds its amplitudes in `sort_key` order
@@ -190,13 +194,16 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Terms(NamedTuple):
     """Packed basis states: `heads[j, i]` indexes `cols`, the sorted cell
     positions shared by every term, and `cells[j, i, w]` is tape i's symbol
-    at `cols[w]`.  `amps` is None for bare basis states.  Every head has at
-    least `slack` adjacent columns on each side: cols[h - s..h + s] are the
-    positions cols[h] - s..cols[h] + s for s <= slack."""
+    at `cols[w]`.  The cells axis has one column per entry of `cols` when
+    some tape has two or more symbols, and no column when every tape has
+    one (`_Layout.blank_cells`): such a term is its state and heads alone.
+    `amps` is None for bare basis states.  Every head has at least `slack`
+    adjacent columns on each side: cols[h - s..h + s] are the positions
+    cols[h] - s..cols[h] + s for s <= slack."""
 
     state: np.ndarray  # (n,) intp
     heads: np.ndarray  # (n, k) intp
-    cells: np.ndarray  # (n, k, W) unsigned symbols
+    cells: np.ndarray  # (n, k, W) unsigned symbols, (n, k, 0) with one symbol per tape
     cols: np.ndarray  # (W,) int64
     amps: np.ndarray | None = None  # (n,) complex128
     slack: int = 0
@@ -244,15 +251,38 @@ class _Layout:
         self.top = int(self.sizes.max()) + 1  # the key of a blank before a non-blank cell
         self.S = frame.symbol_block
 
+    def blank_cells(self, n: int, width: int) -> np.ndarray:
+        """Blank-filled cells for n terms on `width` columns: a cells axis of
+        `width` columns when some tape has two or more symbols, and of none
+        otherwise, since a one-symbol tape holds only its blank."""
+        cells = np.empty((n, self.k, width if self.S > 1 else 0), dtype=self.dtype)
+        cells[...] = self.blanks[:, None]
+        return cells
+
     def keys(self, terms: _Terms) -> np.ndarray:
         """One key per term, in `Configuration.sort_key` order and equal only
-        for equal terms: the digits state (radix |Q|), heads (radix W), then
-        per tape a symbol s as s+1 and a blank as 0, or as `top` when a
-        non-blank cell follows it on its tape.  Only cell columns that vary
-        between terms are kept, each with radix max + 1.  When the radices
-        multiply to less than 2**64, the key is the digits' mixed-radix value
-        as one uint64; otherwise it is one void scalar of the digits
-        big-endian, compared as unsigned bytes."""
+        for equal terms: the mixed-radix value of `digit_keys`.  A frame with
+        one symbol per tape has no cell digits, so while |Q| * W**k < 2**63
+        its key, state * W**k + heads @ W**(k-1..0), is formed directly in
+        int64 and viewed as uint64: the same values, without the digit rows."""
+        width = len(terms.cols)
+        if self.S == 1 and self.frame.state_count * width ** self.k < 2 ** 63:
+            key = terms.state * width ** self.k
+            if self.k == 1:
+                key += terms.heads[:, 0]
+            else:
+                key += terms.heads @ width ** np.arange(self.k - 1, -1, -1)
+            return key.view(np.uint64)
+        return self.digit_keys(terms)
+
+    def digit_keys(self, terms: _Terms) -> np.ndarray:
+        """The keys of `keys` from their digits: state (radix |Q|), heads
+        (radix W), then per tape a symbol s as s+1 and a blank as 0, or as
+        `top` when a non-blank cell follows it on its tape.  Only cell
+        columns that vary between terms are kept, each with radix max + 1.
+        When the radices multiply to less than 2**64, the key is the digits'
+        mixed-radix value as one uint64; otherwise it is one void scalar of
+        the digits big-endian, compared as unsigned bytes."""
         if not len(terms.state):
             return np.zeros(0, dtype=np.uint64)
         width = len(terms.cols)
@@ -395,8 +425,7 @@ class _Kernel(_Layout):
         cols = np.concatenate([(heads.reshape(-1, 1) + np.arange(-RUN_MARGIN, RUN_MARGIN + 1)).ravel(), cell])
         order, starts, _ = _runs(cols)
         cols = cols[order[starts]]
-        cells = np.empty((n, k, len(cols)), dtype=self.dtype)
-        cells[...] = self.blanks[:, None]
+        cells = self.blank_cells(n, len(cols))
         cells[term, tape, np.searchsorted(cols, cell)] = sym
         return _Terms(np.array(states, dtype=np.intp), np.searchsorted(cols, heads), cells, cols,
                       None if amps is None else np.array(amps, dtype=np.complex128), RUN_MARGIN)
@@ -550,13 +579,12 @@ class _Kernel(_Layout):
         """The same terms on the columns that are non-blank in some term or
         within `margin` cells of some head."""
         cols = terms.cols
-        used = (terms.cells != self.blanks[:, None]).any(axis=(0, 1))
+        used = np.flatnonzero((terms.cells != self.blanks[:, None]).any(axis=(0, 1)))  # none without cells
         heads = np.flatnonzero(np.bincount(terms.heads.ravel(), minlength=len(cols)))
         wanted = np.concatenate([cols[used], (cols[heads][:, None] + np.arange(-margin, margin + 1)).ravel()])
         order, starts, _ = _runs(wanted)
         wanted = wanted[order[starts]]
-        cells = np.empty((len(terms.state), self.k, len(wanted)), dtype=self.dtype)
-        cells[...] = self.blanks[:, None]
+        cells = self.blank_cells(len(terms.state), len(wanted))
         cells[:, :, np.searchsorted(wanted, cols[used])] = terms.cells[:, :, used]
         return terms._replace(heads=np.searchsorted(wanted, cols[terms.heads]), cells=cells, cols=wanted,
                               slack=margin)

@@ -9,7 +9,9 @@ leftmost most significant) and a head, so it has
 |Q| * prod_i (2r+1) * |Sigma_i|^(2r+1) configurations.  A window of more
 than MAX_WINDOW_CONFIGS configurations, or whose packed cells (configurations
 x tapes x (2r+3)) exceed `evolution.MAX_STEP_SYMBOLS`, is refused before
-anything is allocated.
+anything is allocated.  A window whose tapes all have one symbol packs no
+cells (`_Layout.blank_cells`); the packed-cell bound still counts them, as
+a limit on the input.
 
 `PackedWindow` enumerates that product straight into packed arrays on the
 columns [-r-1, r+1], where every one-step image of a window configuration
@@ -60,8 +62,10 @@ def window_size(frame: TuringFrame, radius: int) -> int:
     in the radius window; ValueError for a radius that is not a positive
     integer (Python or numpy; a float or a bool is refused), above
     MAX_WINDOW_CONFIGS, or when the packed cells (configurations x tapes x
-    (2r+3)) exceed MAX_STEP_SYMBOLS.  Only small powers are ever formed, so
-    no radius allocates much."""
+    (2r+3)) exceed MAX_STEP_SYMBOLS.  That bound limits the input: a
+    window whose tapes all have one symbol packs no cells, and is refused
+    all the same.  Only small powers are ever formed, so no radius
+    allocates much."""
     if not _positive(radius):
         raise ValueError("radius must be a positive integer")
     width = 2 * int(radius) + 1
@@ -88,9 +92,10 @@ class PackedWindow:
     """The radius window as packed terms in `sort_key` order.
 
     `terms` lies on the columns [-r-1, r+1], so tape cells sit in columns
-    1..2r+1 and heads index 1..2r+1 too; `codes[j]` is the window code of
-    term j, and `position[code]` the window position of the term with
-    window code `code`.  Every array is read-only, so one window can be
+    1..2r+1 (no cells are packed when every tape has one symbol) and heads
+    index 1..2r+1 too; `codes[j]` is the window code of term j, and
+    `position[code]` the window position of the term with window code
+    `code`.  Every array is read-only, so one window can be
     shared by every check on its table (`of`)."""
 
     def __init__(self, layout: _Layout, radius: int):
@@ -108,10 +113,10 @@ class PackedWindow:
             code, tape = np.divmod(code, symbols ** width)
             heads.insert(0, head + 1)
             tapes.insert(0, tape)
-        cells = np.empty((self.size, layout.k, width + 2), dtype=layout.dtype)
-        cells[...] = layout.blanks[:, None]
+        cells = layout.blank_cells(self.size, width + 2)
         for i, (tape, powers, symbols) in enumerate(zip(tapes, place_values, symbol_counts)):
-            cells[:, i, 1:-1] = tape[:, None] // powers % symbols
+            if symbols > 1:  # a one-symbol tape is blank
+                cells[:, i, 1:-1] = tape[:, None] // powers % symbols
         packed = _Terms(code, np.stack(heads, axis=1), cells,
                         np.arange(-radius - 1, radius + 2, dtype=np.int64))
         self.codes, _, self.position = _runs(layout.keys(packed))  # terms are distinct: run = position
@@ -193,9 +198,10 @@ class PackedWindow:
         """Window positions of the configurations whose heads and non-blank
         cells all lie inside [-r+1, r-1]."""
         heads, cells, blanks = self.terms.heads, self.terms.cells, self.layout.blanks
-        inner = ((heads > 1) & (heads < self.width) & (cells[:, :, 1] == blanks)
-                 & (cells[:, :, -2] == blanks)).all(axis=1)
-        return np.flatnonzero(inner)
+        inner = (heads > 1) & (heads < self.width)
+        if cells.shape[2]:
+            inner &= (cells[:, :, 1] == blanks) & (cells[:, :, -2] == blanks)
+        return np.flatnonzero(inner.all(axis=1))
 
 
 def radius_window(frame: TuringFrame, radius: int) -> tuple[Configuration, ...]:

@@ -443,6 +443,21 @@ def test_scipy_stays_off_the_import_path():
     assert out.splitlines()[-1] == "False"
 
 
+def test_a_short_run_imports_neither_scipy_nor_numpy_random():
+    """The cold-start module set: `import qturing` and a three-step `run`
+    load neither scipy nor `numpy.random`."""
+    src = str(Path(qt.__file__).resolve().parents[1])
+    script = (
+        "import sys, qturing, qturing.cli\n"
+        "assert qturing.cli.main(['run', 'counterexample', '--steps', '3']) == 0\n"
+        "print(sorted(m for m in ('scipy', 'numpy.random') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # fuzzed --start specs: exit 0, 1 or 2 and never a traceback
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import qturing as qt
 from qturing.ktape import displacement_label
 from qturing.oracle import _gram_blocks, _gram_residuals
+from qturing.windows import window_size
 
 from conftest import random_configuration, random_table
 from reference_frame import ConfigurationWindow, locally_like
@@ -179,6 +180,39 @@ def test_gram_residuals_equal_the_condition_residuals(request, name):
         for gram, report in pairs:
             assert abs(gram.residual - report.max_residual) <= 1e-12 * max(1.0, gram.residual), \
                 (entry.label, gram.side, gram.residual, report.max_residual)
+
+
+# The drawn tables' entries on the r=1 window at density 1, at most: a
+# denser draw on a larger frame is thinned to this, so no draw takes long.
+DRAWN_GRAM_ENTRIES = 20_000
+
+
+@st.composite
+def drawn_tables(draw) -> qt.TransitionTable:
+    """A random table on one to four tapes of one or two symbols (up to
+    three on one tape), one-symbol tapes included, so windows of no cell
+    column are drawn too; sparse or dense, but at most about
+    DRAWN_GRAM_ENTRIES window entries."""
+    tapes = draw(st.integers(1, 4))
+    symbols = draw(st.lists(st.integers(1, 3 if tapes == 1 else 2), min_size=tapes, max_size=tapes))
+    frame = qt.simple_frame(draw(st.integers(1, 3 if tapes == 1 else 2)), *symbols)
+    full = window_size(frame, 1) * frame.state_count * frame.symbol_block * frame.move_block
+    density = min(draw(st.sampled_from([0.1, 0.3, 1.0])), DRAWN_GRAM_ENTRIES / full)
+    return random_table(frame, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), density)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(table=drawn_tables())
+def test_drawn_gram_residuals_equal_the_condition_residuals(table):
+    """The r=1 criterion of the corpora on drawn tables: the largest column
+    Gram residual is `check_auto`'s and, on one tape, the largest row Gram
+    residual is `check_row`'s, within 1e-12 x max(1, residual)."""
+    pairs = [(qt.column_gram_check(table, 1), qt.check_auto(table))]
+    if table.frame.tape_count == 1:
+        pairs.append((qt.row_gram_check(table, 1), qt.check_row(table)))
+    for gram, report in pairs:
+        assert abs(gram.residual - report.max_residual) <= 1e-12 * max(1.0, gram.residual), \
+            (gram.side, gram.residual, report.max_residual)
 
 
 @pytest.mark.parametrize("name", ["corpus", "two_tape_corpus", "three_tape_corpus", "many_tape_corpus"])

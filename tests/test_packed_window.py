@@ -63,13 +63,14 @@ def cell_codes(window: windows.PackedWindow, terms, edges: bool) -> np.ndarray:
     """The mixed-radix code of packed terms on the window's columns, read
     off their cells (Horner): the state, then per tape the tape code,
     leftmost cell most significant, and the head, over the columns and
-    heads 1..W or, with `edges`, 0..W+1."""
+    heads 1..W or, with `edges`, 0..W+1.  A one-symbol tape is blank: its
+    every digit is 0, and its terms may store no cell column."""
     first = 0 if edges else 1
     span = window.width + 2 - 2 * first
     code = terms.state.astype(np.int64)
     for i, symbols in enumerate(window.layout.frame.symbol_counts):
         for column in range(first, first + span):
-            code = code * symbols + terms.cells[:, i, column]
+            code = code * symbols + (terms.cells[:, i, column] if symbols > 1 else 0)
         code = code * span + terms.heads[:, i] - first
     return code
 
@@ -80,12 +81,22 @@ def kept_images(kernel: _Kernel, terms, adjoint: bool):
     return images.take(np.abs(coef) >= qt.PRUNE_THRESHOLD)
 
 
+def edge_cells(window: windows.PackedWindow, terms) -> np.ndarray:
+    """Whether each packed term has a non-blank cell on an edge column of
+    the window.  A one-symbol tape is blank, and its terms may store no
+    cell column."""
+    edge = np.zeros(len(terms.state), dtype=bool)
+    for i, (symbols, blank) in enumerate(zip(window.layout.frame.symbol_counts, window.layout.blanks)):
+        if symbols > 1:
+            edge |= (terms.cells[:, i, 0] != blank) | (terms.cells[:, i, -1] != blank)
+    return edge
+
+
 def outside(window: windows.PackedWindow, terms) -> np.ndarray:
     """Whether each packed term has a head or a non-blank cell on an edge
     column of the window."""
-    heads, cells, blanks = terms.heads, terms.cells, window.layout.blanks
-    return ((heads < 1) | (heads > window.width) | (cells[:, :, 0] != blanks)
-            | (cells[:, :, -1] != blanks)).any(axis=1)
+    heads = terms.heads
+    return ((heads < 1) | (heads > window.width)).any(axis=1) | edge_cells(window, terms)
 
 
 @pytest.mark.parametrize("name", sorted(WINDOW_FRAMES))
@@ -103,7 +114,7 @@ def test_window_index_finds_every_member(name):
     assert np.array_equal(cell_codes(window, window.terms, edges=False), window.codes)
     members = cell_codes(window, window.terms, edges=True)
     index = {config: j for j, config in enumerate(reference_radius_window(frame, radius))}
-    edge_cells = False
+    on_edge = False
     for adjoint in (False, True):
         walk = kernel.kept(window.terms, adjoint)
         images = kept_images(kernel, window.terms, adjoint)
@@ -115,13 +126,13 @@ def test_window_index_finds_every_member(name):
         assert not np.isin(codes[out], members).any()
         found = [index[config] for config in kernel.configurations(images.take(~out))]
         assert np.array_equal(codes[~out], members[found])
-        edge_cells |= bool((images.cells[:, :, [0, -1]] != kernel.blanks[:, None]).any())
+        on_edge |= bool(edge_cells(window, images).any())
         if not adjoint:
             rows, cols, vals = windows._compressed(kernel, window)
             assert np.array_equal(rows, found)
             assert np.array_equal(cols, walk.parent[~out]) and np.array_equal(vals, walk.coef[~out])
     # an adjoint image writes on an edge column wherever a tape has a non-blank symbol
-    assert edge_cells == (max(frame.symbol_counts) > 1)
+    assert on_edge == (max(frame.symbol_counts) > 1)
 
 
 # ---------------------------------------------------------------------------
