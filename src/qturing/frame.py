@@ -51,7 +51,9 @@ def _as_vector(value, k: int, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TuringFrame:
-    """States plus one alphabet per tape, each with a designated blank index."""
+    """States plus one alphabet per tape, each with a designated blank index:
+    a Python or numpy integer, stored as an int (ValueError for a float or
+    a bool)."""
 
     states: tuple[str, ...]
     alphabets: tuple[tuple[str, ...], ...]
@@ -60,7 +62,8 @@ class TuringFrame:
     def __post_init__(self):
         states = tuple(self.states)
         alphabets = tuple(tuple(a) for a in self.alphabets)
-        blanks = tuple(self.blanks) if self.blanks else (0,) * len(alphabets)
+        blanks = (tuple(_integer(b, "blank index") for b in self.blanks) if self.blanks
+                  else (0,) * len(alphabets))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabets", alphabets)
         object.__setattr__(self, "blanks", blanks)

@@ -18,9 +18,11 @@ kernel (`PackedWindow.of`: one read-only window per table, for the last
 radius asked for, freed with the table), so the column and the row check
 at one radius build it once.  Its images are never built: each entry
 names its image by code, one `_runs` of the codes groups the entries by
-image, and each image is ranked among those of its first column by
-`_Kernel.image_order`.  Only the witness configurations are decoded, from
-their window codes.
+image, each image is ranked among those of its first column by
+`_Kernel.image_order`, and one gather puts the groups in that order; the
+self-join takes the groups as they are, so each check sorts its entries
+once.  Only the witness configurations are decoded, from their window
+codes.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -28,11 +30,12 @@ by perturbing single entries.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import DEFAULT_TOLERANCE, _require_tolerance
+from .conditions import DEFAULT_TOLERANCE, _is_tolerance, _require_tolerance
 from .evolution import _Kernel, _runs
 from .frame import MOVES, Configuration, TuringFrame, _is_integer
 from .ktape import check_column
@@ -94,38 +97,34 @@ class GramCheck:
         return "pass" if self.passed else "fail"
 
 
-def _gram_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
-    """The upper half of A^H A for the COO matrix A with n columns, whose
-    entries come column by column and reach each row at most once per
-    column, block by block: each block's sorted keys i*n + j with i <= j
-    and its entry sums G[i, j] = sum_k conj(A[k, i]) A[k, j], the blocks in
-    key order.  The Gram check folds the blocks one by one
-    (`_gram_residuals`).
+def _gram_blocks(cols: np.ndarray, vals: np.ndarray, sizes: np.ndarray, n: int):
+    """The upper half of A^H A for the matrix A with n columns whose
+    entries (cols, vals) come grouped by row (an image), `sizes` entries a
+    row, each row's entries in increasing column order, block by block:
+    each block's sorted keys i*n + j with i <= j and its entry sums
+    G[i, j] = sum_k conj(A[k, i]) A[k, j], the blocks in key order.  The
+    Gram check folds the blocks one by one (`_gram_residuals`).
 
-    Entries are stable-sorted by row (an image), so each image lists its
-    columns in increasing order, and every entry is paired with itself and
-    the entries after it in its image: the left entry at sorted position p
-    has `image end - p` pairs, so every pair count is known before a pair
-    is formed.  G[i, j] sums the pairs whose left entry is in column i, so
-    the self-join splits into blocks of whole left columns.  Up to
-    `_GRAM_BLOCK_PAIRS` pairs in all, one block takes the left entries in
-    image order.  Beyond it, the left entries are taken in stable column
-    order (which keeps image order within a column) and cut at column
-    boundaries into blocks of at most `_GRAM_BLOCK_PAIRS` pairs, a larger
-    column making a block of its own; so memory is bounded by the budget,
-    not by the pair count.  Either way each G[i, j] adds its terms in
-    image order, and the blocks come in increasing i, so their keys follow
-    one another in key order: the sums, and the residuals folded from them,
-    keep their bits whatever the budget.  Each product is done in real
-    arithmetic with one rounding, so the lower half is the conjugate of the
-    upper half bit for bit: G[j, i] = conj(G[i, j]).
+    Every entry is paired with itself and the entries after it in its
+    image: the left entry at position p has `image end - p` pairs, so
+    every pair count is known before a pair is formed.  G[i, j] sums the
+    pairs whose left entry is in column i, so the self-join splits into
+    blocks of whole left columns.  Up to `_GRAM_BLOCK_PAIRS` pairs in all,
+    one block takes the left entries in image order.  Beyond it, the left
+    entries are taken in stable column order (which keeps image order
+    within a column) and cut at column boundaries into blocks of at most
+    `_GRAM_BLOCK_PAIRS` pairs, a larger column making a block of its own;
+    so memory is bounded by the budget, not by the pair count.  Either way
+    each G[i, j] adds its terms in image order, and the blocks come in
+    increasing i, so their keys follow one another in key order: the sums,
+    and the residuals folded from them, keep their bits whatever the
+    budget.  Each product is done in real arithmetic with one rounding, so
+    the lower half is the conjugate of the upper half bit for bit:
+    G[j, i] = conj(G[i, j]).
     """
-    order, starts, _ = _runs(rows)
-    cols, vals = cols[order], vals[order]
-    sizes = np.diff(starts, append=rows.size)
-    count = np.repeat(starts + sizes, sizes) - np.arange(rows.size)  # pairs per left entry
+    count = np.repeat(np.cumsum(sizes), sizes) - np.arange(cols.size)  # pairs per left entry
     if count.sum() <= _GRAM_BLOCK_PAIRS:
-        yield _gram_pairs(cols, vals, np.arange(rows.size), count, n)
+        yield _gram_pairs(cols, vals, np.arange(cols.size), count, n)
         return
     by_column = cols.argsort(kind="stable")
     last = np.flatnonzero(np.diff(cols[by_column], append=n))  # each column's last left entry
@@ -190,19 +189,20 @@ def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int, into=None):
 
 
 def _operator(kernel: _Kernel, window: PackedWindow, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of M (or M^dagger) on the window, numbered as
-    `_Kernel.operator` numbers them, without image cells: one `_runs` of
-    the image codes groups the entries by image, and each image is ranked
-    by its first entry's `image_order` key, whose parent is the image's
-    first column."""
+    """(cols, vals, sizes) of M (or M^dagger) on the window, without image
+    cells: its entries grouped by image, each image's entries in column
+    order, and each image's entry count.  One `_runs` of the image codes
+    groups the entries, and the groups come in the order in which
+    `_Kernel.operator` numbers its images: each image is ranked by its
+    first entry's `image_order` key, whose parent is the image's first
+    column."""
     walk = kernel.kept(window.terms, adjoint)
-    order, starts, ids = _runs(window.image_codes(kernel, walk, adjoint, edges=True))
-    first = order[starts]
-    del order
-    by_number = kernel.image_order(window.terms, walk, first, adjoint).argsort()  # the keys are distinct
-    number = np.empty(len(by_number), dtype=np.intp)
-    number[by_number] = np.arange(len(by_number), dtype=np.intp)
-    return number[ids], walk.parent, walk.coef
+    order, starts, _ = _runs(window.image_codes(kernel, walk, adjoint, edges=True))
+    by_number = kernel.image_order(window.terms, walk, order[starts], adjoint).argsort()  # the keys are distinct
+    sizes = np.diff(starts, append=len(order))[by_number]
+    # each group's entries, moved from its start in `order` to its start by number
+    order = order[np.repeat(starts[by_number] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(order))]
+    return walk.parent[order], walk.coef[order], sizes
 
 
 def _gram_check(table, radius, tolerance, side) -> GramCheck:
@@ -214,9 +214,8 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     kernel = _Kernel.of(table)
     window = PackedWindow.of(kernel, radius)
     n = window.size
-    rows, cols, vals = _operator(kernel, window, adjoint=side == "rows")
     residuals = None
-    for keys, sums in _gram_blocks(rows, cols, vals, n):
+    for keys, sums in _gram_blocks(*_operator(kernel, window, adjoint=side == "rows"), n):
         residuals = _gram_residuals(keys, sums, n, residuals)
     diag_resid, off, tie, pairs = residuals
     diag = float(diag_resid.max())
@@ -307,9 +306,11 @@ def pair_unitary_machine(
 
 
 def perturb(table: TransitionTable, entry: tuple, epsilon: float) -> TransitionTable:
-    """Shift one amplitude by a real epsilon; epsilon must be nonzero."""
-    if epsilon == 0:
-        raise ValueError("epsilon must be nonzero")
+    """Shift one amplitude by a real epsilon: a nonzero finite real number,
+    Python or numpy (ValueError otherwise, a bool included)."""
+    magnitude = -epsilon if isinstance(epsilon, numbers.Real) and epsilon < 0 else epsilon
+    if not _is_tolerance(magnitude) or magnitude == 0:
+        raise ValueError(f"epsilon must be a nonzero finite real number, got {epsilon!r}")
     q, sigma, p, tau, moves = entry
     return table.with_entry(q, sigma, p, tau, moves, amplitude(table, q, sigma, p, tau, moves) + epsilon)
 
@@ -342,7 +343,14 @@ def _corpus_directions(kind: int, states: int, symbols: int, rng: np.random.Gene
 
 def build_corpus(n_valid: int = 50, n_invalid: int = 50, seed: int = 7) -> list[CorpusEntry]:
     """Deterministic corpus: unitary-pair machines plus single-entry
-    perturbations of them, each perturbation verified to break validity."""
+    perturbations of them, each perturbation verified to break validity.
+    Both counts must be nonnegative Python or numpy integers (ValueError
+    otherwise, a bool included), and invalid tables need a valid one to
+    perturb."""
+    if not all(_is_integer(count) and count >= 0 for count in (n_valid, n_invalid)):
+        raise ValueError(f"corpus counts must be nonnegative integers, got {(n_valid, n_invalid)!r}")
+    if n_invalid and not n_valid:
+        raise ValueError("n_invalid > 0 needs n_valid > 0: invalid tables perturb valid ones")
     rng = np.random.default_rng(seed)
     entries: list[CorpusEntry] = []
     valid_tables: list[TransitionTable] = []

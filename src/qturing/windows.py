@@ -32,6 +32,10 @@ and `estimate_norm` take it from `PackedWindow.of`, which keeps one window
 per table on its kernel: the last radius asked for.  Its arrays are
 read-only, and it is built on its own `_Layout`, so it holds no reference
 to the kernel and is freed with its table by reference counting.
+
+The power iteration lays each half's entries out once per estimate in slot
+matrices (`_Slots`), and one loop runs every layout: a half whose entries
+overflow its slots adds that tail after them in the same loop.
 """
 from __future__ import annotations
 
@@ -223,14 +227,12 @@ class _Slots(NamedTuple):
     """One half-step of the power iteration, y[i] = the sum of vals * x[index]
     over the entries summed into i, in entry order.  Slot j of window
     position i holds i's j-th entry (value and gather index; padding holds
-    0 at index 0), `tail` holds the entries past the last slot, in entry
-    order, as (at, index, vals), and `swap` puts x[index] first in each
-    product."""
+    0 at index 0), and `tail` holds the entries past the last slot, in
+    entry order, as (at, index, vals)."""
 
     vals: np.ndarray  # (width, n) complex128
     index: np.ndarray  # (width, n) intp
     tail: tuple[np.ndarray, np.ndarray, np.ndarray]
-    swap: bool
 
 
 def _compressed(kernel: _Kernel, window: PackedWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,7 +248,7 @@ def _compressed(kernel: _Kernel, window: PackedWindow) -> tuple[np.ndarray, np.n
     return window.position[window.image_codes(kernel, walk, False, edges=False)], walk.parent, walk.coef
 
 
-def _slots(at: np.ndarray, index: np.ndarray, vals: np.ndarray, n: int, swap: bool) -> _Slots:
+def _slots(at: np.ndarray, index: np.ndarray, vals: np.ndarray, n: int) -> _Slots:
     """The entries (at, index, vals) in slots of the widest position's width,
     but at most 2 * entries // n, so the slot matrices hold at most twice
     the entries; the entries past the last slot make the tail."""
@@ -265,24 +267,7 @@ def _slots(at: np.ndarray, index: np.ndarray, vals: np.ndarray, n: int, swap: bo
     slot_index = np.zeros(width * n, dtype=np.intp)
     slot_index[slot] = index[order]
     return _Slots(slot_vals.reshape(width, n), slot_index.reshape(width, n),
-                  (at[tail], index[tail], vals[tail]), swap)
-
-
-def _half_step(slots: _Slots, x: np.ndarray, buffer: np.ndarray, y: np.ndarray) -> None:
-    """y[i] = the sum of vals * x[index] over i's slots, then its tail, from
-    its first slot on in entry order: one gather into `buffer` (the shape of
-    the slots), one multiply in place and one sum along axis 0, which adds
-    slot after slot (a sum along axis 1 would go pairwise)."""
-    x.take(slots.index, out=buffer, mode="clip")  # "raise" would gather through a second buffer
-    if slots.swap:
-        np.multiply(buffer, slots.vals, out=buffer)
-    else:
-        np.multiply(slots.vals, buffer, out=buffer)
-    np.add.reduce(buffer, 0, None, y)
-    at, index, vals = slots.tail
-    if len(at):
-        gathered = x[index]
-        np.add.at(y, at, np.multiply(gathered, vals) if slots.swap else np.multiply(vals, gathered))
+                  (at[tail], index[tail], vals[tail]))
 
 
 def _norm(x: np.ndarray) -> float:
@@ -313,20 +298,21 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     is exactly 0, which an all-zero table reaches at once (its estimate is
     0.0).  Each sum adds its entry products in entry order (window column
     by window column, each column in `step_operator` order), from the
-    first product on.  For each half
-    the entries are laid out once per estimate in slot matrices of shape
-    (width, n): slot j of window position i holds i's j-th entry, padded
-    with 0, so an iteration is one gather, one complex multiply in place
-    and one sum along axis 0, which adds slot after slot.  The width is
-    the widest position's, capped so the slots hold at most twice the
-    entries; the entries past it are added after the slots by one
-    `np.add.at`, in entry order, so the estimate's bits do not depend on
-    the width.  The products keep the operand order of `vals * v[cols]` and
-    `np.multiply(conj(vals), w[rows])`, which numpy's temporary elision
-    swaps from `ELIDED_ENTRIES` entries on in the first.  v is normalized
-    by a real multiply with 1/||v||.  The products are numpy complex
-    products, which may fuse multiply-adds, so the last bits of the
-    estimate can differ between hosts.
+    first product on.  For each half the entries are laid out once per
+    estimate in slot matrices of shape (width, n): slot j of window
+    position i holds i's j-th entry, padded with 0.  The width is the
+    widest position's, capped so the slots hold at most twice the entries;
+    the entries past it make the half's tail.  One loop serves every
+    layout: each half-step is one gather, one complex multiply in place
+    and one sum along axis 0, which adds slot after slot, and then, only
+    for a half with a tail, one `np.add.at` of the tail in entry order, so
+    the estimate's bits do not depend on the width.  The products keep the
+    operand order of `vals * v[cols]` and `np.multiply(conj(vals),
+    w[rows])`, which numpy's temporary elision swaps from `ELIDED_ENTRIES`
+    entries on in the first.  v is normalized by a real multiply with
+    1/||v||.  The products are numpy complex products, which may fuse
+    multiply-adds, so the last bits of the estimate can differ between
+    hosts.
     """
     if not (_positive(window_radius) and _positive(iterations)):
         raise ValueError("window_radius and iterations must be positive")
@@ -337,13 +323,14 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     n = window.size
 
     rows, cols, vals = _compressed(kernel, window)
-    # A v as `vals * v[cols]`, summed into rows; A^H w as
+    # A v as `vals * v[cols]`, summed into rows, which numpy's temporary
+    # elision swaps from ELIDED_ENTRIES entries on; A^H w as
     # `np.multiply(conj(vals), w[rows])`, summed into columns
-    forward = _slots(rows, cols, vals, n, swap=len(vals) >= ELIDED_ENTRIES)
-    backward = _slots(cols, rows, np.conjugate(vals, out=vals), n, swap=False)
+    swap = len(vals) >= ELIDED_ENTRIES
+    forward = _slots(rows, cols, vals, n)
+    backward = _slots(cols, rows, np.conjugate(vals, out=vals), n)
     del rows, cols, vals  # the power iteration needs only the slots
     buffer = np.empty((max(len(forward.vals), len(backward.vals)), n), dtype=np.complex128)
-    forward_buffer, backward_buffer = buffer[:len(forward.vals)], buffer[:len(backward.vals)]
 
     v = np.zeros(n, dtype=np.complex128)
     v[window.interior()] = 1.0
@@ -359,27 +346,26 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     # a complex by a real as a multiply by its reciprocal, so v /= ||v|| has
     # the bits of one real multiply on the float64 view
     w = np.empty(n, dtype=np.complex128)
+    # per half: the vector gathered from, the gather index and the buffer it
+    # fills (the shape of the slots), the product's operands in order, the
+    # vector summed into, and the tail with its operand order (None without)
+    halves = []
+    for slots, x, y, swapped in ((forward, v, w, swap), (backward, w, v, False)):
+        gathered = buffer[:len(slots.vals)]
+        operands = (gathered, slots.vals) if swapped else (slots.vals, gathered)
+        tail = (*slots.tail, swapped) if len(slots.tail[0]) else None
+        halves.append((x, slots.index, gathered, operands, y, tail))
     v_re, v_im, v_parts, sqrt = v.real, v.imag, v.view(np.float64), math.sqrt
-    if len(forward.tail[0]) or len(backward.tail[0]):
-        for _ in range(iterations):
-            _half_step(forward, v, forward_buffer, w)
-            _half_step(backward, w, backward_buffer, v)
-            square = v_re.dot(v_re) + v_im.dot(v_im)
-            if square == 0.0:
-                break
-            v_parts *= 1.0 / sqrt(square)
-        return _norm(w)
-    # the loop of `_half_step` without a tail, inlined
     multiply, reduce = np.multiply, np.add.reduce
-    forward_index, backward_index, backward_vals = forward.index, backward.index, backward.vals
-    first, second = (forward_buffer, forward.vals) if forward.swap else (forward.vals, forward_buffer)
     for _ in range(iterations):
-        v.take(forward_index, out=forward_buffer, mode="clip")
-        multiply(first, second, forward_buffer)
-        reduce(forward_buffer, 0, None, w)
-        w.take(backward_index, out=backward_buffer, mode="clip")
-        multiply(backward_vals, backward_buffer, backward_buffer)
-        reduce(backward_buffer, 0, None, v)
+        for x, index, gathered, operands, y, tail in halves:
+            x.take(index, out=gathered, mode="clip")  # "raise" would gather through a second buffer
+            multiply(*operands, gathered)
+            reduce(gathered, 0, None, y)  # slot after slot; a sum along axis 1 would go pairwise
+            if tail:
+                at, tail_index, tail_vals, swapped = tail
+                product = x[tail_index]
+                np.add.at(y, at, multiply(product, tail_vals) if swapped else multiply(tail_vals, product))
         square = v_re.dot(v_re) + v_im.dot(v_im)
         if square == 0.0:
             break

@@ -378,6 +378,14 @@ def reference_step_operator(
     )
 
 
+def by_image(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """A COO matrix as `oracle._gram_blocks` takes it: (cols, vals) stable-
+    sorted by row, so each row's entries keep their order, and the entry
+    count of every row that has entries, in row order."""
+    order = np.argsort(rows, kind="stable")
+    return cols[order], vals[order], np.unique(rows, return_counts=True)[1]
+
+
 def reference_gram_product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     """The whole of A^H A for the COO matrix A with n columns, as sorted keys
     i*n + j and the entry sums G[i, j] = sum_k conj(A[k, i]) A[k, j].

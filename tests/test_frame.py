@@ -30,6 +30,8 @@ def make_frame(states=2, symbols=2):
     (lambda: qt.Configuration(0, (qt.Tape(0),), (0, 1)), "tape count and head count must agree"),
     (lambda: qt.Configuration(0, (), ()), "a configuration needs at least one tape"),
     # a float is refused, not truncated; a bool or a string is not an integer
+    (lambda: qt.TuringFrame(("q0", "q1"), (("B", "a"),), (0.5,)), "blank index must be an integer, got 0.5"),
+    (lambda: qt.TuringFrame(("q",), (("B", "a"),), (True,)), "blank index must be an integer, got True"),
     (lambda: qt.Tape(0, ((1.9, 1),)), "tape cell must be an integer, got 1.9"),
     (lambda: qt.Tape(0, ((1, True),)), "tape symbol must be an integer, got True"),
     (lambda: qt.Tape(np.float64(0.0)), "tape blank must be an integer, got np.float64(0.0)"),
@@ -49,6 +51,8 @@ def test_numpy_integers_are_accepted_as_ints():
     config = qt.Configuration(np.int64(1), (tape,), (np.uint16(4),))
     assert config == qt.Configuration(1, (qt.Tape(0, ((-2, 1), (3, 2))),), (4,))
     assert [type(v) for v in (tape.blank, *itertools.chain(*tape.cells), config.state, *config.heads)] == [int] * 7
+    frame = qt.TuringFrame(("q",), (("B", "a"), ("B",)), (np.uint8(1), np.int64(0)))
+    assert frame.blanks == (1, 0) and [type(b) for b in frame.blanks] == [int] * 2
 
 
 class TestTape:

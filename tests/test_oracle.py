@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qturing.windows import window_size
 from conftest import random_configuration, random_table
 from reference_frame import ConfigurationWindow, locally_like
 from reference_oracle import (
+    by_image,
     column_pairs,
     gram_columns,
     gram_rows,
@@ -147,7 +149,7 @@ def test_upper_half_gram_product_mirrors_the_whole(n, sizes, seed, exact):
     bits; it counts every off-diagonal pair twice, and its first tie for the
     largest off-diagonal modulus is the whole product's."""
     rows, cols, vals = _random_coo(n, sizes, seed, exact)
-    keys, sums = map(np.concatenate, zip(*_gram_blocks(rows, cols, vals, n)))
+    keys, sums = map(np.concatenate, zip(*_gram_blocks(*by_image(rows, cols, vals), n)))
     whole_keys, whole_sums = reference_gram_product(rows, cols, vals, n)
     i, j = np.divmod(keys, n)
     assert np.all(i <= j)
@@ -349,6 +351,17 @@ class TestPerturb:
         with pytest.raises(ValueError):
             qt.perturb(identity_machine, (0, 0, 0, 0, 0), 0.0)
 
+    @pytest.mark.parametrize("epsilon", [-0.0, True, np.bool_(True), math.nan, -math.inf, "0.1", 0.1j, None])
+    def test_bad_epsilon_rejected(self, identity_machine, epsilon):
+        message = f"epsilon must be a nonzero finite real number, got {epsilon!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qt.perturb(identity_machine, (0, 0, 0, 0, 0), epsilon)
+
+    def test_numpy_and_negative_epsilons_shift_the_amplitude(self, identity_machine):
+        for epsilon in (np.float32(0.25), np.float64(-0.5), -2, np.int8(1)):
+            table = qt.perturb(identity_machine, (0, 0, 0, 0, 0), epsilon)
+            assert qt.amplitude(table, 0, 0, 0, 0, 0) == qt.amplitude(identity_machine, 0, 0, 0, 0, 0) + float(epsilon)
+
     def test_perturbed_fails_gram_identity(self, corpus):
         for entry in corpus[:16]:
             check = qt.column_gram_check(entry.table, radius=3)
@@ -359,6 +372,16 @@ class TestCorpus:
     def test_sizes_and_split(self, corpus):
         assert len(corpus) == 100
         assert sum(e.expect_valid for e in corpus) == 50
+
+    @pytest.mark.parametrize("counts", [(True, 1), (1, False), (1.0, 1), (2, 2.0), ("2", 1),
+                                        (-1, 0), (1, -1), (0, 1)])
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(ValueError):
+            qt.build_corpus(*counts)
+
+    def test_numpy_and_zero_counts(self):
+        assert qt.build_corpus(0, 0) == []
+        assert [e.expect_valid for e in qt.build_corpus(np.int64(2), np.uint8(1))] == [True, True, False]
 
     def test_deterministic(self):
         a = qt.build_corpus(6, 6, seed=42)

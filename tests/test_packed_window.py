@@ -223,12 +223,35 @@ def _skewed_table() -> qt.TransitionTable:
     return qt.TransitionTable(frame, amps)
 
 
+def _funnel_table() -> qt.TransitionTable:
+    """Q4S2 whose every read has a rule to (q0, B, 0) and whose only other
+    rule reads (q1, s1): 8 entries land on each (q0, B) image, so the
+    forward slot width is capped and the forward half has a tail, past
+    numpy's elision size at r=4 (20,480 kept entries)."""
+    frame = qt.simple_frame(4, 2)
+    amps = np.zeros(frame.table_shape, dtype=np.complex128)
+    rng = np.random.default_rng(5)
+    amps[:, :, 0, 0, 1] = rng.standard_normal(amps.shape[:2]) + 1j * rng.standard_normal(amps.shape[:2])
+    amps[1, 1, 2, 1, 2] = 0.5
+    return qt.TransitionTable(frame, amps)
+
+
 # slot layouts the tables above leave out: a capped width with an add.at
-# tail, products past numpy's elision size, and two tapes
+# tail, products past numpy's elision size, both at once, and two tapes
 SLOT_LAYOUTS = {
     "skewed r2": (_skewed_table, 2),
     "dense Q2S2 r3": (lambda: random_table(qt.simple_frame(2, 2), np.random.default_rng(3), density=1.0), 3),
     "two-tape r1": (lambda: random_table(qt.simple_frame(1, 2, 2), np.random.default_rng(12), density=0.6), 1),
+    "funnel r4": (_funnel_table, 4),
+}
+
+# per SLOT_LAYOUTS entry: whether the forward and the backward half have a
+# tail, whether the kept entries reach ELIDED_ENTRIES, and the tape count
+LAYOUT_SHAPES = {
+    "skewed r2": (False, True, False, 1),
+    "dense Q2S2 r3": (False, False, True, 1),
+    "two-tape r1": (False, False, False, 2),
+    "funnel r4": (True, False, True, 1),
 }
 
 
@@ -239,15 +262,14 @@ def test_estimate_norm_matches_dict_route_on_more_layouts(name):
     kernel = _Kernel.of(table)
     window = windows.PackedWindow(kernel, radius)
     rows, cols, vals = windows._compressed(kernel, window)
-    forward = windows._slots(rows, cols, vals, window.size, swap=False)
-    backward = windows._slots(cols, rows, vals, window.size, swap=False)
+    forward = windows._slots(rows, cols, vals, window.size)
+    backward = windows._slots(cols, rows, vals, window.size)
     # the slot matrices hold at most twice the kept entries
     assert forward.vals.size <= 2 * len(vals) and backward.vals.size <= 2 * len(vals)
     assert forward.vals.size + len(forward.tail[0]) >= len(vals)
-    tails = len(forward.tail[0]) + len(backward.tail[0])
-    assert (tails > 0) == (name == "skewed r2")
-    assert (len(vals) >= windows.ELIDED_ENTRIES) == (name == "dense Q2S2 r3")
-    assert table.frame.tape_count == (2 if name == "two-tape r1" else 1)
+    shape = (len(forward.tail[0]) > 0, len(backward.tail[0]) > 0, len(vals) >= windows.ELIDED_ENTRIES,
+             table.frame.tape_count)
+    assert shape == LAYOUT_SHAPES[name]
     for seed in (0, 1):
         got = qt.estimate_norm(table, radius, 200, seed=seed)
         assert got.hex() == reference_estimate_norm(table, radius, 200, seed=seed).hex()
@@ -266,7 +288,8 @@ PINNED_CORPUS_NORMS = {
     ("many_tape_corpus", 5, 1): ("0x1.03286c7bc53f2p+0", "0x1.03a351879d178p+0", "0x1.1b8851cda02cfp+0"),
 }
 
-# the same per SLOT_LAYOUTS entry, seed 0 then seed 1
+# the same per SLOT_LAYOUTS entry, seed 0 then seed 1 (the funnel's computed
+# before the power iteration had one loop)
 PINNED_LAYOUT_NORMS = {
     "dense Q2S2 r3": ("0x1.2306961c59af3p+2", "0x1.d6b9038065f25p+2", "0x1.39adaa3b37c62p+3",
                       "0x1.231797fa9d1efp+2", "0x1.d6ca46815c75dp+2", "0x1.39af13663fbfcp+3"),
@@ -274,6 +297,8 @@ PINNED_LAYOUT_NORMS = {
                   "0x1.4d4a89f8ef95cp+1", "0x1.a0d7acb4b1211p+2", "0x1.0efb892fb7962p+3"),
     "two-tape r1": ("0x1.ce88d05f84013p+2", "0x1.2ce51f017ed14p+3", "0x1.68acd557be2eep+3",
                     "0x1.ce9dc5b454d3fp+2", "0x1.2cf29b28d1a82p+3", "0x1.68acd555ff798p+3"),
+    "funnel r4": ("0x1.895eb336f4f97p-1", "0x1.01bf6efe2f5f7p+2", "0x1.01de4adfe2afap+2",
+                  "0x1.89465043cc149p-1", "0x1.01bf69b07f3a4p+2", "0x1.01de4ae14edc8p+2"),
 }
 
 

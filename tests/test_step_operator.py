@@ -10,7 +10,7 @@ from qturing.oracle import _gram_blocks
 
 from conftest import random_table
 from reference_frame import alpha, beta, matrix_element
-from reference_oracle import reference_adjoint, reference_apply, rules_for
+from reference_oracle import by_image, reference_adjoint, reference_apply, rules_for
 
 
 def _frame_window(shape, radius, stride, seed):
@@ -116,7 +116,7 @@ def test_gram_product_matches_dense(case, adjoint):
     table, window, (_, forward), (_, backward) = case
     a = backward if adjoint else forward
     n = len(window)
-    blocks = _gram_blocks(*qt.step_operator(table, window, adjoint=adjoint)[:3], n)
+    blocks = _gram_blocks(*by_image(*qt.step_operator(table, window, adjoint=adjoint)[:3]), n)
     keys, sums = map(np.concatenate, zip(*blocks))
     assert np.all(np.diff(keys) > 0)
     # the upper half, mirrored, is the whole product

@@ -1,9 +1,9 @@
 """The window operators built from image codes against the operator built
-from image cells: the Gram check's (rows, cols, vals) equal
-`_Kernel.operator`'s on both sides, and the norm estimate's compressed
-operator equals the forward images located by their cells, dtypes
-included; and the step bound refuses a window at its exact entry count
-before any entry array is allocated."""
+from image cells: the Gram check's (cols, vals, sizes) equal
+`_Kernel.operator`'s entries grouped by image on both sides, and the norm
+estimate's compressed operator equals the forward images located by their
+cells, dtypes included; and the step bound refuses a window at its exact
+entry count before any entry array is allocated."""
 import tracemalloc
 
 import numpy as np
@@ -17,6 +17,7 @@ from qturing.evolution import _Kernel
 
 from bounded_gram import dense_table
 from conftest import random_table
+from reference_oracle import by_image
 from test_packed_window import cell_codes, kept_images, outside
 
 
@@ -30,7 +31,7 @@ def assert_codes_match_cells(table, radius: int):
     kernel = _Kernel.of(table)
     window = windows.PackedWindow(kernel, radius)
     for adjoint in (False, True):
-        _same(oracle._operator(kernel, window, adjoint), kernel.operator(window.terms, adjoint)[:3])
+        _same(oracle._operator(kernel, window, adjoint), by_image(*kernel.operator(window.terms, adjoint)[:3]))
     walk = kernel.kept(window.terms, adjoint=False)
     images = kept_images(kernel, window.terms, adjoint=False)
     inside = ~outside(window, images)
