@@ -15,9 +15,9 @@ by the data, never by the coordinates: heads at 0 and 10**12 take a few
 dozen columns.  Positions must lie within +-2**62 (`MAX_POSITION`).  The
 rules are CSR arrays read off the table's nonzero amplitudes once per
 table.  A step is the rule walk (`_Kernel.walk`: every term once per
-matching rule, as parent, rule and slot), then the image build (the
-written symbols scattered into copies of the parent cells; the two make
-`_Kernel.expand`), then amp * coef summed per image with `np.bincount`.
+matching rule, as parent, rule, slot and coefficient), then the image
+build (`_Kernel.images`: the written symbols scattered into copies of the
+parent cells), then amp * coef summed per image with `np.bincount`.
 
 Each image has one sort key (`_Layout.keys`) whose order is
 `Configuration.sort_key` order and which is equal only for equal images, so
@@ -33,11 +33,14 @@ loop the kernel replaced, so results are bit-reproducible: terms in
 `sort_key` order, forward rules grouped by written vector in
 first-appearance order, then (p, tau, d), adjoint hits move by move, then
 (q, sigma).  `_Kernel.operator` numbers the images of packed basis
-states, and `step_operator` decodes them.  The window routes (the Gram
-oracle and `windows.estimate_norm`) take only the rule walk of
-`_Kernel.kept`: they name each image by its window code and rank it with
-`_Kernel.image_order`, and never build image cells.  `windows` and
-`oracle` build on this module.
+states by first column, then key, and `step_operator` decodes them.  It
+and the window routes (the Gram oracle and `windows.estimate_norm`) take
+the rule walk of `_Kernel.kept`, without the entries below
+PRUNE_THRESHOLD.  The window routes name each image by its window code;
+the Gram oracle builds one image per code and numbers them as
+`_Kernel.operator` does, by first column, then key, and the norm estimate
+builds none.  `keys` is the one code that knows `sort_key` order.
+`windows` and `oracle` build on this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
 stays packed: a `Superposition` holds its amplitudes in `sort_key` order
@@ -430,10 +433,9 @@ class _Kernel(_Layout):
         return _Terms(np.array(states, dtype=np.intp), np.searchsorted(cols, heads), cells, cols,
                       None if amps is None else np.array(amps, dtype=np.complex128), RUN_MARGIN)
 
-    def walk(self, terms: _Terms, adjoint: bool) -> tuple:
+    def walk(self, terms: _Terms, adjoint: bool) -> _Walk:
         """The rule walk: every entry of M (or M^dagger) on the packed basis
-        states, term by term in rule order, as the first five fields of a
-        `_Walk` (parent, rule, slot, columns, read).  The adjoint reads and
+        states, term by term in rule order.  The adjoint reads and
         keys each term only along `used_moves`, the move vectors some rule
         uses, since no hit lies along the others.  More than
         MAX_STEP_SYMBOLS packed image symbols (entries x tapes x columns)
@@ -466,70 +468,29 @@ class _Kernel(_Layout):
         slot = np.arange(len(key)).repeat(count)
         rule = (stop - ends)[slot] + np.arange(entries)
         parent = slot // max(len(self.back), 1) if adjoint else slot  # a table without rules has no slot
-        return parent, rule, slot, columns, read
+        return _Walk(parent, rule, slot, (self.adjoint if adjoint else self.forward)[5][rule], columns, read)
 
-    def expand(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, _Terms, np.ndarray]:
-        """Every entry of M (or M^dagger) on the packed basis states, term by
-        term in rule order: (parent term, images, coefficients).  The rule
-        walk, then the image build: each image is its parent's cells with
-        the rule's symbols written at its slot's columns.  A head moves at
-        most one column, so the images keep one column less slack."""
-        parent, rule, slot, columns, _ = self.walk(terms, adjoint)
-        _, _, to_state, to_write, to_move, to_coef = self.adjoint if adjoint else self.forward
-        at = columns[slot]
-        images = terms.cells[parent]
-        if self.S > 1:
-            images[np.arange(len(rule))[:, None], self.tapes, at] = to_write[rule]
-        return parent, _Terms(to_state[rule], at if adjoint else at + to_move[rule], images, terms.cols, None,
-                              max(terms.slack - 1, 0)), to_coef[rule]
-
-    def kept(self, terms: _Terms, adjoint: bool) -> "_Walk":
+    def kept(self, terms: _Terms, adjoint: bool) -> _Walk:
         """The rule walk without the entries below PRUNE_THRESHOLD: the
-        matrix entries of the Gram check and the windowed norm estimate,
-        which never build their images."""
-        parent, rule, slot, columns, read = self.walk(terms, adjoint)
-        coef = (self.adjoint if adjoint else self.forward)[5]
-        walk = _Walk(parent, rule, slot, coef[rule], columns, read)
-        small = np.abs(coef) < PRUNE_THRESHOLD  # per rule
-        return walk.take(~small[rule]) if small.any() else walk
+        matrix entries of `step_operator`, the Gram check and the windowed
+        norm estimate."""
+        walk = self.walk(terms, adjoint)
+        small = np.abs((self.adjoint if adjoint else self.forward)[5]) < PRUNE_THRESHOLD  # per rule
+        return walk.take(~small[walk.rule]) if small.any() else walk
 
-    def image_order(self, terms: _Terms, walk: "_Walk", entries: np.ndarray, adjoint: bool) -> np.ndarray:
-        """A key for each of the `entries` of `walk`: by parent term, then
-        the parent's images in `sort_key` order, without building them.
-        The images of one parent (one per entry) differ only in their
-        state, their head move and the symbols written at their slot's
-        columns, so they compare by state, then by move vector (as their
-        heads do; an adjoint image moves back by its slot's move vector),
-        then tape by tape by the written symbol: s as s + 1, and a blank as
-        0, or as `top` when a non-blank cell follows it on its tape (as in
-        `keys`)."""
+    def images(self, terms: _Terms, walk: _Walk, adjoint: bool) -> _Terms:
+        """The image of every entry of `walk`, a rule walk on `terms`: its
+        parent's cells with the rule's symbols written at its slot's
+        columns, the rule's state, and the heads at those columns, moved
+        by the rule's move vector forward.  A head moves at most one
+        column, so the images keep one column less slack."""
         _, _, to_state, to_write, to_move, _ = self.adjoint if adjoint else self.forward
-        slot, rule = walk.slot[entries], walk.rule[entries]
-        varied = [i for i, symbols in enumerate(self.frame.symbol_counts) if symbols > 1]
-        radix = (self.top + 1) ** len(varied)
-        per_state = self.M * radix
-        per_parent = self.frame.state_count * per_state
-        if adjoint:  # moving back by d moves the heads by -d, whose index is M - 1 - d's
-            moves = len(self.used_moves)
-            key = slot // moves * per_parent + ((self.M - 1 - self.used_moves) * radix)[slot % moves]
-            per_rule = to_state * per_state
-        else:
-            key = slot * per_parent
-            per_rule = to_state * per_state + (to_move + 1) @ 3 ** np.arange(self.k - 1, -1, -1) * radix
-        if varied:
-            # the last non-blank column of each parent tape (-1 for none)
-            filled = terms.cells != self.blanks[:, None]
-            last = np.max(filled * np.arange(1, filled.shape[2] + 1), axis=2) - 1
-            parent = slot // len(self.used_moves) if adjoint else slot
-            for j, i in enumerate(varied):
-                weight = (self.top + 1) ** (len(varied) - 1 - j)
-                symbol = to_write[:, i].astype(np.int64)
-                blank = symbol == self.blanks[i]
-                per_rule += np.where(blank, 0, (symbol + 1) * weight)
-                after = last[parent, i] > walk.columns[slot, i]
-                key += blank[rule] * after * (self.top * weight)
-        key += per_rule[rule]
-        return key
+        at = walk.columns[walk.slot]
+        cells = terms.cells[walk.parent]
+        if self.S > 1:
+            cells[np.arange(len(walk.rule))[:, None], self.tapes, at] = to_write[walk.rule]
+        return _Terms(to_state[walk.rule], at if adjoint else at + to_move[walk.rule], cells, terms.cols, None,
+                      max(terms.slack - 1, 0))
 
     def step(self, terms: _Terms, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
         """M|psi> (or M^dagger|psi>) on packed terms with amplitudes: the
@@ -538,11 +499,12 @@ class _Kernel(_Layout):
         Each product amp*coef is formed in real arithmetic with one rounding
         per product, as a Python complex product is, and summed per image in
         entry order."""
-        parent, entries, coef = self.expand(terms, adjoint)
+        walk = self.walk(terms, adjoint)
+        entries = self.images(terms, walk, adjoint)
         order, starts, ids = _runs(self.keys(entries))
         first = order[starts]  # each image's first entry
-        amps = terms.amps[parent]
-        ar, ai, cr, ci = amps.real, amps.imag, coef.real, coef.imag
+        amps = terms.amps[walk.parent]
+        ar, ai, cr, ci = amps.real, amps.imag, walk.coef.real, walk.coef.imag
         # every image has an entry, so the sums need no minlength
         vals = np.bincount(ids, weights=ar * cr - ai * ci).astype(np.complex128)
         vals.imag = np.bincount(ids, weights=ar * ci + ai * cr)
@@ -557,13 +519,11 @@ class _Kernel(_Layout):
         return images, first.argsort(kind="stable"), dropped
 
     def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms]:
-        """The packed core of `step_operator`: (rows, cols, vals) on the
-        basis states `terms`, and the packed images that `rows` numbers, by
-        first column, then `sort_key`."""
-        parent, entries, vals = self.expand(terms, adjoint)
-        keep = np.abs(vals) >= PRUNE_THRESHOLD
-        if not keep.all():
-            parent, entries, vals = parent[keep], entries.take(keep), vals[keep]
+        """The packed core of `step_operator`: (rows, cols, vals) of the
+        entries `kept` keeps on the basis states `terms`, and the packed
+        images that `rows` numbers, by first column, then `sort_key`."""
+        walk = self.kept(terms, adjoint)
+        parent, entries = walk.parent, self.images(terms, walk, adjoint)
         order, starts, ids = _runs(self.keys(entries))
         first = order[starts]
         # A Gram entry adds its terms in image-number order, so the numbering
@@ -573,7 +533,7 @@ class _Kernel(_Layout):
         by_column = parent[first].argsort(kind="stable")
         number = np.empty(len(first), dtype=np.intp)
         number[by_column] = np.arange(len(first), dtype=np.intp)
-        return number[ids], parent, vals, entries.take(first[by_column])
+        return number[ids], parent, walk.coef, entries.take(first[by_column])
 
     def reframe(self, terms: _Terms, margin: int) -> _Terms:
         """The same terms on the columns that are non-blank in some term or

@@ -17,8 +17,9 @@ MOVES = (-1, 0, 1)
 
 
 def _is_integer(value) -> bool:
-    """Whether `value` is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """Whether `value` is a Python or numpy integer; a bool is not one.  A
+    plain int is answered without the slower ABC check."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _integer(value, what: str) -> int:
@@ -53,7 +54,8 @@ def _as_vector(value, k: int, what: str) -> tuple[int, ...]:
 class TuringFrame:
     """States plus one alphabet per tape, each with a designated blank index:
     a Python or numpy integer, stored as an int (ValueError for a float or
-    a bool)."""
+    a bool).  `blanks` is a tuple or list with one index per tape, or empty
+    for blank 0 on every tape (ValueError for a scalar or an array)."""
 
     states: tuple[str, ...]
     alphabets: tuple[tuple[str, ...], ...]
@@ -62,6 +64,8 @@ class TuringFrame:
     def __post_init__(self):
         states = tuple(self.states)
         alphabets = tuple(tuple(a) for a in self.alphabets)
+        if not isinstance(self.blanks, (tuple, list)):
+            raise ValueError(f"blanks must be a tuple or list of blank indices, got {self.blanks!r}")
         blanks = (tuple(_integer(b, "blank index") for b in self.blanks) if self.blanks
                   else (0,) * len(alphabets))
         object.__setattr__(self, "states", states)

@@ -74,7 +74,7 @@ from .conditions import (
     ValidationReport,
     _require_tolerance,
 )
-from .frame import MOVES, TuringFrame
+from .frame import MOVES, TuringFrame, _is_integer
 from .table import TransitionTable
 
 # The generated set has 1 + (5^k + 1)/2 conditions.  On a Q1 table with one
@@ -92,7 +92,11 @@ _BATCH_ENTRIES = 2 ** 14
 
 def displacement_label(displacement: tuple[int, ...], part: str | None = None) -> str:
     """Report label for a condition: classic letter/number when one exists.
-    `part` ("norm" or "orth") names a half of D = 0."""
+    `part` ("norm" or "orth") names a half of D = 0.  The components must
+    be Python or numpy integers (ValueError otherwise, a float or a bool
+    included)."""
+    if not all(map(_is_integer, displacement)):
+        raise ValueError(f"displacement components must be integers, got {displacement!r}")
     k = len(displacement)
     if part == "norm":
         return "a" if k == 1 else "1"
@@ -135,7 +139,11 @@ def _catalog(k: int) -> tuple[ConditionId, ...]:
 
 
 def condition_count(k: int) -> int:
-    """Evaluated conditions for k tapes: 1 + (5^k + 1)/2."""
+    """Evaluated conditions for k tapes: 1 + (5^k + 1)/2.  `k` must be a
+    positive Python or numpy integer (ValueError otherwise, a float or a
+    bool included)."""
+    if not (_is_integer(k) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     return 1 + (5 ** k + 1) // 2
 
 

@@ -16,13 +16,13 @@ order, so the residuals and the witness keep their bits at any budget.  The
 window stays packed arrays (`windows.PackedWindow`), kept on the table's
 kernel (`PackedWindow.of`: one read-only window per table, for the last
 radius asked for, freed with the table), so the column and the row check
-at one radius build it once.  Its images are never built: each entry
-names its image by code, one `_runs` of the codes groups the entries by
-image, each image is ranked among those of its first column by
-`_Kernel.image_order`, and one gather puts the groups in that order; the
-self-join takes the groups as they are, so each check sorts its entries
-once.  Only the witness configurations are decoded, from their window
-codes.
+at one radius build it once.  Each entry names its image by code, and
+one `_runs` of the codes groups the entries by image.  Only each group's
+first image is built: the groups are ranked by first column, then by that
+image's `_Layout.keys` key, as `_Kernel.operator` numbers its images, and
+one gather puts the groups in that order; the self-join takes the groups
+as they are, so each check sorts its entries once.  Only the witness
+configurations are decoded, from their window codes.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -189,16 +189,17 @@ def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int, into=None):
 
 
 def _operator(kernel: _Kernel, window: PackedWindow, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cols, vals, sizes) of M (or M^dagger) on the window, without image
-    cells: its entries grouped by image, each image's entries in column
-    order, and each image's entry count.  One `_runs` of the image codes
-    groups the entries, and the groups come in the order in which
-    `_Kernel.operator` numbers its images: each image is ranked by its
-    first entry's `image_order` key, whose parent is the image's first
-    column."""
+    """(cols, vals, sizes) of M (or M^dagger) on the window: its entries
+    grouped by image, each image's entries in column order, and each
+    image's entry count.  One `_runs` of the image codes groups the
+    entries, and the groups come in the order in which `_Kernel.operator`
+    numbers its images: by first column (the parent of a group's first
+    entry), then by the key of the image, built from that entry alone."""
     walk = kernel.kept(window.terms, adjoint)
     order, starts, _ = _runs(window.image_codes(kernel, walk, adjoint, edges=True))
-    by_number = kernel.image_order(window.terms, walk, order[starts], adjoint).argsort()  # the keys are distinct
+    first = walk.take(order[starts])  # each image's first entry, whose parent is its first column
+    by_key = kernel.keys(kernel.images(window.terms, first, adjoint)).argsort(kind="stable")
+    by_number = by_key[first.parent[by_key].argsort(kind="stable")]
     sizes = np.diff(starts, append=len(order))[by_number]
     # each group's entries, moved from its start in `order` to its start by number
     order = order[np.repeat(starts[by_number] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(order))]
@@ -261,7 +262,11 @@ def row_gram_check(
 # ---------------------------------------------------------------------------
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary via QR of a complex Gaussian, with fixed column phases."""
+    """Haar-ish unitary via QR of a complex Gaussian, with fixed column
+    phases.  `dim` must be a nonnegative Python or numpy integer
+    (ValueError otherwise, a float or a bool included)."""
+    if not (_is_integer(dim) and dim >= 0):
+        raise ValueError(f"dim must be a nonnegative integer, got {dim!r}")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -344,11 +349,13 @@ def _corpus_directions(kind: int, states: int, symbols: int, rng: np.random.Gene
 def build_corpus(n_valid: int = 50, n_invalid: int = 50, seed: int = 7) -> list[CorpusEntry]:
     """Deterministic corpus: unitary-pair machines plus single-entry
     perturbations of them, each perturbation verified to break validity.
-    Both counts must be nonnegative Python or numpy integers (ValueError
-    otherwise, a bool included), and invalid tables need a valid one to
-    perturb."""
+    Both counts and the seed must be nonnegative Python or numpy integers
+    (ValueError otherwise, a bool included), and invalid tables need a
+    valid one to perturb."""
     if not all(_is_integer(count) and count >= 0 for count in (n_valid, n_invalid)):
         raise ValueError(f"corpus counts must be nonnegative integers, got {(n_valid, n_invalid)!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if n_invalid and not n_valid:
         raise ValueError("n_invalid > 0 needs n_valid > 0: invalid tables perturb valid ones")
     rng = np.random.default_rng(seed)

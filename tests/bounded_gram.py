@@ -1,7 +1,7 @@
 """One Gram check on a dense random table, under an address-space limit.
 
     OPENBLAS_NUM_THREADS=1 python tests/bounded_gram.py LIMIT_MIB RADIUS STATES SYMBOLS [SYMBOLS ...] \
-        [--side rows|both]
+        [--side rows|both] [--golden tests/golden/bounded_gram.json]
 
 The table is `dense_table(STATES, *SYMBOLS)`; the check is the column Gram
 check, or the row Gram check with `--side rows`.  With `--side both` the
@@ -9,11 +9,14 @@ column check and then the row check run on the one table, as `qturing gram`
 runs them by default, so the second reuses the window the first kept on
 the table.  Prints one JSON line per check: its repr, its time in seconds
 and the process's peak RSS in MiB so far.  A check that does not fit the
-limit exits 1 with a MemoryError.  One OpenBLAS thread keeps the other
-threads' buffers out of the address space.
+limit exits 1 with a MemoryError.  With `--golden`, a check whose repr
+differs from the one the JSON file pins for its table, radius and side
+(`golden_key`), or that the file does not pin, exits 1 too.  One
+OpenBLAS thread keeps the other threads' buffers out of the address space.
 """
 import argparse
 import json
+import sys
 import time
 
 import numpy as np
@@ -30,6 +33,11 @@ def dense_table(*dims: int) -> qt.TransitionTable:
                               + 1j * rng.standard_normal(frame.table_shape))
 
 
+def golden_key(dims, radius: int, side: str) -> str:
+    """The key of one check in a `--golden` file, e.g. "2,2 r=6 columns"."""
+    return f"{','.join(map(str, dims))} r={radius} {side}"
+
+
 if __name__ == "__main__":
     import resource  # Unix only: imported here so that dense_table imports anywhere
 
@@ -38,7 +46,12 @@ if __name__ == "__main__":
     parser.add_argument("radius", type=int)
     parser.add_argument("dims", type=int, nargs="+", help="the states, then the symbols of each tape")
     parser.add_argument("--side", choices=("columns", "rows", "both"), default="columns")
+    parser.add_argument("--golden", help="a JSON file of pinned reprs, by `golden_key`")
     args = parser.parse_args()
+    golden = None
+    if args.golden:
+        with open(args.golden, encoding="utf-8") as file:
+            golden = json.load(file)
     table = dense_table(*args.dims)
     checks = {"columns": [qt.column_gram_check], "rows": [qt.row_gram_check],
               "both": [qt.column_gram_check, qt.row_gram_check]}[args.side]
@@ -48,3 +61,7 @@ if __name__ == "__main__":
         result = check(table, args.radius)
         print(json.dumps({"repr": repr(result), "seconds": round(time.perf_counter() - start, 3),
                           "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10}), flush=True)
+        if golden is not None:
+            key = golden_key(args.dims, args.radius, result.side)
+            if golden.get(key) != repr(result):
+                sys.exit(f"{key}: the repr differs from the one pinned in {args.golden}")

@@ -32,6 +32,10 @@ def make_frame(states=2, symbols=2):
     # a float is refused, not truncated; a bool or a string is not an integer
     (lambda: qt.TuringFrame(("q0", "q1"), (("B", "a"),), (0.5,)), "blank index must be an integer, got 0.5"),
     (lambda: qt.TuringFrame(("q",), (("B", "a"),), (True,)), "blank index must be an integer, got True"),
+    # `blanks` is a sequence of one index per tape, not a scalar or an array
+    (lambda: qt.TuringFrame(("q",), (("B", "a"),), 1), "blanks must be a tuple or list of blank indices, got 1"),
+    (lambda: qt.TuringFrame(("q",), (("B", "a"), ("B", "b")), np.array([1, 0])),
+     "blanks must be a tuple or list of blank indices, got array([1, 0])"),
     (lambda: qt.Tape(0, ((1.9, 1),)), "tape cell must be an integer, got 1.9"),
     (lambda: qt.Tape(0, ((1, True),)), "tape symbol must be an integer, got True"),
     (lambda: qt.Tape(np.float64(0.0)), "tape blank must be an integer, got np.float64(0.0)"),

@@ -379,6 +379,17 @@ class TestCorpus:
         with pytest.raises(ValueError):
             qt.build_corpus(*counts)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "7", None, -1, np.int64(-2)])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
+            qt.build_corpus(1, 1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(1), np.int32(42)])
+    def test_numpy_seeds_keep_their_corpora(self, seed):
+        for a, b in zip(qt.build_corpus(6, 6, seed=seed), qt.build_corpus(6, 6, seed=int(seed))):
+            assert a.label == b.label and a.expect_valid == b.expect_valid
+            assert a.table.amplitudes.tobytes() == b.table.amplitudes.tobytes()
+
     def test_numpy_and_zero_counts(self):
         assert qt.build_corpus(0, 0) == []
         assert [e.expect_valid for e in qt.build_corpus(np.int64(2), np.uint8(1))] == [True, True, False]

@@ -76,9 +76,10 @@ def cell_codes(window: windows.PackedWindow, terms, edges: bool) -> np.ndarray:
 
 
 def kept_images(kernel: _Kernel, terms, adjoint: bool):
-    """The images of the entries `kernel.kept` keeps, built by `expand`."""
-    _, images, coef = kernel.expand(terms, adjoint)
-    return images.take(np.abs(coef) >= qt.PRUNE_THRESHOLD)
+    """The images of the entries `kernel.kept` keeps, built for the whole
+    rule walk and then pruned by coefficient."""
+    walk = kernel.walk(terms, adjoint)
+    return kernel.images(terms, walk, adjoint).take(np.abs(walk.coef) >= qt.PRUNE_THRESHOLD)
 
 
 def edge_cells(window: windows.PackedWindow, terms) -> np.ndarray:

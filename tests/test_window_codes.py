@@ -2,8 +2,11 @@
 from image cells: the Gram check's (cols, vals, sizes) equal
 `_Kernel.operator`'s entries grouped by image on both sides, and the norm
 estimate's compressed operator equals the forward images located by their
-cells, dtypes included; and the step bound refuses a window at its exact
-entry count before any entry array is allocated."""
+cells, dtypes included.  Both packed routes number their images through
+`_Layout.keys`, so on the smaller windows the Gram check's entries are
+also held to `reference_step_operator`, which numbers its images with
+`Configuration.sort_key` in Python.  And the step bound refuses a window
+at its exact entry count before any entry array is allocated."""
 import tracemalloc
 
 import numpy as np
@@ -17,7 +20,7 @@ from qturing.evolution import _Kernel
 
 from bounded_gram import dense_table
 from conftest import random_table
-from reference_oracle import by_image
+from reference_oracle import by_image, reference_step_operator
 from test_packed_window import cell_codes, kept_images, outside
 
 
@@ -27,11 +30,18 @@ def _same(got, expected):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def assert_codes_match_cells(table, radius: int):
+def assert_codes_match_cells(table, radius: int, reference: bool = False):
+    """With `reference`, the Gram check's entries are also compared with
+    `reference_step_operator` on the decoded window: the check of the
+    image numbering that does not go through `_Layout.keys`."""
     kernel = _Kernel.of(table)
     window = windows.PackedWindow(kernel, radius)
+    configs = qt.radius_window(table.frame, radius) if reference else None
     for adjoint in (False, True):
-        _same(oracle._operator(kernel, window, adjoint), by_image(*kernel.operator(window.terms, adjoint)[:3]))
+        got = oracle._operator(kernel, window, adjoint)
+        _same(got, by_image(*kernel.operator(window.terms, adjoint)[:3]))
+        if reference:
+            _same(got, by_image(*reference_step_operator(table, configs, adjoint)[:3]))
     walk = kernel.kept(window.terms, adjoint=False)
     images = kept_images(kernel, window.terms, adjoint=False)
     inside = ~outside(window, images)
@@ -42,18 +52,19 @@ def assert_codes_match_cells(table, radius: int):
 @pytest.mark.parametrize("radius", [1, 2, 3])
 def test_codes_match_cells_on_the_corpus(corpus, radius):
     for entry in corpus:
-        assert_codes_match_cells(entry.table, radius)
+        assert_codes_match_cells(entry.table, radius, reference=radius <= 2)
 
 
 @pytest.mark.parametrize("name", ["two_tape_corpus", "three_tape_corpus"])
 def test_codes_match_cells_on_the_multitape_corpora(request, name):
     for entry in request.getfixturevalue(name):
-        assert_codes_match_cells(entry.table, 1)
+        assert_codes_match_cells(entry.table, 1, reference=True)
 
 
 # dense tables: Q2S2 at r=3 and 5 (1,792 and 11,264 configurations, 0.54 M
 # entries at r=5), three tapes of two symbols, a two-symbol tape beside
 # one-symbol tapes, six one-symbol tapes, and a blank that is not symbol 0
+# (where a blank written before a non-blank cell decides ranks)
 WIDE = {
     "dense Q2S2 r3": (lambda: dense_table(2, 2), 3),
     "dense Q2S2 r5": (lambda: dense_table(2, 2), 5),
@@ -66,11 +77,14 @@ WIDE = {
                                                       np.random.default_rng(8), 0.8), 1),
 }
 
+# the WIDE cases also held to the reference numbering
+BLANK_NOT_ZERO = ("blank-1 r2", "two-tape blanks (1,0) r1")
+
 
 @pytest.mark.parametrize("name", sorted(WIDE))
 def test_codes_match_cells_on_wide_windows(name):
     build, radius = WIDE[name]
-    assert_codes_match_cells(build(), radius)
+    assert_codes_match_cells(build(), radius, reference=name in BLANK_NOT_ZERO)
 
 
 # one to four tapes, the blank of the first tape drawn
