@@ -179,14 +179,21 @@ class Superposition:
 # Every sort here is a stable argsort: equal keys keep their input order,
 # and one sort kernel keeps the pages of numpy code a process touches small.
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stable sort order of a 1-D array, the start of each run of equal
-    keys in that order, and the run number of every key."""
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of a 1-D array, and whether each key in that
+    order starts a run of equal keys."""
     order = keys.argsort(kind="stable")
     ordered = keys[order]
     new = np.empty(len(order), dtype=bool)
     new[:1] = True
     new[1:] = ordered[1:] != ordered[:-1]
+    return order, new
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort order of a 1-D array, the start of each run of equal
+    keys in that order, and the run number of every key."""
+    order, new = _groups(keys)
     starts = new.nonzero()[0]
     new[:1] = False  # so the running count numbers the runs from 0
     run = np.empty(len(order), dtype=np.intp)
@@ -233,8 +240,8 @@ class _Walk(NamedTuple):
     read: np.ndarray | None  # (slots, k) unsigned symbols
 
     def take(self, index: np.ndarray) -> "_Walk":
-        return self._replace(parent=self.parent[index], rule=self.rule[index], slot=self.slot[index],
-                             coef=self.coef[index])
+        return _Walk(self.parent[index], self.rule[index], self.slot[index], self.coef[index], self.columns,
+                     self.read)
 
 
 _STATE = operator.attrgetter("state")
@@ -426,8 +433,8 @@ class _Kernel(_Layout):
             raise ValueError(f"tape-{i + 1} symbol out of range 0..{frame.symbol_counts[i] - 1}")
         heads = np.array(heads, dtype=np.int64).reshape(n, k)
         cols = np.concatenate([(heads.reshape(-1, 1) + np.arange(-RUN_MARGIN, RUN_MARGIN + 1)).ravel(), cell])
-        order, starts, _ = _runs(cols)
-        cols = cols[order[starts]]
+        order, new = _groups(cols)
+        cols = cols[order[new]]
         cells = self.blank_cells(n, len(cols))
         cells[term, tape, np.searchsorted(cols, cell)] = sym
         return _Terms(np.array(states, dtype=np.intp), np.searchsorted(cols, heads), cells, cols,
@@ -542,8 +549,8 @@ class _Kernel(_Layout):
         used = np.flatnonzero((terms.cells != self.blanks[:, None]).any(axis=(0, 1)))  # none without cells
         heads = np.flatnonzero(np.bincount(terms.heads.ravel(), minlength=len(cols)))
         wanted = np.concatenate([cols[used], (cols[heads][:, None] + np.arange(-margin, margin + 1)).ravel()])
-        order, starts, _ = _runs(wanted)
-        wanted = wanted[order[starts]]
+        order, new = _groups(wanted)
+        wanted = wanted[order[new]]
         cells = self.blank_cells(len(terms.state), len(wanted))
         cells[:, :, np.searchsorted(wanted, cols[used])] = terms.cells[:, :, used]
         return terms._replace(heads=np.searchsorted(wanted, cols[terms.heads]), cells=cells, cols=wanted,

@@ -17,12 +17,13 @@ window stays packed arrays (`windows.PackedWindow`), kept on the table's
 kernel (`PackedWindow.of`: one read-only window per table, for the last
 radius asked for, freed with the table), so the column and the row check
 at one radius build it once.  Each entry names its image by code, and
-one `_runs` of the codes groups the entries by image.  Only each group's
-first image is built: the groups are ranked by first column, then by that
-image's `_Layout.keys` key, as `_Kernel.operator` numbers its images, and
-one gather puts the groups in that order; the self-join takes the groups
-as they are, so each check sorts its entries once.  Only the witness
-configurations are decoded, from their window codes.
+one stable sort of the codes (`_groups`) groups the entries by image.
+Only each group's first image is built: the groups are ranked by first
+column, then by that image's `_Layout.keys` key, as `_Kernel.operator`
+numbers its images, and one gather puts the groups in that order; the
+self-join takes the groups as they are, so each check sorts its entries
+once.  Only the witness configurations are decoded, from their window
+codes.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import DEFAULT_TOLERANCE, _is_tolerance, _require_tolerance
-from .evolution import _Kernel, _runs
+from .evolution import _Kernel, _groups, _runs
 from .frame import MOVES, Configuration, TuringFrame, _is_integer
 from .ktape import check_column
 from .table import TransitionTable, _sealed, amplitude
@@ -191,15 +192,15 @@ def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int, into=None):
 def _operator(kernel: _Kernel, window: PackedWindow, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cols, vals, sizes) of M (or M^dagger) on the window: its entries
     grouped by image, each image's entries in column order, and each
-    image's entry count.  One `_runs` of the image codes groups the
+    image's entry count.  One `_groups` of the image codes groups the
     entries, and the groups come in the order in which `_Kernel.operator`
     numbers its images: by first column (the parent of a group's first
     entry), then by the key of the image, built from that entry alone."""
     walk = kernel.kept(window.terms, adjoint)
-    order, starts, _ = _runs(window.image_codes(kernel, walk, adjoint, edges=True))
+    order, new = _groups(window.image_codes(kernel, walk, adjoint, edges=True))
+    starts = new.nonzero()[0]
     first = walk.take(order[starts])  # each image's first entry, whose parent is its first column
-    by_key = kernel.keys(kernel.images(window.terms, first, adjoint)).argsort(kind="stable")
-    by_number = by_key[first.parent[by_key].argsort(kind="stable")]
+    by_number = np.lexsort((kernel.keys(kernel.images(window.terms, first, adjoint)), first.parent))
     sizes = np.diff(starts, append=len(order))[by_number]
     # each group's entries, moved from its start in `order` to its start by number
     order = order[np.repeat(starts[by_number] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(order))]
