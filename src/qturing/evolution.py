@@ -488,8 +488,8 @@ class _Kernel(_Layout):
     def images(self, terms: _Terms, walk: _Walk, adjoint: bool) -> _Terms:
         """The image of every entry of `walk`, a rule walk on `terms`: its
         parent's cells with the rule's symbols written at its slot's
-        columns, the rule's state, and the heads at those columns, moved
-        by the rule's move vector forward.  A head moves at most one
+        columns, the rule's state, and its heads at those columns (forward,
+        then moved by the rule's move vector).  A head moves at most one
         column, so the images keep one column less slack."""
         _, _, to_state, to_write, to_move, _ = self.adjoint if adjoint else self.forward
         at = walk.columns[walk.slot]
