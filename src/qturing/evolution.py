@@ -15,31 +15,39 @@ by the data, never by the coordinates: heads at 0 and 10**12 take a few
 dozen columns.  Positions must lie within +-2**62 (`MAX_POSITION`).  The
 rules are CSR arrays read off the table's nonzero amplitudes once per
 table.  A step is the rule walk (`_Kernel.walk`: every term once per
-matching rule, as parent, rule, slot and coefficient), then the image
-build (`_Kernel.images`: the written symbols scattered into copies of the
-parent cells), then amp * coef summed per image with `np.bincount`.
+matching rule, as parent, rule, slot and coefficient), then the merge of
+the entries into images, with amp * coef summed per image by
+`np.bincount`.
 
 Each image has one sort key (`_Layout.keys`) whose order is
-`Configuration.sort_key` order and which is equal only for equal images, so
-one stable sort (`_runs`) both merges and orders the images.  Its digits
-are the state and the heads, whose radices |Q| and W are known, then the
-cell columns that vary, whose radices a scan finds.  The key is their
-mixed-radix value as one uint64 when the radices multiply to less than
-2**64, and otherwise the digits big-endian as one void scalar, compared as
-unsigned bytes; numpy sorts the integer form several times faster.  A
-one-symbol frame has no cell digits, and its key is formed directly from
-the state and heads while |Q| * W**k < 2**63.  Every order matches the
-loop the kernel replaced, so results are bit-reproducible: terms in
-`sort_key` order, forward rules grouped by written vector in
-first-appearance order, then (p, tau, d), adjoint hits move by move, then
-(q, sigma).  `_Kernel.operator` numbers the images of packed basis
-states by first column, then key, and `step_operator` decodes them.  It
-and the window routes (the Gram oracle and `windows.estimate_norm`) take
-the rule walk of `_Kernel.kept`, without the entries below
-PRUNE_THRESHOLD.  The window routes name each image by its window code;
+`Configuration.sort_key` order and which is equal only for equal images.
+Its digits are the state and the heads, whose radices |Q| and W are known,
+then the cell columns that vary, whose radices a scan finds.  The key is
+their mixed-radix value as one uint64 when the radices multiply to less
+than 2**64, and otherwise the digits big-endian as one void scalar,
+compared as unsigned bytes; numpy sorts the integer form several times
+faster.  A one-symbol frame has no cell digits, and its key
+(`_Layout.one_symbol_key`) is formed directly from the state and heads
+while |Q| * W**k < 2**63.  A step merges its images one of two ways, with
+the same bits.  On a one-symbol frame whose keys span at most
+4 * entries + 256 values it counts (`_Kernel.merge_by_count`): each
+entry's key is summed from its rule's and its slot's parts, the products
+land in one bin per key, and the bins some entry reached are the images,
+already in key order.  Otherwise it builds every entry's image
+(`_Kernel.images`: the written symbols scattered into copies of the parent
+cells) and one stable sort of their keys (`_runs`) both merges and orders
+them (`_Kernel.merge_by_sort`).  Every order matches the loop the kernel
+replaced, so results are bit-reproducible: terms in `sort_key` order,
+forward rules grouped by written vector in first-appearance order, then
+(p, tau, d), adjoint hits move by move, then (q, sigma).
+`_Kernel.operator` numbers the images of packed basis states by first
+column, then key, and `step_operator` decodes them.  It and the window
+routes (the Gram oracle and `windows.estimate_norm`) take the rule walk of
+`_Kernel.kept`, without the entries below PRUNE_THRESHOLD.  The window routes name each image by its window code;
 the Gram oracle builds one image per code and numbers them as
 `_Kernel.operator` does, by first column, then key, and the norm estimate
-builds none.  `keys` is the one code that knows `sort_key` order.
+builds none.  `keys`, with `one_symbol_key`, is the one code that knows
+`sort_key` order.
 `windows` and `oracle` build on this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
@@ -201,6 +209,25 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, starts, run
 
 
+def _products(terms: "_Terms", walk: "_Walk") -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of amp * coef per entry of `walk`, each
+    part with one rounding per product, as a Python complex product has."""
+    amps = terms.amps[walk.parent]
+    ar, ai, cr, ci = amps.real, amps.imag, walk.coef.real, walk.coef.imag
+    return ar * cr - ai * ci, ar * ci + ai * cr
+
+
+def _pruned(first: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Which images, with amplitudes `vals` and first entries `first` in key
+    order, the prune keeps (None for all), and the squared amplitude of the
+    rest, summed in first-reached order."""
+    keep = np.abs(vals) >= PRUNE_THRESHOLD
+    if np.count_nonzero(keep) == len(keep):
+        return None, 0.0
+    lost = vals[~keep][first[~keep].argsort(kind="stable")]
+    return keep, float((lost.real * lost.real + lost.imag * lost.imag).sum())
+
+
 class _Terms(NamedTuple):
     """Packed basis states: `heads[j, i]` indexes `cols`, the sorted cell
     positions shared by every term, and `cells[j, i, w]` is tape i's symbol
@@ -277,13 +304,20 @@ class _Layout:
         int64 and viewed as uint64: the same values, without the digit rows."""
         width = len(terms.cols)
         if self.S == 1 and self.frame.state_count * width ** self.k < 2 ** 63:
-            key = terms.state * width ** self.k
-            if self.k == 1:
-                key += terms.heads[:, 0]
-            else:
-                key += terms.heads @ width ** np.arange(self.k - 1, -1, -1)
-            return key.view(np.uint64)
+            return self.one_symbol_key(width, terms.state, terms.heads).view(np.uint64)
         return self.digit_keys(terms)
+
+    def one_symbol_key(self, width: int, state, heads: np.ndarray | None) -> np.ndarray:
+        """state * W**k + heads @ W**(k-1..0) in int64, the key of a term of
+        a one-symbol frame on W = `width` columns.  It is linear in state and
+        heads, so a step sums the parts per rule and per slot; without
+        `heads` it is the state's part alone."""
+        key = state * width ** self.k
+        if heads is None:
+            return key
+        if self.k == 1:
+            return key + heads[:, 0]
+        return key + heads @ width ** np.arange(self.k - 1, -1, -1)
 
     def digit_keys(self, terms: _Terms) -> np.ndarray:
         """The keys of `keys` from their digits: state (radix |Q|), heads
@@ -505,24 +539,64 @@ class _Kernel(_Layout):
         first-reached order, and the squared amplitude the prune dropped.
         Each product amp*coef is formed in real arithmetic with one rounding
         per product, as a Python complex product is, and summed per image in
-        entry order."""
+        entry order from +0.0.
+
+        After the rule walk the images merge by counting when the frame has
+        one symbol per tape and its keys span at most 4 * entries + 256
+        values (`merge_by_count`), and by one stable sort of their keys
+        otherwise (`merge_by_sort`).  Both give the same bits."""
         walk = self.walk(terms, adjoint)
+        span = self.frame.state_count * len(terms.cols) ** self.k
+        if self.S == 1 and span <= 4 * len(walk.rule) + 256:
+            return self.merge_by_count(terms, walk, adjoint)
+        return self.merge_by_sort(terms, walk, adjoint)
+
+    def merge_by_sort(self, terms: _Terms, walk: _Walk, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
+        """`step`'s merge on any frame: the image of every entry (`images`),
+        keyed, and one stable sort (`_runs`) that groups and orders them."""
         entries = self.images(terms, walk, adjoint)
         order, starts, ids = _runs(self.keys(entries))
         first = order[starts]  # each image's first entry
-        amps = terms.amps[walk.parent]
-        ar, ai, cr, ci = amps.real, amps.imag, walk.coef.real, walk.coef.imag
+        re, im = _products(terms, walk)
         # every image has an entry, so the sums need no minlength
-        vals = np.bincount(ids, weights=ar * cr - ai * ci).astype(np.complex128)
-        vals.imag = np.bincount(ids, weights=ar * ci + ai * cr)
-        keep = np.abs(vals) >= PRUNE_THRESHOLD
-        dropped = 0.0
-        if np.count_nonzero(keep) < len(keep):
-            lost = vals[~keep][first[~keep].argsort(kind="stable")]
-            dropped = float((lost.real * lost.real + lost.imag * lost.imag).sum())
+        vals = np.bincount(ids, weights=re).astype(np.complex128)
+        vals.imag = np.bincount(ids, weights=im)
+        keep, dropped = _pruned(first, vals)
+        if keep is not None:
             first, vals = first[keep], vals[keep]
         images = _Terms(entries.state[first], entries.heads[first], entries.cells[first], entries.cols,
                         vals, entries.slack)
+        return images, first.argsort(kind="stable"), dropped
+
+    def merge_by_count(self, terms: _Terms, walk: _Walk, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
+        """`step`'s merge on a one-symbol frame, without image rows: each
+        entry's key (`one_symbol_key`) is its rule's part, the new state and
+        forward the move, plus its slot's part, the heads before the move.
+        The products are summed into one bin per key, the images are the
+        bins some entry reached, in key order, so `sort_key` order, and each
+        is decoded from its bin.  Each bin's first entry is its least, from
+        an `np.maximum.at` of n - entry into zeros (n entries), since numpy
+        leaves the order of a repeated-index assignment unspecified."""
+        width, n = len(terms.cols), len(walk.rule)
+        _, _, to_state, _, to_move, _ = self.adjoint if adjoint else self.forward
+        key = self.one_symbol_key(width, to_state, None if adjoint else to_move)[walk.rule]
+        key += self.one_symbol_key(width, 0, walk.columns)[walk.slot]
+        span = self.frame.state_count * width ** self.k
+        last = np.zeros(span, dtype=np.intp)  # per bin, n - its first entry; 0 where none lands
+        np.maximum.at(last, key, np.arange(n, 0, -1))
+        bins = last.nonzero()[0]  # the images, in key order
+        first = n - last[bins]  # each image's first entry
+        re, im = _products(terms, walk)
+        vals = np.bincount(key, re, span)[bins].astype(np.complex128)
+        vals.imag = np.bincount(key, im, span)[bins]
+        keep, dropped = _pruned(first, vals)
+        if keep is not None:
+            bins, first, vals = bins[keep], first[keep], vals[keep]
+        state, heads = np.divmod(bins, width ** self.k)  # `one_symbol_key` inverted
+        heads = heads[:, None] if self.k == 1 else heads[:, None] // width ** np.arange(self.k - 1, -1, -1) % width
+        # one symbol per tape: no cells (`blank_cells`)
+        images = _Terms(state, heads, np.empty((len(bins), self.k, 0), dtype=self.dtype), terms.cols, vals,
+                        max(terms.slack - 1, 0))
         return images, first.argsort(kind="stable"), dropped
 
     def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms]:

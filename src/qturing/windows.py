@@ -35,11 +35,13 @@ to the kernel and is freed with its table by reference counting.
 
 The power iteration lays each half's entries out once per estimate in slot
 matrices (`_Slots`), and one loop runs every layout: a half whose entries
-overflow its slots adds that tail after them in the same loop.
+overflow its slots adds that tail after them in the same loop.  Its norms
+are `_dot` sums, chunked so that no BLAS thread count moves their bits.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -222,6 +224,11 @@ def radius_window(frame: TuringFrame, radius: int) -> tuple[Configuration, ...]:
 # the slot product takes v's entries first from here on.
 ELIDED_ENTRIES = 2 ** 14
 
+# OpenBLAS splits a `ddot` of more than this many entries across its
+# threads, so the order of its sum, and its last bits, follow the thread
+# count; `_dot` sums longer vectors chunk by chunk.
+_DOT_CHUNK = 10_000
+
 
 class _Slots(NamedTuple):
     """One half-step of the power iteration, y[i] = the sum of vals * x[index]
@@ -270,12 +277,24 @@ def _slots(at: np.ndarray, index: np.ndarray, vals: np.ndarray, n: int) -> _Slot
                   (at[tail], index[tail], vals[tail]))
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x @ y of float64 vectors whose sum does not follow the BLAS thread
+    count: one `ddot` per chunk of at most _DOT_CHUNK entries, added in order.
+    A vector of one chunk keeps the bits of `x.dot(y)`."""
+    if len(x) <= _DOT_CHUNK:
+        return x.dot(y)
+    total = 0.0
+    for start in range(0, len(x), _DOT_CHUNK):
+        total += x[start:start + _DOT_CHUNK].dot(y[start:start + _DOT_CHUNK])
+    return total
+
+
 def _norm(x: np.ndarray) -> float:
-    """`np.linalg.norm(x)` of a complex vector, as the sums numpy 2.4.6
-    forms for it, without its dispatch: the same bits, about 1.3 against
-    1.8 us a call on a 2-vCPU Xeon."""
+    """||x|| of a complex vector from `_dot` of its parts, without the
+    dispatch of `np.linalg.norm(x)`: its bits under numpy 2.4.6 up to
+    _DOT_CHUNK entries, and bits that no thread count changes above that."""
     re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(_dot(re, re) + _dot(im, im))
 
 
 def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, seed: int = 0) -> float:
@@ -310,9 +329,10 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
     operand order of `vals * v[cols]` and `np.multiply(conj(vals),
     w[rows])`, which numpy's temporary elision swaps from `ELIDED_ENTRIES`
     entries on in the first.  v is normalized by a real multiply with
-    1/||v||.  The products are numpy complex products, which may fuse
-    multiply-adds, so the last bits of the estimate can differ between
-    hosts.
+    1/||v||, and ||v||^2 and the estimate's ||w|| are `_dot` sums, so no
+    BLAS thread count changes them.  The products are numpy complex
+    products, which may fuse multiply-adds, so the last bits of the
+    estimate can differ between hosts.
     """
     if not (_positive(window_radius) and _positive(iterations)):
         raise ValueError("window_radius and iterations must be positive")
@@ -357,6 +377,8 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
         halves.append((x, slots.index, gathered, operands, y, tail))
     v_re, v_im, v_parts, sqrt = v.real, v.imag, v.view(np.float64), math.sqrt
     multiply, reduce = np.multiply, np.add.reduce
+    # ||v||^2 as re_dot(v_re) + im_dot(v_im), by chunks only where one `ddot` would split
+    re_dot, im_dot = (v_re.dot, v_im.dot) if n <= _DOT_CHUNK else (partial(_dot, v_re), partial(_dot, v_im))
     for _ in range(iterations):
         for x, index, gathered, operands, y, tail in halves:
             x.take(index, out=gathered, mode="clip")  # "raise" would gather through a second buffer
@@ -366,7 +388,7 @@ def estimate_norm(table: TransitionTable, window_radius: int, iterations: int, s
                 at, tail_index, tail_vals, swapped = tail
                 product = x[tail_index]
                 np.add.at(y, at, multiply(product, tail_vals) if swapped else multiply(tail_vals, product))
-        square = v_re.dot(v_re) + v_im.dot(v_im)
+        square = re_dot(v_re) + im_dot(v_im)
         if square == 0.0:
             break
         v_parts *= 1.0 / sqrt(square)

@@ -23,6 +23,8 @@ its upper half.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections import defaultdict
 
 import numpy as np
@@ -32,6 +34,7 @@ from qturing import (
     Configuration,
     GramCheck,
     Superposition,
+    Tape,
     TransitionTable,
     TuringFrame,
     apply,
@@ -239,7 +242,7 @@ class _Rules:
     them, as the package's one kernel expands every rule and drops the small
     entries afterwards."""
 
-    __slots__ = ("table", "frame", "prune", "forward", "adjoint", "moves")
+    __slots__ = ("table", "frame", "prune", "forward", "adjoint", "moves", "writes")
 
     def __init__(self, table: TransitionTable, prune: bool = False):
         self.table = table
@@ -248,6 +251,7 @@ class _Rules:
         self.forward: dict = {}
         self.adjoint: dict = {}
         self.moves = [(d, self.frame.move_flat(d)) for d in self.frame.move_vectors()]
+        self.writes: dict = {}
 
     def _forward_rules(self, q: int, sigma: tuple[int, ...]):
         # (distinct written vectors, distinct move vectors, rules as
@@ -295,27 +299,37 @@ class _Rules:
         taus, moves, rules = self._forward_rules(
             config.state, tuple(t.read(h) for t, h in zip(tapes, heads))
         )
-        written = [_written(tapes, heads, tau) for tau in taus]
+        written = [self._written(tapes, heads, tau) for tau in taus]
         shifted = [tuple(h + d for h, d in zip(heads, m)) for m in moves]
         return [(p, written[a], shifted[b], coef) for p, a, b, coef in rules]
 
     def preimages(self, config: Configuration) -> list:
         """Terms of M^dagger|config> in the same form, move by move."""
-        tapes, heads = config.tapes, config.heads
+        tapes, heads, state = config.tapes, config.heads, config.state
         out = []
         for moves, mflat in self.moves:
-            cells = tuple(h - d for h, d in zip(heads, moves))
-            sigmas, hits = self._adjoint_hits(
-                config.state, tuple(t.read(c) for t, c in zip(tapes, cells)), mflat
-            )
-            written = [_written(tapes, cells, sigma) for sigma in sigmas]
-            out += [(q, written[a], cells, coef) for q, a, coef in hits]
+            cells = tuple(map(operator.sub, heads, moves))
+            sigmas, hits = self._adjoint_hits(state, tuple(map(Tape.read, tapes, cells)), mflat)
+            if hits:
+                written = [self._written(tapes, cells, sigma) for sigma in sigmas]
+                out += [(q, written[a], cells, coef) for q, a, coef in hits]
         return out
 
-
-def _written(tapes, cells, symbols):
-    new = tuple(t.write(c, w) for t, c, w in zip(tapes, cells, symbols))
-    return new, tuple(t.cells for t in new)
+    def _written(self, tapes, cells, symbols):
+        """The tapes with `symbols` written at `cells`, and their supports.
+        Each write of one symbol at one cell of one tape is made once per
+        `_Rules`: the memo is keyed by the tape's id, which hashes faster
+        than the tape, and holds the tape, so no other tape takes its id
+        while the memo lives."""
+        writes, new = self.writes, []
+        for t, c, w in zip(tapes, cells, symbols):
+            key = (id(t), c, w)
+            hit = writes.get(key)
+            if hit is None:
+                hit = writes[key] = (t, t.write(c, w))
+            new.append(hit[1])
+        new = tuple(new)
+        return new, tuple(t.cells for t in new)
 
 
 def _expand(rules: _Rules, configs, adjoint: bool):
@@ -448,11 +462,26 @@ def reference_gram_check(table: TransitionTable, radius: int, tolerance: float, 
                      offdiagonal_residual=off, witness=witness, config_count=n, pair_count=pairs)
 
 
+def _chunked_norm(x: np.ndarray) -> float:
+    """`np.linalg.norm(x)` of a complex vector, sqrt(re.re + im.im), with
+    each dot product summed over chunks of at most 10,000 entries in order:
+    OpenBLAS splits a longer `ddot` across its threads, and `estimate_norm`
+    sums by chunks so that its bits do not follow the thread count."""
+    squares = []
+    for part in (x.real, x.imag):
+        total = 0.0
+        for start in range(0, len(part), 10_000):
+            chunk = part[start:start + 10_000]
+            total += chunk.dot(chunk)
+        squares.append(total)
+    return math.sqrt(squares[0] + squares[1])
+
+
 def reference_estimate_norm(table: TransitionTable, window_radius: int, iterations: int,
                             seed: int = 0) -> float:
     """`estimate_norm` with the window's images located through a
-    Configuration -> position dict and the interior read off each
-    configuration."""
+    Configuration -> position dict, the interior read off each
+    configuration and every norm from `_chunked_norm`."""
     window = reference_radius_window(table.frame, window_radius)
     index = {c: i for i, c in enumerate(window)}
     n = len(window)
@@ -479,20 +508,20 @@ def reference_estimate_norm(table: TransitionTable, window_radius: int, iteratio
     )
     v = np.zeros(n, dtype=np.complex128)
     v[interior] = 1.0
-    norm_v = np.linalg.norm(v)
+    norm_v = _chunked_norm(v)
     if norm_v > 0:
         v /= norm_v
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v += 0.01 * noise / np.linalg.norm(noise)
-    v /= np.linalg.norm(v)
+    v += 0.01 * noise / _chunked_norm(noise)
+    v /= _chunked_norm(v)
     estimate = 0.0
     for _ in range(iterations):
         w = matvec(v)
-        norm_w = float(np.linalg.norm(w))
+        norm_w = _chunked_norm(w)
         if norm_w == 0.0:
             return 0.0
         estimate = norm_w
         u = rmatvec(w)
-        v = u / np.linalg.norm(u)
+        v = u / _chunked_norm(u)
     return estimate

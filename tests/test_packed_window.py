@@ -2,7 +2,11 @@
 enumeration, the Gram check and the norm estimate on it against the routes
 that decode the whole window, and the window-size cap."""
 import gc
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -290,7 +294,8 @@ PINNED_CORPUS_NORMS = {
 }
 
 # the same per SLOT_LAYOUTS entry, seed 0 then seed 1 (the funnel's computed
-# before the power iteration had one loop)
+# once its norms were summed by chunks of 10,000 entries, so that they hold
+# for any BLAS thread count)
 PINNED_LAYOUT_NORMS = {
     "dense Q2S2 r3": ("0x1.2306961c59af3p+2", "0x1.d6b9038065f25p+2", "0x1.39adaa3b37c62p+3",
                       "0x1.231797fa9d1efp+2", "0x1.d6ca46815c75dp+2", "0x1.39af13663fbfcp+3"),
@@ -298,8 +303,8 @@ PINNED_LAYOUT_NORMS = {
                   "0x1.4d4a89f8ef95cp+1", "0x1.a0d7acb4b1211p+2", "0x1.0efb892fb7962p+3"),
     "two-tape r1": ("0x1.ce88d05f84013p+2", "0x1.2ce51f017ed14p+3", "0x1.68acd557be2eep+3",
                     "0x1.ce9dc5b454d3fp+2", "0x1.2cf29b28d1a82p+3", "0x1.68acd555ff798p+3"),
-    "funnel r4": ("0x1.895eb336f4f97p-1", "0x1.01bf6efe2f5f7p+2", "0x1.01de4adfe2afap+2",
-                  "0x1.89465043cc149p-1", "0x1.01bf69b07f3a4p+2", "0x1.01de4ae14edc8p+2"),
+    "funnel r4": ("0x1.895eb336f4f98p-1", "0x1.01bf6efe2f5f6p+2", "0x1.01de4adfe2af9p+2",
+                  "0x1.89465043cc145p-1", "0x1.01bf69b07f3a3p+2", "0x1.01de4ae14edc9p+2"),
 }
 
 
@@ -317,6 +322,31 @@ def test_estimate_norm_keeps_its_pinned_bits_on_more_layouts(name):
     got = tuple(qt.estimate_norm(table, radius, iterations, seed=seed).hex()
                 for seed in (0, 1) for iterations in (1, 2, 200))
     assert got == PINNED_LAYOUT_NORMS[name]
+
+
+_FUNNEL_SOURCE = """
+import qturing as qt
+from test_packed_window import _funnel_table
+table = _funnel_table()
+print(" ".join(qt.estimate_norm(table, 4, iterations, seed=seed).hex()
+               for seed in (0, 1) for iterations in (1, 2, 200)))
+"""
+
+
+def test_funnel_estimates_do_not_follow_the_blas_thread_count():
+    """Above 10,000 entries one BLAS `ddot` splits its sum across threads;
+    the estimate sums its norms by chunks, so on the funnel window (18,432
+    configurations) one OpenBLAS thread and the default give the same
+    bits, the pinned ones."""
+    assert windows.window_size(qt.simple_frame(4, 2), 4) > windows._DOT_CHUNK
+    tests = pathlib.Path(__file__).resolve().parent
+    src = str(pathlib.Path(qt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, str(tests), os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    one, default = (tuple(subprocess.run([sys.executable, "-c", _FUNNEL_SOURCE], env=dict(env, **threads),
+                                         capture_output=True, text=True, timeout=120, check=True).stdout.split())
+                    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}))
+    assert one == default == PINNED_LAYOUT_NORMS["funnel r4"]
 
 
 def test_estimate_norm_of_an_all_zero_table_is_zero():
