@@ -395,7 +395,8 @@ class _Kernel(_Layout):
     `adjoint` indexes the hits by (p, written, move) in (q, sigma) order,
     conjugated.  Each is (rule end, rule count) per key, then the state,
     written symbols, moves (forward only) and coefficient per rule.  Every
-    nonzero rule is kept; `kept` drops the entries below PRUNE_THRESHOLD.
+    nonzero rule is kept; `kept` drops the entries below PRUNE_THRESHOLD by
+    `large`, the rules it keeps in each direction (None for all).
     `verdicts` holds `run`'s `check_auto` report per tolerance, and
     `window` the one radius window `windows.PackedWindow.of` keeps for the
     Gram checks and `estimate_norm`: read-only, for the last radius asked
@@ -422,10 +423,12 @@ class _Kernel(_Layout):
         count = np.bincount(read, minlength=reads)
         self.forward = (count.cumsum(), count, p[order], self._symbols(t[order]),
                         self.moves[target[order] % M], coef[order])
+        small, forward = np.abs(coef) < PRUNE_THRESHOLD, order  # the rules `kept` drops
         order = np.argsort(target, kind="stable")
         q, s = np.divmod(read[order], S)
         count = np.bincount(target, minlength=reads * M)
         self.adjoint = (count.cumsum(), count, q, self._symbols(s), None, coef[order].conj())
+        self.large = (~small[forward], ~small[order]) if small.any() else (None, None)
         # the move vectors some rule uses, ascending: the adjoint looks back only along these
         self.used_moves = np.flatnonzero(np.bincount(target % M, minlength=M))
         self.back = self.moves[self.used_moves]
@@ -515,9 +518,8 @@ class _Kernel(_Layout):
         """The rule walk without the entries below PRUNE_THRESHOLD: the
         matrix entries of `step_operator`, the Gram check and the windowed
         norm estimate."""
-        walk = self.walk(terms, adjoint)
-        small = np.abs((self.adjoint if adjoint else self.forward)[5]) < PRUNE_THRESHOLD  # per rule
-        return walk.take(~small[walk.rule]) if small.any() else walk
+        walk, large = self.walk(terms, adjoint), self.large[bool(adjoint)]
+        return walk if large is None else walk.take(large[walk.rule])
 
     def images(self, terms: _Terms, walk: _Walk, adjoint: bool) -> _Terms:
         """The image of every entry of `walk`, a rule walk on `terms`: its
@@ -713,8 +715,9 @@ class RunResult:
 
 
 def _norm(amps: np.ndarray) -> float:
-    """`Superposition.norm` of amplitudes in dict order: a Python float sum."""
-    return math.sqrt(sum((amps.real * amps.real + amps.imag * amps.imag).tolist()))
+    """`Superposition.norm` of amplitudes in dict order: the last running sum,
+    a plain left-to-right float sum (`sum` compensates from Python 3.12 on)."""
+    return math.sqrt(np.add.accumulate(amps.real * amps.real + amps.imag * amps.imag)[-1] if amps.size else 0.0)
 
 
 def run(
@@ -738,7 +741,7 @@ def run(
     corrected.  Each step is the packed step of `apply`, so the terms
     stay packed from step to step and the final superposition is packed too,
     its dict in the last step's first-reached order.  norms[t] sums |a|^2
-    in that order with a Python float sum, as `Superposition.norm` does.
+    in that order with a plain float sum, as `Superposition.norm` does.
 
     An unchecked table can grow the amplitudes past the float range: the run
     stops with ValueError at the first step whose norm or pruned mass is not

@@ -3,27 +3,28 @@
 The oracle never looks at the condition sums: it expands every basis
 configuration of a window through the step operator (or its adjoint) and
 forms the Gram matrix A^H A over the whole window, so a checker bug and an
-oracle bug would have to coincide to hide a wrong verdict.  Two columns of A
-overlap only where they share an image configuration, so the product is a
-self-join of A's entries on image id; every other Gram entry is a structural
-zero.  Only the upper half is formed, since the lower half is its exact
-conjugate.  The self-join runs in blocks of whole left columns of at most
-`_GRAM_BLOCK_PAIRS` image pairs, and each block's residuals are folded
-into one running result, so memory follows the operator's entries and not
-the pair count (which grows with the square of an image's entries).  Each
-Gram entry still adds its terms in image order and the blocks come in key
-order, so the residuals and the witness keep their bits at any budget.  The
-window stays packed arrays (`windows.PackedWindow`), kept on the table's
-kernel (`PackedWindow.of`: one read-only window per table, for the last
-radius asked for, freed with the table), so the column and the row check
-at one radius build it once.  Each entry names its image by code, and
-one stable sort of the codes (`_groups`) groups the entries by image.
-Only each group's first image is built: the groups are ranked by first
-column, then by that image's `_Layout.keys` key, as `_Kernel.operator`
-numbers its images, and one gather puts the groups in that order; the
-self-join takes the groups as they are, so each check sorts its entries
-once.  Only the witness configurations are decoded, from their window
-codes.
+oracle bug would have to coincide to hide a wrong verdict.  Its diagonal is
+the column norms, one `bincount`.  Off it, two columns of A overlap only
+where they share an image configuration, so the product is a self-join of
+A's entries on image id; every other Gram entry is a structural zero.  Only
+the strict upper half is formed, each entry paired with the later entries of
+its image, as the lower half is its exact conjugate.  The self-join runs in
+blocks of whole left columns of at most `_GRAM_BLOCK_PAIRS` image pairs, and
+each block's residuals are folded into one running result, so memory follows
+the operator's entries and not the pair count (which grows with the square
+of an image's entries).  Each Gram entry still adds its terms in image order
+and the blocks come in key order, so the residuals and the witness keep
+their bits at any budget.  The window stays packed arrays
+(`windows.PackedWindow`), kept on the table's kernel (`PackedWindow.of`: one
+read-only window per table, for the last radius asked for, freed with the
+table), so the column and the row check at one radius build it once.  Each
+entry names its image by code, and one stable sort of the codes (`_groups`)
+groups the entries by image.  Only each group's first image is built: the
+groups are ranked by first column, then by that image's `_Layout.keys` key,
+as `_Kernel.operator` numbers its images, and one gather puts the groups in
+that order; the self-join takes the groups as they are, so each check sorts
+its entries once.  Only the witness configurations are decoded, from their
+window codes.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -43,8 +44,9 @@ from .ktape import check_column
 from .table import TransitionTable, _sealed, amplitude
 from .windows import PackedWindow
 
-# The most image pairs one block of the Gram self-join forms: a block's
-# arrays peak at about 90 bytes a pair (tracemalloc), so about 1.5 MiB.
+# The most image pairs one block of the Gram self-join forms, counting only
+# strict pairs (an entry and a later entry of its image): a block's arrays
+# peak at about 90-95 bytes a pair (tracemalloc), so about 1.5 MiB.
 _GRAM_BLOCK_PAIRS = 2 ** 14
 
 __all__ = [
@@ -99,35 +101,36 @@ class GramCheck:
 
 
 def _gram_blocks(cols: np.ndarray, vals: np.ndarray, sizes: np.ndarray, n: int):
-    """The upper half of A^H A for the matrix A with n columns whose
+    """The strict upper half of A^H A for the matrix A with n columns whose
     entries (cols, vals) come grouped by row (an image), `sizes` entries a
     row, each row's entries in increasing column order, block by block:
-    each block's sorted keys i*n + j with i <= j and its entry sums
-    G[i, j] = sum_k conj(A[k, i]) A[k, j], the blocks in key order.  The
-    Gram check folds the blocks one by one (`_gram_residuals`).
+    each block's sorted keys i*n + j with i < j and its entry sums
+    G[i, j] = sum_k conj(A[k, i]) A[k, j], the blocks in key order (none
+    without pairs).  The Gram check folds them one by one (`_gram_residuals`).
 
-    Every entry is paired with itself and the entries after it in its
-    image: the left entry at position p has `image end - p` pairs, so
-    every pair count is known before a pair is formed.  G[i, j] sums the
-    pairs whose left entry is in column i, so the self-join splits into
-    blocks of whole left columns.  Up to `_GRAM_BLOCK_PAIRS` pairs in all,
-    one block takes the left entries in image order.  Beyond it, the left
-    entries are taken in stable column order (which keeps image order
-    within a column) and cut at column boundaries into blocks of at most
-    `_GRAM_BLOCK_PAIRS` pairs, a larger column making a block of its own;
-    so memory is bounded by the budget, not by the pair count.  Either way
-    each G[i, j] adds its terms in image order, and the blocks come in
-    increasing i, so their keys follow one another in key order: the sums,
-    and the residuals folded from them, keep their bits whatever the
-    budget.  Each product is done in real arithmetic with one rounding, so
-    the lower half is the conjugate of the upper half bit for bit:
-    G[j, i] = conj(G[i, j]).
+    Every entry is paired with the entries after it in its image: the left
+    entry at position p has `image end - p - 1` pairs, so every pair count
+    is known before a pair is formed.  G[i, j] sums the pairs whose left
+    entry is in column i, so the self-join splits into blocks of whole left
+    columns.  Up to `_GRAM_BLOCK_PAIRS` pairs in all, one block takes the
+    left entries in image order.  Beyond it, the left entries are taken in
+    stable column order (which keeps image order within a column) and cut
+    at column boundaries into blocks of at most `_GRAM_BLOCK_PAIRS` pairs, a
+    larger column making a block of its own; so memory is bounded by the
+    budget, not by the pair count.  Either way each G[i, j] adds its terms
+    in image order, and the blocks come in increasing i, so their keys
+    follow one another in key order: the sums, and the residuals folded
+    from them, keep their bits whatever the budget.  Each product is done in
+    real arithmetic with one rounding, so the lower half is the conjugate of
+    the upper half bit for bit: G[j, i] = conj(G[i, j]).
     """
-    count = np.repeat(np.cumsum(sizes), sizes) - np.arange(cols.size)  # pairs per left entry
+    count = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, cols.size + 1)  # pairs per left entry
+    left = np.flatnonzero(count)  # every entry but the last of its image
     if count.sum() <= _GRAM_BLOCK_PAIRS:
-        yield _gram_pairs(cols, vals, np.arange(cols.size), count, n)
+        if left.size:
+            yield _gram_pairs(cols, vals, left, count[left], n)
         return
-    by_column = cols.argsort(kind="stable")
+    by_column = left[cols[left].argsort(kind="stable")]
     last = np.flatnonzero(np.diff(cols[by_column], append=n))  # each column's last left entry
     through = np.cumsum(count[by_column])[last]  # pairs up to the end of each column
     column = 0
@@ -136,16 +139,16 @@ def _gram_blocks(cols: np.ndarray, vals: np.ndarray, sizes: np.ndarray, n: int):
         # the most whole columns within the budget, and at least one
         budget = (through[column - 1] if column else 0) + _GRAM_BLOCK_PAIRS
         column = max(int(np.searchsorted(through, budget, "right")), column + 1)
-        left = by_column[start:last[column - 1] + 1]
-        yield _gram_pairs(cols, vals, left, count[left], n)
+        block = by_column[start:last[column - 1] + 1]
+        yield _gram_pairs(cols, vals, block, count[block], n)
 
 
 def _gram_pairs(cols: np.ndarray, vals: np.ndarray, left: np.ndarray, count: np.ndarray, n: int):
     """The sorted keys and the sums of the pairs of the left entries `left`
-    (positions in image order, each paired with itself and the `count - 1`
-    entries after it), each key's terms added in the order of `left`."""
-    first = np.cumsum(count) - count  # each left entry's first pair, which pairs it with itself
-    shift = np.repeat(first - left, count)
+    (positions in image order, each paired with the `count` entries after
+    it), each key's terms added in the order of `left`."""
+    first = np.cumsum(count) - count  # each left entry's first pair, which pairs it with the next entry
+    shift = np.repeat(first - left - 1, count)
     left = np.repeat(left, count)
     right = np.arange(left.size) - shift
     keys = cols[left] * n + cols[right]
@@ -153,8 +156,7 @@ def _gram_pairs(cols: np.ndarray, vals: np.ndarray, left: np.ndarray, count: np.
     keys = keys[order[starts]]
     del order  # the products below set the peak memory
     # Real arithmetic, one rounding per product: numpy's complex multiply may
-    # fuse multiply-adds, which leaves conj(v) v a nonzero imaginary part and
-    # breaks the exact Hermitian symmetry of the entries.
+    # fuse multiply-adds, breaking the exact Hermitian symmetry of the entries.
     ar, ai = vals.real[left], vals.imag[left]
     br, bi = vals.real[right], vals.imag[right]
     sums = (
@@ -164,29 +166,23 @@ def _gram_pairs(cols: np.ndarray, vals: np.ndarray, left: np.ndarray, count: np.
     return keys, sums
 
 
-def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int, into=None):
-    """From the upper half of G, as `_gram_blocks` gives it: the diagonal
-    residuals |G[i, i] - 1|, the largest off-diagonal modulus, the first
-    (i, j) in key order that attains it (None without off-diagonal keys) and
-    the number of off-diagonal pairs.  `into`, the result of this function
-    on the blocks before `keys` in key order, is updated in place with this
-    block (a block's keys must not occur in another).
-
-    Each off-diagonal key stands for two pairs of equal modulus, G[i, j] and
+def _gram_residuals(keys: np.ndarray, sums: np.ndarray, n: int, largest: float, tie, pairs: int):
+    """The largest off-diagonal modulus, the first (i, j) in key order that
+    attains it (None before any block) and the off-diagonal pair count,
+    folded with one block of `_gram_blocks` whose keys follow the folded
+    ones.  Each key stands for two pairs of equal modulus, G[i, j] and
     G[j, i] = conj(G[i, j]); the first tie in key order is the first of the
     whole matrix too, because the mirror (j, i) of a tie comes after it."""
-    diagonal, largest, tie, pairs = (np.ones(n), 0.0, None, 0) if into is None else into
-    i, j = np.divmod(keys, n)
-    on_diag = i == j
-    diagonal[i[on_diag]] = np.abs(sums[on_diag] - 1.0)  # a missing G[i, i] is 0: residual 1
-    off_i, off_j, off_abs = i[~on_diag], j[~on_diag], np.abs(sums[~on_diag])
-    if off_abs.size:
-        top = off_abs.max()
-        if tie is None or top > largest:  # a tie in a later block comes later in key order
-            first = np.flatnonzero(off_abs == top)[0]
-            largest, tie = float(top), (int(off_i[first]), int(off_j[first]))
-        pairs += 2 * off_abs.size
-    return diagonal, largest, tie, pairs
+    moduli = np.abs(sums)
+    first = int(moduli.argmax())  # the block's first tie
+    if tie is None or moduli[first] > largest:  # a tie in a later block comes later in key order
+        largest, tie = float(moduli[first]), divmod(int(keys[first]), n)
+    return largest, tie, pairs + 2 * sums.size
+
+
+def _column_norms(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """The diagonal of A^H A: each column's |A[k, i]|^2 added in entry order."""
+    return np.bincount(cols, weights=vals.real * vals.real + vals.imag * vals.imag, minlength=n)
 
 
 def _operator(kernel: _Kernel, window: PackedWindow, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,15 +207,16 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     # The full Gram matrix over the window is one A^H A product, where the
     # columns of A are the step-operator expansions of the window basis
     # states.  Every key the self-join produces is a structural overlap, so
-    # the off-diagonal keys count the pairs even where values cancel exactly.
+    # the keys count the pairs even where values cancel exactly.
     _require_tolerance(tolerance)
     kernel = _Kernel.of(table)
     window = PackedWindow.of(kernel, radius)
     n = window.size
-    residuals = None
-    for keys, sums in _gram_blocks(*_operator(kernel, window, adjoint=side == "rows"), n):
-        residuals = _gram_residuals(keys, sums, n, residuals)
-    diag_resid, off, tie, pairs = residuals
+    cols, vals, sizes = _operator(kernel, window, adjoint=side == "rows")
+    diag_resid = np.abs(_column_norms(cols, vals, n) - 1.0)  # a column without entries: residual 1
+    off, tie, pairs = 0.0, None, 0
+    for keys, sums in _gram_blocks(cols, vals, sizes, n):
+        off, tie, pairs = _gram_residuals(keys, sums, n, off, tie, pairs)
     diag = float(diag_resid.max())
 
     # only the witnesses are decoded into configurations, from their codes

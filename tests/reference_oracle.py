@@ -6,7 +6,8 @@ be nonzero for structurally close pairs (heads at distance <= 2 per tape,
 tapes agreeing off the two head cells for columns; a single differing cell
 next to both heads for rows), so pair enumeration is restricted to that
 pattern.  The package itself forms the Gram matrix over the whole window
-from the step operator instead, as its upper half (see `qturing.oracle`).
+from the step operator instead, as the column norms and the strict upper
+half (see `qturing.oracle`).
 
 `reference_inner` and `reference_scaled` are the inner product and scaling
 that `Superposition` carried as methods.
@@ -18,7 +19,7 @@ step kernel replaced; the tests hold the packed kernel to them bit for bit.
 the norm estimator on a window of `Configuration` objects, located through
 a dict, as they ran before the packed window; the Gram check multiplies out
 the whole of A^H A (`reference_gram_product`), where the package forms only
-its upper half.
+the column norms and the strict upper half.
 """
 from __future__ import annotations
 

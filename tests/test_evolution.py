@@ -214,6 +214,23 @@ class TestMatrixElement:
             assert abs(matrix_element(table, c, c2) - image.amplitude(c2)) <= 1e-15
 
 
+def test_norm_sums_the_squares_left_to_right():
+    """Five squares, 1 and then 2**-53 four times (each 2**-54 + 2**-54 from
+    a term (1 + 1j) 2**-27): a plain left-to-right float sum rounds each
+    small term away and gives 1.0, where a compensated sum (the built-in
+    `sum` from Python 3.12 on) gives 1 + 2**-51.  The norm is the plain
+    sum on every Python version."""
+    amps = np.array([1.0] + [(1 + 1j) * 2.0 ** -27] * 4)
+    squares = amps.real * amps.real + amps.imag * amps.imag
+    assert squares.tolist() == [1.0] + [2.0 ** -53] * 4
+    total = 0.0
+    for square in squares.tolist():
+        total += square
+    assert total == 1.0
+    assert evolution._norm(amps) == math.sqrt(total) == 1.0
+    assert evolution._norm(amps[:0]) == 0.0
+
+
 class TestRun:
     def test_zero_steps(self, counterexample):
         psi = qt.Superposition.basis(blank(counterexample))

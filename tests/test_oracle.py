@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qturing as qt
+from qturing import oracle
 from qturing.ktape import displacement_label
-from qturing.oracle import _gram_blocks, _gram_residuals
+from qturing.oracle import _column_norms, _gram_blocks, _gram_residuals
 from qturing.windows import window_size
 
 from conftest import random_configuration, random_table
@@ -139,34 +140,63 @@ def _random_coo(n: int, sizes: list[int], seed: int, exact: bool):
     return rows, cols, vals.astype(np.complex128)
 
 
+def _strict_blocks(rows, cols, vals, n: int):
+    """`_gram_blocks` of a COO matrix, and the column norms of its entries."""
+    grouped = by_image(rows, cols, vals)
+    return list(_gram_blocks(*grouped, n)), _column_norms(*grouped[:2], n)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(n=st.integers(1, 300), sizes=st.lists(st.integers(1, 300), min_size=1, max_size=6),
        seed=st.integers(0, 2 ** 32 - 1), exact=st.booleans())
 @example(n=257, sizes=[1, 256, 200, 2], seed=3, exact=True)
 @example(n=300, sizes=[300, 299], seed=4, exact=False)
+@example(n=9, sizes=[3, 2], seed=5, exact=True)  # at least four columns without an entry
+@example(n=4, sizes=[1, 1, 1], seed=6, exact=False)  # images of one entry: no strict pair
 def test_upper_half_gram_product_mirrors_the_whole(n, sizes, seed, exact):
-    """The upper half, mirrored, is the whole product in keys and in sum
-    bits; it counts every off-diagonal pair twice, and its first tie for the
-    largest off-diagonal modulus is the whole product's."""
+    """The column norms on the diagonal and the strict upper half, mirrored,
+    are the whole product in keys and in sum bits; a column without entries
+    has norm 0 and no key.  Folded block by block, they give the whole
+    product's diagonal residual bits, its largest off-diagonal modulus, its
+    first tie for it and its pair count, each off-diagonal key counted twice."""
     rows, cols, vals = _random_coo(n, sizes, seed, exact)
-    keys, sums = map(np.concatenate, zip(*_gram_blocks(*by_image(rows, cols, vals), n)))
+    blocks, norms = _strict_blocks(rows, cols, vals, n)
+    keys = np.concatenate([np.zeros(0, dtype=np.intp)] + [k for k, _ in blocks])
+    sums = np.concatenate([np.zeros(0, dtype=np.complex128)] + [v for _, v in blocks])
     whole_keys, whole_sums = reference_gram_product(rows, cols, vals, n)
     i, j = np.divmod(keys, n)
-    assert np.all(i <= j)
-    off = i < j
-    mirrored_keys = np.concatenate([keys, j[off] * n + i[off]])
-    mirrored = np.concatenate([sums, sums[off].conj()])
+    assert np.all(i < j)
+    assert blocks or max(sizes) == 1 or n == 1
+    reached = np.unique(cols)
+    assert not np.any(norms[np.setdiff1d(np.arange(n), reached)])
+    mirrored_keys = np.concatenate([reached * (n + 1), keys, j * n + i])
+    mirrored = np.concatenate([norms[reached] + 0j, sums, sums.conj()])
     order = np.argsort(mirrored_keys)
     assert np.array_equal(mirrored_keys[order], whole_keys)
     assert np.array_equal(_bits(mirrored[order]), _bits(whole_sums))
 
-    diag, largest, tie, pairs = _gram_residuals(keys, sums, n)
+    largest, tie, pairs = 0.0, None, 0
+    for block in blocks:
+        largest, tie, pairs = _gram_residuals(*block, n, largest, tie, pairs)
     ref_diag, ref_largest, ref_tie, ref_pairs = reference_gram_residuals(whole_keys, whole_sums, n)
-    assert np.array_equal(diag.view(np.uint64), ref_diag.view(np.uint64))
+    assert np.array_equal(np.abs(norms - 1.0).view(np.uint64), ref_diag.view(np.uint64))
     assert largest.hex() == ref_largest.hex()
     assert tie == ref_tie
-    assert pairs == ref_pairs == 2 * int(off.sum())
+    assert pairs == ref_pairs == 2 * keys.size
     assert pairs % 2 == 0
+
+
+@pytest.mark.parametrize("budget", [1, 300, oracle._GRAM_BLOCK_PAIRS])
+def test_images_of_one_entry_make_no_block(monkeypatch, budget):
+    """Without a strict pair there is no block at any budget, and the
+    diagonal alone is the product."""
+    monkeypatch.setattr(oracle, "_GRAM_BLOCK_PAIRS", budget)
+    rows, cols, vals = _random_coo(5, [1] * 8, 7, exact=False)
+    blocks, norms = _strict_blocks(rows, cols, vals, 5)
+    assert blocks == []
+    whole_keys, whole_sums = reference_gram_product(rows, cols, vals, 5)
+    assert np.array_equal(whole_keys, np.unique(cols) * 6)
+    assert np.array_equal(_bits(norms[np.unique(cols)] + 0j), _bits(whole_sums))
 
 
 @pytest.mark.parametrize("name", ["corpus", "two_tape_corpus", "three_tape_corpus", "many_tape_corpus"])

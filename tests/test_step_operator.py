@@ -1,12 +1,13 @@
 """The step-operator kernel against a dense matrix built from `matrix_element`,
-the upper-half numpy Gram product against dense A^H A, and `apply`/`apply_adjoint`
-against the per-term dict loops they replaced."""
+the column norms and the strict upper-half numpy Gram product against dense
+A^H A, and `apply`/`apply_adjoint` against the per-term dict loops they
+replaced."""
 import numpy as np
 import pytest
 
 import qturing as qt
 from qturing.cli import bundled_machine_path, main
-from qturing.oracle import _gram_blocks
+from qturing.oracle import _column_norms, _gram_blocks
 
 from conftest import random_table
 from reference_frame import alpha, beta, matrix_element
@@ -116,19 +117,19 @@ def test_gram_product_matches_dense(case, adjoint):
     table, window, (_, forward), (_, backward) = case
     a = backward if adjoint else forward
     n = len(window)
-    blocks = _gram_blocks(*by_image(*qt.step_operator(table, window, adjoint=adjoint)[:3]), n)
-    keys, sums = map(np.concatenate, zip(*blocks))
+    cols, vals, sizes = by_image(*qt.step_operator(table, window, adjoint=adjoint)[:3])
+    keys, sums = map(np.concatenate, zip(*_gram_blocks(cols, vals, sizes, n)))
     assert np.all(np.diff(keys) > 0)
-    # the upper half, mirrored, is the whole product
+    # the column norms and the strict upper half, mirrored, are the whole product
     i, j = np.divmod(keys, n)
-    assert np.all(i <= j)
-    gram = np.zeros((n, n), dtype=np.complex128)
+    assert np.all(i < j)
+    gram = np.diag(_column_norms(cols, vals, n)).astype(np.complex128)
     gram[j, i] = sums.conj()
     gram[i, j] = sums
     assert np.abs(gram - a.conj().T @ a).max() < 1e-12
-    # every key is a structural overlap, and every overlap in the upper half has a key
+    # every key is a structural overlap, and every overlap in the strict upper half has a key
     overlap = (np.abs(a).T @ np.abs(a)) > 0
-    assert np.array_equal(np.flatnonzero(np.triu(overlap)), keys)
+    assert np.array_equal(np.flatnonzero(np.triu(overlap, 1)), keys)
 
 
 def test_step_operator_entry_order():
