@@ -25,7 +25,7 @@ from .ktape import (
     check_two_tape,
     generate_ktape_conditions,
 )
-from .machine_io import MachineDocument, MachineParseError, parse_document
+from .machine_io import _AMP_TYPES, MachineDocument, MachineParseError, _finite, parse_document
 from .oracle import column_gram_check, row_gram_check, simple_frame
 from .table import TransitionTable, compute_statistics, norm_bound
 from .windows import estimate_norm
@@ -206,10 +206,6 @@ def _is_position(value) -> bool:
     return _is_integer(value) and -MAX_POSITION <= value <= MAX_POSITION
 
 
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _parse_term(frame: TuringFrame, index: int, item) -> tuple[Configuration, complex]:
     """One {state, heads, tapes, amp} term of a superposition file; a bad
     term raises ValueError naming its index and its bad field."""
@@ -244,7 +240,7 @@ def _parse_term(frame: TuringFrame, index: int, item) -> tuple[Configuration, co
             tape = tape.write(cell, alphabet.index(symbol))
         tapes.append(tape)
     amp = item.get("amp")
-    if not isinstance(amp, list) or len(amp) != 2 or not all(_is_finite(x) for x in amp):
+    if not (isinstance(amp, list) and tuple(map(type, amp)) in _AMP_TYPES and all(map(_finite, amp))):
         raise bad("amp", "a [re, im] pair of finite numbers")
     config = Configuration(frame.states.index(state), tuple(tapes), tuple(heads))
     return config, complex(amp[0], amp[1])
@@ -261,7 +257,7 @@ def _parse_start(frame: TuringFrame, spec: str) -> Superposition:
                              "cannot be decoded") from None
         except RecursionError:
             raise ValueError(f"start file {spec[1:]}: JSON nested too deeply") from None
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # a JSONDecodeError, or an integer literal too long to convert
             raise ValueError(f"start file {spec[1:]}: invalid JSON: {err}") from None
         if not isinstance(raw, list):
             raise ValueError("superposition file must hold a list of terms")

@@ -40,14 +40,14 @@ them (`_Kernel.merge_by_sort`).  Every order matches the loop the kernel
 replaced, so results are bit-reproducible: terms in `sort_key` order,
 forward rules grouped by written vector in first-appearance order, then
 (p, tau, d), adjoint hits move by move, then (q, sigma).
-`_Kernel.operator` numbers the images of packed basis states by first
-column, then key, and `step_operator` decodes them.  It and the window
-routes (the Gram oracle and `windows.estimate_norm`) take the rule walk of
-`_Kernel.kept`, without the entries below PRUNE_THRESHOLD.  The window routes name each image by its window code;
-the Gram oracle builds one image per code and numbers them as
-`_Kernel.operator` does, by first column, then key, and the norm estimate
-builds none.  `keys`, with `one_symbol_key`, is the one code that knows
-`sort_key` order.
+`step_operator` and the window routes (the Gram oracle and
+`windows.estimate_norm`) take the rule walk of `_Kernel.kept`, without the
+entries below PRUNE_THRESHOLD.  `_Kernel.operator` is the one image
+numbering, by first column, then key: `step_operator` groups the entries
+by image key, the Gram oracle by window code, and it keys only each
+group's first image.  The norm estimate names each image by its window
+code and builds none.  `keys`, with `one_symbol_key`, is the one code that
+knows `sort_key` order.
 `windows` and `oracle` build on this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
@@ -601,22 +601,23 @@ class _Kernel(_Layout):
                         max(terms.slack - 1, 0))
         return images, first.argsort(kind="stable"), dropped
 
-    def operator(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Terms]:
-        """The packed core of `step_operator`: (rows, cols, vals) of the
-        entries `kept` keeps on the basis states `terms`, and the packed
-        images that `rows` numbers, by first column, then `sort_key`."""
-        walk = self.kept(terms, adjoint)
-        parent, entries = walk.parent, self.images(terms, walk, adjoint)
-        order, starts, ids = _runs(self.keys(entries))
-        first = order[starts]
-        # A Gram entry adds its terms in image-number order, so the numbering
-        # fixes its rounding; (first column, sort key) keeps it independent
-        # of rule order.  Entries come column by column, so an image's first
-        # entry holds its first column.
-        by_column = parent[first].argsort(kind="stable")
-        number = np.empty(len(first), dtype=np.intp)
-        number[by_column] = np.arange(len(first), dtype=np.intp)
-        return number[ids], parent, walk.coef, entries.take(first[by_column])
+    def operator(self, terms: _Terms, walk: _Walk, adjoint: bool, order: np.ndarray,
+                 new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The image numbering of `step_operator` and the Gram checks: the
+        entries of `walk`, a rule walk on `terms`, in image-number order,
+        and each image's entry count.  `order, new` is the `_groups` of one
+        id per entry that is equal only for entries of equal images (a key
+        or a window code).  Images are numbered by first column (the parent
+        of a group's first entry), then by `sort_key`, from the key of the
+        image built from that entry alone; each image keeps its entries in
+        column order.  A Gram entry adds its terms in image-number order, so
+        the numbering fixes its rounding, independent of rule order."""
+        starts = new.nonzero()[0]
+        first = walk.take(order[starts])
+        by_number = np.lexsort((self.keys(self.images(terms, first, adjoint)), first.parent))
+        sizes = np.diff(starts, append=len(order))[by_number]
+        # each group's entries, moved from its start in `order` to its start by number
+        return order[np.repeat(starts[by_number] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(order))], sizes
 
     def reframe(self, terms: _Terms, margin: int) -> _Terms:
         """The same terms on the columns that are non-blank in some term or
@@ -667,13 +668,18 @@ def step_operator(
     Entries below PRUNE_THRESHOLD are then dropped, as `Superposition` drops
     amplitudes, so a dropped rule still places its written-vector group.
     Images are numbered by the first column that reaches them, then by
-    `sort_key` within that column (one stable sort of the images' keys);
-    only their non-blank cells are decoded, and identical tapes share one
-    Tape.
+    `sort_key` within that column (`_Kernel.operator`, the numbering of the
+    Gram checks); only their non-blank cells are decoded, and identical
+    tapes share one Tape.
     """
     kernel = _Kernel.of(table)
-    rows, cols, vals, images = kernel.operator(kernel.pack(list(configs)), adjoint)
-    return rows, cols, vals, tuple(kernel.configurations(images))
+    terms = kernel.pack(list(configs))
+    walk = kernel.kept(terms, adjoint)
+    entries = kernel.images(terms, walk, adjoint)
+    order, sizes = kernel.operator(terms, walk, adjoint, *_groups(kernel.keys(entries)))
+    rows = np.empty(len(order), dtype=np.intp)
+    rows[order] = np.arange(len(sizes)).repeat(sizes)
+    return rows, walk.parent, walk.coef, tuple(kernel.configurations(entries.take(order[np.cumsum(sizes) - sizes])))
 
 
 def _step(table: TransitionTable, psi: Superposition, adjoint: bool) -> tuple[Superposition, float]:

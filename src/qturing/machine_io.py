@@ -208,6 +208,8 @@ def _parse_document(text: str) -> MachineDocument:
         raise MachineParseError("syntax", err.msg, err.lineno, err.colno) from err
     except RecursionError:
         raise MachineParseError("syntax", "JSON nested too deeply") from None
+    except ValueError as err:  # an integer literal too long to convert
+        raise MachineParseError("syntax", str(err)) from None
 
     _expect(isinstance(doc, dict), "schema", "document must be a JSON object")
     name = doc.get("name", "machine")

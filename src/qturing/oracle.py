@@ -18,13 +18,12 @@ their bits at any budget.  The window stays packed arrays
 (`windows.PackedWindow`), kept on the table's kernel (`PackedWindow.of`: one
 read-only window per table, for the last radius asked for, freed with the
 table), so the column and the row check at one radius build it once.  Each
-entry names its image by code, and one stable sort of the codes (`_groups`)
-groups the entries by image.  Only each group's first image is built: the
-groups are ranked by first column, then by that image's `_Layout.keys` key,
-as `_Kernel.operator` numbers its images, and one gather puts the groups in
-that order; the self-join takes the groups as they are, so each check sorts
-its entries once.  Only the witness configurations are decoded, from their
-window codes.
+entry names its image by code, one stable sort of the codes (`_groups`)
+groups the entries by image, and `_Kernel.operator`, the numbering of
+`step_operator`, puts the groups in number order, building only each
+group's first image; the self-join takes the groups as they are, so each
+check sorts its entries once.  Only the witness configurations are
+decoded, each from its packed row.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made
@@ -185,24 +184,6 @@ def _column_norms(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cols, weights=vals.real * vals.real + vals.imag * vals.imag, minlength=n)
 
 
-def _operator(kernel: _Kernel, window: PackedWindow, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cols, vals, sizes) of M (or M^dagger) on the window: its entries
-    grouped by image, each image's entries in column order, and each
-    image's entry count.  One `_groups` of the image codes groups the
-    entries, and the groups come in the order in which `_Kernel.operator`
-    numbers its images: by first column (the parent of a group's first
-    entry), then by the key of the image, built from that entry alone."""
-    walk = kernel.kept(window.terms, adjoint)
-    order, new = _groups(window.image_codes(kernel, walk, adjoint, edges=True))
-    starts = new.nonzero()[0]
-    first = walk.take(order[starts])  # each image's first entry, whose parent is its first column
-    by_number = np.lexsort((kernel.keys(kernel.images(window.terms, first, adjoint)), first.parent))
-    sizes = np.diff(starts, append=len(order))[by_number]
-    # each group's entries, moved from its start in `order` to its start by number
-    order = order[np.repeat(starts[by_number] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(order))]
-    return walk.parent[order], walk.coef[order], sizes
-
-
 def _gram_check(table, radius, tolerance, side) -> GramCheck:
     # The full Gram matrix over the window is one A^H A product, where the
     # columns of A are the step-operator expansions of the window basis
@@ -211,8 +192,12 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     _require_tolerance(tolerance)
     kernel = _Kernel.of(table)
     window = PackedWindow.of(kernel, radius)
-    n = window.size
-    cols, vals, sizes = _operator(kernel, window, adjoint=side == "rows")
+    n, adjoint = window.size, side == "rows"
+    walk = kernel.kept(window.terms, adjoint)
+    order, sizes = kernel.operator(window.terms, walk, adjoint,
+                                   *_groups(window.image_codes(kernel, walk, adjoint, edges=True)))
+    cols, vals = walk.parent[order], walk.coef[order]
+    del walk, order  # the self-join below sets the peak memory
     diag_resid = np.abs(_column_norms(cols, vals, n) - 1.0)  # a column without entries: residual 1
     off, tie, pairs = 0.0, None, 0
     for keys, sums in _gram_blocks(cols, vals, sizes, n):

@@ -22,10 +22,10 @@ per-entry delta of its rule at its slot (`PackedWindow.image_codes`), so
 images are named without building their cells.  A forward image whose
 heads stay in 1..W is in the window, and its window code finds its
 position with one lookup (`_compressed`, the operator of `estimate_norm`,
-which starts from `.interior`); the Gram oracle uses the code over the
-columns and heads 0..W+1, where every image lies.  `radius_window`
-decodes the whole window into configurations, and `.configuration` one
-term from its code.
+which starts from `.interior`); the Gram oracle groups its entries by the
+code over the columns and heads 0..W+1, where every image lies.
+`radius_window` decodes the whole window into configurations, and
+`.configuration` one term from its packed row.
 
 The window depends only on the frame and the radius, so the Gram checks
 and `estimate_norm` take it from `PackedWindow.of`, which keeps one window
@@ -143,19 +143,12 @@ class PackedWindow:
         return window
 
     def configuration(self, position: int) -> Configuration:
-        """The window term at `position`, decoded from its window code."""
-        code, tapes, heads = int(self.codes[position]), [], []
-        for symbols, blank in zip(reversed(self.layout.frame.symbol_counts), reversed(self.layout.frame.blanks)):
-            code, head = divmod(code, self.width)
-            code, tape = divmod(code, symbols ** self.width)
-            cells = []
-            for cell in range(self.radius, -self.radius - 1, -1):  # the last cell is the lowest digit
-                tape, symbol = divmod(tape, symbols)
-                if symbol != blank:
-                    cells.append((cell, symbol))
-            tapes.insert(0, _tape_unchecked(blank, tuple(reversed(cells))))
-            heads.insert(0, head - self.radius)
-        return _config_unchecked(code, tuple(tapes), tuple(heads))
+        """The window term at `position`, read off its packed row."""
+        terms = self.terms
+        cols = terms.cols.tolist()
+        tapes = tuple(_tape_unchecked(blank, tuple((col, symbol) for col, symbol in zip(cols, row) if symbol != blank))
+                      for row, blank in zip(terms.cells[position].tolist(), self.layout.frame.blanks))
+        return _config_unchecked(int(terms.state[position]), tapes, tuple(terms.cols[terms.heads[position]].tolist()))
 
     def image_codes(self, kernel: _Kernel, walk: _Walk, adjoint: bool, edges: bool) -> np.ndarray:
         """The code of every image of `walk`, a rule walk on the window's

@@ -31,6 +31,8 @@ def reference_parse_document(text: str) -> MachineDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise MachineParseError("syntax", err.msg, err.lineno, err.colno) from err
+    except ValueError as err:  # an integer literal too long to convert
+        raise MachineParseError("syntax", str(err)) from None
 
     _expect(isinstance(doc, dict), "schema", "document must be a JSON object")
     name = doc.get("name", "machine")

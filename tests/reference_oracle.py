@@ -15,6 +15,9 @@ that `Superposition` carried as methods.
 `apply` and `apply_adjoint` replaced, and `reference_step_operator` is the
 per-configuration expansion loop (`_Rules` and `_expand`) that the packed
 step kernel replaced; the tests hold the packed kernel to them bit for bit.
+`reference_numbering` is the image numbering that `step_operator` ran
+before `_Kernel.operator` took grouped image ids: it keys every image,
+where the package keys only each group's first.
 `reference_gram_check` and `reference_estimate_norm` are the Gram check and
 the norm estimator on a window of `Configuration` objects, located through
 a dict, as they ran before the packed window; the Gram check multiplies out
@@ -42,6 +45,7 @@ from qturing import (
     apply_adjoint,
     step_operator,
 )
+from qturing.evolution import _runs
 from qturing.frame import _config_unchecked
 
 from reference_frame import reference_radius_window
@@ -391,6 +395,20 @@ def reference_step_operator(
         vals,
         tuple(images[k] for k in order),
     )
+
+
+def reference_numbering(kernel, terms, walk, adjoint: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`_Kernel.operator`'s (order, sizes) for the rule walk `walk` on the
+    packed `terms`, numbered from the keys of every image rather than of
+    each group's first: one `_runs` of the keys of all entries' images
+    groups and ranks the images by `sort_key`, and a stable argsort of each
+    group's first parent then ranks them by first column."""
+    order, starts, ids = _runs(kernel.keys(kernel.images(terms, walk, adjoint)))
+    by_column = walk.parent[order[starts]].argsort(kind="stable")
+    number = np.empty(len(starts), dtype=np.intp)
+    number[by_column] = np.arange(len(starts), dtype=np.intp)
+    rows = number[ids]
+    return rows.argsort(kind="stable"), np.bincount(rows, minlength=len(starts))
 
 
 def by_image(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):

@@ -142,6 +142,7 @@ class TestRun:
         (5, None),
         ({"heads": [0], "tapes": [[]], "amp": [1.0, 0.0]}, "state"),
         ({"state": "0", "heads": [0], "tapes": [[[0, "Z"]]], "amp": [1.0, 0.0]}, "tapes"),
+        ({"state": "0", "heads": [0], "tapes": [[]], "amp": [10 ** 400, 0]}, "amp"),
     ])
     def test_malformed_start_term_is_usage_error(self, capsys, tmp_path, term, field):
         start = tmp_path / "start.json"
@@ -364,6 +365,14 @@ class TestErrorsAndDeterminism:
         code, out, err = invoke(capsys, "run", "counterexample", "--start", f"@{path}")
         assert (code, out, err) == (
             2, "", f"error: start file {path}: invalid JSON: Expecting value: line 2 column 1 (char 4)\n")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer digit limit")
+    def test_overlong_integer_literal_start_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text("[" + "1" * (sys.get_int_max_str_digits() + 1) + "]")
+        code, out, err = invoke(capsys, "run", "counterexample", "--start", f"@{path}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: start file {path}: invalid JSON: Exceeds the limit (")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_run_stops_at_a_non_finite_norm(self, capsys, tmp_path, fmt):

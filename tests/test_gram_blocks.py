@@ -64,9 +64,9 @@ def test_any_budget_keeps_the_one_block_bits_on_drawn_tables(dims, radius, densi
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
 def test_dense_q2s2_r5_column_check_fits_400_mib():
-    """The whole self-join at once (3.25 M upper-half pairs from 0.54 M
-    entries) raised MemoryError under this limit; in blocks it finishes
-    with the bits of an unlimited in-process run."""
+    """The whole self-join at once (2.71 M strict upper-half pairs from
+    0.54 M entries) raised MemoryError under this limit; in blocks it
+    finishes with the bits of an unlimited in-process run."""
     expected = repr(qt.column_gram_check(dense_table(2, 2), 5))
     tests = pathlib.Path(__file__).resolve().parent
     src = str(pathlib.Path(qt.__file__).resolve().parents[1])

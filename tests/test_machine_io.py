@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,13 @@ class TestErrors:
     def test_overnested_json_is_a_syntax_error(self):
         err = self.expect_code("[" * 100_000 + "]" * 100_000, "syntax")
         assert str(err) == "syntax: JSON nested too deeply"
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer digit limit")
+    def test_overlong_integer_literal_is_a_syntax_error(self):
+        digits = sys.get_int_max_str_digits() + 1
+        err = self.expect_code("[" + "1" * digits + "]", "syntax")
+        assert str(err).startswith(f"syntax: Exceeds the limit ({digits - 1} digits) for integer string conversion")
+        assert err.line is None
 
     def test_amplitude_modulus_bound_names_the_first_rule_above_it(self):
         states = ("q0", "q1", "q2", "q3")

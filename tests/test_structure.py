@@ -1,8 +1,10 @@
 """The package's structure, read from its source with `ast`: the relative
 imports at module level form an acyclic graph, and no function or method
 imports anything, so every dependency between modules shows at the top of a
-module and importing one module never runs another's body twice; and every
-module-level function is used by the package or exported by it."""
+module and importing one module never runs another's body twice; every
+module-level function is used by the package or exported by it; and every
+method of a class the package does not export has a caller in the
+package."""
 import ast
 import graphlib
 from pathlib import Path
@@ -52,10 +54,11 @@ def test_no_function_body_imports(name):
     assert not nested, nested
 
 
-def _names_used(node: ast.AST) -> set[str]:
-    """The names, attribute names and imported names under `node`."""
+def _names_used(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names, attribute names and imported names under `node`, outside
+    `skip`."""
     names = set()
-    for child in ast.walk(node):
+    for child in _walk_outside(node, skip):
         if isinstance(child, ast.Name):
             names.add(child.id)
         elif isinstance(child, ast.Attribute):
@@ -63,6 +66,14 @@ def _names_used(node: ast.AST) -> set[str]:
         elif isinstance(child, ast.ImportFrom):
             names.update(alias.name for alias in child.names)
     return names
+
+
+def _walk_outside(node: ast.AST, skip: ast.AST | None):
+    """`ast.walk` of `node` without the subtree `skip`."""
+    if node is not skip:
+        yield node
+        for child in ast.iter_child_nodes(node):
+            yield from _walk_outside(child, skip)
 
 
 def test_every_module_level_function_is_used_in_the_package():
@@ -80,4 +91,24 @@ def test_every_module_level_function_is_used_in_the_package():
     unused = [f"{name}.py:{node.lineno} {node.name}"
               for name, tree in MODULES.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in used]
+    assert not unused, unused
+
+
+def test_every_method_of_an_unexported_class_has_a_caller():
+    """A method (dunders aside) of a class that `__init__.py` does not
+    export must be named somewhere in the package outside its own body, as
+    an attribute or a name, so no method that only the tests call lives in
+    the package.  An exported class may have methods the package never
+    calls, such as `Superposition.plus`."""
+    exported = _names_used(MODULES["__init__"])
+    unused = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name in exported:
+                continue
+            for method in node.body:
+                if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (method.name.startswith("__") and method.name.endswith("__"))
+                        and not any(method.name in _names_used(other, method) for other in MODULES.values())):
+                    unused.append(f"{name}.py:{method.lineno} {node.name}.{method.name}")
     assert not unused, unused

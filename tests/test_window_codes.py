@@ -1,12 +1,14 @@
 """The window operators built from image codes against the operator built
-from image cells: the Gram check's (cols, vals, sizes) equal
-`_Kernel.operator`'s entries grouped by image on both sides, and the norm
-estimate's compressed operator equals the forward images located by their
-cells, dtypes included.  Both packed routes number their images through
-`_Layout.keys`, so on the smaller windows the Gram check's entries are
-also held to `reference_step_operator`, which numbers its images with
-`Configuration.sort_key` in Python.  And the step bound refuses a window
-at its exact entry count before any entry array is allocated."""
+from image cells.  `_Kernel.operator` numbers images for both the Gram
+check, which groups the entries by image code, and `step_operator`, which
+groups them by image key: on both sides the two groupings give the entries
+and image sizes of `reference_numbering`, which keys every image.  On the
+smaller windows the Gram check's entries are also held to
+`reference_step_operator`, which numbers its images with
+`Configuration.sort_key` in Python.  The norm estimate's compressed
+operator equals the forward images located by their cells, dtypes
+included.  And the step bound refuses a window at its exact entry count
+before any entry array is allocated."""
 import tracemalloc
 
 import numpy as np
@@ -15,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qturing as qt
-from qturing import evolution, oracle, windows
-from qturing.evolution import _Kernel
+from qturing import evolution, windows
+from qturing.evolution import _Kernel, _groups
 
 from bounded_gram import dense_table
 from conftest import random_table
-from reference_oracle import by_image, reference_step_operator
+from reference_oracle import by_image, reference_numbering, reference_step_operator
 from test_packed_window import cell_codes, kept_images, outside
 
 
@@ -36,12 +38,19 @@ def assert_codes_match_cells(table, radius: int, reference: bool = False):
     image numbering that does not go through `_Layout.keys`."""
     kernel = _Kernel.of(table)
     window = windows.PackedWindow(kernel, radius)
+    terms = window.terms
     configs = qt.radius_window(table.frame, radius) if reference else None
     for adjoint in (False, True):
-        got = oracle._operator(kernel, window, adjoint)
-        _same(got, by_image(*kernel.operator(window.terms, adjoint)[:3]))
+        walk = kernel.kept(terms, adjoint)
+        expected = reference_numbering(kernel, terms, walk, adjoint)
+        by_code = kernel.operator(terms, walk, adjoint, *_groups(window.image_codes(kernel, walk, adjoint, edges=True)))
+        _same(by_code, expected)
+        by_key = kernel.operator(terms, walk, adjoint, *_groups(kernel.keys(kernel.images(terms, walk, adjoint))))
+        _same(by_key, expected)
         if reference:
-            _same(got, by_image(*reference_step_operator(table, configs, adjoint)[:3]))
+            order, sizes = by_code
+            _same((walk.parent[order], walk.coef[order], sizes),
+                  by_image(*reference_step_operator(table, configs, adjoint)[:3]))
     walk = kernel.kept(window.terms, adjoint=False)
     images = kept_images(kernel, window.terms, adjoint=False)
     inside = ~outside(window, images)
@@ -77,7 +86,7 @@ WIDE = {
                                                       np.random.default_rng(8), 0.8), 1),
 }
 
-# the WIDE cases also held to the reference numbering
+# the WIDE cases also held to `reference_step_operator`
 BLANK_NOT_ZERO = ("blank-1 r2", "two-tape blanks (1,0) r1")
 
 
