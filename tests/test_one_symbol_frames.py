@@ -5,8 +5,9 @@ entry of `cols`.  Their sort keys are formed from the state and heads by
 arithmetic, with the values and the stable-sort order of the digit path.
 A step on such a frame merges its images by counting when their keys span
 few values, with the bits of the sort route on the same packed terms.  The
-100-step `counterexample` walk, which runs on such a frame, is pinned bit
-for bit."""
+100-step `counterexample` walk, which runs on such a frame, and pair-unitary
+runs on two and three one-symbol tapes are pinned bit for bit, forward and
+back by as many adjoint steps."""
 import hashlib
 
 import numpy as np
@@ -204,17 +205,75 @@ def test_counting_merge_matches_the_sort_route_on_chosen_cases(name, adjoint):
 # The 100-step walk from the blank configuration (328 terms), each part as
 # a SHA-256 digest: its final amplitudes' little-endian bytes, its
 # first-reached order as little-endian int64, and its 101 norms as hex,
-# joined by spaces.
+# joined by spaces.  Then 100 adjoint steps back from its final state, whose
+# amplitudes and first-reached order are digested the same way.
 WALK_AMPS = "db2a142ddecc3f6302a91f696a2f90a508c18ee4c0293313f248f41ac3dbbff3"
 WALK_REACHED = "fa27c1cf561ce28970d53e60d43fc90c7c0fa8dc32fc5c46522e8ad93a505ead"
 WALK_NORMS = "e7264f07293e744d867f2f8d7a2d6ffaca1c650e2cad5ea6118f872ea52e79e5"
+BACK_AMPS = "b421536b3c5b058ddff23d063f03ed141edcb9da434e8742678b467f8e50472c"
+BACK_REACHED = "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"
+
+
+def _sha256(values: np.ndarray, dtype: str) -> str:
+    return hashlib.sha256(values.astype(dtype).tobytes()).hexdigest()
+
+
+def _norms_sha256(norms) -> str:
+    return hashlib.sha256(" ".join(n.hex() for n in norms).encode()).hexdigest()
+
+
+def _back(table, psi, steps: int):
+    for _ in range(steps):
+        psi = qt.apply_adjoint(table, psi)
+    return psi
 
 
 def test_counterexample_walk_keeps_its_bits():
     table = _machine("counterexample")
-    result = qt.run(table, qt.Superposition.basis(qt.blank_configuration(table.frame)), 100)
+    start = qt.Superposition.basis(qt.blank_configuration(table.frame))
+    result = qt.run(table, start, 100)
     final = result.final
     assert len(final) == 328
-    assert hashlib.sha256(final._amps.astype("<c16").tobytes()).hexdigest() == WALK_AMPS
-    assert hashlib.sha256(final._reached.astype("<i8").tobytes()).hexdigest() == WALK_REACHED
-    assert hashlib.sha256(" ".join(n.hex() for n in result.norms).encode()).hexdigest() == WALK_NORMS
+    assert _sha256(final._amps, "<c16") == WALK_AMPS
+    assert _sha256(final._reached, "<i8") == WALK_REACHED
+    assert _norms_sha256(result.norms) == WALK_NORMS
+    back = _back(table, final, 100)
+    assert _sha256(back._amps, "<c16") == BACK_AMPS
+    assert _sha256(back._reached, "<i8") == BACK_REACHED
+    assert back.distance(start) <= 1e-9
+
+
+# Pair-unitary Q3 tables on two and three one-symbol tapes, run from the
+# blank configuration and back by as many adjoint steps, digested as the
+# walk above: the final amplitudes, first-reached order and norms of the
+# run, then the final amplitudes and first-reached order of the way back.
+# The two-tape chain takes both merges; the three-tape one spans too many
+# keys to count.
+PAIR_RUNS = {
+    # name: (frame sizes, move vector per state, unitary seed, steps, final terms, digests)
+    "two tapes": ((3, 1, 1), [(1, -1), (0, 1), (-1, 0)], 7, 40, 2428, (
+        "20b29c832d30bb8a88cddeb90a1c54adea050037b6c038b7825dbe11d532f784",
+        "637b9f81cf365be8fca1270b043808fbb7f25f69989352ce421a81e801bc794b",
+        "d93db9e74389996d30aa46122b823bba76ae8bd916f96797c30f748213767e71",
+        "27388ab05a7eb83f56fc5d2bb9a47b61d78284d1a16118f23ed3510e7e71d97f",
+        "42c93fbb10ba7176f61cf9e9e72a93cbaba273f7c8a969d8d6f5da11fb30ab34")),
+    "three tapes": ((3, 1, 1, 1), [(1, -1, 0), (0, 1, 1), (-1, 0, -1)], 8, 30, 1395, (
+        "20c06b3ab146979c21776ea7a652968f38ef24ab36895ed0a8517a9abbdd84c0",
+        "38fa4b20b0e49c0ebbe3a24e6799283c1388c32e8df8df3552bdd449551aa60f",
+        "b3da0b9612a1e11c14ee3aed05c68c798e5f85cb154b2f213bc1829e9e09e5c0",
+        "d84aba1f9ac53e0b73aae2a58feffbe81fc3c427d4d63b3e2d8534454b4e03d7",
+        "04999457d8ba6623573b45d01202ae33e64df8de3069ab24081bb52e06ecc7ae")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_RUNS))
+def test_pair_unitary_runs_keep_their_bits(name):
+    dims, moves, seed, steps, count, digests = PAIR_RUNS[name]
+    table = _pair_unitary(dims, moves, seed)
+    start = qt.Superposition.basis(qt.blank_configuration(table.frame))
+    result = qt.run(table, start, steps)
+    back = _back(table, result.final, steps)
+    assert len(result.final) == count
+    assert (_sha256(result.final._amps, "<c16"), _sha256(result.final._reached, "<i8"), _norms_sha256(result.norms),
+            _sha256(back._amps, "<c16"), _sha256(back._reached, "<i8")) == digests
+    assert back.distance(start) <= 1e-9
