@@ -28,18 +28,22 @@ than 2**64, and otherwise the digits big-endian as one void scalar,
 compared as unsigned bytes; numpy sorts the integer form several times
 faster.  A one-symbol frame has no cell digits, and its key
 (`_Layout.one_symbol_key`) is formed directly from the state and heads
-while |Q| * W**k < 2**63.  A step merges its images one of two ways, with
-the same bits.  On a one-symbol frame whose keys span at most
-4 * entries + 256 values it counts (`_Kernel.merge_by_count`): each
-entry's key is summed from its rule's and its slot's parts, the products
-land in one bin per key, and the bins some entry reached are the images,
-already in key order.  Otherwise it builds every entry's image
+while |Q| * W**k < 2**63.  Such a step builds no image
+(`_Kernel.state_walk`): with one symbol per tape a term's rules depend on
+its state alone, in both directions, so each term repeats its state's
+block of rules, and each entry's key is its rule's part, kept on the
+kernel per direction, plus its parent's part.  It merges by counting while
+the keys span at most 4 * entries + 256 values (the products land in one
+bin per key, and the bins some entry reached are the images, already in
+key order), and by one stable sort of the keys otherwise
+(`_Kernel.merge_by_key`).  Any other step builds every entry's image
 (`_Kernel.images`: the written symbols scattered into copies of the parent
 cells) and one stable sort of their keys (`_runs`) both merges and orders
-them (`_Kernel.merge_by_sort`).  Every order matches the loop the kernel
-replaced, so results are bit-reproducible: terms in `sort_key` order,
-forward rules grouped by written vector in first-appearance order, then
-(p, tau, d), adjoint hits move by move, then (q, sigma).
+them (`_Kernel.merge_by_sort`).  Every route gives the same bits, and
+every order matches the loop the kernel replaced, so results are
+bit-reproducible: terms in `sort_key` order, forward rules grouped by
+written vector in first-appearance order, then (p, tau, d), adjoint hits
+move by move, then (q, sigma).
 `step_operator` and the window routes (the Gram oracle and
 `windows.estimate_norm`) take the rule walk of `_Kernel.kept`, without the
 entries below PRUNE_THRESHOLD.  `_Kernel.operator` is the one image
@@ -209,11 +213,10 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, starts, run
 
 
-def _products(terms: "_Terms", walk: "_Walk") -> tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts of amp * coef per entry of `walk`, each
-    part with one rounding per product, as a Python complex product has."""
-    amps = terms.amps[walk.parent]
-    ar, ai, cr, ci = amps.real, amps.imag, walk.coef.real, walk.coef.imag
+def _products(amps: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of amp * coef per entry, each part with
+    one rounding per product, as a Python complex product has."""
+    ar, ai, cr, ci = amps.real, amps.imag, coef.real, coef.imag
     return ar * cr - ai * ci, ar * ci + ai * cr
 
 
@@ -226,6 +229,14 @@ def _pruned(first: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray | None, flo
         return None, 0.0
     lost = vals[~keep][first[~keep].argsort(kind="stable")]
     return keep, float((lost.real * lost.real + lost.imag * lost.imag).sum())
+
+
+def _check_step_size(entries: int, k: int, width: int) -> None:
+    """Refuse a step whose `entries` on k tapes of `width` columns would
+    hold more than MAX_STEP_SYMBOLS packed image symbols."""
+    if entries * k * width > MAX_STEP_SYMBOLS:
+        raise ValueError(f"a step of {entries} entries on {width} columns per tape exceeds "
+                         f"the {MAX_STEP_SYMBOLS} packed symbols a step may hold")
 
 
 class _Terms(NamedTuple):
@@ -394,9 +405,14 @@ class _Kernel(_Layout):
     vector in the order each first appears, then in (p, tau, d) order.
     `adjoint` indexes the hits by (p, written, move) in (q, sigma) order,
     conjugated.  Each is (rule end, rule count) per key, then the state,
-    written symbols, moves (forward only) and coefficient per rule.  Every
-    nonzero rule is kept; `kept` drops the entries below PRUNE_THRESHOLD by
-    `large`, the rules it keeps in each direction (None for all).
+    written symbols, head move (the move vector, negated in the adjoint)
+    and coefficient per rule.  Every nonzero rule is kept; `kept` drops the
+    entries below PRUNE_THRESHOLD by `large`, the rules it keeps in each
+    direction (None for all).  With one symbol per tape a term's rules
+    depend on its state alone, in both directions: `by_state` holds
+    (rule end, rule count) per state, forward and adjoint (None with more
+    symbols), and `rule_keys` the last per-rule key part `state_walk` used
+    in each direction, with its column count.
     `verdicts` holds `run`'s `check_auto` report per tolerance, and
     `window` the one radius window `windows.PackedWindow.of` keeps for the
     Gram checks and `estimate_norm`: read-only, for the last radius asked
@@ -427,11 +443,16 @@ class _Kernel(_Layout):
         order = np.argsort(target, kind="stable")
         q, s = np.divmod(read[order], S)
         count = np.bincount(target, minlength=reads * M)
-        self.adjoint = (count.cumsum(), count, q, self._symbols(s), None, coef[order].conj())
+        self.adjoint = (count.cumsum(), count, q, self._symbols(s), -self.moves[target[order] % M],
+                        coef[order].conj())
         self.large = (~small[forward], ~small[order]) if small.any() else (None, None)
         # the move vectors some rule uses, ascending: the adjoint looks back only along these
         self.used_moves = np.flatnonzero(np.bincount(target % M, minlength=M))
         self.back = self.moves[self.used_moves]
+        # with one symbol per tape, forward keys are states, and the adjoint hits of
+        # state p are the rows p*M .. p*M + M - 1, one after another in walk order
+        self.by_state = None if S > 1 else (self.forward[:2], (self.adjoint[0][M - 1::M], count.reshape(-1, M).sum(1)))
+        self.rule_keys: list[tuple[int, np.ndarray] | None] = [None, None]
         self.verdicts: dict[float, ValidationReport] = {}
         self.window = None
 
@@ -506,9 +527,7 @@ class _Kernel(_Layout):
         stop, count = stops[key], counts[key]
         ends = count.cumsum()
         entries = int(ends[-1]) if len(ends) else 0
-        if entries * k * len(terms.cols) > MAX_STEP_SYMBOLS:
-            raise ValueError(f"a step of {entries} entries on {len(terms.cols)} columns per tape exceeds "
-                             f"the {MAX_STEP_SYMBOLS} packed symbols a step may hold")
+        _check_step_size(entries, k, len(terms.cols))
         slot = np.arange(len(key)).repeat(count)
         rule = (stop - ends)[slot] + np.arange(entries)
         parent = slot // max(len(self.back), 1) if adjoint else slot  # a table without rules has no slot
@@ -543,15 +562,17 @@ class _Kernel(_Layout):
         per product, as a Python complex product is, and summed per image in
         entry order from +0.0.
 
-        After the rule walk the images merge by counting when the frame has
-        one symbol per tape and its keys span at most 4 * entries + 256
-        values (`merge_by_count`), and by one stable sort of their keys
-        otherwise (`merge_by_sort`).  Both give the same bits."""
-        walk = self.walk(terms, adjoint)
+        A frame with one symbol per tape whose keys fit in int64
+        (|Q| * W**k < 2**63) walks its rules by state and keys every entry
+        (`state_walk`), then merges by key (`merge_by_key`): by counting
+        while the keys span at most 4 * entries + 256 values, and by one
+        stable sort otherwise.  Any other step takes the rule walk and
+        builds every image (`merge_by_sort`).  All give the same bits."""
         span = self.frame.state_count * len(terms.cols) ** self.k
-        if self.S == 1 and span <= 4 * len(walk.rule) + 256:
-            return self.merge_by_count(terms, walk, adjoint)
-        return self.merge_by_sort(terms, walk, adjoint)
+        if self.S == 1 and span < 2 ** 63:
+            parent, key, coef = self.state_walk(terms, adjoint)
+            return self.merge_by_key(terms, parent, key, coef, span <= 4 * len(key) + 256)
+        return self.merge_by_sort(terms, self.walk(terms, adjoint), adjoint)
 
     def merge_by_sort(self, terms: _Terms, walk: _Walk, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
         """`step`'s merge on any frame: the image of every entry (`images`),
@@ -559,7 +580,7 @@ class _Kernel(_Layout):
         entries = self.images(terms, walk, adjoint)
         order, starts, ids = _runs(self.keys(entries))
         first = order[starts]  # each image's first entry
-        re, im = _products(terms, walk)
+        re, im = _products(terms.amps[walk.parent], walk.coef)
         # every image has an entry, so the sums need no minlength
         vals = np.bincount(ids, weights=re).astype(np.complex128)
         vals.imag = np.bincount(ids, weights=im)
@@ -570,27 +591,58 @@ class _Kernel(_Layout):
                         vals, entries.slack)
         return images, first.argsort(kind="stable"), dropped
 
-    def merge_by_count(self, terms: _Terms, walk: _Walk, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
-        """`step`'s merge on a one-symbol frame, without image rows: each
-        entry's key (`one_symbol_key`) is its rule's part, the new state and
-        forward the move, plus its slot's part, the heads before the move.
-        The products are summed into one bin per key, the images are the
-        bins some entry reached, in key order, so `sort_key` order, and each
-        is decoded from its bin.  Each bin's first entry is its least, from
+    def state_walk(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rule walk of a one-symbol frame, by state: per entry its
+        parent term, its image's key (`one_symbol_key`) and its coefficient,
+        in the entry order of `walk`.  A term's rules are its state's
+        `by_state` extent in both directions.  The key is linear, so it is
+        its rule's part (the new state and head move, kept in `rule_keys`
+        while the column count stays) plus its parent's part (the heads).
+        A step refused by `walk` is refused here too, before any array of
+        the entries is allocated."""
+        width, state = len(terms.cols), terms.state
+        stop, count = self.by_state[adjoint]
+        stop, count = stop[state], count[state]
+        ends = count.cumsum()
+        entries = int(ends[-1]) if len(ends) else 0
+        _check_step_size(entries, self.k, width)
+        parent = np.arange(len(state)).repeat(count)
+        rule = (stop - ends)[parent] + np.arange(entries)
+        _, _, to_state, _, to_move, coef = self.adjoint if adjoint else self.forward
+        cached = self.rule_keys[adjoint]
+        if cached is None or cached[0] != width:
+            cached = self.rule_keys[adjoint] = (width, self.one_symbol_key(width, to_state, to_move))
+        key = cached[1][rule]
+        key += self.one_symbol_key(width, 0, terms.heads)[parent]
+        return parent, key, coef[rule]
+
+    def merge_by_key(self, terms: _Terms, parent: np.ndarray, key: np.ndarray, coef: np.ndarray,
+                     count: bool) -> tuple[_Terms, np.ndarray, float]:
+        """`step`'s merge on a one-symbol frame, from `state_walk`: the
+        images are the keys some entry has, in key order, so `sort_key`
+        order, each decoded from its key, with no image rows.  With `count`
+        the products are summed into one bin per key and the images are the
+        bins some entry reached; each bin's first entry is its least, from
         an `np.maximum.at` of n - entry into zeros (n entries), since numpy
-        leaves the order of a repeated-index assignment unspecified."""
-        width, n = len(terms.cols), len(walk.rule)
-        _, _, to_state, _, to_move, _ = self.adjoint if adjoint else self.forward
-        key = self.one_symbol_key(width, to_state, None if adjoint else to_move)[walk.rule]
-        key += self.one_symbol_key(width, 0, walk.columns)[walk.slot]
-        span = self.frame.state_count * width ** self.k
-        last = np.zeros(span, dtype=np.intp)  # per bin, n - its first entry; 0 where none lands
-        np.maximum.at(last, key, np.arange(n, 0, -1))
-        bins = last.nonzero()[0]  # the images, in key order
-        first = n - last[bins]  # each image's first entry
-        re, im = _products(terms, walk)
-        vals = np.bincount(key, re, span)[bins].astype(np.complex128)
-        vals.imag = np.bincount(key, im, span)[bins]
+        leaves the order of a repeated-index assignment unspecified.
+        Otherwise one stable sort of the keys (`_runs`) groups and orders
+        them."""
+        width, n = len(terms.cols), len(key)
+        re, im = _products(terms.amps[parent], coef)
+        if count:
+            span = self.frame.state_count * width ** self.k
+            last = np.zeros(span, dtype=np.intp)  # per bin, n - its first entry; 0 where none lands
+            np.maximum.at(last, key, np.arange(n, 0, -1))
+            bins = last.nonzero()[0]  # the image keys, in order
+            first = n - last[bins]  # each image's first entry
+            vals = np.bincount(key, re, span)[bins].astype(np.complex128)
+            vals.imag = np.bincount(key, im, span)[bins]
+        else:
+            order, starts, ids = _runs(key)
+            first = order[starts]
+            bins = key[first]
+            vals = np.bincount(ids, weights=re).astype(np.complex128)
+            vals.imag = np.bincount(ids, weights=im)
         keep, dropped = _pruned(first, vals)
         if keep is not None:
             bins, first, vals = bins[keep], first[keep], vals[keep]

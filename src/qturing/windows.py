@@ -99,10 +99,10 @@ class PackedWindow:
 
     `terms` lies on the columns [-r-1, r+1], so tape cells sit in columns
     1..2r+1 (no cells are packed when every tape has one symbol) and heads
-    index 1..2r+1 too; `codes[j]` is the window code of term j, and
-    `position[code]` the window position of the term with window code
-    `code`.  Every array is read-only, so one window can be
-    shared by every check on its table (`of`)."""
+    index 1..2r+1 too; `position[code]` is the window position of the
+    term with window code `code`, a permutation of the positions.  Every
+    array is read-only, so one window can be shared by every check on its
+    table (`of`)."""
 
     def __init__(self, layout: _Layout, radius: int):
         self.size = window_size(layout.frame, radius)
@@ -125,9 +125,9 @@ class PackedWindow:
                 cells[:, i, 1:-1] = tape[:, None] // powers % symbols
         packed = _Terms(code, np.stack(heads, axis=1), cells,
                         np.arange(-radius - 1, radius + 2, dtype=np.int64))
-        self.codes, _, self.position = _runs(layout.keys(packed))  # terms are distinct: run = position
-        self.terms = packed.take(self.codes)
-        for array in (self.codes, self.position, *self.terms[:4]):
+        codes, _, self.position = _runs(layout.keys(packed))  # terms are distinct: run = position
+        self.terms = packed.take(codes)
+        for array in (self.position, *self.terms[:4]):
             array.flags.writeable = False
 
     @classmethod

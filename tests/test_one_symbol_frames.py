@@ -3,8 +3,10 @@ terms, step images, re-framed terms and windows have a zero-width cells
 axis, while a frame with a tape of two or more symbols keeps one column per
 entry of `cols`.  Their sort keys are formed from the state and heads by
 arithmetic, with the values and the stable-sort order of the digit path.
-A step on such a frame merges its images by counting when their keys span
-few values, with the bits of the sort route on the same packed terms.  The
+A step on such a frame walks its rules by state and keys every entry from
+its rule's and its parent's parts; both of its merges, by counting and by
+sorting the keys, give the bits of the image route on the same packed
+terms, and keys past 2**63 take the image route.  The
 100-step `counterexample` walk, which runs on such a frame, and pair-unitary
 runs on two and three one-symbol tapes are pinned bit for bit, forward and
 back by as many adjoint steps."""
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qturing as qt
+from qturing import evolution
 from qturing.evolution import PRUNE_THRESHOLD, RUN_MARGIN, _Kernel, _Layout, _runs
 from qturing.windows import PackedWindow
 
@@ -121,25 +124,37 @@ def _merge_case(k: int, states: int, rules: list, heads: list, amps: list):
     return kernel, kernel.ready(psi)
 
 
+def _assert_same_step(a, b) -> None:
+    """Two step results with the same image states, heads, cells, amplitude
+    bytes, columns, slack, first-reached order and pruned-mass bits."""
+    (a, a_reached, a_dropped), (b, b_reached, b_dropped) = a, b
+    assert a.state.dtype == b.state.dtype and np.array_equal(a.state, b.state)
+    assert a.heads.dtype == b.heads.dtype and np.array_equal(a.heads, b.heads)
+    assert a.cells.shape == b.cells.shape and a.cells.dtype == b.cells.dtype
+    assert a.amps.tobytes() == b.amps.tobytes()
+    assert a.cols is b.cols and a.slack == b.slack
+    assert np.array_equal(a_reached, b_reached)
+    assert a_dropped.hex() == b_dropped.hex()
+
+
 def _assert_merges_agree(kernel: _Kernel, terms, adjoint: bool):
-    """`merge_by_count` and `merge_by_sort` on one rule walk: the same image
-    states, heads, cells, amplitude bytes, slack, first-reached order and
-    pruned-mass bits, and `step` gives them too.  Returns whether the step
-    counts and how many images the prune dropped."""
+    """The state-indexed walk (`state_walk`) has the parents and
+    coefficients of the rule walk, entry by entry, and the keys of its
+    images; both of its merges and `step` give the bits of `merge_by_sort`
+    on the image route.  Returns whether the step counts and how many
+    images the prune dropped."""
     walk = kernel.walk(terms, adjoint)
-    counted = kernel.merge_by_count(terms, walk, adjoint)
-    for got in (kernel.step(terms, adjoint), kernel.merge_by_sort(terms, walk, adjoint)):
-        (a, a_reached, a_dropped), (b, b_reached, b_dropped) = counted, got
-        assert a.state.dtype == b.state.dtype and np.array_equal(a.state, b.state)
-        assert a.heads.dtype == b.heads.dtype and np.array_equal(a.heads, b.heads)
-        assert a.cells.shape == b.cells.shape and a.cells.dtype == b.cells.dtype
-        assert a.amps.tobytes() == b.amps.tobytes()
-        assert a.cols is b.cols and a.slack == b.slack
-        assert np.array_equal(a_reached, b_reached)
-        assert a_dropped.hex() == b_dropped.hex()
-    reached = len(_runs(kernel.keys(kernel.images(terms, walk, adjoint)))[1])
+    parent, key, coef = kernel.state_walk(terms, adjoint)
+    images = kernel.images(terms, walk, adjoint)
+    assert np.array_equal(parent, walk.parent) and coef.tobytes() == walk.coef.tobytes()
+    assert key.dtype == np.int64 and np.array_equal(key.view(np.uint64), kernel.keys(images))
+    by_sort = kernel.merge_by_sort(terms, walk, adjoint)
+    for count in (True, False):
+        _assert_same_step(kernel.merge_by_key(terms, parent, key, coef, count), by_sort)
+    _assert_same_step(kernel.step(terms, adjoint), by_sort)
+    reached = len(_runs(kernel.keys(images))[1])
     span = kernel.frame.state_count * len(terms.cols) ** kernel.k
-    return span <= 4 * len(walk.rule) + 256, reached - len(counted[0].state)
+    return span <= 4 * len(walk.rule) + 256, reached - len(by_sort[0].state)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -147,7 +162,7 @@ def _assert_merges_agree(kernel: _Kernel, terms, adjoint: bool):
 def test_counting_merge_matches_the_sort_route(data):
     """On one to three one-symbol tapes, both directions, tables with rules
     below PRUNE_THRESHOLD, exact cancellations and no rules at all, and
-    terms few or many, near or far apart, so the step takes either route."""
+    terms few or many, near or far apart, so the step takes either merge."""
     k = data.draw(st.integers(1, 3), label="tapes")
     states = data.draw(st.integers(1, 3), label="states")
     size = states * states * 3 ** k
@@ -200,6 +215,55 @@ def test_counting_merge_matches_the_sort_route_on_chosen_cases(name, adjoint):
     kernel, terms = _merge_case(k, states, rules, heads, amps)
     takes_count, pruned = _assert_merges_agree(kernel, terms, adjoint)
     assert (takes_count, pruned > 0) == (counts, prunes)
+
+
+def _spread_heads(terms: int):
+    """Q3 on six one-symbol tapes, its kernel, and the superposition of
+    `terms` basis states whose 6 * `terms` heads lie 40 cells apart, so
+    each head is framed by its own 17 columns."""
+    table = _six_one_symbol_tapes()
+    blank = (qt.Tape(0),) * 6
+    psi = qt.Superposition({qt.Configuration(j % 3, blank, tuple(40 * (6 * j + i) for i in range(6))): 0.5 - 0.25j * j
+                            for j in range(terms)})
+    return table, _Kernel.of(table), psi
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("terms, past", [(11, False), (12, True)])
+def test_keys_past_2_63_take_the_image_route(monkeypatch, adjoint, terms, past):
+    """Twelve terms on six tapes take W = 1,224 columns, so |Q| * W**6 is
+    about 1.0e19, past 2**63: an int64 key would overflow, and the step
+    builds and keys every image.  Eleven terms (W = 1,122, about 6.0e18)
+    still walk by state.  Either way the step has the image route's bits."""
+    _, kernel, psi = _spread_heads(terms)
+    packed = kernel.ready(psi)
+    assert (kernel.frame.state_count * len(packed.cols) ** 6 >= 2 ** 63) == past
+    by_sort = kernel.merge_by_sort(packed, kernel.walk(packed, adjoint), adjoint)
+    assert len(by_sort[0].state) == terms * 3
+    monkeypatch.setattr(_Kernel, "state_walk" if past else "merge_by_sort", None)  # the route not taken
+    _assert_same_step(kernel.step(packed, adjoint), by_sort)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_one_symbol_step_at_the_symbol_bound(monkeypatch, adjoint):
+    """The state walk refuses a step as the rule walk does: accepted with
+    entries x tapes x columns at MAX_STEP_SYMBOLS or one below it, and
+    refused with the bound one below that count, naming its counts."""
+    table, kernel, psi = _spread_heads(4)
+    terms = kernel.ready(psi)
+    entries, width = len(kernel.walk(terms, adjoint).rule), len(terms.cols)
+    symbols = entries * 6 * width
+    step = qt.apply_adjoint if adjoint else qt.apply
+    expected = step(table, psi)
+    monkeypatch.setattr(_Kernel, "walk", None)  # so only the state walk can refuse
+    for bound in (symbols + 1, symbols):
+        monkeypatch.setattr(evolution, "MAX_STEP_SYMBOLS", bound)
+        got = step(table, psi)
+        assert got._amps.tobytes() == expected._amps.tobytes() and got.items() == expected.items()
+    monkeypatch.setattr(evolution, "MAX_STEP_SYMBOLS", symbols - 1)
+    with pytest.raises(ValueError, match=f"^a step of {entries} entries on {width} columns per tape exceeds "
+                                         f"the {symbols - 1} packed symbols a step may hold$"):
+        step(table, psi)
 
 
 # The 100-step walk from the blank configuration (328 terms), each part as
