@@ -28,15 +28,14 @@ than 2**64, and otherwise the digits big-endian as one void scalar,
 compared as unsigned bytes; numpy sorts the integer form several times
 faster.  A one-symbol frame has no cell digits, and its key
 (`_Layout.one_symbol_key`) is formed directly from the state and heads
-while |Q| * W**k < 2**63.  Such a step builds no image
-(`_Kernel.state_walk`): with one symbol per tape a term's rules depend on
-its state alone, in both directions, so each term repeats its state's
-block of rules, and each entry's key is its rule's part, kept on the
-kernel per direction, plus its parent's part.  It merges by counting while
-the keys span at most 4 * entries + 256 values (the products land in one
-bin per key, and the bins some entry reached are the images, already in
-key order), and by one stable sort of the keys otherwise
-(`_Kernel.merge_by_key`).  Any other step builds every entry's image
+while |Q| * W**k < 2**63.  A step on such a frame whose keys span at most
+4 * entries + 256 values builds no image (`_Kernel.state_walk`): with one
+symbol per tape a term's rules depend on its state alone, in both
+directions, so each term repeats its state's block of rules, and each
+entry's key is its rule's part, kept on the kernel per direction, plus its
+parent's part.  It merges by counting (`_Kernel.merge_by_key`): the
+products land in one bin per key, and the bins some entry reached are the
+images, already in key order.  Any other step builds every entry's image
 (`_Kernel.images`: the written symbols scattered into copies of the parent
 cells) and one stable sort of their keys (`_runs`) both merges and orders
 them (`_Kernel.merge_by_sort`).  Every route gives the same bits, and
@@ -318,14 +317,11 @@ class _Layout:
             return self.one_symbol_key(width, terms.state, terms.heads).view(np.uint64)
         return self.digit_keys(terms)
 
-    def one_symbol_key(self, width: int, state, heads: np.ndarray | None) -> np.ndarray:
+    def one_symbol_key(self, width: int, state, heads: np.ndarray) -> np.ndarray:
         """state * W**k + heads @ W**(k-1..0) in int64, the key of a term of
         a one-symbol frame on W = `width` columns.  It is linear in state and
-        heads, so a step sums the parts per rule and per slot; without
-        `heads` it is the state's part alone."""
+        heads, so a step sums the parts per rule and per slot."""
         key = state * width ** self.k
-        if heads is None:
-            return key
         if self.k == 1:
             return key + heads[:, 0]
         return key + heads @ width ** np.arange(self.k - 1, -1, -1)
@@ -562,16 +558,18 @@ class _Kernel(_Layout):
         per product, as a Python complex product is, and summed per image in
         entry order from +0.0.
 
-        A frame with one symbol per tape whose keys fit in int64
-        (|Q| * W**k < 2**63) walks its rules by state and keys every entry
-        (`state_walk`), then merges by key (`merge_by_key`): by counting
-        while the keys span at most 4 * entries + 256 values, and by one
-        stable sort otherwise.  Any other step takes the rule walk and
-        builds every image (`merge_by_sort`).  All give the same bits."""
-        span = self.frame.state_count * len(terms.cols) ** self.k
-        if self.S == 1 and span < 2 ** 63:
-            parent, key, coef = self.state_walk(terms, adjoint)
-            return self.merge_by_key(terms, parent, key, coef, span <= 4 * len(key) + 256)
+        A frame with one symbol per tape whose keys span at most
+        4 * entries + 256 values (|Q| * W**k, the entries counted from
+        `by_state`) walks its rules by state and keys every entry
+        (`state_walk`), then merges by counting (`merge_by_key`).  Any other
+        step takes the rule walk and builds every image (`merge_by_sort`).
+        Both give the same bits."""
+        if self.S == 1:
+            stop, count = self.by_state[adjoint]
+            stop, count = stop[terms.state], count[terms.state]
+            ends = count.cumsum()
+            if self.frame.state_count * len(terms.cols) ** self.k <= 4 * int(ends[-1] if len(ends) else 0) + 256:
+                return self.merge_by_key(terms, *self.state_walk(terms, stop, count, ends, adjoint))
         return self.merge_by_sort(terms, self.walk(terms, adjoint), adjoint)
 
     def merge_by_sort(self, terms: _Terms, walk: _Walk, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
@@ -591,22 +589,22 @@ class _Kernel(_Layout):
                         vals, entries.slack)
         return images, first.argsort(kind="stable"), dropped
 
-    def state_walk(self, terms: _Terms, adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def state_walk(self, terms: _Terms, stop: np.ndarray, count: np.ndarray, ends: np.ndarray,
+                   adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rule walk of a one-symbol frame, by state: per entry its
         parent term, its image's key (`one_symbol_key`) and its coefficient,
         in the entry order of `walk`.  A term's rules are its state's
-        `by_state` extent in both directions.  The key is linear, so it is
-        its rule's part (the new state and head move, kept in `rule_keys`
-        while the column count stays) plus its parent's part (the heads).
-        A step refused by `walk` is refused here too, before any array of
-        the entries is allocated."""
-        width, state = len(terms.cols), terms.state
-        stop, count = self.by_state[adjoint]
-        stop, count = stop[state], count[state]
-        ends = count.cumsum()
+        `by_state` extent in both directions, given per term as its rule end
+        and rule count, `stop` and `count`, with `ends` the running count of
+        entries.  The key is linear, so it is its
+        rule's part (the new state and head move, kept in `rule_keys` while
+        the column count stays) plus its parent's part (the heads).  A step
+        refused by `walk` is refused here too, before any array of the
+        entries is allocated."""
+        width = len(terms.cols)
         entries = int(ends[-1]) if len(ends) else 0
         _check_step_size(entries, self.k, width)
-        parent = np.arange(len(state)).repeat(count)
+        parent = np.arange(len(count)).repeat(count)
         rule = (stop - ends)[parent] + np.arange(entries)
         _, _, to_state, _, to_move, coef = self.adjoint if adjoint else self.forward
         cached = self.rule_keys[adjoint]
@@ -616,33 +614,24 @@ class _Kernel(_Layout):
         key += self.one_symbol_key(width, 0, terms.heads)[parent]
         return parent, key, coef[rule]
 
-    def merge_by_key(self, terms: _Terms, parent: np.ndarray, key: np.ndarray, coef: np.ndarray,
-                     count: bool) -> tuple[_Terms, np.ndarray, float]:
+    def merge_by_key(self, terms: _Terms, parent: np.ndarray, key: np.ndarray,
+                     coef: np.ndarray) -> tuple[_Terms, np.ndarray, float]:
         """`step`'s merge on a one-symbol frame, from `state_walk`: the
-        images are the keys some entry has, in key order, so `sort_key`
-        order, each decoded from its key, with no image rows.  With `count`
-        the products are summed into one bin per key and the images are the
-        bins some entry reached; each bin's first entry is its least, from
-        an `np.maximum.at` of n - entry into zeros (n entries), since numpy
-        leaves the order of a repeated-index assignment unspecified.
-        Otherwise one stable sort of the keys (`_runs`) groups and orders
-        them."""
+        products are summed into one bin per key, and the images are the
+        bins some entry reached, in key order, so `sort_key` order, each
+        decoded from its key, with no image rows.  Each bin's first entry is
+        its least, from an `np.maximum.at` of n - entry into zeros (n
+        entries), since numpy leaves the order of a repeated-index
+        assignment unspecified."""
         width, n = len(terms.cols), len(key)
         re, im = _products(terms.amps[parent], coef)
-        if count:
-            span = self.frame.state_count * width ** self.k
-            last = np.zeros(span, dtype=np.intp)  # per bin, n - its first entry; 0 where none lands
-            np.maximum.at(last, key, np.arange(n, 0, -1))
-            bins = last.nonzero()[0]  # the image keys, in order
-            first = n - last[bins]  # each image's first entry
-            vals = np.bincount(key, re, span)[bins].astype(np.complex128)
-            vals.imag = np.bincount(key, im, span)[bins]
-        else:
-            order, starts, ids = _runs(key)
-            first = order[starts]
-            bins = key[first]
-            vals = np.bincount(ids, weights=re).astype(np.complex128)
-            vals.imag = np.bincount(ids, weights=im)
+        span = self.frame.state_count * width ** self.k
+        last = np.zeros(span, dtype=np.intp)  # per bin, n - its first entry; 0 where none lands
+        np.maximum.at(last, key, np.arange(n, 0, -1))
+        bins = last.nonzero()[0]  # the image keys, in order
+        first = n - last[bins]  # each image's first entry
+        vals = np.bincount(key, re, span)[bins].astype(np.complex128)
+        vals.imag = np.bincount(key, im, span)[bins]
         keep, dropped = _pruned(first, vals)
         if keep is not None:
             bins, first, vals = bins[keep], first[keep], vals[keep]

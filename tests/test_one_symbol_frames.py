@@ -3,10 +3,10 @@ terms, step images, re-framed terms and windows have a zero-width cells
 axis, while a frame with a tape of two or more symbols keeps one column per
 entry of `cols`.  Their sort keys are formed from the state and heads by
 arithmetic, with the values and the stable-sort order of the digit path.
-A step on such a frame walks its rules by state and keys every entry from
-its rule's and its parent's parts; both of its merges, by counting and by
-sorting the keys, give the bits of the image route on the same packed
-terms, and keys past 2**63 take the image route.  The
+A step on such a frame whose keys span few values walks its rules by state,
+keys every entry from its rule's and its parent's parts and merges by
+counting, with the bits of the image route on the same packed terms; any
+other step, keys past 2**63 included, takes the image route.  The
 100-step `counterexample` walk, which runs on such a frame, and pair-unitary
 runs on two and three one-symbol tapes are pinned bit for bit, forward and
 back by as many adjoint steps."""
@@ -140,17 +140,17 @@ def _assert_same_step(a, b) -> None:
 def _assert_merges_agree(kernel: _Kernel, terms, adjoint: bool):
     """The state-indexed walk (`state_walk`) has the parents and
     coefficients of the rule walk, entry by entry, and the keys of its
-    images; both of its merges and `step` give the bits of `merge_by_sort`
+    images; its counting merge and `step` give the bits of `merge_by_sort`
     on the image route.  Returns whether the step counts and how many
     images the prune dropped."""
     walk = kernel.walk(terms, adjoint)
-    parent, key, coef = kernel.state_walk(terms, adjoint)
+    stop, count = (extent[terms.state] for extent in kernel.by_state[adjoint])
+    parent, key, coef = kernel.state_walk(terms, stop, count, count.cumsum(), adjoint)
     images = kernel.images(terms, walk, adjoint)
     assert np.array_equal(parent, walk.parent) and coef.tobytes() == walk.coef.tobytes()
     assert key.dtype == np.int64 and np.array_equal(key.view(np.uint64), kernel.keys(images))
     by_sort = kernel.merge_by_sort(terms, walk, adjoint)
-    for count in (True, False):
-        _assert_same_step(kernel.merge_by_key(terms, parent, key, coef, count), by_sort)
+    _assert_same_step(kernel.merge_by_key(terms, parent, key, coef), by_sort)
     _assert_same_step(kernel.step(terms, adjoint), by_sort)
     reached = len(_runs(kernel.keys(images))[1])
     span = kernel.frame.state_count * len(terms.cols) ** kernel.k
@@ -162,7 +162,7 @@ def _assert_merges_agree(kernel: _Kernel, terms, adjoint: bool):
 def test_counting_merge_matches_the_sort_route(data):
     """On one to three one-symbol tapes, both directions, tables with rules
     below PRUNE_THRESHOLD, exact cancellations and no rules at all, and
-    terms few or many, near or far apart, so the step takes either merge."""
+    terms few or many, near or far apart, so the step takes either route."""
     k = data.draw(st.integers(1, 3), label="tapes")
     states = data.draw(st.integers(1, 3), label="states")
     size = states * states * 3 ** k
@@ -191,7 +191,7 @@ def _cancelling(k: int):
 SQUARE = [(0, (i, j)) for i in range(-2, 3) for j in range(-2, 3)]  # 25 terms, W = 21
 CUBE = [(0, (i, j, m)) for i in range(-2, 3) for j in range(-2, 3) for m in range(-2, 3)]  # 125 terms, W = 21
 
-# cases the drawn test may miss, on each side of the switch
+# cases the drawn test may miss, on each side of the switch ("sorted": the image route)
 MERGE_CASES = {
     # name: (k, states, rules, heads, amplitudes, whether the step counts, whether it prunes)
     "cancelling k=1": (1, 1, _cancelling(1), [(0, (0,)), (0, (2,)), (0, (9,))], [1.0, 1.0, 0.5], True, True),
@@ -228,34 +228,46 @@ def _spread_heads(terms: int):
     return table, _Kernel.of(table), psi
 
 
+def _near_heads():
+    """The Q3S1 table, its kernel, and a superposition of three terms with
+    heads a cell apart, whose keys span few values, so a step counts."""
+    table = TABLES["Q3S1"][0]()
+    psi = qt.Superposition({qt.Configuration(q, (qt.Tape(0),), (q,)): 0.5 - 0.25j * q for q in range(3)})
+    return table, _Kernel.of(table), psi
+
+
 @pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("terms, past", [(11, False), (12, True)])
 def test_keys_past_2_63_take_the_image_route(monkeypatch, adjoint, terms, past):
     """Twelve terms on six tapes take W = 1,224 columns, so |Q| * W**6 is
     about 1.0e19, past 2**63: an int64 key would overflow, and the step
-    builds and keys every image.  Eleven terms (W = 1,122, about 6.0e18)
-    still walk by state.  Either way the step has the image route's bits."""
+    builds every image and keys it by its digits.  Eleven terms (W = 1,122,
+    about 6.0e18) key their images by arithmetic.  Both span far more keys
+    than 4 * entries + 256, so both take the image route, with its bits."""
     _, kernel, psi = _spread_heads(terms)
     packed = kernel.ready(psi)
     assert (kernel.frame.state_count * len(packed.cols) ** 6 >= 2 ** 63) == past
     by_sort = kernel.merge_by_sort(packed, kernel.walk(packed, adjoint), adjoint)
     assert len(by_sort[0].state) == terms * 3
-    monkeypatch.setattr(_Kernel, "state_walk" if past else "merge_by_sort", None)  # the route not taken
+    monkeypatch.setattr(_Kernel, "state_walk", None)  # the route not taken
     _assert_same_step(kernel.step(packed, adjoint), by_sort)
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
-def test_one_symbol_step_at_the_symbol_bound(monkeypatch, adjoint):
-    """The state walk refuses a step as the rule walk does: accepted with
+@pytest.mark.parametrize("route", ["state walk", "rule walk"])
+def test_one_symbol_step_at_the_symbol_bound(monkeypatch, adjoint, route):
+    """Both routes of a one-symbol step refuse it alike: accepted with
     entries x tapes x columns at MAX_STEP_SYMBOLS or one below it, and
-    refused with the bound one below that count, naming its counts."""
-    table, kernel, psi = _spread_heads(4)
+    refused with the bound one below that count, naming its counts.  Terms
+    a cell apart on one tape take the state walk, six tapes with heads 40
+    cells apart the rule walk."""
+    table, kernel, psi = _near_heads() if route == "state walk" else _spread_heads(4)
     terms = kernel.ready(psi)
     entries, width = len(kernel.walk(terms, adjoint).rule), len(terms.cols)
-    symbols = entries * 6 * width
+    symbols = entries * kernel.k * width
     step = qt.apply_adjoint if adjoint else qt.apply
     expected = step(table, psi)
-    monkeypatch.setattr(_Kernel, "walk", None)  # so only the state walk can refuse
+    monkeypatch.setattr(_Kernel, "walk" if route == "state walk" else "state_walk", None)  # the route not taken
     for bound in (symbols + 1, symbols):
         monkeypatch.setattr(evolution, "MAX_STEP_SYMBOLS", bound)
         got = step(table, psi)
