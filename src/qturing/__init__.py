@@ -63,7 +63,6 @@ from .table import (
     TransitionTable,
     amplitude,
     compute_statistics,
-    is_unidirectional,
     norm_bound,
 )
 from .windows import estimate_norm, radius_window

@@ -28,21 +28,21 @@ than 2**64, and otherwise the digits big-endian as one void scalar,
 compared as unsigned bytes; numpy sorts the integer form several times
 faster.  A one-symbol frame has no cell digits, and its key
 (`_Layout.one_symbol_key`) is formed directly from the state and heads
-while |Q| * W**k < 2**63.  A step on such a frame whose keys span at most
-4 * entries + 256 values builds no image (`_Kernel.state_walk`): with one
-symbol per tape a term's rules depend on its state alone, in both
-directions, so each term repeats its state's block of rules, and each
+while |Q| * W**k < 2**63.  With one symbol per tape a term's rules depend
+on its state alone, in both directions, so the rule walk keys each term by
+its state and reads it once.  A step has one rule walk and two merges.  On
+a one-symbol frame whose keys span at most 4 * entries + 256 values it
+builds no image and merges by counting (`_Kernel.merge_by_key`): each
 entry's key is its rule's part, kept on the kernel per direction, plus its
-parent's part.  It merges by counting (`_Kernel.merge_by_key`): the
-products land in one bin per key, and the bins some entry reached are the
-images, already in key order.  Any other step builds every entry's image
-(`_Kernel.images`: the written symbols scattered into copies of the parent
-cells) and one stable sort of their keys (`_runs`) both merges and orders
-them (`_Kernel.merge_by_sort`).  Every route gives the same bits, and
-every order matches the loop the kernel replaced, so results are
-bit-reproducible: terms in `sort_key` order, forward rules grouped by
-written vector in first-appearance order, then (p, tau, d), adjoint hits
-move by move, then (q, sigma).
+parent's part, the products land in one bin per key, and the bins some
+entry reached are the images, already in key order.  Any other step
+builds every entry's image (`_Kernel.images`: the written symbols
+scattered into copies of the parent cells) and one stable sort of their
+keys (`_runs`) both merges and orders them (`_Kernel.merge_by_sort`).
+Both merges give the same bits, and every order matches the loop the
+kernel replaced, so results are bit-reproducible: terms in `sort_key`
+order, forward rules grouped by written vector in first-appearance order,
+then (p, tau, d), adjoint hits move by move, then (q, sigma).
 `step_operator` and the window routes (the Gram oracle and
 `windows.estimate_norm`) take the rule walk of `_Kernel.kept`, without the
 entries below PRUNE_THRESHOLD.  `_Kernel.operator` is the one image
@@ -263,11 +263,11 @@ class _Terms(NamedTuple):
 class _Walk(NamedTuple):
     """The entries of M (or M^dagger) on packed basis states from the rule
     walk, in rule order: per entry its parent term, rule, slot and
-    coefficient.  A slot is a term read once: forward, term t at its heads
-    is slot t; adjoint, term t read along the m-th move vector in use is
-    slot t * (moves in use) + m.  Per slot, `columns` are the columns its
-    images write at and put their heads on before any move, and `read` the
-    symbols there (None with one symbol per tape)."""
+    coefficient.  A slot is a term read once: term t at its heads is slot
+    t, except in a multi-symbol adjoint, where term t read along the m-th
+    move vector in use is slot t * (moves in use) + m.  Per slot, `columns`
+    are the columns its images write at, and `read` the symbols there
+    (None with one symbol per tape)."""
 
     parent: np.ndarray  # (entries,) intp
     rule: np.ndarray  # (entries,) intp
@@ -400,15 +400,16 @@ class _Kernel(_Layout):
     `forward` indexes the rules by read (q, sigma): grouped by written
     vector in the order each first appears, then in (p, tau, d) order.
     `adjoint` indexes the hits by (p, written, move) in (q, sigma) order,
-    conjugated.  Each is (rule end, rule count) per key, then the state,
-    written symbols, head move (the move vector, negated in the adjoint)
-    and coefficient per rule.  Every nonzero rule is kept; `kept` drops the
-    entries below PRUNE_THRESHOLD by `large`, the rules it keeps in each
-    direction (None for all).  With one symbol per tape a term's rules
-    depend on its state alone, in both directions: `by_state` holds
-    (rule end, rule count) per state, forward and adjoint (None with more
-    symbols), and `rule_keys` the last per-rule key part `state_walk` used
-    in each direction, with its column count.
+    conjugated; with one symbol per tape the written symbols are blank and
+    a state's hits are one row, by p alone, move by move.  Each is
+    (rule end, rule count) per key, then the state, written symbols, head
+    move (the move vector, negated in the adjoint) and coefficient per
+    rule.  Every nonzero rule is kept; `kept` drops the entries below
+    PRUNE_THRESHOLD by `large`, the rules it keeps in each direction (None
+    for all).  `used_moves` and `back` are the move vectors some rule uses,
+    along which a multi-symbol adjoint reads.  `rule_keys` holds the last
+    per-rule key part `merge_by_key` used in each direction, with its
+    column count.
     `verdicts` holds `run`'s `check_auto` report per tolerance, and
     `window` the one radius window `windows.PackedWindow.of` keeps for the
     Gram checks and `estimate_norm`: read-only, for the last radius asked
@@ -438,16 +439,15 @@ class _Kernel(_Layout):
         small, forward = np.abs(coef) < PRUNE_THRESHOLD, order  # the rules `kept` drops
         order = np.argsort(target, kind="stable")
         q, s = np.divmod(read[order], S)
-        count = np.bincount(target, minlength=reads * M)
+        # with one symbol per tape the hits of state p (targets p*M .. p*M + M - 1)
+        # are one row, already in walk order
+        count = np.bincount(target, minlength=reads * M) if S > 1 else np.bincount(target // M, minlength=reads)
         self.adjoint = (count.cumsum(), count, q, self._symbols(s), -self.moves[target[order] % M],
                         coef[order].conj())
         self.large = (~small[forward], ~small[order]) if small.any() else (None, None)
-        # the move vectors some rule uses, ascending: the adjoint looks back only along these
+        # the move vectors some rule uses, ascending: a multi-symbol adjoint looks back only along these
         self.used_moves = np.flatnonzero(np.bincount(target % M, minlength=M))
         self.back = self.moves[self.used_moves]
-        # with one symbol per tape, forward keys are states, and the adjoint hits of
-        # state p are the rows p*M .. p*M + M - 1, one after another in walk order
-        self.by_state = None if S > 1 else (self.forward[:2], (self.adjoint[0][M - 1::M], count.reshape(-1, M).sum(1)))
         self.rule_keys: list[tuple[int, np.ndarray] | None] = [None, None]
         self.verdicts: dict[float, ValidationReport] = {}
         self.window = None
@@ -496,38 +496,35 @@ class _Kernel(_Layout):
 
     def walk(self, terms: _Terms, adjoint: bool) -> _Walk:
         """The rule walk: every entry of M (or M^dagger) on the packed basis
-        states, term by term in rule order.  The adjoint reads and
-        keys each term only along `used_moves`, the move vectors some rule
-        uses, since no hit lies along the others.  More than
-        MAX_STEP_SYMBOLS packed image symbols (entries x tapes x columns)
-        raise ValueError, before any array of the entries is allocated."""
-        stops, counts = (self.adjoint if adjoint else self.forward)[:2]
-        state, heads, cells = terms.state, terms.heads, terms.cells
-        n, k, S, M, tapes = len(state), self.k, self.S, self.M, self.tapes
-        # the rule keys; with one symbol per tape (S = 1) every read and write is blank
-        read = None
-        if adjoint:
+        states, term by term in rule order.  With one symbol per tape a
+        term's rules depend on its state alone, so both directions key it
+        by its state and read it once, at its heads.  With more symbols the
+        adjoint reads and keys each term only along `used_moves`, the move
+        vectors some rule uses, since no hit lies along the others.  More
+        than MAX_STEP_SYMBOLS packed image symbols (entries x tapes x
+        columns) raise ValueError, before any array of the entries is
+        allocated."""
+        stops, counts, _, _, _, coefs = self.adjoint if adjoint else self.forward
+        state, heads, k, S = terms.state, terms.heads, self.k, self.S
+        looks_back = S > 1 and adjoint  # a multi-symbol adjoint reads each term once per move in use
+        # the rule keys; with one symbol per tape (S = 1) every read is blank, so a key is a state
+        columns, key, read = heads, state, None
+        if looks_back:
             columns = heads[:, None, :] - self.back  # (n, moves in use, k)
-            key = state[:, None] * (S * M) + self.used_moves
-            if S > 1:
-                read = cells[np.arange(n)[:, None, None], tapes, columns]
-                key += read @ self.strides * M
-                read = read.reshape(-1, k)
-            columns = columns.reshape(-1, k)
-        else:
-            columns, key = heads, state
-            if S > 1:
-                read = cells[np.arange(n)[:, None], tapes, heads]
-                key = state * S + read @ self.strides
-        key = key.ravel()
+            read = terms.cells[np.arange(len(state))[:, None, None], self.tapes, columns]
+            key = ((state[:, None] * S + read @ self.strides) * self.M + self.used_moves).ravel()
+            read, columns = read.reshape(-1, k), columns.reshape(-1, k)
+        elif S > 1:
+            read = terms.cells[np.arange(len(state))[:, None], self.tapes, heads]
+            key = state * S + read @ self.strides
         stop, count = stops[key], counts[key]
         ends = count.cumsum()
         entries = int(ends[-1]) if len(ends) else 0
         _check_step_size(entries, k, len(terms.cols))
         slot = np.arange(len(key)).repeat(count)
         rule = (stop - ends)[slot] + np.arange(entries)
-        parent = slot // max(len(self.back), 1) if adjoint else slot  # a table without rules has no slot
-        return _Walk(parent, rule, slot, (self.adjoint if adjoint else self.forward)[5][rule], columns, read)
+        parent = slot // max(len(self.back), 1) if looks_back else slot  # without rules no move is in use
+        return _Walk(parent, rule, slot, coefs[rule], columns, read)
 
     def kept(self, terms: _Terms, adjoint: bool) -> _Walk:
         """The rule walk without the entries below PRUNE_THRESHOLD: the
@@ -539,16 +536,17 @@ class _Kernel(_Layout):
     def images(self, terms: _Terms, walk: _Walk, adjoint: bool) -> _Terms:
         """The image of every entry of `walk`, a rule walk on `terms`: its
         parent's cells with the rule's symbols written at its slot's
-        columns, the rule's state, and its heads at those columns (forward,
-        then moved by the rule's move vector).  A head moves at most one
-        column, so the images keep one column less slack."""
+        columns, the rule's state, and its heads at those columns moved by
+        the rule's head move, except on a multi-symbol adjoint slot, which
+        is read after the move.  A head moves at most one column, so the
+        images keep one column less slack."""
         _, _, to_state, to_write, to_move, _ = self.adjoint if adjoint else self.forward
         at = walk.columns[walk.slot]
         cells = terms.cells[walk.parent]
         if self.S > 1:
             cells[np.arange(len(walk.rule))[:, None], self.tapes, at] = to_write[walk.rule]
-        return _Terms(to_state[walk.rule], at if adjoint else at + to_move[walk.rule], cells, terms.cols, None,
-                      max(terms.slack - 1, 0))
+        return _Terms(to_state[walk.rule], at if self.S > 1 and adjoint else at + to_move[walk.rule], cells,
+                      terms.cols, None, max(terms.slack - 1, 0))
 
     def step(self, terms: _Terms, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
         """M|psi> (or M^dagger|psi>) on packed terms with amplitudes: the
@@ -558,19 +556,14 @@ class _Kernel(_Layout):
         per product, as a Python complex product is, and summed per image in
         entry order from +0.0.
 
-        A frame with one symbol per tape whose keys span at most
-        4 * entries + 256 values (|Q| * W**k, the entries counted from
-        `by_state`) walks its rules by state and keys every entry
-        (`state_walk`), then merges by counting (`merge_by_key`).  Any other
-        step takes the rule walk and builds every image (`merge_by_sort`).
-        Both give the same bits."""
-        if self.S == 1:
-            stop, count = self.by_state[adjoint]
-            stop, count = stop[terms.state], count[terms.state]
-            ends = count.cumsum()
-            if self.frame.state_count * len(terms.cols) ** self.k <= 4 * int(ends[-1] if len(ends) else 0) + 256:
-                return self.merge_by_key(terms, *self.state_walk(terms, stop, count, ends, adjoint))
-        return self.merge_by_sort(terms, self.walk(terms, adjoint), adjoint)
+        After the rule walk, a frame with one symbol per tape whose keys
+        span at most 4 * entries + 256 values (|Q| * W**k) merges by
+        counting (`merge_by_key`); any other step builds every image
+        (`merge_by_sort`).  Both give the same bits."""
+        walk = self.walk(terms, adjoint)
+        if self.S == 1 and self.frame.state_count * len(terms.cols) ** self.k <= 4 * len(walk.rule) + 256:
+            return self.merge_by_key(terms, walk, adjoint)
+        return self.merge_by_sort(terms, walk, adjoint)
 
     def merge_by_sort(self, terms: _Terms, walk: _Walk, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
         """`step`'s merge on any frame: the image of every entry (`images`),
@@ -589,41 +582,24 @@ class _Kernel(_Layout):
                         vals, entries.slack)
         return images, first.argsort(kind="stable"), dropped
 
-    def state_walk(self, terms: _Terms, stop: np.ndarray, count: np.ndarray, ends: np.ndarray,
-                   adjoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rule walk of a one-symbol frame, by state: per entry its
-        parent term, its image's key (`one_symbol_key`) and its coefficient,
-        in the entry order of `walk`.  A term's rules are its state's
-        `by_state` extent in both directions, given per term as its rule end
-        and rule count, `stop` and `count`, with `ends` the running count of
-        entries.  The key is linear, so it is its
-        rule's part (the new state and head move, kept in `rule_keys` while
-        the column count stays) plus its parent's part (the heads).  A step
-        refused by `walk` is refused here too, before any array of the
-        entries is allocated."""
-        width = len(terms.cols)
-        entries = int(ends[-1]) if len(ends) else 0
-        _check_step_size(entries, self.k, width)
-        parent = np.arange(len(count)).repeat(count)
-        rule = (stop - ends)[parent] + np.arange(entries)
-        _, _, to_state, _, to_move, coef = self.adjoint if adjoint else self.forward
+    def merge_by_key(self, terms: _Terms, walk: _Walk, adjoint: bool) -> tuple[_Terms, np.ndarray, float]:
+        """`step`'s merge on a one-symbol frame, with no image rows: the key
+        (`one_symbol_key`) is linear, so each entry's is its rule's part
+        (the new state and head move, kept in `rule_keys` per direction
+        while the column count stays) plus its parent's part (the heads).
+        The products are summed into one bin per key, and the images are
+        the bins some entry reached, in key order, so `sort_key` order, each
+        decoded from its key.  Each bin's first entry is its least, from an
+        `np.maximum.at` of n - entry into zeros (n entries), since numpy
+        leaves the order of a repeated-index assignment unspecified."""
+        width, n = len(terms.cols), len(walk.rule)
+        parent, rule, _, coef, _, _ = walk
         cached = self.rule_keys[adjoint]
         if cached is None or cached[0] != width:
+            _, _, to_state, _, to_move, _ = self.adjoint if adjoint else self.forward
             cached = self.rule_keys[adjoint] = (width, self.one_symbol_key(width, to_state, to_move))
         key = cached[1][rule]
         key += self.one_symbol_key(width, 0, terms.heads)[parent]
-        return parent, key, coef[rule]
-
-    def merge_by_key(self, terms: _Terms, parent: np.ndarray, key: np.ndarray,
-                     coef: np.ndarray) -> tuple[_Terms, np.ndarray, float]:
-        """`step`'s merge on a one-symbol frame, from `state_walk`: the
-        products are summed into one bin per key, and the images are the
-        bins some entry reached, in key order, so `sort_key` order, each
-        decoded from its key, with no image rows.  Each bin's first entry is
-        its least, from an `np.maximum.at` of n - entry into zeros (n
-        entries), since numpy leaves the order of a repeated-index
-        assignment unspecified."""
-        width, n = len(terms.cols), len(key)
         re, im = _products(terms.amps[parent], coef)
         span = self.frame.state_count * width ** self.k
         last = np.zeros(span, dtype=np.intp)  # per bin, n - its first entry; 0 where none lands

@@ -149,14 +149,3 @@ def norm_bound(stats: AmplitudeStatistics, frame: TuringFrame) -> float:
     if frame.tape_count != 1:
         raise ValueError("the norm bound is proven for single-tape frames only")
     return math.sqrt(5.0) * stats.K * frame.state_count * frame.symbol_counts[0] ** 2
-
-
-def is_unidirectional(table: TransitionTable) -> bool:
-    """True iff the move vector is a function of the written state: all nonzero
-    amplitudes entering a state p share one move vector."""
-    amps = table.amplitudes
-    for p in range(table.frame.state_count):
-        moves = np.nonzero(np.abs(amps[:, :, p, :, :]).sum(axis=(0, 1, 2)))[0]
-        if len(moves) > 1:
-            return False
-    return True

@@ -153,14 +153,16 @@ class PackedWindow:
     def image_codes(self, kernel: _Kernel, walk: _Walk, adjoint: bool, edges: bool) -> np.ndarray:
         """The code of every image of `walk`, a rule walk on the window's
         terms: its parent's code plus its rule's delta at its slot.  The
-        delta is (p - q) P_state, plus per tape the written minus the read
-        symbol times the place value of the written column, plus the head
-        change times P_head.  Without `edges` this is the window code, valid
-        for a forward image whose heads all stay in 1..W (it writes only
-        there).  With `edges` the code runs over the columns and heads
-        0..W+1, which hold every one-step image of a window term; on a
-        window of at most MAX_WINDOW_CONFIGS configurations it stays below
-        2**33.  A one-symbol tape has no cell digit, so it adds no work."""
+        delta is (p - q) P_state, plus the rule's head move times P_head
+        (per rule, in both directions), plus per tape the written minus the
+        read symbol times the place value of the written column (per slot;
+        a multi-symbol adjoint slot repeats its parent's code once per move
+        in use).  Without `edges` this is the window code, valid for a
+        forward image whose heads all stay in 1..W (it writes only there).
+        With `edges` the code runs over the columns and heads 0..W+1, which
+        hold every one-step image of a window term; on a window of at most
+        MAX_WINDOW_CONFIGS configurations it stays below 2**33.  A
+        one-symbol tape has no cell digit, so it adds no work."""
         _, _, to_state, to_write, to_move, _ = kernel.adjoint if adjoint else kernel.forward
         terms, counts = self.terms, kernel.frame.symbol_counts
         first = 0 if edges else 1  # the first column and head the code covers
@@ -178,13 +180,11 @@ class PackedWindow:
                 cells = tapes[i] * symbols ** np.arange(span - 1, -1, -1)  # by column from `first`
                 base += terms.cells[:, i, first:first + span] @ cells
                 written.append((i, cells[walk.columns[:, i] - first]))
-        if adjoint:
-            base = (base[:, None] - kernel.back @ heads).ravel()
+        if kernel.S > 1 and adjoint:  # a multi-symbol adjoint reads each term once per move in use
+            base = base.repeat(len(kernel.back))
         for i, at in written:
             base -= at * walk.read[:, i]
-        delta = to_state * place  # per rule: the new state and, forward, the move
-        if not adjoint:
-            delta += to_move @ heads
+        delta = to_state * place + to_move @ heads  # per rule: the new state and the head move
         code = base[walk.slot]
         code += delta[walk.rule]
         for i, at in written:

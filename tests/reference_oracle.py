@@ -10,7 +10,8 @@ from the step operator instead, as the column norms and the strict upper
 half (see `qturing.oracle`).
 
 `reference_inner` and `reference_scaled` are the inner product and scaling
-that `Superposition` carried as methods.
+that `Superposition` carried as methods, and `rules_for` and
+`is_unidirectional` the table readings the package carried.
 `reference_apply` and `reference_adjoint` are the per-term dict loops that
 `apply` and `apply_adjoint` replaced, and `reference_step_operator` is the
 per-configuration expansion loop (`_Rules` and `_expand`) that the packed
@@ -169,6 +170,17 @@ def rules_for(table: TransitionTable, q: int, sigma_flat: int) -> list[tuple[int
     """Nonzero (p, tau_flat, move_flat, amplitude) entries for one read."""
     block = table.amplitudes[q, sigma_flat]
     return [(int(p), int(t), int(m), complex(block[p, t, m])) for p, t, m in zip(*np.nonzero(block))]
+
+
+def is_unidirectional(table: TransitionTable) -> bool:
+    """True iff the move vector is a function of the written state: all nonzero
+    amplitudes entering a state p share one move vector."""
+    amps = table.amplitudes
+    for p in range(table.frame.state_count):
+        moves = np.nonzero(np.abs(amps[:, :, p, :, :]).sum(axis=(0, 1, 2)))[0]
+        if len(moves) > 1:
+            return False
+    return True
 
 
 def _grouped_rules(table: TransitionTable, cache: dict, q: int, sflat: int):

@@ -15,7 +15,7 @@ from qturing.windows import window_size
 from conftest import random_table
 import reference_conditions
 from reference_frame import ConfigurationWindow, locally_like
-from reference_oracle import gram_rows
+from reference_oracle import gram_rows, is_unidirectional
 
 
 def _report(num: int, description: str, failures: list):
@@ -164,7 +164,7 @@ def test_criterion_06_unidirectional_exactness(corpus):
             failures.append(f"{entry.label}: (d) not exactly zero")
         if not report.passed:
             failures.append(f"{entry.label}: validation failed")
-        if not qt.is_unidirectional(entry.table):
+        if not is_unidirectional(entry.table):
             failures.append(f"{entry.label}: not unidirectional")
     _report(6, "every generated machine has exactly-zero shift conditions and one move per state", failures)
 

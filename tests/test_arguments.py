@@ -116,7 +116,7 @@ NO_ROWS = {
     # records the package returns; their fields are its own results
     **dict.fromkeys(["AmplitudeStatistics", "ConditionId", "ConditionResidual", "CorpusEntry", "GramCheck",
                      "MachineDocument", "MachineParseError", "RunResult", "ValidationReport"], "a result record"),
-    **dict.fromkeys(["apply", "apply_adjoint", "compute_statistics", "is_unidirectional", "norm_bound",
+    **dict.fromkeys(["apply", "apply_adjoint", "compute_statistics", "norm_bound",
                      "generate_ktape_conditions", "serialize_machine", "TransitionTable", "Superposition"],
                     "tables, frames, superpositions and names only"),
     **dict.fromkeys(["parse_document", "parse_machine"], "text only, refused with coded parse errors"),

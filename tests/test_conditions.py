@@ -5,6 +5,7 @@ import qturing as qt
 import reference_conditions
 
 from conftest import random_table
+from reference_oracle import is_unidirectional
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +161,7 @@ class TestUnidirectionalExactness:
             assert report.residual_for("c").residual == 0.0
             assert report.residual_for("d").residual == 0.0
             assert report.passed
-            assert qt.is_unidirectional(table)
+            assert is_unidirectional(table)
 
 
 def test_verdict_matches_tolerance(counterexample):

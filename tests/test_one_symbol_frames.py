@@ -3,13 +3,13 @@ terms, step images, re-framed terms and windows have a zero-width cells
 axis, while a frame with a tape of two or more symbols keeps one column per
 entry of `cols`.  Their sort keys are formed from the state and heads by
 arithmetic, with the values and the stable-sort order of the digit path.
-A step on such a frame whose keys span few values walks its rules by state,
-keys every entry from its rule's and its parent's parts and merges by
-counting, with the bits of the image route on the same packed terms; any
-other step, keys past 2**63 included, takes the image route.  The
-100-step `counterexample` walk, which runs on such a frame, and pair-unitary
-runs on two and three one-symbol tapes are pinned bit for bit, forward and
-back by as many adjoint steps."""
+Their rule walk reads each term once, by its state, in both directions.  A
+step on such a frame whose keys span few values keys every entry from its
+rule's and its parent's parts and merges by counting, with the bits of the
+image route on the same walk; any other step, keys past 2**63 included,
+takes the image route.  The 100-step `counterexample` walk, which runs on
+such a frame, and pair-unitary runs on two and three one-symbol tapes are
+pinned bit for bit, forward and back by as many adjoint steps."""
 import hashlib
 
 import numpy as np
@@ -22,7 +22,7 @@ from qturing import evolution
 from qturing.evolution import PRUNE_THRESHOLD, RUN_MARGIN, _Kernel, _Layout, _runs
 from qturing.windows import PackedWindow
 
-from test_packed_kernel import _machine, _six_one_symbol_tapes
+from test_packed_kernel import _assert_same_operator, _machine, _six_one_symbol_tapes
 from test_packed_keys import configurations, kernel
 
 
@@ -113,15 +113,14 @@ TERM_VALUES = (1.0, -1.0, 0.5, -0.5j, 0.25 + 0.25j, 0.3 - 0.1j)
 
 
 def _merge_case(k: int, states: int, rules: list, heads: list, amps: list):
-    """The kernel of a one-symbol table on k tapes with `rules` as its
-    amplitudes, and the packed terms of the superposition of `amps` on
-    configurations with `heads`, as `step` receives them."""
+    """A one-symbol table on k tapes with `rules` as its amplitudes, the
+    configurations with `heads`, and the packed terms of their
+    superposition with `amps`, as `step` receives them."""
     frame = qt.simple_frame(states, *[1] * k)
     table = qt.TransitionTable(frame, np.array(rules, dtype=np.complex128).reshape(frame.table_shape))
-    kernel = _Kernel.of(table)
     blank = (qt.Tape(0),) * k
-    psi = qt.Superposition({qt.Configuration(q, blank, h): a for (q, h), a in zip(heads, amps)})
-    return kernel, kernel.ready(psi)
+    configs = [qt.Configuration(q, blank, h) for q, h in heads]
+    return table, configs, _Kernel.of(table).ready(qt.Superposition(dict(zip(configs, amps))))
 
 
 def _assert_same_step(a, b) -> None:
@@ -138,20 +137,22 @@ def _assert_same_step(a, b) -> None:
 
 
 def _assert_merges_agree(kernel: _Kernel, terms, adjoint: bool):
-    """The state-indexed walk (`state_walk`) has the parents and
-    coefficients of the rule walk, entry by entry, and the keys of its
-    images; its counting merge and `step` give the bits of `merge_by_sort`
-    on the image route.  Returns whether the step counts and how many
-    images the prune dropped."""
+    """On one rule walk, which reads each term once, at its heads, in both
+    directions, the counting merge (`merge_by_key`) and `step` give the
+    bits of `merge_by_sort` on the image route, and each entry's key, its
+    rule's part kept in `rule_keys` plus its parent's part, is the key of
+    its image.  Returns whether the step counts and how many images the
+    prune dropped."""
     walk = kernel.walk(terms, adjoint)
-    stop, count = (extent[terms.state] for extent in kernel.by_state[adjoint])
-    parent, key, coef = kernel.state_walk(terms, stop, count, count.cumsum(), adjoint)
-    images = kernel.images(terms, walk, adjoint)
-    assert np.array_equal(parent, walk.parent) and coef.tobytes() == walk.coef.tobytes()
-    assert key.dtype == np.int64 and np.array_equal(key.view(np.uint64), kernel.keys(images))
+    assert np.array_equal(walk.slot, walk.parent) and walk.columns is terms.heads
     by_sort = kernel.merge_by_sort(terms, walk, adjoint)
-    _assert_same_step(kernel.merge_by_key(terms, parent, key, coef), by_sort)
+    _assert_same_step(kernel.merge_by_key(terms, walk, adjoint), by_sort)
     _assert_same_step(kernel.step(terms, adjoint), by_sort)
+    images = kernel.images(terms, walk, adjoint)
+    width, rule_keys = kernel.rule_keys[adjoint]
+    key = rule_keys[walk.rule] + kernel.one_symbol_key(width, 0, terms.heads)[walk.parent]
+    assert width == len(terms.cols)
+    assert key.dtype == np.int64 and np.array_equal(key.view(np.uint64), kernel.keys(images))
     reached = len(_runs(kernel.keys(images))[1])
     span = kernel.frame.state_count * len(terms.cols) ** kernel.k
     return span <= 4 * len(walk.rule) + 256, reached - len(by_sort[0].state)
@@ -162,7 +163,11 @@ def _assert_merges_agree(kernel: _Kernel, terms, adjoint: bool):
 def test_counting_merge_matches_the_sort_route(data):
     """On one to three one-symbol tapes, both directions, tables with rules
     below PRUNE_THRESHOLD, exact cancellations and no rules at all, and
-    terms few or many, near or far apart, so the step takes either route."""
+    terms few or many, near or far apart, so the step takes either route.
+    The step operator on the same terms matches the Python reference
+    (`reference_step_operator`) entry for entry and bit for bit, so the
+    rule walk is checked independently, adjoint walks with many moves in
+    use included."""
     k = data.draw(st.integers(1, 3), label="tapes")
     states = data.draw(st.integers(1, 3), label="states")
     size = states * states * 3 ** k
@@ -172,9 +177,10 @@ def test_counting_merge_matches_the_sort_route(data):
     places = st.tuples(st.integers(0, states - 1), st.tuples(*[st.integers(-spread, spread)] * k))
     heads = data.draw(st.lists(places, min_size=0, max_size=40, unique=True), label="terms")
     amps = data.draw(st.lists(st.sampled_from(TERM_VALUES), min_size=len(heads), max_size=len(heads)))
-    kernel, terms = _merge_case(k, states, rules, heads, amps)
+    table, configs, terms = _merge_case(k, states, rules, heads, amps)
     for adjoint in (False, True):
-        _assert_merges_agree(kernel, terms, adjoint)
+        _assert_merges_agree(_Kernel.of(table), terms, adjoint)
+        _assert_same_operator(table, configs, adjoint)
 
 
 def _cancelling(k: int):
@@ -212,8 +218,8 @@ MERGE_CASES = {
 def test_counting_merge_matches_the_sort_route_on_chosen_cases(name, adjoint):
     """Each case takes the route and reaches the prune as its entry says."""
     k, states, rules, heads, amps, counts, prunes = MERGE_CASES[name]
-    kernel, terms = _merge_case(k, states, rules, heads, amps)
-    takes_count, pruned = _assert_merges_agree(kernel, terms, adjoint)
+    table, _, terms = _merge_case(k, states, rules, heads, amps)
+    takes_count, pruned = _assert_merges_agree(_Kernel.of(table), terms, adjoint)
     assert (takes_count, pruned > 0) == (counts, prunes)
 
 
@@ -249,25 +255,27 @@ def test_keys_past_2_63_take_the_image_route(monkeypatch, adjoint, terms, past):
     assert (kernel.frame.state_count * len(packed.cols) ** 6 >= 2 ** 63) == past
     by_sort = kernel.merge_by_sort(packed, kernel.walk(packed, adjoint), adjoint)
     assert len(by_sort[0].state) == terms * 3
-    monkeypatch.setattr(_Kernel, "state_walk", None)  # the route not taken
+    monkeypatch.setattr(_Kernel, "merge_by_key", None)  # the route not taken
     _assert_same_step(kernel.step(packed, adjoint), by_sort)
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("route", ["state walk", "rule walk"])
 def test_one_symbol_step_at_the_symbol_bound(monkeypatch, adjoint, route):
-    """Both routes of a one-symbol step refuse it alike: accepted with
-    entries x tapes x columns at MAX_STEP_SYMBOLS or one below it, and
-    refused with the bound one below that count, naming its counts.  Terms
-    a cell apart on one tape take the state walk, six tapes with heads 40
-    cells apart the rule walk."""
+    """Both merges of a one-symbol step refuse it alike, in their one rule
+    walk: accepted with entries x tapes x columns at MAX_STEP_SYMBOLS or
+    one below it, and refused with the bound one below that count, naming
+    its counts.  Terms a cell apart on one tape ("state walk") merge by
+    counting, six tapes with heads 40 cells apart ("rule walk") take the
+    image route."""
     table, kernel, psi = _near_heads() if route == "state walk" else _spread_heads(4)
     terms = kernel.ready(psi)
     entries, width = len(kernel.walk(terms, adjoint).rule), len(terms.cols)
     symbols = entries * kernel.k * width
     step = qt.apply_adjoint if adjoint else qt.apply
     expected = step(table, psi)
-    monkeypatch.setattr(_Kernel, "walk" if route == "state walk" else "state_walk", None)  # the route not taken
+    # the merge not taken
+    monkeypatch.setattr(_Kernel, "merge_by_sort" if route == "state walk" else "merge_by_key", None)
     for bound in (symbols + 1, symbols):
         monkeypatch.setattr(evolution, "MAX_STEP_SYMBOLS", bound)
         got = step(table, psi)

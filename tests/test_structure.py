@@ -2,9 +2,9 @@
 imports at module level form an acyclic graph, and no function or method
 imports anything, so every dependency between modules shows at the top of a
 module and importing one module never runs another's body twice; every
-module-level function is used by the package or exported by it; and every
+module-level function is used by the package or exported by it; every
 method of a class the package does not export has a caller in the
-package."""
+package; and the step bound has one caller, the one rule walk."""
 import ast
 import graphlib
 from pathlib import Path
@@ -112,3 +112,22 @@ def test_every_method_of_an_unexported_class_has_a_caller():
                         and not any(method.name in _names_used(other, method) for other in MODULES.values())):
                     unused.append(f"{name}.py:{method.lineno} {node.name}.{method.name}")
     assert not unused, unused
+
+
+def _scoped(node: ast.AST, scope: str = ""):
+    """Every node under `node`, with the dotted name of the innermost class
+    or function around it ("" at module level)."""
+    for child in ast.iter_child_nodes(node):
+        yield child, scope
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scoped(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+
+def test_the_step_bound_has_one_caller():
+    """`evolution._check_step_size` is named once in the package, by the
+    one rule walk, `_Kernel.walk`, so every step is refused in one place
+    and a second walk beside it does not go unnoticed."""
+    callers = [f"{name}.py {scope}" for name, tree in MODULES.items() for node, scope in _scoped(tree)
+               if "_check_step_size" in ((node.id,) if isinstance(node, ast.Name) else
+                                         (node.attr,) if isinstance(node, ast.Attribute) else ())]
+    assert callers == ["evolution.py _Kernel.walk"]
