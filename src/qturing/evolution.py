@@ -58,9 +58,9 @@ stays packed: a `Superposition` holds its amplitudes in `sort_key` order
 plus their first-reached order, and a stepped one also its packed terms,
 which the next step takes back without decoding or sorting.  Terms carry
 their head slack (`_Terms.slack`, the adjacent columns every head has on
-each side): packing and re-framing set it to their margin and each step
-lowers it by one, so a step scans the columns for a head at the edge only
-once the slack is spent.  `len`, `norm` and `repr` read the amplitudes;
+each side): packing and re-framing set it to RUN_MARGIN, each step lowers
+it by one, and a step re-frames the terms it takes at slack 0.  `len`,
+`norm` and `repr` read the amplitudes;
 the configurations are decoded once, when first asked for, and `items()`,
 `configurations()` and the lookup dict of `amplitude`, `in`, `==`, `plus`
 and `distance` all read that one decoding.
@@ -82,10 +82,11 @@ from .table import TransitionTable
 
 PRUNE_THRESHOLD = 1e-15
 MAX_POSITION = 2 ** 62  # head and cell positions must lie in [-MAX_POSITION, MAX_POSITION]
-# A step frames its columns this many cells around every head, so a chain
-# of steps re-frames about once every RUN_MARGIN steps (a head moves one
-# cell a step).
+# Packing and re-framing keep every column within this many cells of a
+# head, and a head moves at most one cell a step, so a chain of steps
+# re-frames once every RUN_MARGIN steps.
 RUN_MARGIN = 8
+_NO_COLUMNS = np.empty(0, dtype=np.intp)
 # A step whose entries would hold more than this many packed symbols
 # (entries x tapes x columns, a few bytes each with the keys) is refused
 # before its arrays are allocated.
@@ -210,6 +211,14 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     run = np.empty(len(order), dtype=np.intp)
     run[order] = new.cumsum()
     return order, starts, run
+
+
+def _columns(heads: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The columns of packed terms, sorted and distinct: the non-blank
+    positions `cells` and all within RUN_MARGIN of a position in `heads`."""
+    wanted = np.concatenate([(heads.reshape(-1, 1) + np.arange(-RUN_MARGIN, RUN_MARGIN + 1)).ravel(), cells])
+    order, new = _groups(wanted)
+    return wanted[order[new]]
 
 
 def _products(amps: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,9 +476,8 @@ class _Kernel(_Layout):
 
     def pack(self, configs, amps=None) -> _Terms:
         """Pack configurations (and their amplitudes) in the given order, on
-        the columns that are non-blank or within RUN_MARGIN cells of a head:
-        every stored (term, tape, cell, symbol) is scattered into one
-        blank-filled array."""
+        `_columns`, with RUN_MARGIN slack: every stored (term, tape, cell,
+        symbol) is scattered into one blank-filled array."""
         frame, k, n = self.frame, self.k, len(configs)
         states = list(map(_STATE, configs))
         heads = list(map(_HEADS, configs))
@@ -486,9 +494,7 @@ class _Kernel(_Layout):
             i = int(bad.min())
             raise ValueError(f"tape-{i + 1} symbol out of range 0..{frame.symbol_counts[i] - 1}")
         heads = np.array(heads, dtype=np.int64).reshape(n, k)
-        cols = np.concatenate([(heads.reshape(-1, 1) + np.arange(-RUN_MARGIN, RUN_MARGIN + 1)).ravel(), cell])
-        order, new = _groups(cols)
-        cols = cols[order[new]]
+        cols = _columns(heads, cell)
         cells = self.blank_cells(n, len(cols))
         cells[term, tape, np.searchsorted(cols, cell)] = sym
         return _Terms(np.array(states, dtype=np.intp), np.searchsorted(cols, heads), cells, cols,
@@ -636,40 +642,32 @@ class _Kernel(_Layout):
         # each group's entries, moved from its start in `order` to its start by number
         return order[np.repeat(starts[by_number] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(order))], sizes
 
-    def reframe(self, terms: _Terms, margin: int) -> _Terms:
-        """The same terms on the columns that are non-blank in some term or
-        within `margin` cells of some head."""
+    def reframe(self, terms: _Terms) -> _Terms:
+        """The same terms on `_columns` of their heads and their `used`
+        columns (non-blank in some term), with RUN_MARGIN slack; with none
+        used, as on every one-symbol frame, no cell is copied."""
         cols = terms.cols
-        used = np.flatnonzero((terms.cells != self.blanks[:, None]).any(axis=(0, 1)))  # none without cells
-        heads = np.flatnonzero(np.bincount(terms.heads.ravel(), minlength=len(cols)))
-        wanted = np.concatenate([cols[used], (cols[heads][:, None] + np.arange(-margin, margin + 1)).ravel()])
-        order, new = _groups(wanted)
-        wanted = wanted[order[new]]
+        used = np.flatnonzero((terms.cells != self.blanks[:, None]).any(axis=(0, 1))) if self.S > 1 else _NO_COLUMNS
+        wanted = _columns(cols[np.flatnonzero(np.bincount(terms.heads.ravel(), minlength=len(cols)))], cols[used])
         cells = self.blank_cells(len(terms.state), len(wanted))
-        cells[:, :, np.searchsorted(wanted, cols[used])] = terms.cells[:, :, used]
+        if len(used):
+            cells[:, :, np.searchsorted(wanted, cols[used])] = terms.cells[:, :, used]
         return terms._replace(heads=np.searchsorted(wanted, cols[terms.heads]), cells=cells, cols=wanted,
-                              slack=margin)
+                              slack=RUN_MARGIN)
 
     def ready(self, psi: Superposition) -> _Terms:
         """psi's terms packed with amplitudes, in `sort_key` order, every head
         one cell from the next column on either side, as a step needs.
 
         A packed psi on this frame, already in that order, is taken as it is
-        while its slack is at least 1.  At slack 0 its columns are scanned,
-        and it is reframed with RUN_MARGIN only when some head lacks such a
-        neighbour (it drifted to the edge of a run of adjacent columns).  Any
-        other psi is packed from its configurations and amplitude array,
-        which `pack` checks against the frame."""
+        while its slack is at least 1, and re-framed at slack 0; its heads
+        are not looked at.  Any other psi is packed from its configurations
+        and amplitude array, which `pack` checks against the frame."""
         packed = psi._packed
         if packed is None or packed[0].frame != self.frame:
             return self.pack(psi._configurations(), psi._amps)
         terms = packed[1]
-        if terms.slack:
-            return terms
-        adjacent = np.diff(terms.cols) == 1
-        inner = np.zeros(len(terms.cols), dtype=bool)
-        inner[1:-1] = adjacent[:-1] & adjacent[1:]
-        return terms if inner[terms.heads].all() else self.reframe(terms, RUN_MARGIN)
+        return terms if terms.slack else self.reframe(terms)
 
 
 def step_operator(

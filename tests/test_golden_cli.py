@@ -21,8 +21,15 @@ both formats.  To capture them again (only when an output
 change is intended and recorded), run::
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+Ten steps of `three_tape_pair` from the blank configuration, a multi-symbol
+walk through a re-frame, are pinned by the sha256 of their JSON output in
+`golden/three_tape_walk.sha256`, which
+`PYTHONPATH=src python -m qturing run three_tape_pair --steps 10 --format json | sha256sum`
+prints.
 """
 import functools
+import hashlib
 import io
 import json
 import tempfile
@@ -40,6 +47,7 @@ NORM_GOLDEN = Path(__file__).parent / "golden" / "norm.json"
 MULTITAPE_GOLDEN = Path(__file__).parent / "golden" / "multitape.json"
 PARSE_ERROR_GOLDEN = Path(__file__).parent / "golden" / "parse_errors.json"
 CONDITIONS_GOLDEN = Path(__file__).parent / "golden" / "conditions.json"
+THREE_TAPE_WALK = Path(__file__).parent / "golden" / "three_tape_walk.sha256"
 MACHINES = ("counterexample", "identity", "zero", "two_tape_identity")
 CHECKERS = ("auto", "column", "hirvensalo", "ktape", "row", "two-tape")
 FORMATS = ("text", "json")
@@ -244,6 +252,16 @@ def test_run_bytes_match_golden(run_golden, case):
 def test_cells_spec_and_file_print_the_same(run_golden, fmt):
     spec, file = (run_golden[f"three_tape_pair {fmt} {mode}"] for mode in ("cells-spec", "cells-file"))
     assert spec == file and spec["code"] == 0
+
+
+def test_three_tape_walk_matches_its_sha256():
+    """7,662 terms with non-blank cells on three tapes after ten steps, the
+    ninth of which re-frames the terms: every bit pinned by one digest."""
+    result = _invoke(["run", "three_tape_pair", "--steps", "10", "--format", "json"])
+    assert (result["code"], result["stderr"]) == (0, "")
+    assert len(json.loads(result["stdout"])["terms"]) == 7662
+    digest = hashlib.sha256(result["stdout"].encode("utf-8")).hexdigest()
+    assert digest == THREE_TAPE_WALK.read_text(encoding="utf-8").strip()
 
 
 @pytest.fixture(scope="module")

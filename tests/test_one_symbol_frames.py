@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import qturing as qt
 from qturing import evolution
-from qturing.evolution import PRUNE_THRESHOLD, RUN_MARGIN, _Kernel, _Layout, _runs
+from qturing.evolution import PRUNE_THRESHOLD, _Kernel, _Layout, _runs
 from qturing.windows import PackedWindow
 
 from test_packed_kernel import _assert_same_operator, _machine, _six_one_symbol_tapes
@@ -64,7 +64,7 @@ def test_one_symbol_frames_store_no_cells(name):
         images, _, _ = kernel.step(terms, adjoint)
         assert len(images.state)
         _assert_cells_axis(images, one_symbol)
-        reframed = kernel.reframe(images, RUN_MARGIN)
+        reframed = kernel.reframe(images)
         _assert_cells_axis(reframed, one_symbol)
         assert kernel.configurations(reframed) == kernel.configurations(images)
     psi = qt.Superposition(dict(zip(configs, np.linspace(0.1, 0.9, len(configs)))))

@@ -62,9 +62,9 @@ def calls(monkeypatch):
         counts["decode"] += 1
         return decode(self, terms)
 
-    def counting_reframe(self, terms, margin):
+    def counting_reframe(self, terms):
         counts["reframe"] += 1
-        return reframe(self, terms, margin)
+        return reframe(self, terms)
 
     monkeypatch.setattr(_Layout, "configurations", counting_decode)
     monkeypatch.setattr(_Kernel, "reframe", counting_reframe)

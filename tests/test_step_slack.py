@@ -2,8 +2,10 @@
 
 After every step of a chain, every head has at least `slack` adjacent
 columns on each side of it in `cols`; `ready` hands terms with slack on
-unchanged and scans only terms at slack 0.  `run` checks a table once per
-tolerance and keeps the report on the table's kernel."""
+unchanged and re-frames every term set at slack 0, without looking at its
+heads.  A re-frame changes no bit of the step that follows it, forward or
+adjoint.  `run` checks a table once per tolerance and keeps the report on
+the table's kernel."""
 import numpy as np
 import pytest
 
@@ -35,6 +37,10 @@ def _start(table):
     return qt.Superposition(terms)
 
 
+def _blank(table):
+    return qt.Superposition.basis(qt.blank_configuration(table.frame))
+
+
 def assert_heads_have_slack(psi):
     terms = psi._packed[1]
     cols, slack = terms.cols, terms.slack
@@ -47,7 +53,7 @@ def assert_heads_have_slack(psi):
 
 @pytest.mark.parametrize("make, start", [
     (_right_mover, _start),
-    (lambda: _machine("counterexample"), lambda t: qt.Superposition.basis(qt.blank_configuration(t.frame))),
+    (lambda: _machine("counterexample"), _blank),
 ], ids=["Q2S2 right-mover", "counterexample"])
 def test_every_step_keeps_its_slack(make, start):
     table = make()
@@ -64,17 +70,61 @@ def test_every_step_keeps_its_slack(make, start):
     assert 0 in slacks and slacks.count(RUN_MARGIN - 1) > 1
 
 
-def test_ready_scans_only_terms_without_slack(counterexample):
+def test_ready_reframes_exactly_the_terms_without_slack(counterexample):
     kernel = _Kernel.of(counterexample)
     psi = qt.Superposition.basis(qt.blank_configuration(counterexample.frame))
     terms = kernel.pack(*zip(*psi.items()))
     assert terms.slack == RUN_MARGIN
-    # a head at the last column: a scan would re-frame, slack 1 hands it on
+
+    def ready(terms):
+        return kernel.ready(qt.Superposition._from_packed(kernel, terms, np.arange(1)))
+
+    # a head at the last column: slack 1 hands it on, slack 0 re-frames it
     edge = terms._replace(heads=np.full_like(terms.heads, len(terms.cols) - 1), slack=1)
-    assert kernel.ready(qt.Superposition._from_packed(kernel, edge, np.arange(1))) is edge
-    reframed = kernel.ready(qt.Superposition._from_packed(kernel, edge._replace(slack=0), np.arange(1)))
+    assert ready(edge) is edge
+    reframed = ready(edge._replace(slack=0))
     assert reframed.slack == RUN_MARGIN and reframed.heads.tolist() == [[RUN_MARGIN]]
     assert reframed.cols[RUN_MARGIN] == terms.cols[-1]
+    # slack 0 with the head in the middle of its columns: re-framed as well,
+    # onto the same columns
+    inside = ready(terms._replace(slack=0))
+    assert inside is not terms and inside.slack == RUN_MARGIN
+    assert np.array_equal(inside.cols, terms.cols) and np.array_equal(inside.heads, terms.heads)
+
+
+def _stationary_q2s2():
+    """Q2S2, both states stationary, on a seeded random unitary of the
+    (state, read) pairs: the heads stay and the cells under them take
+    superpositions of both symbols."""
+    unitary = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)) + 0j)[0]
+    return qt.pair_unitary_machine(qt.simple_frame(2, 2), unitary, [0, 0])
+
+
+@pytest.mark.parametrize("make, start, steps", [
+    (lambda: _machine("counterexample"), _blank, STEPS),
+    (_right_mover, _start, STEPS),
+    (_stationary_q2s2, _start, STEPS),
+    (lambda: _machine("three_tape_pair"), _blank, RUN_MARGIN),
+], ids=["counterexample", "Q2S2 right-mover", "Q2S2 stationary", "three_tape_pair"])
+def test_reframing_is_invisible_to_a_step(make, start, steps):
+    """Along a chain, the terms every step takes (which have slack) step,
+    forward and adjoint, to the same amplitude bytes, first-reached order,
+    pruned mass and configurations after `reframe` as without it."""
+    table = make()
+    kernel = _Kernel.of(table)
+    psi = start(table)
+    for _ in range(steps):
+        terms = kernel.ready(psi)
+        assert terms.slack >= 1
+        reframed = kernel.reframe(terms)
+        for adjoint in (False, True):
+            (a, a_reached, a_dropped), (b, b_reached, b_dropped) = (
+                kernel.step(terms, adjoint), kernel.step(reframed, adjoint))
+            assert a.amps.tobytes() == b.amps.tobytes()
+            assert np.array_equal(a_reached, b_reached)
+            assert a_dropped.hex() == b_dropped.hex()
+            assert kernel.configurations(a) == kernel.configurations(b)
+        psi = qt.apply(table, psi)
 
 
 class TestVerdictCache:

@@ -4,7 +4,8 @@ imports anything, so every dependency between modules shows at the top of a
 module and importing one module never runs another's body twice; every
 module-level function is used by the package or exported by it; every
 method of a class the package does not export has a caller in the
-package; and the step bound has one caller, the one rule walk."""
+package; the step bound has one caller, the one rule walk; and re-framing
+has one caller, `_Kernel.ready`."""
 import ast
 import graphlib
 from pathlib import Path
@@ -123,11 +124,23 @@ def _scoped(node: ast.AST, scope: str = ""):
         yield from _scoped(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
 
 
+def _callers(name: str) -> list[str]:
+    """Where the package names `name`, as a name or an attribute: one
+    "module.py scope" per reference."""
+    return [f"{module}.py {scope}" for module, tree in MODULES.items() for node, scope in _scoped(tree)
+            if name in ((node.id,) if isinstance(node, ast.Name) else
+                        (node.attr,) if isinstance(node, ast.Attribute) else ())]
+
+
 def test_the_step_bound_has_one_caller():
     """`evolution._check_step_size` is named once in the package, by the
     one rule walk, `_Kernel.walk`, so every step is refused in one place
     and a second walk beside it does not go unnoticed."""
-    callers = [f"{name}.py {scope}" for name, tree in MODULES.items() for node, scope in _scoped(tree)
-               if "_check_step_size" in ((node.id,) if isinstance(node, ast.Name) else
-                                         (node.attr,) if isinstance(node, ast.Attribute) else ())]
-    assert callers == ["evolution.py _Kernel.walk"]
+    assert _callers("_check_step_size") == ["evolution.py _Kernel.walk"]
+
+
+def test_reframing_has_one_caller():
+    """`_Kernel.reframe` is named once in the package, by `_Kernel.ready`,
+    so terms are re-framed at slack 0 on the way into a step and nowhere
+    else."""
+    assert _callers("reframe") == ["evolution.py _Kernel.ready"]
