@@ -7,12 +7,6 @@ package decides whether such a table induces a unitary step operator
 applies the operator and its adjoint to sparse superpositions, and bounds
 and estimates the operator norm.
 """
-from .conditions import (
-    DEFAULT_TOLERANCE,
-    ConditionId,
-    ConditionResidual,
-    ValidationReport,
-)
 from .evolution import (
     PRUNE_THRESHOLD,
     RunResult,
@@ -30,6 +24,10 @@ from .frame import (
     blank_configuration,
 )
 from .ktape import (
+    DEFAULT_TOLERANCE,
+    ConditionId,
+    ConditionResidual,
+    ValidationReport,
     check_auto,
     check_column,
     check_hirvensalo,

@@ -12,11 +12,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .conditions import DEFAULT_TOLERANCE, ValidationReport, _is_tolerance
 from .evolution import MAX_POSITION, Superposition, run as run_evolution
 from .frame import Configuration, Tape, TuringFrame, _is_integer
 from .ktape import (
+    DEFAULT_TOLERANCE,
     MAX_TAPES,
+    ValidationReport,
+    _is_tolerance,
     check_auto,
     check_column,
     check_hirvensalo,
@@ -110,7 +112,7 @@ def _report_json(name: str, report: ValidationReport) -> dict:
             {
                 "condition": str(r.id),
                 "residual": r.residual,
-                "witness": None if r.witness is None else {k: v for k, v in r.witness},
+                "witness": r.witness_dict,
             }
             for r in report.residuals
         ],

@@ -75,9 +75,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .conditions import DEFAULT_TOLERANCE, ValidationReport, _require_tolerance
 from .frame import Configuration, TuringFrame, _config_unchecked, _GcPaused, _is_integer, _tape_unchecked
-from .ktape import check_auto
+from .ktape import DEFAULT_TOLERANCE, ValidationReport, _require_tolerance, check_auto
 from .table import TransitionTable
 
 PRUNE_THRESHOLD = 1e-15

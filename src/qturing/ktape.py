@@ -1,4 +1,5 @@
-"""The condition engine: every unitarity checker on a rule table.
+"""The condition engine: every unitarity checker on a rule table, and the
+reports they return.
 
 All condition sets are slices of three kinds of matrix product on
 `table.amplitudes`, with M the amplitudes as a matrix whose rows are reads
@@ -51,10 +52,12 @@ The classic sets are views of the same engine:
   W and (H-d) pairs distinct moves summed over the written state only, one
   (Q*S*S) x Q by Q x (Q*S*S) product per move pair.
 
-Each residual keeps the first parameter tuple attaining the maximum, in the
-order the conditions quantify their parameters.  Where a condition is
-Hermitian under swapping its primed and unprimed tuples, only the half whose
-unprimed tuple comes first is searched.  Hand-written loops over the same
+Every checker ends in one builder, `_report`, which makes each residual
+once, under its final label and witness keys.  Each residual keeps the
+first parameter tuple attaining the maximum, in the order the conditions
+quantify their parameters.  Where a condition is Hermitian under swapping
+its primed and unprimed tuples, only the half whose unprimed tuple comes
+first is searched.  Hand-written loops over the same
 sets, and the earlier engine that summed the displacement conditions with
 one einsum per move-pair choice, live in the tests
 (`tests/reference_conditions.py`) as independent references.
@@ -64,18 +67,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (
-    DEFAULT_TOLERANCE,
-    ConditionId,
-    ConditionResidual,
-    ValidationReport,
-    _require_tolerance,
-)
 from .frame import MOVES, TuringFrame, _is_integer
 from .table import TransitionTable
+
+DEFAULT_TOLERANCE = 1e-9
 
 # The generated set has 1 + (5^k + 1)/2 conditions.  On a Q1 table with one
 # 2-symbol tape and k - 1 one-symbol tapes, check_ktape takes about 0.1,
@@ -88,6 +88,72 @@ MAX_TAPES = 6
 
 # Gram entries per stacked product of displacements (384 KiB with their moduli)
 _BATCH_ENTRIES = 2 ** 14
+
+
+def _is_tolerance(value) -> bool:
+    """Whether `value` is a finite real number >= 0, Python or numpy; a
+    bool, NaN, an infinity and a string are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value < math.inf
+
+
+def _require_tolerance(value) -> None:
+    """ValueError unless `_is_tolerance(value)`: every checker's and Gram
+    check's tolerance, and `run`'s."""
+    if not _is_tolerance(value):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {value!r}")
+
+
+@dataclass(frozen=True)
+class ConditionId:
+    family: str  # "column" | "row" | "hirvensalo" | "two-tape" | "ktape"
+    name: str  # label shown in reports: "a".."f", "H-a".."H-d", "1".."14", ...
+    displacement: tuple[int, ...] | None = None  # ktape family only
+    part: str | None = None  # "norm" | "orth" for the zero displacement
+
+    def __str__(self):
+        return f"{self.family}-{self.name}"
+
+
+@dataclass(frozen=True)
+class ConditionResidual:
+    id: ConditionId
+    residual: float
+    witness: tuple[tuple[str, object], ...] | None
+
+    @property
+    def witness_dict(self) -> dict | None:
+        return None if self.witness is None else dict(self.witness)
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """One checker's residuals.  Normalization conditions report max |sum - 1|
+    over their parameter tuples, orthogonality conditions max |sum|; a report
+    passes iff every residual is within tolerance.  The worst parameter tuple
+    is kept as a witness, ties broken by the first tuple in canonical index
+    order.  Checkers are pure functions of immutable tables, evaluated
+    sequentially, so identical tables always yield identical reports."""
+    checker: str
+    tolerance: float
+    residuals: tuple[ConditionResidual, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(r.residual <= self.tolerance for r in self.residuals)
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
+
+    @property
+    def max_residual(self) -> float:
+        return max((r.residual for r in self.residuals), default=0.0)
+
+    def residual_for(self, name: str) -> ConditionResidual:
+        for r in self.residuals:
+            if r.id.name == name:
+                return r
+        raise KeyError(name)
 
 
 def displacement_label(displacement: tuple[int, ...], part: str | None = None) -> str:
@@ -317,17 +383,6 @@ def _eval_displacements(table: TransitionTable, sigmas: tuple[str, ...]) -> list
     return out
 
 
-def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
-    """Evaluate the frame's whole condition catalog."""
-    _require_tolerance(tolerance)
-    norm_id, orth_id, *shifts = generate_ktape_conditions(table.frame)
-    sigmas = _sigma_names(table.frame)  # once per table, not once per condition
-    norm, orth = _eval_zero(table, sigmas)
-    residuals = [ConditionResidual(norm_id, *norm), ConditionResidual(orth_id, *orth)]
-    residuals += [ConditionResidual(cid, *found) for cid, found in zip(shifts, _eval_displacements(table, sigmas))]
-    return ValidationReport("ktape", tolerance, tuple(residuals))
-
-
 def _classic_witness(witness: tuple | None, k: int) -> tuple | None:
     """Generated witness keys in the classic sets' form.  One tape: `tau` and
     `tau'`.  Two tapes: the written symbols follow the primed read, as
@@ -345,13 +400,33 @@ def _classic_witness(witness: tuple | None, k: int) -> tuple | None:
     return reads + writes
 
 
+def _report(checker: str, tolerance: float, ids, found) -> ValidationReport:
+    """The one builder every checker ends in: a residual per condition id in
+    `ids`, with its (residual, witness) in `found`."""
+    return ValidationReport(checker, tolerance, tuple(
+        ConditionResidual(cid, value, witness) for cid, (value, witness) in zip(ids, found)))
+
+
+def _evaluate(table: TransitionTable, tolerance: float) -> tuple[list[ConditionId], list[tuple]]:
+    """The frame's whole condition catalog, and each condition's (residual,
+    witness)."""
+    _require_tolerance(tolerance)
+    ids = generate_ktape_conditions(table.frame)
+    sigmas = _sigma_names(table.frame)  # once per table, not once per condition
+    return ids, [*_eval_zero(table, sigmas), *_eval_displacements(table, sigmas)]
+
+
+def check_ktape(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
+    """Evaluate the frame's whole condition catalog."""
+    return _report("ktape", tolerance, *_evaluate(table, tolerance))
+
+
 def _classic_report(table: TransitionTable, tolerance: float, checker: str, k: int) -> ValidationReport:
+    """The generated set for k tapes under the classic labels and witness keys."""
     _require_tapes(table, k, checker)
-    residuals = tuple(
-        ConditionResidual(ConditionId(checker, r.id.name), r.residual, _classic_witness(r.witness, k))
-        for r in check_ktape(table, tolerance).residuals
-    )
-    return ValidationReport(checker, tolerance, residuals)
+    ids, found = _evaluate(table, tolerance)
+    return _report(checker, tolerance, [ConditionId(checker, cid.name) for cid in ids],
+                   [(value, _classic_witness(witness, k)) for value, witness in found])
 
 
 def check_column(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
@@ -391,9 +466,9 @@ def check_row(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> V
     def pair(p, t, p2, t2):
         return (("p", states[p]), ("tau", names[t]), ("p'", states[p2]), ("tau'", names[t2]))
 
-    def witnessed(name, found, describe):
+    def witnessed(found, describe):
         value, idx = found
-        return ConditionResidual(ConditionId("row", name), value, None if idx is None else describe(*idx))
+        return value, None if idx is None else describe(*idx)
 
     a = np.abs(diag[:, :, None, None, 0] + diag[:, None, :, None, 1] + diag[:, None, None, :, 2] - 1.0)
     b = np.abs(same[:, :, :, None, None, 0, 0] + same[:, :, None, :, None, 1, 1]
@@ -402,20 +477,20 @@ def check_row(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> V
     d = np.abs(np.stack([w[:, :, m, :, :, m] for m in range(3)], axis=-1))
     e = np.abs(np.stack([w[:, :, m, :, :, m - 1] for m in (1, 2)], axis=-1))
     f = np.abs(w[:, :, 2, :, :, 0])
-    residuals = (
-        witnessed("a", _first_max(a), triple),
+    found = (
+        witnessed(_first_max(a), triple),
         # (b) and (d) are Hermitian under the swap: search the first half
-        witnessed("b", _first_max(b, _before(Q)[:, :, None, None, None]),
+        witnessed(_first_max(b, _before(Q)[:, :, None, None, None]),
                   lambda p, p2, *t: triple(p, *t) + (("p'", states[p2]),)),
-        witnessed("c", _first_max(c), lambda p, p2, t0, t1: (
+        witnessed(_first_max(c), lambda p, p2, t0, t1: (
             ("p", states[p]), ("p'", states[p2]), ("tau_0", names[t0]), ("tau_1", names[t1]))),
-        witnessed("d", _first_max(d, (t_differs & _before(Q * S).reshape(Q, S, Q, S))[..., None]),
+        witnessed(_first_max(d, (t_differs & _before(Q * S).reshape(Q, S, Q, S))[..., None]),
                   lambda p, t, p2, t2, m: pair(p, t, p2, t2) + (("d", m - 1),)),
-        witnessed("e", _first_max(e, t_differs[..., None]),
+        witnessed(_first_max(e, t_differs[..., None]),
                   lambda p, t, p2, t2, j: pair(p, t, p2, t2) + (("d", j),)),
-        witnessed("f", _first_max(f), pair),
+        witnessed(_first_max(f), pair),
     )
-    return ValidationReport("row", tolerance, residuals)
+    return _report("row", tolerance, [ConditionId("row", name) for name in "abcdef"], found)
 
 
 def check_hirvensalo(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
@@ -426,7 +501,7 @@ def check_hirvensalo(table: TransitionTable, tolerance: float = DEFAULT_TOLERANC
     frame = table.frame
     Q, S = frame.state_count, frame.symbol_block
     states, names = frame.states, frame.alphabets[0]
-    (a, a_witness), (b, b_witness) = _eval_zero(table, names)
+    zero = _eval_zero(table, names)
 
     # (H-c) is the off-diagonal of the Hermitian W: search (p,t,d) before (p',t',d')
     w = np.abs(_written_gram(table))
@@ -447,13 +522,8 @@ def check_hirvensalo(table: TransitionTable, tolerance: float = DEFAULT_TOLERANC
     d_witness = (("q", states[q]), ("sigma", names[s]), ("tau", names[t]), ("d", m - 1),
                  ("q'", states[q2]), ("sigma'", names[s2]), ("tau'", names[t2]), ("d'", m2 - 1))
 
-    residuals = (
-        ConditionResidual(ConditionId("hirvensalo", "H-a"), a, a_witness),
-        ConditionResidual(ConditionId("hirvensalo", "H-b"), b, b_witness),
-        ConditionResidual(ConditionId("hirvensalo", "H-c"), c, c_witness),
-        ConditionResidual(ConditionId("hirvensalo", "H-d"), d, d_witness),
-    )
-    return ValidationReport("hirvensalo", tolerance, residuals)
+    ids = [ConditionId("hirvensalo", name) for name in ("H-a", "H-b", "H-c", "H-d")]
+    return _report("hirvensalo", tolerance, ids, [*zero, (c, c_witness), (d, d_witness)])
 
 
 def check_auto(table: TransitionTable, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:

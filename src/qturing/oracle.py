@@ -36,10 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import DEFAULT_TOLERANCE, _is_tolerance, _require_tolerance
 from .evolution import _Kernel, _groups, _runs
 from .frame import MOVES, Configuration, TuringFrame, _is_integer
-from .ktape import check_column
+from .ktape import DEFAULT_TOLERANCE, _is_tolerance, _require_tolerance, check_column
 from .table import TransitionTable, _sealed, amplitude
 from .windows import PackedWindow
 

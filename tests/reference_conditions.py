@@ -28,9 +28,12 @@ from typing import Iterator
 
 import numpy as np
 
-from qturing.conditions import DEFAULT_TOLERANCE, ConditionId, ConditionResidual, ValidationReport
 from qturing.frame import MOVES
 from qturing.ktape import (
+    DEFAULT_TOLERANCE,
+    ConditionId,
+    ConditionResidual,
+    ValidationReport,
     _first_max,
     _read_witness as _ktape_read_witness,
     _require_tapes,

@@ -4,8 +4,9 @@ imports anything, so every dependency between modules shows at the top of a
 module and importing one module never runs another's body twice; every
 module-level function is used by the package or exported by it; every
 method of a class the package does not export has a caller in the
-package; the step bound has one caller, the one rule walk; and re-framing
-has one caller, `_Kernel.ready`."""
+package; the step bound has one caller, the one rule walk; re-framing
+has one caller, `_Kernel.ready`; and every checker report is made by one
+builder, `ktape._report`."""
 import ast
 import graphlib
 from pathlib import Path
@@ -144,3 +145,17 @@ def test_reframing_has_one_caller():
     so terms are re-framed at slack 0 on the way into a step and nowhere
     else."""
     assert _callers("reframe") == ["evolution.py _Kernel.ready"]
+
+
+def _constructed(name: str) -> list[str]:
+    """Where the package calls `name`: one "module.py scope" per call."""
+    return [f"{module}.py {scope}" for module, tree in MODULES.items() for node, scope in _scoped(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+@pytest.mark.parametrize("name", ["ConditionResidual", "ValidationReport"])
+def test_reports_have_one_builder(name):
+    """`ConditionResidual(...)` and `ValidationReport(...)` are called only in
+    `ktape._report`, the builder all five checkers end in, so every residual
+    is made once, under its final label and witness keys."""
+    assert _constructed(name) == ["ktape.py _report"]
