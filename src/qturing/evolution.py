@@ -67,8 +67,11 @@ and `distance` all read that one decoding.
 """
 from __future__ import annotations
 
+import cmath
+import contextlib
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -92,6 +95,17 @@ _NO_COLUMNS = np.empty(0, dtype=np.intp)
 MAX_STEP_SYMBOLS = 2 ** 26
 
 
+def _amplitude(value) -> complex:
+    """`value` as a complex amplitude: a Python or numpy number, not a bool,
+    whose parts are finite floats; ValueError naming it otherwise."""
+    if isinstance(value, numbers.Number) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            amp = complex(value)
+            if cmath.isfinite(amp):
+                return amp
+    raise ValueError(f"amplitude must be a finite number, got {value!r}")
+
+
 class Superposition:
     """Finite map Configuration -> complex amplitude, pruned and immutable.
 
@@ -102,7 +116,9 @@ class Superposition:
     list it builds; the output of `apply`, `apply_adjoint` and `run` keeps
     the frame's `_Layout` and packed `_Terms`, decoded once, on first
     request.  The methods that look terms up build the dict (`_terms`) once,
-    in first-reached order, from those configurations."""
+    in first-reached order, from those configurations.  The constructor sums
+    the amplitudes given for one configuration; each must be a finite
+    number (`_amplitude`), and so must their sum."""
 
     __slots__ = ("_amps", "_reached", "_configs", "_packed", "_dict")
 
@@ -111,11 +127,8 @@ class Superposition:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for config, amp in items:
-                amp = complex(amp)
-                if config in acc:
-                    acc[config] += amp
-                else:
-                    acc[config] = amp
+                amp = _amplitude(amp)
+                acc[config] = _amplitude(acc[config] + amp) if config in acc else amp
         kept = [(c, a) for c, a in acc.items() if abs(a) >= PRUNE_THRESHOLD]
         order = sorted(range(len(kept)), key=lambda j: kept[j][0].sort_key())
         self._amps = np.array([kept[j][1] for j in order], dtype=np.complex128)

@@ -77,13 +77,9 @@ from .table import TransitionTable
 
 DEFAULT_TOLERANCE = 1e-9
 
-# The generated set has 1 + (5^k + 1)/2 conditions.  On a Q1 table with one
-# 2-symbol tape and k - 1 one-symbol tapes, check_ktape takes about 0.1,
-# 0.1-0.15, 0.3, 0.6-0.9, 4 and 13-22 ms for k = 1..6 when the table is
-# pair-unitary (one move vector, so no displacement is in reach) and 0.15,
-# 0.4-0.5, 1.3-1.4, 3, 11-19 and 54-56 ms when it is dense (2-vCPU Xeon,
-# numpy 2.4.6, best to median), three- to sixfold per tape; past six tapes
-# it is refused.
+# The generated set has 1 + (5^k + 1)/2 conditions, and check_ktape's time
+# grows three- to sixfold per tape, to tens of milliseconds at six tapes;
+# past six tapes it is refused.
 MAX_TAPES = 6
 
 # Gram entries per stacked product of displacements (384 KiB with their moduli)
@@ -157,13 +153,22 @@ class ValidationReport:
 
 
 def displacement_label(displacement: tuple[int, ...], part: str | None = None) -> str:
-    """Report label for a condition: classic letter/number when one exists.
-    `part` ("norm" or "orth") names a half of D = 0.  The components must
-    be Python or numpy integers (ValueError otherwise, a float or a bool
-    included)."""
+    """Report label for a catalog condition: classic letter/number when one
+    exists.  `part` ("norm" or "orth") names a half of D = 0, and any other
+    D takes none.  The components must be Python or numpy integers
+    (ValueError otherwise, a float or a bool included), each in -2..2 with
+    the first nonzero one positive; ValueError for any other displacement
+    or part."""
     if not all(map(_is_integer, displacement)):
         raise ValueError(f"displacement components must be integers, got {displacement!r}")
     k = len(displacement)
+    first = next((d for d in displacement if d), 0)
+    if not (k and first >= 0 and all(-2 <= d <= 2 for d in displacement)):
+        raise ValueError(f"displacement {displacement!r} is not in the catalog: components in -2..2, "
+                         "the first nonzero one positive")
+    if part not in (("norm", "orth") if first == 0 else (None,)):
+        raise ValueError(f"part {part!r} does not fit displacement {displacement!r}: "
+                         "D = 0 takes 'norm' or 'orth', any other D none")
     if part == "norm":
         return "a" if k == 1 else "1"
     if part == "orth":

@@ -30,15 +30,10 @@ codes through dict lookups into `np.fromiter`, the amplitude parts are read
 by one `np.fromiter` and one `np.isfinite`, and a repeated key shows in the
 flat table indices.  Only when that pass finds a fault are the rules walked
 one by one (`_rule_key`), to name the first refused rule and its first
-failing check.  Parse times of the validate benchmark's documents against
-the per-rule loop this pass replaced (2-vCPU Xeon, best of interleaved
-runs, two runs): 4 rules 0.05-0.09 ms either way, 256 rules (Q4S4)
-0.93-1.04 -> 0.78-0.82 ms, 6,912 rules (Q2 S(2,2,2)) 29-38 -> 25-27 ms,
-of which `json.loads` takes 17-19 ms.  The cyclic garbage collector is
-paused while a document is parsed: the decoded JSON and the column pass
-make many objects and no cycles, so its collections there found nothing
-and took about a fifth of a large parse (Q2 S(2,2,2): 36 -> 29 ms, median
-of 15 interleaved runs in a process holding the validate workload).
+failing check.  The cyclic garbage collector is paused while a document
+is parsed: the decoded JSON and the column pass make many objects and no
+cycles, so its collections there found nothing and took about a fifth of
+a large parse.
 
 `serialize_machine` writes the nonzero rules in table order as the text of
 `json.dumps(doc, indent=2)` plus a newline, formatted directly rather than

@@ -231,6 +231,36 @@ def test_norm_sums_the_squares_left_to_right():
     assert evolution._norm(amps[:0]) == 0.0
 
 
+class TestAmplitudeContract:
+    @pytest.mark.parametrize("amp", [
+        math.nan, math.inf, -math.inf, complex(1, math.nan), complex(math.inf, 0), np.float64(math.nan),
+        np.complex128(complex(0, math.inf)), 10 ** 400, "1", True, False, np.True_, [1.0], None, np.array(1.0),
+    ], ids=["nan", "inf", "-inf", "nan-imag", "inf-real", "numpy-nan", "numpy-inf-imag", "int-past-float",
+            "str", "True", "False", "numpy-True", "list", "None", "0-d-array"])
+    def test_a_non_number_or_non_finite_amplitude_is_refused(self, counterexample, amp):
+        """A NaN amplitude was dropped as if pruned, an infinite one kept,
+        and "1" or True taken as 1+0j; each is refused, named."""
+        config = blank(counterexample)
+        with pytest.raises(ValueError, match=f"^amplitude must be a finite number, got {re.escape(repr(amp))}$"):
+            qt.Superposition({config: amp})
+        with pytest.raises(ValueError, match="^amplitude must be a finite number"):
+            qt.Superposition.basis(config, amp)
+
+    @pytest.mark.parametrize("amp", [1, 0.5, 1j, np.float32(0.5), np.int64(2), np.complex64(1j), 10 ** 300])
+    def test_python_and_numpy_numbers_are_amplitudes(self, counterexample, amp):
+        config = blank(counterexample)
+        assert qt.Superposition({config: amp}).amplitude(config) == complex(amp)
+
+    def test_a_sum_that_overflows_is_refused(self, counterexample):
+        config = blank(counterexample)
+        with pytest.raises(ValueError, match=r"^amplitude must be a finite number, got \(inf\+0j\)$"):
+            qt.Superposition([(config, 1e308), (config, 1e308)])
+        big = qt.Superposition.basis(config, 1e308)
+        with pytest.raises(ValueError, match=r"^amplitude must be a finite number, got \(inf\+0j\)$"):
+            big.plus(big)
+        assert big.plus(qt.Superposition.basis(config, -1e308)) == qt.Superposition()
+
+
 class TestRun:
     def test_zero_steps(self, counterexample):
         psi = qt.Superposition.basis(blank(counterexample))

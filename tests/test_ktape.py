@@ -68,6 +68,21 @@ class TestGeneration:
         assert displacement_label((0, 1, -2)) == "D=(0,1,-2)"
         assert displacement_label((0, 0), "norm") == "1"
         assert displacement_label((0,), "orth") == "b"
+        for k in range(1, 4):
+            for cid in qt.generate_ktape_conditions(qt.simple_frame(1, *(1,) * k)):
+                assert displacement_label(cid.displacement, cid.part) == cid.name
+
+    @pytest.mark.parametrize("displacement", [(-2,), (-1,), (3,), (0, 3), (0, -1), (-1, 2), (1, -3), ()])
+    def test_label_refuses_a_displacement_outside_the_catalog(self, displacement):
+        with pytest.raises(ValueError, match="is not in the catalog"):
+            displacement_label(displacement)
+
+    @pytest.mark.parametrize("displacement, part", [
+        ((0,), None), ((0, 0, 0), None), ((0,), "bogus"), ((1,), "norm"), ((0, 1), "orth"), ((1,), "bogus"),
+    ])
+    def test_label_refuses_a_part_that_does_not_fit(self, displacement, part):
+        with pytest.raises(ValueError, match="does not fit displacement"):
+            displacement_label(displacement, part)
 
 
 class TestEvaluation:
@@ -236,9 +251,9 @@ def test_batches_of_any_size_keep_each_displacements_bits(monkeypatch, three_tap
         assert [(r.id, r.residual, r.witness) for r in got] == [(r.id, r.residual, r.witness) for r in ref]
 
 
-# Residual and witness reprs of check_ktape on k = 1..4 and of check_row and
-# check_hirvensalo on one tape, for seeded dense tables; run in-process and
-# in a child interpreter.
+# Residual and witness reprs of check_ktape on k = 1..4, of check_column,
+# check_row and check_hirvensalo on one tape and of check_two_tape on two, for
+# seeded dense tables; run in-process and in a child interpreter.
 _REPORTS_SOURCE = """
 import numpy as np
 import qturing as qt
@@ -250,7 +265,8 @@ def report_reprs():
         frame = qt.simple_frame(*dims)
         shape = frame.table_shape
         table = qt.TransitionTable(frame, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        checks = [qt.check_ktape] + ([qt.check_row, qt.check_hirvensalo] if frame.tape_count == 1 else [])
+        checks = [qt.check_ktape] + {1: [qt.check_column, qt.check_row, qt.check_hirvensalo],
+                                     2: [qt.check_two_tape]}.get(frame.tape_count, [])
         for check in checks:
             out += [repr((str(r.id), r.residual, r.witness)) for r in check(table).residuals]
     return out
@@ -270,4 +286,4 @@ def test_single_blas_thread_gives_the_same_bits():
     child = subprocess.run([sys.executable, "-c", _REPORTS_SOURCE + "print('\\n'.join(report_reprs()))"],
                            env=env, capture_output=True, text=True, timeout=120, check=True)
     assert child.stdout.splitlines() == in_process
-    assert len(in_process) == 4 + 6 + 4 + 14 + 64 + 314
+    assert len(in_process) == 4 + 4 + 6 + 4 + 14 + 14 + 64 + 314
