@@ -12,7 +12,8 @@ basis spec and as a start file.  The
 `norm` and `gram` goldens cover `--radius 2` on every two-symbol table of
 `build_corpus(50, 50, seed=7)`, read from `.qtm` files: the last bits of a
 norm estimate and a Gram residual follow the step operator's entry order,
-so these pin that order.  The multi-tape goldens cover `gram` (each
+so these pin that order.  `norm.json` also holds the text output of `norm`
+and `gram --radius 2` on the one-tape bundled machines.  The multi-tape goldens cover `gram` (each
 `--side`, and the default) and `norm` on `two_tape_identity` in both
 formats; `norm` pins its exit-2 stderr.  The parse-error goldens cover
 `validate` on malformed documents, one or more per parse error code, in
@@ -73,14 +74,17 @@ def _two_symbol_indices() -> list[int]:
 
 
 NORM_CASES = [f"corpus-{i} {command}" for i in _two_symbol_indices() for command in NORM_COMMANDS]
-MULTITAPE_COMMANDS = {
+BUNDLED_COMMANDS = {
     "gram-rows": ["gram", "--side", "rows"],
     "gram-both": ["gram", "--side", "both"],
     "gram": ["gram"],
     "norm": ["norm"],
     "validate": ["validate"],
     "gram-r1": ["gram", "--radius", "1"],
+    "gram-r2": ["gram", "--radius", "2"],
 }
+BUNDLED_TEXT_CASES = [f"{m} {command} text" for m in ("counterexample", "identity", "zero")
+                      for command in ("norm", "gram-r2")]
 # The three-tape machine's amplitudes are 0 and +-1/2, so its residuals are
 # exact sums and its bytes do not depend on the CPU.
 MULTITAPE_CASES = (
@@ -201,9 +205,9 @@ def capture_norm(case: str) -> dict:
         return _invoke(argv[:1] + [str(path)] + argv[1:])
 
 
-def capture_multitape(case: str) -> dict:
+def capture_bundled(case: str) -> dict:
     machine, command, fmt = case.split()
-    argv = MULTITAPE_COMMANDS[command]
+    argv = BUNDLED_COMMANDS[command]
     return _invoke(argv[:1] + [machine] + argv[1:] + ["--format", fmt])
 
 
@@ -271,12 +275,17 @@ def norm_golden() -> dict:
 
 def test_norm_golden_covers_every_case(norm_golden):
     assert len(NORM_CASES) == 48
-    assert sorted(norm_golden) == sorted(NORM_CASES)
+    assert sorted(norm_golden) == sorted(NORM_CASES + BUNDLED_TEXT_CASES)
 
 
 @pytest.mark.parametrize("case", NORM_CASES)
 def test_norm_gram_bytes_match_golden(norm_golden, case):
     assert capture_norm(case) == norm_golden[case]
+
+
+@pytest.mark.parametrize("case", BUNDLED_TEXT_CASES)
+def test_bundled_norm_gram_text_matches_golden(norm_golden, case):
+    assert capture_bundled(case) == norm_golden[case]
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +300,7 @@ def test_multitape_golden_covers_every_case(multitape_golden):
 
 @pytest.mark.parametrize("case", MULTITAPE_CASES)
 def test_multitape_bytes_match_golden(multitape_golden, case):
-    assert capture_multitape(case) == multitape_golden[case]
+    assert capture_bundled(case) == multitape_golden[case]
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +339,8 @@ def _write(path: Path, golden: dict):
 if __name__ == "__main__":
     _write(GOLDEN, {case: capture(case) for case in CASES})
     _write(RUN_GOLDEN, {case: capture_run(case) for case in RUN_CASES})
-    _write(NORM_GOLDEN, {case: capture_norm(case) for case in NORM_CASES})
-    _write(MULTITAPE_GOLDEN, {case: capture_multitape(case) for case in MULTITAPE_CASES})
+    _write(NORM_GOLDEN, {**{case: capture_norm(case) for case in NORM_CASES},
+                         **{case: capture_bundled(case) for case in BUNDLED_TEXT_CASES}})
+    _write(MULTITAPE_GOLDEN, {case: capture_bundled(case) for case in MULTITAPE_CASES})
     _write(PARSE_ERROR_GOLDEN, {case: capture_parse_error(case) for case in PARSE_ERROR_CASES})
     _write(CONDITIONS_GOLDEN, {case: capture_conditions(case) for case in CONDITIONS_CASES})
