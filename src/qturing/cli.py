@@ -70,38 +70,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _witness_text(witness) -> str:
-    if not witness:
-        return "-"
-    return " ".join(f"{key}={value}" for key, value in witness)
-
-
-def _render_tape(frame: TuringFrame, tape_index: int, tape: Tape) -> str:
-    if not tape.cells:
-        return "-"
-    return " ".join(f"{m}:{frame.symbol_name(tape_index, s)}" for m, s in tape.cells)
-
-
-def _render_config(frame: TuringFrame, config: Configuration) -> tuple[str, str, str]:
-    state = frame.states[config.state]
-    heads = ",".join(str(h) for h in config.heads)
-    tapes = "|".join(_render_tape(frame, i, t) for i, t in enumerate(config.tapes))
-    return state, heads, tapes
-
-
-def _report_lines(name: str, report: ValidationReport) -> list[str]:
-    lines = [
-        f"machine: {name}",
-        f"checker: {report.checker}",
-        f"tolerance: {report.tolerance:g}",
-        "condition\tresidual\twitness",
-    ]
-    for r in report.residuals:
-        lines.append(f"{r.id}\t{_fmt(r.residual)}\t{_witness_text(r.witness)}")
-    lines.append(f"verdict: {report.verdict.upper()}")
-    return lines
-
-
 def _report_json(name: str, report: ValidationReport) -> dict:
     return {
         "machine": name,
@@ -130,18 +98,30 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _emit(args, text_lines: list[str], payload: dict):
+def _emit(args, record: dict, text):
+    """Print a subcommand's record as JSON, or as the lines `text` renders from it."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(text(record)))
+
+
+def _report_text(record: dict):
+    yield f"machine: {record['machine']}"
+    yield f"checker: {record['checker']}"
+    yield f"tolerance: {record['tolerance']:g}"
+    yield "condition\tresidual\twitness"
+    for r in record["residuals"]:
+        witness = " ".join(f"{key}={value}" for key, value in (r["witness"] or {}).items())
+        yield f"{r['condition']}\t{_fmt(r['residual'])}\t{witness or '-'}"
+    yield f"verdict: {record['verdict'].upper()}"
 
 
 def cmd_validate(args) -> int:
     doc = _load_document(args.machine)
-    report = _CHECKERS[args.checker](doc.table, args.tolerance)
-    _emit(args, _report_lines(doc.name, report), _report_json(doc.name, report))
-    return 0 if report.passed else 1
+    record = _report_json(doc.name, _CHECKERS[args.checker](doc.table, args.tolerance))
+    _emit(args, record, _report_text)
+    return 0 if record["verdict"] == "pass" else 1
 
 
 def _parse_cells(frame: TuringFrame, tape_index: int, text: str) -> Tape:
@@ -267,6 +247,19 @@ def _parse_start(frame: TuringFrame, spec: str) -> Superposition:
     return Superposition.basis(_parse_basis_spec(frame, spec))
 
 
+def _run_text(record: dict):
+    yield f"machine: {record['machine']}"
+    yield f"steps: {record['steps']}"
+    for t, value in enumerate(record["norms"]):
+        yield f"norm[{t}]={_fmt(value)}"
+    yield "state\theads\ttapes\tre\tim\tprob"
+    for term in record["terms"]:
+        heads = ",".join(str(h) for h in term["heads"])
+        tapes = "|".join(" ".join(f"{m}:{s}" for m, s in cells) or "-" for cells in term["tapes"])
+        yield (f"{term['state']}\t{heads}\t{tapes}\t"
+               f"{_fmt(term['re'])}\t{_fmt(term['im'])}\t{_fmt(term['probability'])}")
+
+
 def cmd_run(args) -> int:
     doc = _load_document(args.machine)
     frame = doc.frame
@@ -284,34 +277,34 @@ def cmd_run(args) -> int:
             )
             return 1
     result = run_evolution(doc.table, initial, args.steps, unchecked=True)
-    lines = [f"machine: {doc.name}", f"steps: {args.steps}"]
-    for t, value in enumerate(result.norms):
-        lines.append(f"norm[{t}]={_fmt(value)}")
-    lines.append("state\theads\ttapes\tre\tim\tprob")
-    terms_json = []
-    for config, amp in result.final.items():
-        state, heads, tapes = _render_config(frame, config)
-        prob = (amp * amp.conjugate()).real
-        lines.append(f"{state}\t{heads}\t{tapes}\t{_fmt(amp.real)}\t{_fmt(amp.imag)}\t{_fmt(prob)}")
-        terms_json.append({
-            "state": state,
-            "heads": list(config.heads),
-            "tapes": [
-                [[m, frame.symbol_name(i, s)] for m, s in tape.cells]
-                for i, tape in enumerate(config.tapes)
-            ],
-            "re": amp.real,
-            "im": amp.imag,
-            "probability": prob,
-        })
-    payload = {
+    record = {
         "machine": doc.name,
         "steps": args.steps,
         "norms": list(result.norms),
-        "terms": terms_json,
+        "terms": [
+            {
+                "state": frame.states[config.state],
+                "heads": list(config.heads),
+                "tapes": [
+                    [[m, frame.symbol_name(i, s)] for m, s in tape.cells]
+                    for i, tape in enumerate(config.tapes)
+                ],
+                "re": amp.real,
+                "im": amp.imag,
+                "probability": (amp * amp.conjugate()).real,
+            }
+            for config, amp in result.final.items()
+        ],
     }
-    _emit(args, lines, payload)
+    _emit(args, record, _run_text)
     return 0
+
+
+def _norm_text(record: dict):
+    yield f"machine: {record['machine']}"
+    yield f"K: {_fmt(record['K'])}"
+    yield f"bound: {_fmt(record['bound'])}"
+    yield f"estimate[radius={record['radius']}, iterations={record['iterations']}]: {_fmt(record['estimate'])}"
 
 
 def cmd_norm(args) -> int:
@@ -319,13 +312,7 @@ def cmd_norm(args) -> int:
     stats = compute_statistics(doc.table)
     bound = norm_bound(stats, doc.frame)
     estimate = estimate_norm(doc.table, args.radius, args.iterations, seed=args.seed)
-    lines = [
-        f"machine: {doc.name}",
-        f"K: {_fmt(stats.K)}",
-        f"bound: {_fmt(bound)}",
-        f"estimate[radius={args.radius}, iterations={args.iterations}]: {_fmt(estimate)}",
-    ]
-    payload = {
+    record = {
         "machine": doc.name,
         "K": stats.K,
         "bound": bound,
@@ -333,8 +320,17 @@ def cmd_norm(args) -> int:
         "radius": args.radius,
         "iterations": args.iterations,
     }
-    _emit(args, lines, payload)
+    _emit(args, record, _norm_text)
     return 0
+
+
+def _conditions_text(record: dict):
+    yield f"conditions for k={record['k']} ({record['total']} total)"
+    yield "label\tkind\tdisplacement"
+    for row in record["conditions"]:
+        disp = "(" + ",".join(str(d) for d in row["displacement"]) + ")"
+        yield f"{row['label']}\t{row['kind']}\t{disp}"
+    yield f"total: {record['total']}"
 
 
 def cmd_conditions(args) -> int:
@@ -343,16 +339,21 @@ def cmd_conditions(args) -> int:
         raise ValueError(f"supported tape counts are 1..{MAX_TAPES}")
     ids = generate_ktape_conditions(simple_frame(1, *(1,) * k))
     kinds = {"norm": "normalization", "orth": "orthogonality"}
-    lines = [f"conditions for k={k} ({len(ids)} total)", "label\tkind\tdisplacement"]
-    rows = []
-    for cid in ids:
-        kind = kinds.get(cid.part, "shift")
-        disp = "(" + ",".join(str(d) for d in cid.displacement) + ")"
-        lines.append(f"{cid.name}\t{kind}\t{disp}")
-        rows.append({"label": cid.name, "kind": kind, "displacement": list(cid.displacement)})
-    lines.append(f"total: {len(ids)}")
-    _emit(args, lines, {"k": k, "total": len(ids), "conditions": rows})
+    rows = [
+        {"label": cid.name, "kind": kinds.get(cid.part, "shift"), "displacement": list(cid.displacement)}
+        for cid in ids
+    ]
+    _emit(args, {"k": k, "total": len(ids), "conditions": rows}, _conditions_text)
     return 0
+
+
+def _gram_text(record: dict):
+    yield f"machine: {record['machine']}"
+    yield f"radius: {record['radius']}"
+    for check in record["checks"]:
+        yield (f"{check['side']}: residual={_fmt(check['residual'])} "
+               f"configs={check['configs']} pairs={check['pairs']} {check['verdict'].upper()}")
+    yield f"verdict: {record['verdict'].upper()}"
 
 
 def cmd_gram(args) -> int:
@@ -363,14 +364,8 @@ def cmd_gram(args) -> int:
         checks.append(column_gram_check(doc.table, radius, args.tolerance))
     if args.side in ("rows", "both"):
         checks.append(row_gram_check(doc.table, radius, args.tolerance))
-    lines = [f"machine: {doc.name}", f"radius: {radius}"]
-    payload_checks = []
-    for check in checks:
-        lines.append(
-            f"{check.side}: residual={_fmt(check.residual)} "
-            f"configs={check.config_count} pairs={check.pair_count} {check.verdict.upper()}"
-        )
-        payload_checks.append({
+    rows = [
+        {
             "side": check.side,
             "residual": check.residual,
             "diagonal_residual": check.diagonal_residual,
@@ -378,11 +373,12 @@ def cmd_gram(args) -> int:
             "configs": check.config_count,
             "pairs": check.pair_count,
             "verdict": check.verdict,
-        })
-    passed = all(check.passed for check in checks)
-    lines.append(f"verdict: {'PASS' if passed else 'FAIL'}")
-    _emit(args, lines, {"machine": doc.name, "radius": radius, "checks": payload_checks,
-                        "verdict": "pass" if passed else "fail"})
+        }
+        for check in checks
+    ]
+    passed = all(row["verdict"] == "pass" for row in rows)
+    _emit(args, {"machine": doc.name, "radius": radius, "checks": rows, "verdict": "pass" if passed else "fail"},
+          _gram_text)
     return 0 if passed else 1
 
 

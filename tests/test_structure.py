@@ -5,8 +5,8 @@ module and importing one module never runs another's body twice; every
 module-level function is used by the package or exported by it; every
 method of a class the package does not export has a caller in the
 package; the step bound has one caller, the one rule walk; re-framing
-has one caller, `_Kernel.ready`; and every checker report is made by one
-builder, `ktape._report`."""
+has one caller, `_Kernel.ready`; every checker report is made by one
+builder, `ktape._report`; and each CLI subcommand prints one record."""
 import ast
 import graphlib
 from pathlib import Path
@@ -159,3 +159,28 @@ def test_reports_have_one_builder(name):
     `ktape._report`, the builder all five checkers end in, so every residual
     is made once, under its final label and witness keys."""
     assert _constructed(name) == ["ktape.py _report"]
+
+
+CLI_FUNCTIONS = {node.name: node for node in MODULES["cli"].body if isinstance(node, ast.FunctionDef)}
+COMMANDS = sorted(name for name in CLI_FUNCTIONS if name.startswith("cmd_"))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_subcommand_prints_one_record(command):
+    """A `cmd_*` of `cli.py` calls `_emit` exactly once, with its record and
+    the module-level function that renders the text format from that record,
+    and calls `print` only with `file=sys.stderr`, so no subcommand reads its
+    result a second time to build its text."""
+    calls = [node for node in ast.walk(CLI_FUNCTIONS[command])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    emits = [call for call in calls if call.func.id == "_emit"]
+    assert len(emits) == 1
+    text = emits[0].args[2]
+    assert isinstance(text, ast.Name) and text.id in CLI_FUNCTIONS
+    assert [arg.arg for arg in CLI_FUNCTIONS[text.id].args.args] == ["record"]
+    assert all(any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in call.keywords)
+               for call in calls if call.func.id == "print")
+
+
+def test_every_subcommand_is_checked():
+    assert COMMANDS == ["cmd_conditions", "cmd_gram", "cmd_norm", "cmd_run", "cmd_validate"]
