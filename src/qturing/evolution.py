@@ -431,10 +431,11 @@ class _Kernel(_Layout):
     along which a multi-symbol adjoint reads.  `rule_keys` holds the last
     per-rule key part `merge_by_key` used in each direction, with its
     column count.
-    `verdicts` holds `run`'s `check_auto` report per tolerance, and
-    `window` the one radius window `windows.PackedWindow.of` keeps for the
-    Gram checks and `estimate_norm`: read-only, for the last radius asked
-    for, and freed with the table, since it refers to no kernel."""
+    `verdict` holds `run`'s one `check_auto` report (no residual depends on
+    the tolerance), and `window` the one radius window
+    `windows.PackedWindow.of` keeps for the Gram checks and `estimate_norm`:
+    read-only, for the last radius asked for, and freed with the table,
+    since it refers to no kernel."""
 
     def __init__(self, table: TransitionTable):
         super().__init__(table.frame)
@@ -470,7 +471,7 @@ class _Kernel(_Layout):
         self.used_moves = np.flatnonzero(np.bincount(target % M, minlength=M))
         self.back = self.moves[self.used_moves]
         self.rule_keys: list[tuple[int, np.ndarray] | None] = [None, None]
-        self.verdicts: dict[float, ValidationReport] = {}
+        self.verdict: ValidationReport | None = None
         self.window = None
 
     @classmethod
@@ -766,11 +767,12 @@ def run(
     column count.  `steps` must be a nonnegative Python or numpy integer
     (ValueError otherwise, a float or a bool included).
 
-    The table is validated first unless `unchecked`.  The `check_auto`
-    report is kept on the table's kernel per tolerance, so a table is
-    checked once per tolerance however often it runs (tables are
-    immutable); a failing table raises on every call, and an unchecked run
-    neither reads nor fills that cache.  Norm drift is reported, never
+    The table is validated first unless `unchecked`.  One `check_auto`
+    report is kept on the table's kernel, so a table is checked once however
+    often it runs, at whatever tolerance (tables are immutable, and no
+    residual depends on the tolerance); a run raises when the report's
+    largest residual exceeds its tolerance, on every call, and an unchecked
+    run neither reads nor fills that slot.  Norm drift is reported, never
     corrected.  Each step is the packed step of `apply`, so the terms
     stay packed from step to step and the final superposition is packed too,
     its dict in the last step's first-reached order.  norms[t] sums |a|^2
@@ -784,11 +786,9 @@ def run(
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     _require_tolerance(tolerance)
     if not unchecked:
-        verdicts = _Kernel.of(table).verdicts
-        report = verdicts.get(tolerance)
-        if report is None:
-            report = verdicts[tolerance] = check_auto(table, tolerance)
-        if not report.passed:
+        kernel = _Kernel.of(table)
+        report = kernel.verdict = kernel.verdict or check_auto(table, tolerance)
+        if report.max_residual > tolerance:
             raise ValueError(
                 f"table fails the {report.checker} conditions "
                 f"(max residual {report.max_residual:.3e}); pass unchecked=True to run anyway"

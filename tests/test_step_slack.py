@@ -4,8 +4,8 @@ After every step of a chain, every head has at least `slack` adjacent
 columns on each side of it in `cols`; `ready` hands terms with slack on
 unchanged and re-frames every term set at slack 0, without looking at its
 heads.  A re-frame changes no bit of the step that follows it, forward or
-adjoint.  `run` checks a table once per tolerance and keeps the report on
-the table's kernel."""
+adjoint.  `run` checks a table once, whatever the tolerance, and keeps the
+report on the table's kernel."""
 import numpy as np
 import pytest
 
@@ -140,19 +140,36 @@ class TestVerdictCache:
         return seen
 
     def test_one_check_per_table_and_tolerance(self, calls):
+        """One check per table, whatever the tolerance of later runs."""
         table = _machine("counterexample")
         psi = qt.Superposition.basis(qt.blank_configuration(table.frame))
         first = qt.run(table, psi, 3)
         for _ in range(3):
             assert qt.run(table, psi, 3).norms == first.norms
+        qt.run(table, psi, 1, tolerance=1e-6)
+        qt.run(table, psi, 1, tolerance=0.0)
         assert calls == [(table, qt.DEFAULT_TOLERANCE)]
-        qt.run(table, psi, 1, tolerance=1e-6)
-        qt.run(table, psi, 1, tolerance=1e-6)
-        assert calls == [(table, qt.DEFAULT_TOLERANCE), (table, 1e-6)]
-        assert sorted(_Kernel.of(table).verdicts) == sorted([qt.DEFAULT_TOLERANCE, 1e-6])
+        assert _Kernel.of(table).verdict.checker == "column"
         other = _machine("counterexample")  # an equal table is another table
         qt.run(other, psi, 1)
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_one_report_serves_every_tolerance(self, calls):
+        """A table whose largest residual is about 2e-7 runs at a tolerance
+        above it and raises below it, from the one report, in either order."""
+        permutation = np.eye(4)[[2, 0, 3, 1]]
+        scaled = qt.pair_unitary_machine(qt.simple_frame(2, 2), permutation, [1, -1]).amplitudes * (1 + 1e-7)
+        for tolerances in ((1e-6, qt.DEFAULT_TOLERANCE), (qt.DEFAULT_TOLERANCE, 1e-6)):
+            table = qt.TransitionTable(qt.simple_frame(2, 2), scaled)
+            psi = qt.Superposition.basis(qt.blank_configuration(table.frame))
+            before = len(calls)
+            for tolerance in tolerances * 2:
+                if tolerance == 1e-6:
+                    assert qt.run(table, psi, 1, tolerance=tolerance).norms[0] == 1.0
+                else:
+                    with pytest.raises(ValueError, match=r"column conditions \(max residual 2\.000e-07\)"):
+                        qt.run(table, psi, 1, tolerance=tolerance)
+            assert calls[before:] == [(table, tolerances[0])]
 
     def test_failing_table_raises_every_time(self, calls):
         table = qt.TransitionTable.zeros(qt.simple_frame(1, 1))
@@ -166,7 +183,7 @@ class TestVerdictCache:
         table = _machine("counterexample")
         psi = qt.Superposition.basis(qt.blank_configuration(table.frame))
         qt.run(table, psi, 2, unchecked=True)
-        assert calls == [] and _Kernel.of(table).verdicts == {}
+        assert calls == [] and _Kernel.of(table).verdict is None
         qt.run(table, psi, 2)
         qt.run(table, psi, 2, unchecked=True)
         assert len(calls) == 1
