@@ -386,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qturing",
         description="Validate, simulate and brute-force-check quantum Turing machine rule tables.",
-        epilog="Machine paths may name a bundled machine (counterexample, identity, "
-               "zero, two_tape_identity, three_tape_pair) when no such file exists on disk.",
+        epilog="Machine paths may name a bundled machine (counterexample, identity, zero, "
+               "two_tape_identity, three_tape_pair, four_tape_pair) when no such file exists on disk.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,9 +13,11 @@ basis spec and as a start file.  The
 `build_corpus(50, 50, seed=7)`, read from `.qtm` files: the last bits of a
 norm estimate and a Gram residual follow the step operator's entry order,
 so these pin that order.  `norm.json` also holds the text output of `norm`
-and `gram --radius 2` on the one-tape bundled machines.  The multi-tape goldens cover `gram` (each
-`--side`, and the default) and `norm` on `two_tape_identity` in both
-formats; `norm` pins its exit-2 stderr.  The parse-error goldens cover
+and `gram --radius 2` on the one-tape bundled machines.  The multi-tape
+goldens cover `gram` (each `--side`, and the default) and `norm` on
+`two_tape_identity` in both formats (`norm` pins its exit-2 stderr), and
+`validate` and `gram --radius 1` on `three_tape_pair` and `four_tape_pair`
+in both formats.  The parse-error goldens cover
 `validate` on malformed documents, one or more per parse error code, in
 both formats.  The conditions goldens cover `conditions k` for k = 1..6 in
 both formats.  To capture them again (only when an output
@@ -85,11 +87,12 @@ BUNDLED_COMMANDS = {
 }
 BUNDLED_TEXT_CASES = [f"{m} {command} text" for m in ("counterexample", "identity", "zero")
                       for command in ("norm", "gram-r2")]
-# The three-tape machine's amplitudes are 0 and +-1/2, so its residuals are
-# exact sums and its bytes do not depend on the CPU.
+# The three- and four-tape machines' amplitudes are 0 and +-1/2, so their
+# residuals are exact sums and their bytes do not depend on the CPU.
 MULTITAPE_CASES = (
     [f"two_tape_identity {command} {f}" for command in ("gram-rows", "gram-both", "gram", "norm") for f in FORMATS]
-    + [f"three_tape_pair {command} {f}" for command in ("validate", "gram-r1") for f in FORMATS]
+    + [f"{m} {command} {f}" for m in ("three_tape_pair", "four_tape_pair")
+       for command in ("validate", "gram-r1") for f in FORMATS]
 )
 
 
@@ -294,7 +297,7 @@ def multitape_golden() -> dict:
 
 
 def test_multitape_golden_covers_every_case(multitape_golden):
-    assert len(MULTITAPE_CASES) == 12
+    assert len(MULTITAPE_CASES) == 16
     assert sorted(multitape_golden) == sorted(MULTITAPE_CASES)
 
 
