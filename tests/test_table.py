@@ -200,6 +200,18 @@ class TestStateRange:
             qt.TransitionTable.from_rules(table.frame, [(2, (0.5,), 0, 0, 0, 1.0)])
 
 
+def test_scalar_sigma_refused_on_two_tapes():
+    """A scalar read vector is a one-tape convenience; on two tapes it is
+    refused, a numpy integer too."""
+    frame = qt.simple_frame(2, 2, 1)
+    table = qt.TransitionTable.zeros(frame)
+    for sigma in (1, np.int64(1)):
+        with pytest.raises(ValueError, match="^sigma must be a length-2 vector, got a scalar$"):
+            qt.amplitude(table, 0, sigma, 0, (0, 0), (0, 0))
+        with pytest.raises(ValueError, match="^sigma must be a length-2 vector, got a scalar$"):
+            qt.TransitionTable.from_rules(frame, [(0, sigma, 0, (0, 0), (0, 0), 0.5)])
+
+
 class TestFromRulesDuplicates:
     def test_repeated_key_refused(self):
         frame = qt.simple_frame(1, 1)
