@@ -1,7 +1,10 @@
 """Command-line driver: validate / run / norm / conditions / gram.
 
 Exit codes: 0 pass, 1 validation or gram failure, 2 usage or parse error.
-Output is deterministic: identical inputs and flags produce identical bytes.
+Each subcommand builds its result once, as the record `--format json`
+prints; the text format renders lines from that same record, floats in
+12-digit `e` form.  Output is deterministic: identical inputs and flags
+produce identical bytes.
 """
 from __future__ import annotations
 
