@@ -157,11 +157,10 @@ class TestVerdictCache:
     def test_one_report_serves_every_tolerance(self, calls):
         """A table whose largest residual is about 2e-7 runs at a tolerance
         above it and raises below it, from the one report, in either order."""
-        permutation = np.eye(4)[[2, 0, 3, 1]]
-        scaled = qt.pair_unitary_machine(qt.simple_frame(2, 2), permutation, [1, -1]).amplitudes * (1 + 1e-7)
+        exact = _right_mover()
+        psi = qt.Superposition.basis(qt.blank_configuration(exact.frame))
         for tolerances in ((1e-6, qt.DEFAULT_TOLERANCE), (qt.DEFAULT_TOLERANCE, 1e-6)):
-            table = qt.TransitionTable(qt.simple_frame(2, 2), scaled)
-            psi = qt.Superposition.basis(qt.blank_configuration(table.frame))
+            table = qt.TransitionTable(exact.frame, exact.amplitudes * (1 + 1e-7))
             before = len(calls)
             for tolerance in tolerances * 2:
                 if tolerance == 1e-6:
