@@ -47,10 +47,15 @@ then (p, tau, d), adjoint hits move by move, then (q, sigma).
 `windows.estimate_norm`) take the rule walk of `_Kernel.kept`, without the
 entries below PRUNE_THRESHOLD.  `_Kernel.operator` is the one image
 numbering, by first column, then key: `step_operator` groups the entries
-by image key, the Gram oracle by window code, and it keys only each
-group's first image.  The norm estimate names each image by its window
-code and builds none.  `keys`, with `one_symbol_key`, is the one code that
-knows `sort_key` order.
+by image key, the Gram oracle by window code, and it builds no image.  A
+step is fixed by its local transition, so the images of one parent differ
+only in the state, the head move and the written symbols, and the
+operator ranks each group's first entry by its parent and then by
+`_Layout.local_keys`, `digit_keys`' digits on just those, with one stable
+argsort in the smallest unsigned dtype that holds parent * span + key.
+The norm estimate names each image by its window code and builds none.
+`_Layout` (`keys`, `one_symbol_key`, `digit_keys` and `local_keys`) is the
+one class that knows `sort_key` order.
 `windows` and `oracle` build on this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
@@ -387,6 +392,56 @@ class _Layout:
         rows = np.ascontiguousarray(rows.T, dtype=dtype.newbyteorder(">"))
         return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
+    def local_keys(self, terms: _Terms, walk: _Walk, rules: tuple, entries: np.ndarray) -> np.ndarray:
+        """For the `entries` of `walk`, a rule walk on `terms` by `rules`
+        (one direction of `_Kernel`), keys in the order of (parent, `keys`
+        of the image): parent * span + the image's local key, in the
+        smallest unsigned dtype that holds them.  Entries with distinct
+        parents, or with one parent and distinct images, get distinct keys.
+
+        A step is fixed by its local transition, so the images of one
+        parent differ only in the new state, the head move and the symbols
+        written at their slot's columns, and images with one state and one
+        head move come from one slot, which writes the same columns.  So
+        the local key is `digit_keys`' convention on those digits alone:
+        the state, the head move per tape, then per tape the written symbol
+        s as s+1 and a blank as 0, or as `top` where the parent has a
+        non-blank cell beyond the written column.  Where one image's
+        written digit is 0 and another's is not, no non-blank follows the
+        first one's written column, so its blanks before that column read 0
+        too: the written digit decides.  A one-symbol tape writes its blank
+        on its blank and has no digit.  On a window (at most 2**20
+        configurations) the span is at most 2**20, so the keys stay below
+        2**40; numpy sorts 8- and 16-bit integers by radix."""
+        _, _, to_state, to_write, to_move, _ = rules
+        k, radix = self.k, self.top + 1
+        written = [i for i, size in enumerate(self.frame.symbol_counts) if size > 1]
+        place = radix ** len(written)  # the written symbols are the last digits
+        span = self.frame.state_count * 3 ** k * place
+        part = to_state * (3 ** k * place)  # per rule: the state, the head move, the written symbols
+        for i in range(k):
+            part += (to_move[:, i] + 1) * (3 ** (k - 1 - i) * place)
+        tops = []  # per written tape: `top` at its place where the rule writes a blank, else 0
+        for i in written:
+            place //= radix
+            blank = to_write[:, i] == self.blanks[i]
+            part += np.where(blank, 0, to_write[:, i].astype(np.intp) + 1) * place
+            tops.append((i, blank * (self.top * place)))
+        parent, rule = walk.parent[entries], walk.rule[entries]
+        key = part[rule]
+        if tops:
+            # per tape and term: its last non-blank column, 0 for none (column
+            # 0 is beyond no column), from one copy as (tape, column, term),
+            # so the reduction runs along the terms
+            cells = np.ascontiguousarray(terms.cells.transpose(1, 2, 0))
+            column = np.arange(cells.shape[1], dtype=np.min_scalar_type(cells.shape[1]))
+            last = np.max((cells != self.blanks[:, None, None]) * column[:, None], axis=1, initial=0)
+            slot = walk.slot[entries]
+            for i, top in tops:
+                key += (last[i][parent] > walk.columns[slot, i]) * top[rule]
+        key += parent * span
+        return key.astype(np.min_scalar_type(len(terms.state) * span - 1))
+
     def configurations(self, terms: _Terms) -> list[Configuration]:
         """Decode packed terms, reading only non-blank cells and building one
         Tape per distinct tape."""
@@ -644,13 +699,14 @@ class _Kernel(_Layout):
         and each image's entry count.  `order, new` is the `_groups` of one
         id per entry that is equal only for entries of equal images (a key
         or a window code).  Images are numbered by first column (the parent
-        of a group's first entry), then by `sort_key`, from the key of the
-        image built from that entry alone; each image keeps its entries in
-        column order.  A Gram entry adds its terms in image-number order, so
-        the numbering fixes its rounding, independent of rule order."""
+        of a group's first entry), then by `sort_key`: one stable argsort of
+        the first entries' `local_keys` ranks the groups, and no image is
+        built.  Each image keeps its entries in column order.  A Gram
+        entry adds its terms in image-number order, so the numbering fixes
+        its rounding, independent of rule order."""
         starts = new.nonzero()[0]
-        first = walk.take(order[starts])
-        by_number = np.lexsort((self.keys(self.images(terms, first, adjoint)), first.parent))
+        by_number = self.local_keys(terms, walk, self.adjoint if adjoint else self.forward,
+                                    order[starts]).argsort(kind="stable")
         sizes = np.diff(starts, append=len(order))[by_number]
         # each group's entries, moved from its start in `order` to its start by number
         return order[np.repeat(starts[by_number] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(order))], sizes

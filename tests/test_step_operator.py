@@ -151,6 +151,20 @@ def test_step_operator_entry_order():
     )
 
 
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (1, 2, 3)])
+def test_step_operator_without_entries(dims):
+    """No configurations, or a table whose amplitudes are all zero: no
+    entries and no images, on either side, on frames with and without
+    cells."""
+    table = random_table(qt.simple_frame(*dims), np.random.default_rng(1))
+    zero = qt.TransitionTable(table.frame, np.zeros(table.frame.table_shape))
+    for adjoint in (False, True):
+        for rows, cols, vals, images in (qt.step_operator(table, [], adjoint),
+                                         qt.step_operator(zero, [qt.blank_configuration(table.frame)], adjoint)):
+            assert (rows.dtype, cols.dtype, vals.dtype) == (np.intp, np.intp, np.complex128)
+            assert (len(rows), len(cols), len(vals), images) == (0, 0, 0, ())
+
+
 def test_step_operator_prunes_like_superposition(counterexample):
     tiny = qt.perturb(counterexample, (0, 0, 1, 0, 1), 1e-16)
     config = qt.blank_configuration(tiny.frame)
