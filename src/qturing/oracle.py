@@ -18,12 +18,14 @@ their bits at any budget.  The window stays packed arrays
 (`windows.PackedWindow`), kept on the table's kernel (`PackedWindow.of`: one
 read-only window per table, for the last radius asked for, freed with the
 table), so the column and the row check at one radius build it once.  Each
-entry names its image by code, one stable sort of the codes (`_groups`)
-groups the entries by image, and `_Kernel.operator`, the numbering of
-`step_operator`, puts the groups in number order, building only each
-group's first image; the self-join takes the groups as they are, so each
-check sorts its entries once.  Only the witness configurations are
-decoded, each from its packed row.
+entry names its image by code, in the smallest unsigned dtype that holds
+the codes, one stable sort of the codes (`_groups`, by radix up to 16
+bits) groups the entries by image, and `_Kernel.operator`, the numbering
+of `step_operator`, puts the groups in number order, ranking each group's
+first entry by its parent and its rule's local transition
+(`_Layout.local_keys`), with no image built; the self-join takes the
+groups as they are, so each check sorts its entries once.  Only the
+witness configurations are decoded, each from its packed row.
 
 This module also generates the test corpus: provably valid tables built
 from unitary matrices with per-state directions, and invalid tables made

@@ -23,7 +23,11 @@ images are named without building their cells.  A forward image whose
 heads stay in 1..W is in the window, and its window code finds its
 position with one lookup (`_compressed`, the operator of `estimate_norm`,
 which starts from `.interior`); the Gram oracle groups its entries by the
-code over the columns and heads 0..W+1, where every image lies.
+code over the columns and heads 0..W+1, where every image lies.  The codes
+and the window positions come in the smallest unsigned dtype that holds
+their range, known from the frame and the radius without a scan, since
+numpy's stable sort of 8- and 16-bit integers (the Gram check's `_groups`,
+the norm estimate's `_slots`) is a radix sort.
 `radius_window` decodes the whole window into configurations, and
 `.configuration` one term from its packed row.
 
@@ -100,7 +104,8 @@ class PackedWindow:
     `terms` lies on the columns [-r-1, r+1], so tape cells sit in columns
     1..2r+1 (no cells are packed when every tape has one symbol) and heads
     index 1..2r+1 too; `position[code]` is the window position of the
-    term with window code `code`, a permutation of the positions.  Every
+    term with window code `code`, a permutation of the positions in the
+    smallest unsigned dtype that holds them.  Every
     array is read-only, so one window can be shared by every check on its
     table (`of`)."""
 
@@ -125,7 +130,8 @@ class PackedWindow:
                 cells[:, i, 1:-1] = tape[:, None] // powers % symbols
         packed = _Terms(code, np.stack(heads, axis=1), cells,
                         np.arange(-radius - 1, radius + 2, dtype=np.int64))
-        codes, _, self.position = _runs(layout.keys(packed))  # terms are distinct: run = position
+        codes, _, position = _runs(layout.keys(packed))  # terms are distinct: run = position
+        self.position = position.astype(np.min_scalar_type(self.size - 1))  # so `_slots` sorts by radix
         self.terms = packed.take(codes)
         for array in (self.position, *self.terms[:4]):
             array.flags.writeable = False
@@ -160,9 +166,12 @@ class PackedWindow:
         in use).  Without `edges` this is the window code, valid for a
         forward image whose heads all stay in 1..W (it writes only there).
         With `edges` the code runs over the columns and heads 0..W+1, which
-        hold every one-step image of a window term; on a window of at most
-        MAX_WINDOW_CONFIGS configurations it stays below 2**33.  A
-        one-symbol tape has no cell digit, so it adds no work."""
+        hold every one-step image of a window term.  The codes come in the
+        smallest unsigned dtype that holds their range, |Q| * prod_i (span *
+        |Sigma_i|**span) over span columns and heads: uint16 up to dense
+        Q2S2 at r=4 (45,056 edge codes), below 2**33 on any window of at
+        most MAX_WINDOW_CONFIGS configurations.  A one-symbol tape has no
+        cell digit, so it adds no work."""
         _, _, to_state, to_write, to_move, _ = kernel.adjoint if adjoint else kernel.forward
         terms, counts = self.terms, kernel.frame.symbol_counts
         first = 0 if edges else 1  # the first column and head the code covers
@@ -172,23 +181,27 @@ class PackedWindow:
             heads[i] = place
             tapes[i] = place = place * span
             place *= counts[i] ** span
+        # unsigned arithmetic wraps modulo 2**bits and every code fits the
+        # dtype, so the codes sum exactly in it, though a delta may be negative
+        dtype = np.min_scalar_type(kernel.frame.state_count * place - 1)
         # per slot: its parent's code less its state and the symbols it reads
-        base = terms.heads @ np.array(heads) - first * sum(heads)
+        base = (terms.heads @ np.array(heads) - first * sum(heads)).astype(dtype)
         written = []
         for i, symbols in enumerate(counts):
             if symbols > 1:
-                cells = tapes[i] * symbols ** np.arange(span - 1, -1, -1)  # by column from `first`
+                # by column from `first`
+                cells = (tapes[i] * symbols ** np.arange(span - 1, -1, -1)).astype(dtype)
                 base += terms.cells[:, i, first:first + span] @ cells
                 written.append((i, cells[walk.columns[:, i] - first]))
         if kernel.S > 1 and adjoint:  # a multi-symbol adjoint reads each term once per move in use
             base = base.repeat(len(kernel.back))
         for i, at in written:
             base -= at * walk.read[:, i]
-        delta = to_state * place + to_move @ heads  # per rule: the new state and the head move
+        delta = (to_state * place + to_move @ heads).astype(dtype)  # per rule: the new state and the head move
         code = base[walk.slot]
         code += delta[walk.rule]
         for i, at in written:
-            product = to_write[:, i].astype(np.int64)[walk.rule]
+            product = to_write[:, i].astype(dtype)[walk.rule]
             product *= at[walk.slot]
             code += product
         return code

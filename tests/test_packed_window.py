@@ -18,6 +18,7 @@ from qturing import windows
 from qturing.cli import main
 from qturing.evolution import MAX_STEP_SYMBOLS, _Kernel
 
+from bounded_gram import dense_table
 from conftest import random_table
 from reference_frame import reference_radius_window
 from reference_oracle import reference_estimate_norm, reference_gram_check
@@ -138,6 +139,25 @@ def test_window_index_finds_every_member(name):
             assert np.array_equal(cols, walk.parent[~out]) and np.array_equal(vals, walk.coef[~out])
     # an adjoint image writes on an edge column wherever a tape has a non-blank symbol
     assert on_edge == (max(frame.symbol_counts) > 1)
+
+
+@pytest.mark.parametrize("radius, dtype", [(4, np.uint16), (5, np.uint32)])
+def test_edge_codes_take_the_smallest_unsigned_dtype(radius, dtype):
+    """Dense Q2S2: the edge codes span |Q| * (W+2) * 2**(W+2) values, 45,056
+    at r=4 (so uint16, the largest window sorted by radix) and 212,992 at
+    r=5 (uint32).  On both sides they equal the int64 codes read off the
+    image cells, and their stable order is the int64 codes' stable order.
+    The window positions (9,216 and 11,264) fit uint16."""
+    kernel = _Kernel.of(dense_table(2, 2))
+    window = windows.PackedWindow(kernel, radius)
+    assert 2 * (window.width + 2) * 2 ** (window.width + 2) == {4: 45_056, 5: 212_992}[radius]
+    assert window.position.dtype == np.uint16
+    for adjoint in (False, True):
+        codes = window.image_codes(kernel, kernel.kept(window.terms, adjoint), adjoint, edges=True)
+        wide = cell_codes(window, kept_images(kernel, window.terms, adjoint), edges=True)
+        assert codes.dtype == dtype and wide.dtype == np.int64
+        assert np.array_equal(codes, wide)
+        assert np.array_equal(codes.argsort(kind="stable"), wide.argsort(kind="stable"))
 
 
 # ---------------------------------------------------------------------------
