@@ -1,6 +1,7 @@
 """Command-line driver: validate / run / norm / conditions / gram.
 
-Exit codes: 0 pass, 1 validation or gram failure, 2 usage or parse error.
+Exit codes: 0 pass, 1 validation or gram failure, 2 usage or parse error,
+141 when the reader closes stdout early (`| head`).
 Each subcommand builds its result once, as the record `--format json`
 prints; the text format renders lines from that same record, floats in
 12-digit `e` form.  Output is deterministic: identical inputs and flags
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -440,7 +442,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): the rest of the output goes to
+        # devnull, so shutdown prints nothing, and the exit is SIGPIPE's 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (MachineParseError, OSError, ValueError, KeyError) as err:
         # OSError is a missing, unreadable or directory path
         print(f"error: {err}", file=sys.stderr)

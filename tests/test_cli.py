@@ -467,6 +467,21 @@ def test_a_short_run_imports_neither_scipy_nor_numpy_random():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_a_closed_stdout_exits_141_in_silence():
+    """`qturing run counterexample --steps 1000 | head -1`: the reader takes
+    one line and closes the pipe while most of the 178 KB of output (more
+    than a pipe buffer holds) is unwritten.  The run exits 141, as a process
+    killed by SIGPIPE reads in a shell, and prints nothing on stderr."""
+    src = str(Path(qt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.Popen([sys.executable, "-m", "qturing", "run", "counterexample", "--steps", "1000"],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline() == b"machine: counterexample\n"
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    assert child.wait(timeout=60) == 141
+
+
 # ---------------------------------------------------------------------------
 # fuzzed --start specs: exit 0, 1 or 2 and never a traceback
 # ---------------------------------------------------------------------------
