@@ -1,15 +1,17 @@
 """`validate`, `run`, `norm` and `gram` output pinned byte for byte.
 
-Every checker runs on every bundled machine in both formats; a checker
-that does not fit the machine's tape count pins its exit-2 stderr.  The
-`validate` goldens hold the output of the hand-written loop checkers (now
-`reference_conditions`), which the condition engine reproduces byte for
-byte.  The `run` goldens cover five steps of every bundled machine in both
-formats, checked and `--unchecked`, ten steps of a two-symbol corpus
-machine read from a `.qtm` file, a superposition start file, and two
-steps of `three_tape_pair` from a start with non-blank cells, given as a
-basis spec and as a start file.  The
-`norm` and `gram` goldens cover `--radius 2` on every two-symbol table of
+Every checker runs on each one- and two-tape bundled machine (`MACHINES`)
+in both formats; a checker that does not fit the machine's tape count pins
+its exit-2 stderr.  `three_tape_pair` and `four_tape_pair` pin `validate`
+with the default (auto) checker only, among the multi-tape goldens below.
+The `validate` goldens hold the output of the hand-written loop checkers
+(now `reference_conditions`), which the condition engine reproduces byte
+for byte.  The `run` goldens cover five steps of each machine of
+`MACHINES` in both formats, checked and `--unchecked`, ten steps of a
+two-symbol corpus machine read from a `.qtm` file, a superposition start
+file, and two steps of `three_tape_pair` from a start with non-blank
+cells, given as a basis spec and as a start file.  The `norm` and `gram`
+goldens cover `--radius 2` on every two-symbol table of
 `build_corpus(50, 50, seed=7)`, read from `.qtm` files: the last bits of a
 norm estimate and a Gram residual follow the step operator's entry order,
 so these pin that order.  `norm.json` also holds the text output of `norm`
