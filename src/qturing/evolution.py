@@ -53,9 +53,13 @@ only in the state, the head move and the written symbols, and the
 operator ranks each group's first entry by its parent and then by
 `_Layout.local_keys`, `digit_keys`' digits on just those, with one stable
 argsort in the smallest unsigned dtype that holds parent * span + key.
+Those digits rank a written blank by whether the parent has a non-blank
+cell beyond the written column, so the operator takes each term's last
+non-blank column per tape (`_Layout.last_nonblank`): a window computes it
+once, `step_operator` per call.
 The norm estimate names each image by its window code and builds none.
-`_Layout` (`keys`, `one_symbol_key`, `digit_keys` and `local_keys`) is the
-one class that knows `sort_key` order.
+`_Layout` (`keys`, `one_symbol_key`, `digit_keys`, `last_nonblank` and
+`local_keys`) is the one class that knows `sort_key` order.
 `windows` and `oracle` build on this module.
 
 `apply`, `apply_adjoint` and `run` share one step, `_step`, whose result
@@ -323,6 +327,7 @@ class _Layout:
         self.blanks = np.array(frame.blanks, dtype=self.dtype)
         self.top = int(self.sizes.max()) + 1  # the key of a blank before a non-blank cell
         self.S = frame.symbol_block
+        self.written = [i for i, size in enumerate(frame.symbol_counts) if size > 1]  # tapes with cell digits
 
     def blank_cells(self, n: int, width: int) -> np.ndarray:
         """Blank-filled cells for n terms on `width` columns: a cells axis of
@@ -392,12 +397,24 @@ class _Layout:
         rows = np.ascontiguousarray(rows.T, dtype=dtype.newbyteorder(">"))
         return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
-    def local_keys(self, terms: _Terms, walk: _Walk, rules: tuple, entries: np.ndarray) -> np.ndarray:
-        """For the `entries` of `walk`, a rule walk on `terms` by `rules`
-        (one direction of `_Kernel`), keys in the order of (parent, `keys`
-        of the image): parent * span + the image's local key, in the
-        smallest unsigned dtype that holds them.  Entries with distinct
-        parents, or with one parent and distinct images, get distinct keys.
+    def last_nonblank(self, terms: _Terms) -> np.ndarray:
+        """Per tape of two or more symbols (`written`) and per term, its last
+        non-blank column, 0 for none (column 0 is beyond no column): shape
+        (written tapes, terms), in the smallest unsigned dtype that holds
+        the column count.  `local_keys` reads it; it depends on the terms
+        alone, so a window computes it once."""
+        # one copy as (tape, column, term), so the reduction runs along the terms
+        cells = np.ascontiguousarray(terms.cells[:, self.written].transpose(1, 2, 0))
+        column = np.arange(cells.shape[1], dtype=np.min_scalar_type(cells.shape[1]))
+        return np.max((cells != self.blanks[self.written, None, None]) * column[:, None], axis=1, initial=0)
+
+    def local_keys(self, last: np.ndarray, walk: _Walk, rules: tuple, entries: np.ndarray) -> np.ndarray:
+        """For the `entries` of `walk`, a rule walk by `rules` (one direction
+        of `_Kernel`) on terms whose `last_nonblank` is `last`, keys in the
+        order of (parent, `keys` of the image): parent * span + the image's
+        local key, in the smallest unsigned dtype that holds them.  Entries
+        with distinct parents, or with one parent and distinct images, get
+        distinct keys.
 
         A step is fixed by its local transition, so the images of one
         parent differ only in the new state, the head move and the symbols
@@ -405,8 +422,8 @@ class _Layout:
         head move come from one slot, which writes the same columns.  So
         the local key is `digit_keys`' convention on those digits alone:
         the state, the head move per tape, then per tape the written symbol
-        s as s+1 and a blank as 0, or as `top` where the parent has a
-        non-blank cell beyond the written column.  Where one image's
+        s as s+1 and a blank as 0, or as `top` where the parent's last
+        non-blank column lies beyond the written column.  Where one image's
         written digit is 0 and another's is not, no non-blank follows the
         first one's written column, so its blanks before that column read 0
         too: the written digit decides.  A one-symbol tape writes its blank
@@ -414,8 +431,7 @@ class _Layout:
         configurations) the span is at most 2**20, so the keys stay below
         2**40; numpy sorts 8- and 16-bit integers by radix."""
         _, _, to_state, to_write, to_move, _ = rules
-        k, radix = self.k, self.top + 1
-        written = [i for i, size in enumerate(self.frame.symbol_counts) if size > 1]
+        k, radix, written = self.k, self.top + 1, self.written
         place = radix ** len(written)  # the written symbols are the last digits
         span = self.frame.state_count * 3 ** k * place
         part = to_state * (3 ** k * place)  # per rule: the state, the head move, the written symbols
@@ -426,21 +442,15 @@ class _Layout:
             place //= radix
             blank = to_write[:, i] == self.blanks[i]
             part += np.where(blank, 0, to_write[:, i].astype(np.intp) + 1) * place
-            tops.append((i, blank * (self.top * place)))
+            tops.append(blank * (self.top * place))
         parent, rule = walk.parent[entries], walk.rule[entries]
         key = part[rule]
         if tops:
-            # per tape and term: its last non-blank column, 0 for none (column
-            # 0 is beyond no column), from one copy as (tape, column, term),
-            # so the reduction runs along the terms
-            cells = np.ascontiguousarray(terms.cells.transpose(1, 2, 0))
-            column = np.arange(cells.shape[1], dtype=np.min_scalar_type(cells.shape[1]))
-            last = np.max((cells != self.blanks[:, None, None]) * column[:, None], axis=1, initial=0)
             slot = walk.slot[entries]
-            for i, top in tops:
-                key += (last[i][parent] > walk.columns[slot, i]) * top[rule]
+            for i, row, top in zip(written, last, tops):
+                key += (row[parent] > walk.columns[slot, i]) * top[rule]
         key += parent * span
-        return key.astype(np.min_scalar_type(len(terms.state) * span - 1))
+        return key.astype(np.min_scalar_type(last.shape[1] * span - 1))
 
     def configurations(self, terms: _Terms) -> list[Configuration]:
         """Decode packed terms, reading only non-blank cells and building one
@@ -692,24 +702,31 @@ class _Kernel(_Layout):
                         max(terms.slack - 1, 0))
         return images, first.argsort(kind="stable"), dropped
 
-    def operator(self, terms: _Terms, walk: _Walk, adjoint: bool, order: np.ndarray,
+    def operator(self, last: np.ndarray, walk: _Walk, adjoint: bool, order: np.ndarray,
                  new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The image numbering of `step_operator` and the Gram checks: the
-        entries of `walk`, a rule walk on `terms`, in image-number order,
-        and each image's entry count.  `order, new` is the `_groups` of one
-        id per entry that is equal only for entries of equal images (a key
-        or a window code).  Images are numbered by first column (the parent
-        of a group's first entry), then by `sort_key`: one stable argsort of
-        the first entries' `local_keys` ranks the groups, and no image is
-        built.  Each image keeps its entries in column order.  A Gram
-        entry adds its terms in image-number order, so the numbering fixes
-        its rounding, independent of rule order."""
+        entries of `walk`, a rule walk on terms whose `last_nonblank` is
+        `last`, in image-number order, and each image's entry count.
+        `order, new` is the `_groups` of one id per entry that is equal only
+        for entries of equal images (a key or a window code).  Images are
+        numbered by first column (the parent of a group's first entry),
+        then by `sort_key`: one stable argsort of the first entries'
+        `local_keys` ranks the groups, and no image is built.  Each image
+        keeps its entries in column order.  A Gram entry adds its terms in
+        image-number order, so the numbering fixes its rounding, independent
+        of rule order."""
         starts = new.nonzero()[0]
-        by_number = self.local_keys(terms, walk, self.adjoint if adjoint else self.forward,
+        by_number = self.local_keys(last, walk, self.adjoint if adjoint else self.forward,
                                     order[starts]).argsort(kind="stable")
-        sizes = np.diff(starts, append=len(order))[by_number]
+        sizes = np.empty_like(starts)  # each group's entry count, ends - starts
+        sizes[:-1] = starts[1:]
+        sizes[-1:] = len(order)
+        sizes -= starts
+        sizes = sizes[by_number]
         # each group's entries, moved from its start in `order` to its start by number
-        return order[np.repeat(starts[by_number] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(order))], sizes
+        moved = (starts[by_number] - sizes.cumsum() + sizes).repeat(sizes)
+        moved += np.arange(len(order))
+        return order[moved], sizes
 
     def reframe(self, terms: _Terms) -> _Terms:
         """The same terms on `_columns` of their heads and their `used`
@@ -760,7 +777,7 @@ def step_operator(
     terms = kernel.pack(list(configs))
     walk = kernel.kept(terms, adjoint)
     entries = kernel.images(terms, walk, adjoint)
-    order, sizes = kernel.operator(terms, walk, adjoint, *_groups(kernel.keys(entries)))
+    order, sizes = kernel.operator(kernel.last_nonblank(terms), walk, adjoint, *_groups(kernel.keys(entries)))
     rows = np.empty(len(order), dtype=np.intp)
     rows[order] = np.arange(len(sizes)).repeat(sizes)
     return rows, walk.parent, walk.coef, tuple(kernel.configurations(entries.take(order[np.cumsum(sizes) - sizes])))

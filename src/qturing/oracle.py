@@ -17,14 +17,16 @@ and the blocks come in key order, so the residuals and the witness keep
 their bits at any budget.  The window stays packed arrays
 (`windows.PackedWindow`), kept on the table's kernel (`PackedWindow.of`: one
 read-only window per table, for the last radius asked for, freed with the
-table), so the column and the row check at one radius build it once.  Each
-entry names its image by code, in the smallest unsigned dtype that holds
-the codes, one stable sort of the codes (`_groups`, by radix up to 16
-bits) groups the entries by image, and `_Kernel.operator`, the numbering
-of `step_operator`, puts the groups in number order, ranking each group's
-first entry by its parent and its rule's local transition
-(`_Layout.local_keys`), with no image built; the self-join takes the
-groups as they are, so each check sorts its entries once.  Only the
+table), so the column and the row check at one radius build it once,
+with the parts of its terms that no rule changes.  Each entry names its
+image by code, its parent's kept code parts plus its rule's delta, in the
+smallest unsigned dtype that holds the codes; one stable sort of the codes
+(`_groups`, by radix up to 16 bits) groups the entries by image, and
+`_Kernel.operator`, the numbering of `step_operator`, puts the groups in
+number order, ranking each group's first entry by its parent and its
+rule's local transition (`_Layout.local_keys`, which reads the window's
+kept last non-blank columns), with no image built; the self-join takes
+the groups as they are, so each check sorts its entries once.  Only the
 witness configurations are decoded, each from its packed row.
 
 This module also generates the test corpus: provably valid tables built
@@ -124,15 +126,15 @@ def _gram_blocks(cols: np.ndarray, vals: np.ndarray, sizes: np.ndarray, n: int):
     real arithmetic with one rounding, so the lower half is the conjugate of
     the upper half bit for bit: G[j, i] = conj(G[i, j]).
     """
-    count = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, cols.size + 1)  # pairs per left entry
-    left = np.flatnonzero(count)  # every entry but the last of its image
+    count = sizes.cumsum().repeat(sizes) - np.arange(1, cols.size + 1)  # pairs per left entry
+    left = count.nonzero()[0]  # every entry but the last of its image
     if count.sum() <= _GRAM_BLOCK_PAIRS:
         if left.size:
             yield _gram_pairs(cols, vals, left, count[left], n)
         return
     by_column = left[cols[left].argsort(kind="stable")]
-    last = np.flatnonzero(np.diff(cols[by_column], append=n))  # each column's last left entry
-    through = np.cumsum(count[by_column])[last]  # pairs up to the end of each column
+    last = np.diff(cols[by_column], append=n).nonzero()[0]  # each column's last left entry
+    through = count[by_column].cumsum()[last]  # pairs up to the end of each column
     column = 0
     while column < len(last):
         start = last[column - 1] + 1 if column else 0
@@ -147,9 +149,9 @@ def _gram_pairs(cols: np.ndarray, vals: np.ndarray, left: np.ndarray, count: np.
     """The sorted keys and the sums of the pairs of the left entries `left`
     (positions in image order, each paired with the `count` entries after
     it), each key's terms added in the order of `left`."""
-    first = np.cumsum(count) - count  # each left entry's first pair, which pairs it with the next entry
-    shift = np.repeat(first - left - 1, count)
-    left = np.repeat(left, count)
+    first = count.cumsum() - count  # each left entry's first pair, which pairs it with the next entry
+    shift = (first - left - 1).repeat(count)
+    left = left.repeat(count)
     right = np.arange(left.size) - shift
     keys = cols[left] * n + cols[right]
     order, starts, inverse = _runs(keys)
@@ -195,7 +197,7 @@ def _gram_check(table, radius, tolerance, side) -> GramCheck:
     window = PackedWindow.of(kernel, radius)
     n, adjoint = window.size, side == "rows"
     walk = kernel.kept(window.terms, adjoint)
-    order, sizes = kernel.operator(window.terms, walk, adjoint,
+    order, sizes = kernel.operator(window.last_nonblank, walk, adjoint,
                                    *_groups(window.image_codes(kernel, walk, adjoint, edges=True)))
     cols, vals = walk.parent[order], walk.coef[order]
     del walk, order  # the self-join below sets the peak memory

@@ -19,11 +19,20 @@ still fits, and puts it in `Configuration.sort_key` order, keeping each
 term's window code: the mixed-radix value of the state, then per tape the
 tape code and the head.  An image's code is its parent's code plus a
 per-entry delta of its rule at its slot (`PackedWindow.image_codes`), so
-images are named without building their cells.  A forward image whose
-heads stay in 1..W is in the window, and its window code finds its
-position with one lookup (`_compressed`, the operator of `estimate_norm`,
-which starts from `.interior`); the Gram oracle groups its entries by the
-code over the columns and heads 0..W+1, where every image lies.  The codes
+images are named without building their cells.  A step is fixed by its
+local transition, so an image differs from its parent only in the state,
+the head move and the symbols written under the heads; every other part
+of the code depends on the window alone.  The window builds those parts
+once (`_CodeParts`, for the edge codes and for the window codes): each
+term's code without its state, that code less the symbols read at its
+heads, and the place value of each head's column; and each term's last
+non-blank column per tape (`_Layout.last_nonblank`), which the image
+numbering reads.  A check adds only the per-rule and per-entry parts.
+A forward image whose heads stay in 1..W is in the window, and its window
+code finds its position with one lookup (`_compressed`, the operator of
+`estimate_norm`, which starts from `.interior`); the Gram oracle groups
+its entries by the code over the columns and heads 0..W+1, where every
+image lies.  The codes
 and the window positions come in the smallest unsigned dtype that holds
 their range, known from the frame and the radius without a scan, since
 numpy's stable sort of 8- and 16-bit integers (the Gram check's `_groups`,
@@ -31,11 +40,12 @@ the norm estimate's `_slots`) is a radix sort.
 `radius_window` decodes the whole window into configurations, and
 `.configuration` one term from its packed row.
 
-The window depends only on the frame and the radius, so the Gram checks
-and `estimate_norm` take it from `PackedWindow.of`, which keeps one window
-per table on its kernel: the last radius asked for.  Its arrays are
-read-only, and it is built on its own `_Layout`, so it holds no reference
-to the kernel and is freed with its table by reference counting.
+The window and its parts depend only on the frame and the radius, so the
+Gram checks and `estimate_norm` take it from `PackedWindow.of`, which
+keeps one window per table on its kernel: the last radius asked for.
+Nothing per rule or per direction is kept.  Its arrays are read-only, and
+it is built on its own `_Layout`, so it holds no reference to the kernel
+and is freed with its table by reference counting.
 
 The power iteration lays each half's entries out once per estimate in slot
 matrices (`_Slots`), and one loop runs every layout: a half whose entries
@@ -98,16 +108,40 @@ def window_size(frame: TuringFrame, radius: int) -> int:
     return size
 
 
+class _CodeParts(NamedTuple):
+    """The rule-independent parts of the window terms' codes over one span:
+    the columns and heads `first`..`first` + span - 1 (0..W+1 for the edge
+    codes, 1..W for the window codes).  Per term, `code` is its code
+    without the state digit (its heads and cells at their place values),
+    `at` per multi-symbol tape the place value of its head's column, and
+    `unread` its code less each symbol read at a head times that `at`.
+    Every array but `heads` is in the codes' dtype, and all are read-only."""
+
+    first: int  # the first column and head the code covers
+    place: int  # the place value of the state
+    heads: np.ndarray  # (k,) the place value of each head
+    columns: tuple[np.ndarray, ...]  # per multi-symbol tape: (span,) the place value of each column
+    code: np.ndarray  # (n,)
+    unread: np.ndarray  # (n,)
+    at: tuple[np.ndarray, ...]  # per multi-symbol tape: (n,)
+
+    def arrays(self) -> list[np.ndarray]:
+        return [self.heads, *self.columns, self.code, self.unread, *self.at]
+
+
 class PackedWindow:
-    """The radius window as packed terms in `sort_key` order.
+    """The radius window as packed terms in `sort_key` order, with the
+    parts of the terms that no rule changes.
 
     `terms` lies on the columns [-r-1, r+1], so tape cells sit in columns
     1..2r+1 (no cells are packed when every tape has one symbol) and heads
     index 1..2r+1 too; `position[code]` is the window position of the
     term with window code `code`, a permutation of the positions in the
-    smallest unsigned dtype that holds them.  Every
-    array is read-only, so one window can be shared by every check on its
-    table (`of`)."""
+    smallest unsigned dtype that holds them.  `edges` and `inner` are the
+    `_CodeParts` of the edge and the window codes, and `last_nonblank` the
+    terms' `_Layout.last_nonblank`, all built once, here.  Every array is
+    read-only, so one window can be shared by every check on its table
+    (`of`)."""
 
     def __init__(self, layout: _Layout, radius: int):
         self.size = window_size(layout.frame, radius)
@@ -133,8 +167,36 @@ class PackedWindow:
         codes, _, position = _runs(layout.keys(packed))  # terms are distinct: run = position
         self.position = position.astype(np.min_scalar_type(self.size - 1))  # so `_slots` sorts by radix
         self.terms = packed.take(codes)
-        for array in (self.position, *self.terms[:4]):
+        self.edges, self.inner = self._code_parts(0), self._code_parts(1)
+        self.last_nonblank = layout.last_nonblank(self.terms)
+        for array in (self.position, *self.terms[:4], self.last_nonblank, *self.edges.arrays(),
+                      *self.inner.arrays()):
             array.flags.writeable = False
+
+    def _code_parts(self, first: int) -> _CodeParts:
+        """The `_CodeParts` over the columns and heads from `first` on: the
+        digits are the state, then per tape the span cells (leftmost most
+        significant) and the head, in the smallest unsigned dtype that holds
+        their |Q| * prod_i (span * |Sigma_i|**span) values."""
+        terms, counts, k = self.terms, self.layout.frame.symbol_counts, self.layout.k
+        span = self.width + 2 - 2 * first
+        heads, tapes, place = [0] * k, [0] * k, 1  # place values, the last tape's first
+        for i in reversed(range(k)):
+            heads[i] = place
+            tapes[i] = place = place * span
+            place *= counts[i] ** span
+        dtype = np.min_scalar_type(self.layout.frame.state_count * place - 1)
+        heads = np.array(heads)
+        code = (terms.heads @ heads - first * int(heads.sum())).astype(dtype)
+        columns, at = [], []
+        for i in self.layout.written:
+            columns.append((tapes[i] * counts[i] ** np.arange(span - 1, -1, -1)).astype(dtype))
+            code += terms.cells[:, i, first:first + span] @ columns[-1]
+            at.append(columns[-1][terms.heads[:, i] - first])
+        unread = code  # a new array once a tape reads a symbol
+        for i, place_at in zip(self.layout.written, at):
+            unread = unread - place_at * terms.cells[np.arange(self.size), i, terms.heads[:, i]]
+        return _CodeParts(first, place, heads, tuple(columns), code, unread, tuple(at))
 
     @classmethod
     def of(cls, kernel: _Kernel, radius: int) -> "PackedWindow":
@@ -161,48 +223,36 @@ class PackedWindow:
         terms: its parent's code plus its rule's delta at its slot.  The
         delta is (p - q) P_state, plus the rule's head move times P_head
         (per rule, in both directions), plus per tape the written minus the
-        read symbol times the place value of the written column (per slot;
-        a multi-symbol adjoint slot repeats its parent's code once per move
-        in use).  Without `edges` this is the window code, valid for a
-        forward image whose heads all stay in 1..W (it writes only there).
-        With `edges` the code runs over the columns and heads 0..W+1, which
-        hold every one-step image of a window term.  The codes come in the
-        smallest unsigned dtype that holds their range, |Q| * prod_i (span *
+        read symbol times the place value of the written column (per slot).
+        Without `edges` this is the window code, valid for a forward image
+        whose heads all stay in 1..W (it writes only there).  With `edges`
+        the code runs over the columns and heads 0..W+1, which hold every
+        one-step image of a window term.  The codes come in the smallest
+        unsigned dtype that holds their range, |Q| * prod_i (span *
         |Sigma_i|**span) over span columns and heads: uint16 up to dense
         Q2S2 at r=4 (45,056 edge codes), below 2**33 on any window of at
         most MAX_WINDOW_CONFIGS configurations.  A one-symbol tape has no
-        cell digit, so it adds no work."""
+        cell digit, so it adds no work.  A slot that reads at its parent's
+        heads (forward, and every one-symbol walk) takes all but the delta
+        from `_CodeParts`; a multi-symbol adjoint slot, read along `back`,
+        takes its parent's kept `code` and reads its columns per call."""
         _, _, to_state, to_write, to_move, _ = kernel.adjoint if adjoint else kernel.forward
-        terms, counts = self.terms, kernel.frame.symbol_counts
-        first = 0 if edges else 1  # the first column and head the code covers
-        span = self.width + 2 - 2 * first
-        heads, tapes, place = [0] * kernel.k, [0] * kernel.k, 1  # place values, the last tape's first
-        for i in reversed(range(kernel.k)):
-            heads[i] = place
-            tapes[i] = place = place * span
-            place *= counts[i] ** span
+        parts = self.edges if edges else self.inner
+        dtype = parts.code.dtype
         # unsigned arithmetic wraps modulo 2**bits and every code fits the
         # dtype, so the codes sum exactly in it, though a delta may be negative
-        dtype = np.min_scalar_type(kernel.frame.state_count * place - 1)
-        # per slot: its parent's code less its state and the symbols it reads
-        base = (terms.heads @ np.array(heads) - first * sum(heads)).astype(dtype)
-        written = []
-        for i, symbols in enumerate(counts):
-            if symbols > 1:
-                # by column from `first`
-                cells = (tapes[i] * symbols ** np.arange(span - 1, -1, -1)).astype(dtype)
-                base += terms.cells[:, i, first:first + span] @ cells
-                written.append((i, cells[walk.columns[:, i] - first]))
-        if kernel.S > 1 and adjoint:  # a multi-symbol adjoint reads each term once per move in use
-            base = base.repeat(len(kernel.back))
-        for i, at in written:
-            base -= at * walk.read[:, i]
-        delta = (to_state * place + to_move @ heads).astype(dtype)  # per rule: the new state and the head move
+        base, at = parts.unread, parts.at  # per slot: its parent's code less its state and the symbols it reads
+        if kernel.S > 1 and adjoint:
+            base, at = parts.code.repeat(len(kernel.back)), []
+            for i, columns in zip(self.layout.written, parts.columns):
+                at.append(columns[walk.columns[:, i] - parts.first])
+                base -= at[-1] * walk.read[:, i]
+        delta = (to_state * parts.place + to_move @ parts.heads).astype(dtype)  # per rule: new state, head move
         code = base[walk.slot]
         code += delta[walk.rule]
-        for i, at in written:
+        for i, place_at in zip(self.layout.written, at):
             product = to_write[:, i].astype(dtype)[walk.rule]
-            product *= at[walk.slot]
+            product *= place_at[walk.slot]
             code += product
         return code
 

@@ -16,7 +16,7 @@ import pytest
 import qturing as qt
 from qturing import windows
 from qturing.cli import main
-from qturing.evolution import MAX_STEP_SYMBOLS, _Kernel
+from qturing.evolution import MAX_STEP_SYMBOLS, _Kernel, _Layout
 
 from bounded_gram import dense_table
 from conftest import random_table
@@ -424,16 +424,120 @@ def test_kept_window_gives_the_results_of_a_fresh_table():
             assert qt.estimate_norm(table, radius, 20).hex() == qt.estimate_norm(fresh, radius, 20).hex()
 
 
+def kept_arrays(window: windows.PackedWindow) -> list:
+    """Every array the window keeps: its own, its terms' and its code
+    parts'."""
+    arrays = [value for value in vars(window).values() if isinstance(value, np.ndarray)]
+    arrays += [value for value in window.terms if isinstance(value, np.ndarray)]
+    for parts in (window.edges, window.inner):
+        for value in parts:
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, tuple):  # one array per multi-symbol tape
+                arrays += value
+    return arrays
+
+
 def test_kept_window_is_read_only():
     table = _blank_one_table()
     qt.column_gram_check(table, 2)
     window = _Kernel.of(table).window
-    arrays = [value for value in vars(window).values() if isinstance(value, np.ndarray)]
-    arrays += [value for value in window.terms if isinstance(value, np.ndarray)]
-    assert len(arrays) == 5  # `position`, then state, heads, cells and cols
+    arrays = kept_arrays(window)
+    # `position` and `last_nonblank`, then state, heads, cells and cols, then
+    # per span the head and column place values, `code`, `unread` and `at`
+    assert len(arrays) == 2 + 4 + 2 * 5
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+# corpus-like frames of one to three tapes: blanks that are not symbol 0,
+# one-symbol tapes beside multi-symbol ones, and one-symbol frames
+PART_FRAMES = {
+    "Q2 S3 blank 1": (qt.TuringFrame(("a", "b"), (("x", "B", "y"),), blanks=(1,)), (1, 2, 3)),
+    "Q1S2": (qt.simple_frame(1, 2), (1, 2, 3)),
+    "Q3S1": (qt.simple_frame(3, 1), (1, 2, 3)),
+    "two-tape blanks (1,0)": (qt.TuringFrame(("a",), (("x", "B"), ("B", "y")), blanks=(1, 0)), (1, 2)),
+    "Q2 S(2,1)": (qt.simple_frame(2, 2, 1), (1, 2, 3)),
+    "Q1 S(3,1,2) blanks (2,0,1)": (qt.TuringFrame(("a",), (("x", "y", "B"), ("B",), ("x", "B")), blanks=(2, 0, 1)),
+                                   (1,)),
+    "Q2 S(1,2,1)": (qt.simple_frame(2, 1, 2, 1), (1, 2)),
+}
+
+
+def digit_places(window: windows.PackedWindow, first: int) -> tuple[int, list, list]:
+    """The place values of the code over the columns and heads from
+    `first` on, from its digits listed most significant first: the state,
+    then per tape its span cells and its head.  Returns the state's, and
+    per tape the head's and the list of its columns'."""
+    span = window.width + 2 - 2 * first
+    radices = []
+    for symbols in window.layout.frame.symbol_counts:
+        radices += [symbols] * span + [span]
+    places = [1] * len(radices)
+    for j in range(len(radices) - 2, -1, -1):
+        places[j] = places[j + 1] * radices[j + 1]
+    state = places[0] * radices[0]
+    heads = [places[(i + 1) * (span + 1) - 1] for i in range(window.layout.k)]
+    columns = [places[i * (span + 1):(i + 1) * (span + 1) - 1] for i in range(window.layout.k)]
+    return state, heads, columns
+
+
+@pytest.mark.parametrize("name", sorted(PART_FRAMES))
+def test_kept_parts_are_the_parts_of_the_terms(name):
+    """The code parts and last non-blank columns a window keeps equal
+    the ones read off its terms here, term by term, and are read-only."""
+    frame, radii = PART_FRAMES[name]
+    layout = _Layout(frame)
+    written = [i for i, symbols in enumerate(frame.symbol_counts) if symbols > 1]
+    for radius in radii:
+        window = windows.PackedWindow(layout, radius)
+        terms = window.terms
+        rows = np.arange(window.size)
+        for parts, edges in ((window.edges, True), (window.inner, False)):
+            first = 0 if edges else 1
+            state, heads, columns = digit_places(window, first)
+            assert (parts.first, parts.place) == (first, state)
+            assert parts.heads.tolist() == heads
+            assert [place.tolist() for place in parts.columns] == [columns[i] for i in written]
+            code = cell_codes(window, terms, edges) - terms.state * state
+            dtype = np.min_scalar_type(frame.state_count * state - 1)
+            assert all(array.dtype == dtype for array in parts.arrays() if array is not parts.heads)
+            assert np.array_equal(parts.code.astype(np.int64), code)
+            unread = code.copy()
+            for i, at in zip(written, parts.at):
+                column = terms.heads[:, i] - first
+                assert np.array_equal(at.astype(np.int64), np.array(columns[i])[column])
+                unread -= terms.cells[rows, i, terms.heads[:, i]] * np.array(columns[i])[column]
+            assert len(parts.at) == len(written)
+            assert np.array_equal(parts.unread.astype(np.int64), unread)
+        assert window.last_nonblank.shape == (len(written), window.size)
+        for row, i in zip(window.last_nonblank, written):
+            filled = terms.cells[:, i, :] != frame.blanks[i]
+            last = np.where(filled.any(axis=1), filled.shape[1] - 1 - filled[:, ::-1].argmax(axis=1), 0)
+            assert np.array_equal(row, last)
+        for array in kept_arrays(window):
+            assert not array.flags.writeable
+
+
+def test_the_kept_window_serves_every_order_of_calls():
+    """On fresh tables, the column check, the row check and the norm
+    estimate give the same reprs and bits in the order columns, rows, norm
+    as in the order rows, norm, columns, whichever call builds the kept
+    window."""
+    builds = (_q2s2_valid, _blank_one_table,
+              lambda: random_table(qt.simple_frame(2, 2, 1), np.random.default_rng(7), density=0.5),
+              lambda: random_table(qt.simple_frame(3, 1), np.random.default_rng(13)))
+    for build in builds:
+        radius = 1 if build().frame.tape_count > 1 else 2
+        calls = {"columns": lambda table: repr(qt.column_gram_check(table, radius)),
+                 "rows": lambda table: repr(qt.row_gram_check(table, radius)),
+                 "norm": lambda table: qt.estimate_norm(table, radius, 20).hex()}
+        results = []
+        for order in (("columns", "rows", "norm"), ("rows", "norm", "columns")):
+            table = build()
+            results.append({name: calls[name](table) for name in order})
+        assert results[0] == results[1]
 
 
 def test_kept_window_goes_with_its_table():

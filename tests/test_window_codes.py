@@ -43,9 +43,10 @@ def assert_codes_match_cells(table, radius: int, reference: bool = False):
     for adjoint in (False, True):
         walk = kernel.kept(terms, adjoint)
         expected = reference_numbering(kernel, terms, walk, adjoint)
-        by_code = kernel.operator(terms, walk, adjoint, *_groups(window.image_codes(kernel, walk, adjoint, edges=True)))
+        last = window.last_nonblank
+        by_code = kernel.operator(last, walk, adjoint, *_groups(window.image_codes(kernel, walk, adjoint, edges=True)))
         _same(by_code, expected)
-        by_key = kernel.operator(terms, walk, adjoint, *_groups(kernel.keys(kernel.images(terms, walk, adjoint))))
+        by_key = kernel.operator(last, walk, adjoint, *_groups(kernel.keys(kernel.images(terms, walk, adjoint))))
         _same(by_key, expected)
         if reference:
             order, sizes = by_code
